@@ -22,13 +22,26 @@ build:
 test:
 	$(GO) test ./...
 
-# Race job, mirroring CI: the full suite once, then the parallel-search
-# determinism suites repeated -count=3 (scheduling-order bugs rarely
-# show on a single run).
+# race-repeat runs the tests matching pattern $(1) in packages $(2)
+# under -race, -count=3. It fails first when the pattern matches no
+# test in one of the packages: go test -run passes silently when
+# nothing matches, which would turn a renamed suite into a no-op.
+define race-repeat
+	@for p in $(2); do \
+		if ! $(GO) test -list '$(1)' $$p | grep -q '^Test'; then \
+			echo "race: -run '$(1)' matches no test in $$p"; exit 1; \
+		fi; \
+	done
+	$(GO) test -race -count=3 -run '$(1)' $(2)
+endef
+
+# Race job, mirroring CI: the full suite once, then the multi-worker
+# search determinism suites and the stateful-session suites repeated
+# -count=3 (scheduling-order bugs rarely show on a single run).
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=3 -run 'Parallel|Clone|SharedBound|Portfolio' ./internal/csp ./internal/geost ./internal/core
-	$(GO) test -race -count=3 -run 'MaximalEmptyRects|Session' ./internal/online ./internal/service
+	$(call race-repeat,Parallel|Clone,./internal/csp ./internal/geost ./internal/core)
+	$(call race-repeat,MaximalEmptyRects|Session,./internal/online ./internal/service)
 
 vet:
 	$(GO) vet ./...

@@ -78,7 +78,7 @@ var scopes = map[string][]string{
 	"ctxflow": {"internal/service", "internal/client", "internal/faultinject", "internal/presolve"},
 	// Goroutine exit proofs matter in the long-lived packages: a
 	// daemon accumulates leaked goroutines until it dies. The solver
-	// kernel's parallel portfolio spawns workers too.
+	// kernel's multi-worker branch-and-bound spawns goroutines too.
 	"goroleak": {"internal/service", "internal/client", "internal/faultinject", "internal/obs", "internal/csp", "internal/presolve"},
 	// Atomic access discipline and sync-primitive hygiene are
 	// library-wide invariants, like nakedpanic.

@@ -5,11 +5,11 @@ import (
 	"go/types"
 )
 
-// CloneComplete enforces the Clonable protocol that parallel search
-// depends on: any named type with a Propagate method (a propagator)
-// must also implement CloneFor, or Store.Clone rejects the whole store
-// and SolveParallel/MinimizeParallel stop working for every model that
-// posts the propagator. It additionally checks CloneFor bodies for
+// CloneComplete enforces the Clonable protocol that multi-worker
+// branch-and-bound depends on: any named type with a Propagate method
+// (a propagator) must also implement CloneFor, or Store.Clone rejects
+// the whole store and Minimize with Options.Workers > 1 fails for every
+// model that posts the propagator. It additionally checks CloneFor bodies for
 // receiver-field aliasing: a composite literal or assignment that
 // copies a slice- or map-typed field straight from the receiver shares
 // mutable state between the original and the clone, which corrupts
@@ -57,7 +57,7 @@ func checkTypeHasCloneFor(pass *Pass, tn *types.TypeName) {
 		return
 	}
 	pass.Reportf(tn.Pos(),
-		"type %s has a Propagate method but no CloneFor: Store.Clone rejects it, breaking parallel search (implement CloneFor, or document why the propagator is not clonable)",
+		"type %s has a Propagate method but no CloneFor: Store.Clone rejects it, so Minimize fails with Workers > 1 (implement CloneFor, or document why the propagator is not clonable)",
 		tn.Name())
 }
 

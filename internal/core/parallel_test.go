@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/fabric"
@@ -8,9 +10,9 @@ import (
 )
 
 // TestPlacerParallelMatchesSequential checks the core-level contract
-// of Options.Workers: exhaustive parallel solves return the same
-// height AND the identical placement as the sequential solver, for
-// every strategy and worker count. This is the end-to-end counterpart
+// of Options.Workers: exhaustive solves at Workers 2, 4 and 8 return
+// the same height AND the identical placement as Workers: 1, for every
+// strategy. This is the end-to-end counterpart
 // of the csp-level TestParallelMatchesSequential, driving the full
 // geost model (clone protocol, positional heuristics, id-based
 // snapshots) through worker goroutines; run it under -race.
@@ -23,14 +25,14 @@ func TestPlacerParallelMatchesSequential(t *testing.T) {
 		barModule("d", 3),
 	}
 	for _, strategy := range []Strategy{StrategyFirstFail, StrategyLargestFirst, StrategyInputOrder} {
-		seq, err := New(r, Options{Strategy: strategy}).Place(mods)
+		seq, err := New(r, Options{Strategy: strategy, Workers: 1}).Place(mods)
 		if err != nil {
 			t.Fatalf("%v sequential: %v", strategy, err)
 		}
 		if !seq.Found || !seq.Optimal {
 			t.Fatalf("%v sequential did not close the instance: %+v", strategy, seq)
 		}
-		for _, workers := range []int{2, 4} {
+		for _, workers := range []int{2, 4, 8} {
 			par, err := New(r, Options{Strategy: strategy, Workers: workers}).Place(mods)
 			if err != nil {
 				t.Fatalf("%v workers=%d: %v", strategy, workers, err)
@@ -60,26 +62,33 @@ func TestPlacerParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestPlacerParallelFirstSolution checks Workers with
-// FirstSolutionOnly: some valid complete placement arrives (which one
-// is scheduling-dependent, as documented).
-func TestPlacerParallelFirstSolution(t *testing.T) {
+// TestPlacerParallelFirstSolutionDeterministic checks first-solution
+// mode is deterministic: it always runs the sequential dive, so
+// Workers: 4 returns byte-identical placements to Workers: 0.
+func TestPlacerParallelFirstSolutionDeterministic(t *testing.T) {
 	r := fabric.Homogeneous(6, 10).FullRegion()
 	mods := []*module.Module{
 		rectModule("a", 3, 2), rectModule("b", 2, 4), rectModule("c", 4, 2),
 	}
-	res, err := New(r, Options{FirstSolutionOnly: true, Workers: 4}).Place(mods)
-	if err != nil {
-		t.Fatal(err)
+	var bodies [2][]byte
+	for i, workers := range []int{0, 4} {
+		res, err := New(r, Options{FirstSolutionOnly: true, Workers: workers}).Place(mods)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Found || res.Optimal {
+			t.Fatalf("workers=%d: found %v optimal %v, want a non-optimal placement", workers, res.Found, res.Optimal)
+		}
+		if err := res.Validate(r); err != nil {
+			t.Fatal(err)
+		}
+		bodies[i] = fmt.Appendf(nil, "height %d", res.Height)
+		for _, p := range res.Placements {
+			bodies[i] = fmt.Appendf(bodies[i], " %s:%d@%v", p.Module.Name(), p.ShapeIndex, p.At)
+		}
 	}
-	if !res.Found {
-		t.Fatal("no placement found")
-	}
-	if err := res.Validate(r); err != nil {
-		t.Fatal(err)
-	}
-	if res.Optimal {
-		t.Fatal("first-solution mode must not claim optimality")
+	if !bytes.Equal(bodies[0], bodies[1]) {
+		t.Fatalf("Workers: 4 placed %s, Workers: 0 placed %s", bodies[1], bodies[0])
 	}
 }
 

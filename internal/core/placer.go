@@ -91,20 +91,15 @@ type Options struct {
 	// must cross at least one bus row so the module can attach to the
 	// bus. Anchors violating this are removed up front.
 	BusRows []int
-	// Workers, when greater than 1, solves with parallel
-	// branch-and-bound on that many goroutines (csp.MinimizeParallel):
-	// the search tree is split into subproblems explored on cloned
-	// stores against a shared incumbent. 0 or 1 keeps the sequential
-	// solver. Exhaustive parallel runs return the same height and the
-	// same placement as the sequential solver (ties are broken by
-	// subtree order, not arrival order); stalled or timed-out runs may
-	// differ, as with any anytime stop.
+	// Workers, when greater than 1, optimises with branch-and-bound on
+	// that many goroutines (csp.Options.Workers): the first branching
+	// level is split into subproblems explored on cloned stores against
+	// a shared incumbent. 0 or 1 searches sequentially, and
+	// first-solution mode always does. Exhaustive runs return the same
+	// height and the same placement for every worker count (ties are
+	// broken by subtree order, not arrival order); stalled or timed-out
+	// runs may differ, as with any anytime stop.
 	Workers int
-	// Bound, when non-nil, couples this solve to other concurrent
-	// solves of the same objective (portfolio arms): the search prunes
-	// against the best height published by any participant and
-	// publishes its own improvements. See csp.Options.SharedBound.
-	Bound *csp.SharedBound
 	// StrongPropagation adds geost compulsory-part pruning to the
 	// pairwise non-overlap: objects whose remaining placements share a
 	// guaranteed footprint prune their neighbours before being
@@ -189,16 +184,10 @@ func (p *Placer) Place(mods []*module.Module) (*Result, error) {
 		StallNodes:  p.opts.StallNodes,
 		Recorder:    p.opts.Recorder,
 		Workers:     p.opts.Workers,
-		SharedBound: p.opts.Bound,
 	}
 	if p.opts.Timeout > 0 {
 		opts.Deadline = start.Add(p.opts.Timeout)
 	}
-	parallel := p.opts.Workers > 1
-
-	// snapshot reads the solution through variable ids, not through the
-	// objects' own pointers: under parallel search s is a clone of st,
-	// holding counterpart variables at the same ids.
 	res := &Result{}
 
 	if p.opts.Presolve == PresolveOn && !p.opts.FirstSolutionOnly {
@@ -250,6 +239,9 @@ func (p *Placer) Place(mods []*module.Module) (*Result, error) {
 			opts.OrderValues = csp.PreferValues(opts.OrderValues, warmVal)
 		}
 	}
+	// snapshot reads the solution through variable ids, not through the
+	// objects' own pointers: under parallel search s is a clone of st,
+	// holding counterpart variables at the same ids.
 	snapshot := func(s *csp.Store, best int) {
 		res.Found = true
 		res.Height = best
@@ -274,16 +266,7 @@ func (p *Placer) Place(mods []*module.Module) (*Result, error) {
 			snapshot(s, best)
 			return false
 		}
-		var sres csp.SearchResult
-		var err error
-		if parallel {
-			// Which complete placement is found first depends on worker
-			// scheduling; first-solution mode trades determinism for
-			// latency here.
-			sres, err = csp.SolveParallel(st, k.PlaceVars(), opts, onSolution)
-		} else {
-			sres, err = csp.Solve(st, k.PlaceVars(), opts, onSolution)
-		}
+		sres, err := csp.Solve(st, k.PlaceVars(), opts, onSolution)
 		if err != nil {
 			return nil, err
 		}
@@ -293,13 +276,7 @@ func (p *Placer) Place(mods []*module.Module) (*Result, error) {
 		res.Reason = sres.Reason
 		res.Optimal = false
 	} else {
-		var mres csp.MinimizeResult
-		var err error
-		if parallel {
-			mres, err = csp.MinimizeParallel(st, k.PlaceVars(), height, opts, snapshot)
-		} else {
-			mres, err = csp.Minimize(st, k.PlaceVars(), height, opts, snapshot)
-		}
+		mres, err := csp.Minimize(st, k.PlaceVars(), height, opts, snapshot)
 		if err != nil {
 			return nil, err
 		}

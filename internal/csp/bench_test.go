@@ -66,17 +66,14 @@ func BenchmarkSearchTraced(b *testing.B) {
 
 // BenchmarkSearchParallel measures branch-and-bound scaling over the
 // worker count on a fixed constrained-minimization instance. The
-// workers=1 case still goes through MinimizeParallel (split + one
-// worker goroutine), so comparing it against the higher counts
-// isolates parallel speedup from the parallel machinery's overhead.
-// Results feed the worker-scaling table in EXPERIMENTS.md.
+// workers=1 case searches the caller's store with no clone, so it is
+// the sequential baseline for the higher counts.
 func BenchmarkSearchParallel(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				st, vars, obj := randomInstance(7, 12)
-				res, err := MinimizeParallel(st, vars, obj,
-					Options{Workers: workers, SplitDepth: 2}, nil)
+				res, err := Minimize(st, vars, obj, Options{Workers: workers}, nil)
 				if err != nil || !res.Found || !res.Optimal {
 					b.Fatalf("res=%+v err=%v", res, err)
 				}

@@ -2,87 +2,52 @@ package csp
 
 import (
 	"math"
-	"runtime"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/obs"
 )
 
-// This file implements parallel depth-first search and branch-and-bound
-// over cloned stores. The search tree is split at Options.SplitDepth
-// leading branching levels into an ordered list of independent
-// subproblems; Options.Workers goroutines, each owning one Store.Clone,
-// pull subproblems from a shared index dispenser and solve them with
-// the ordinary sequential recursion. The only mutable state shared
-// between workers is the incumbent (published through an atomic
-// pointer, read into every worker's bound cut) and the global
-// node/stop counters.
+// This file implements the Options.Workers > 1 path of Minimize. The
+// root is propagated on the caller's store and its first branching
+// variable chosen; every value of that variable is one first-level
+// subtree, indexed in sequential visit order. Each worker goroutine
+// owns one Store.Clone and searches whole subtrees with the ordinary
+// recursion (worker.branch / worker.dfs), lowest index first.
 //
-// Determinism: for runs that exhaust the search space, MinimizeParallel
-// returns exactly the objective AND solution that sequential Minimize
-// would return, for any worker count. The incumbent is accepted under a
-// mutex with the rule
+// Determinism: for runs that exhaust the search space, the parallel
+// path returns exactly the objective AND solution that the sequential
+// path would return, for any worker count. Sequential search enters
+// subtree k with the best objective of subtrees 0..k−1 as its bound,
+// and from there its path depends only on that bound and its own
+// improvements — but it does depend on them, because the bound prunes
+// domains and dynamic heuristics (SmallestDomain, first-fail) branch on
+// domain sizes. So a parallel run of subtree k starts from the same
+// kind of bound: the best objective found so far in subtrees 0..k−1,
+// never a later subtree's. When an earlier subtree later improves on
+// the bound a run started from, that run is stale: it is aborted if
+// still searching, and searched again either way. The run ends when
+// every subtree has finished a run that started from its final bound,
+// which is exactly the sequential bound, so every subtree has been
+// searched exactly as sequential search would search it.
 //
-//	accept ⇔ obj < best  ∨  (obj = best ∧ subtree < bestSubtree)
+// The incumbent is accepted under a mutex with the rule
 //
-// i.e. ties are broken by the subproblem's position in the sequential
-// visit order, never by arrival time. The lock-free cut each worker
-// prunes with is derived from an atomically published (best, subtree)
-// pair: obj ≤ best−1 for subtrees at or after the incumbent's, obj ≤
-// best for earlier subtrees (which may still tie and win). A stale pair
-// is always an older, weaker incumbent, so a torn read can only make
-// the cut looser — never prune the sequential winner. Runs cut short
-// by Deadline/StallNodes/MaxNodes depend on worker interleaving and are
-// not deterministic (same as any anytime stop).
+//	accept ⇔ obj < best  ∨  (obj = best ∧ subtree ≤ bestSubtree)
 //
-// Heuristics passed via Options (ChooseVar/OrderValues) are called
-// concurrently from all workers on different stores: they must be pure
-// functions of the variables handed to them. Heuristics that capture
-// *Var pointers from one particular store are not safe here.
-
-// SharedBound is an atomic best-known-objective bound shared by
-// concurrent minimisation runs (e.g. portfolio arms, or the workers of
-// one parallel run coupled to an outer portfolio). The zero value is
-// not usable; call NewSharedBound. A nil *SharedBound is valid
-// everywhere and behaves as "no bound".
-type SharedBound struct {
-	v atomic.Int64
-}
-
-// NewSharedBound returns an empty bound (no objective published yet).
-func NewSharedBound() *SharedBound {
-	b := &SharedBound{}
-	b.v.Store(math.MaxInt64)
-	return b
-}
-
-// Get returns the best objective published so far, or math.MaxInt64
-// when none (or when b is nil).
-func (b *SharedBound) Get() int {
-	if b == nil {
-		return math.MaxInt64
-	}
-	return int(b.v.Load())
-}
-
-// Publish lowers the bound to val if val improves on it (atomic
-// compare-and-swap minimum). No-op on a nil receiver.
-func (b *SharedBound) Publish(val int) {
-	if b == nil {
-		return
-	}
-	for {
-		cur := b.v.Load()
-		if int64(val) >= cur {
-			return
-		}
-		if b.v.CompareAndSwap(cur, int64(val)) {
-			return
-		}
-	}
-}
+// i.e. ties go to the earliest subtree in sequential visit order, and
+// within a subtree to its latest run, never to arrival order. The
+// first subtree holding an optimal solution is the one sequential
+// search takes its answer from, and its final run finds that same
+// solution last. Runs cut short by Deadline/StallNodes/MaxNodes depend
+// on worker interleaving and are not deterministic (same as any
+// anytime stop); they report the best solution any run found.
+//
+// Requirements beyond the sequential path: every propagator on the
+// store must implement Clonable (otherwise a *CloneError is returned),
+// and the ChooseVar/OrderValues heuristics are called concurrently from
+// all workers on different stores, so they must be pure functions of
+// the variables handed to them. Heuristics that capture *Var pointers
+// from one particular store are not safe here.
 
 // workerRecorder stamps every event with the worker's 1-based id before
 // forwarding, so merged traces from parallel runs stay attributable.
@@ -97,535 +62,157 @@ func (w workerRecorder) Record(e obs.Event) {
 	w.inner.Record(e)
 }
 
-// decision is one committed branching step, store-independent: the
-// variable is addressed by id so the step replays on any clone.
-type decision struct {
-	varID int
-	val   int
+// Subtree states.
+const (
+	idle    uint8 = iota // needs a run
+	running              // a worker is searching it
+	done                 // its latest run finished
+)
+
+// subtree is the bookkeeping of one first-level value.
+type subtree struct {
+	best   int     // best objective any run of this subtree found
+	bound  int     // best objective of the subtrees before it
+	start  int     // bound when its latest run started
+	state  uint8   // idle, running or done
+	runner *worker // the worker searching it while running
 }
 
-// subproblem is one leaf of the split: the decisions leading to it, in
-// sequential visit order (index 0 is the subtree sequential DFS would
-// explore first).
-type subproblem struct {
-	index int
-	path  []decision
+// split hands the first-level subtrees of a parallel Minimize to the
+// workers. Its fields are guarded by run.mu.
+type split struct {
+	subs    []subtree
+	low     int        // no subtree below low is idle
+	running int        // subtrees being searched
+	wake    *sync.Cond // broadcast when a subtree finishes or reopens
 }
 
-// splitJobs expands the first opts.SplitDepth branching levels of the
-// search rooted at st into subproblems, in sequential DFS order.
-// Intermediate levels are committed (assign + propagate) on st so
-// infeasible prefixes are pruned during the split; the final level
-// enumerates values without propagation (the worker propagates on
-// replay). Branching nodes and dead ends encountered during the split
-// are added to nodes/backtracks. st is restored on return.
-func splitJobs(st *Store, vars []*Var, opts *Options, nodes, backtracks *int64) []subproblem {
-	var jobs []subproblem
-	var path []decision
-	var rec func(depth int)
-	rec = func(depth int) {
-		v := opts.ChooseVar(vars)
-		if v == nil {
-			// All variables assigned above the split depth: the prefix
-			// itself is the (single) leaf.
-			jobs = append(jobs, subproblem{index: len(jobs), path: append([]decision(nil), path...)})
-			return
-		}
-		if depth == opts.SplitDepth-1 {
-			for _, val := range opts.OrderValues(v) {
-				p := make([]decision, len(path)+1)
-				copy(p, path)
-				p[len(path)] = decision{varID: v.id, val: val}
-				jobs = append(jobs, subproblem{index: len(jobs), path: p})
+// claim hands w the lowest idle subtree, waiting while there is none
+// but another worker may still reopen one. It reports false once every
+// subtree is done or the run has stopped.
+func (sp *split) claim(r *run, w *worker) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for !r.stopped.Load() {
+		for ; sp.low < len(sp.subs); sp.low++ {
+			if s := &sp.subs[sp.low]; s.state == idle {
+				s.state, s.start, s.runner = running, s.bound, w
+				sp.running++
+				w.sub, w.start, w.runBest = sp.low, s.bound, math.MaxInt
+				w.aborted.Store(false)
+				return true
 			}
-			return
 		}
-		*nodes++
-		for _, val := range opts.OrderValues(v) {
-			st.Push()
-			err := st.Assign(v, val)
-			if err == nil {
-				err = st.Propagate()
-			}
-			if err == nil {
-				path = append(path, decision{varID: v.id, val: val})
-				rec(depth + 1)
-				path = path[:len(path)-1]
-			} else {
-				*backtracks++
-			}
-			st.Pop()
+		if sp.running == 0 {
+			return false
 		}
+		sp.wake.Wait()
 	}
-	rec(0)
-	return jobs
+	return false
 }
 
-// incumbent is the atomically published (objective, subtree) pair the
-// workers prune against.
-type incumbent struct {
-	best int
-	sub  int64
-}
-
-// parState is the state shared by the workers of one parallel run.
-type parState struct {
-	opts  *Options
-	start time.Time
-
-	next    atomic.Int64 // subproblem dispenser
-	stopped atomic.Bool
-	reason  atomic.Int32 // first StopReason to fire; -1 = none
-	nodes   atomic.Int64 // global branching-node counter
-
-	inc          atomic.Pointer[incumbent]
-	lastImproved atomic.Int64 // ps.nodes at the last strict improvement
-
-	mu         sync.Mutex // guards the fields below + onImproved/onSolution calls
-	found      bool
-	best       int
-	bestSub    int64
-	trace      []ObjectivePoint
-	onImproved func(*Store, int)
-
-	solutions  int // SolveParallel: solutions delivered
-	onSolution func(*Store) bool
-}
-
-// stop requests a global stop, recording r if it is the first cause.
-func (ps *parState) stop(r StopReason) {
-	ps.reason.CompareAndSwap(-1, int32(r))
-	ps.stopped.Store(true)
-}
-
-// cutFor returns the largest objective value worth exploring in
-// subtree sub: best−1 at or after the incumbent's subtree, best before
-// it (a tie there still beats the incumbent), further clamped by the
-// cross-run SharedBound (non-strict).
-func (ps *parState) cutFor(sub int64) int {
-	hi := int64(math.MaxInt64)
-	if p := ps.inc.Load(); p != nil {
-		if sub >= p.sub {
-			hi = int64(p.best) - 1
-		} else {
-			hi = int64(p.best)
-		}
+// finish ends w's run. The subtree is done unless the run was aborted
+// or started from a bound that has since dropped.
+func (sp *split) finish(r *run, w *worker) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	s := &sp.subs[w.sub]
+	s.state, s.runner = done, nil
+	if w.aborted.Load() || s.start != s.bound {
+		sp.reopen(w.sub)
 	}
-	if b := int64(ps.opts.SharedBound.Get()); b < hi {
-		hi = b
-	}
-	return int(hi)
+	sp.running--
+	sp.wake.Broadcast()
 }
 
-// offer submits a solution with objective obj found in subtree sub.
-// Acceptance is exact (under the mutex); the atomic incumbent pair is
-// republished for the lock-free cuts.
-func (ps *parState) offer(st *Store, obj int, sub int64, depth int, rec obs.Recorder) {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	improved := !ps.found || obj < ps.best
-	if !improved && !(obj == ps.best && sub < ps.bestSub) {
+// improve records objective v found in subtree k and lowers the bound
+// of the subtrees after it, aborting or reopening those whose latest
+// run started from a higher bound.
+func (sp *split) improve(k, v int) {
+	if v >= sp.subs[k].best {
 		return
 	}
-	ps.found = true
-	ps.best = obj
-	ps.bestSub = sub
-	ps.inc.Store(&incumbent{best: obj, sub: sub})
-	if improved {
-		n := ps.nodes.Load()
-		ps.lastImproved.Store(n)
-		ps.opts.SharedBound.Publish(obj)
-		ps.trace = append(ps.trace, ObjectivePoint{
-			Objective: obj,
-			Nodes:     n,
-			//solverlint:allow nondeterminism Elapsed annotates the anytime trace for reporting; no search decision reads it
-			Elapsed: time.Since(ps.start),
-		})
-		if rec != nil {
-			rec.Record(obs.Event{Kind: obs.KindIncumbent, Objective: obj, Nodes: n, Depth: depth})
+	sp.subs[k].best = v
+	b := min(sp.subs[k].bound, v)
+	for m := k + 1; m < len(sp.subs) && b < sp.subs[m].bound; m++ {
+		s := &sp.subs[m]
+		s.bound = b
+		switch s.state {
+		case running:
+			s.runner.aborted.Store(true)
+		case done:
+			sp.reopen(m)
 		}
-	}
-	// Ties re-snapshot too: the earlier-subtree solution becomes the
-	// reported one.
-	if ps.onImproved != nil {
-		ps.onImproved(st, obj)
+		b = min(b, s.best)
 	}
 }
 
-// parWorker is one search goroutine: a full clone of the root store
-// plus local result counters.
-type parWorker struct {
-	ps          *parState
-	st          *Store
-	vars        []*Var // cloned search vars, same order as the caller's
-	obj         *Var   // cloned objective (nil for SolveParallel)
-	opts        Options
-	boundHandle int
-	curSub      int64
-	nodes       int64
-	backtracks  int64
+func (sp *split) reopen(k int) {
+	sp.subs[k].state = idle
+	sp.low = min(sp.low, k)
+	sp.wake.Broadcast()
 }
 
-// checkStops polls the global stop conditions, firing the first one
-// that holds. It reports whether the worker must unwind.
-func (w *parWorker) checkStops() bool {
-	ps := w.ps
-	if ps.stopped.Load() {
-		return true
-	}
-	if deadlineHit(&w.opts) {
-		ps.stop(StopTimeout)
-		return true
-	}
-	n := ps.nodes.Load()
-	if w.opts.MaxNodes > 0 && n >= w.opts.MaxNodes {
-		ps.stop(StopNodeLimit)
-		return true
-	}
-	if w.opts.StallNodes > 0 && ps.inc.Load() != nil && n-ps.lastImproved.Load() > w.opts.StallNodes {
-		ps.stop(StopStalled)
-		return true
-	}
-	return false
-}
-
-// runJob replays one subproblem on the worker's store and explores it.
-func (w *parWorker) runJob(job subproblem) {
-	w.curSub = int64(job.index)
-	st := w.st
-	st.Push()
-	if w.boundHandle >= 0 {
-		st.Schedule(w.boundHandle)
-	}
-	var err error
-	for _, d := range job.path {
-		if err = st.Assign(st.vars[d.varID], d.val); err != nil {
-			break
+// parallel runs the minimisation of obj over vars on Options.Workers
+// clones of the run's store, one first-level subtree at a time.
+func (r *run) parallel(vars []*Var, obj *Var) error {
+	st := r.st
+	if err := st.Propagate(); err != nil {
+		if err == ErrInconsistent {
+			return nil
 		}
+		return err
 	}
-	if err == nil {
-		err = st.Propagate()
-	}
-	if err == nil {
-		if w.obj != nil {
-			w.minimizeRec(len(job.path))
-		} else {
-			w.solveRec(len(job.path))
-		}
-	} else {
-		w.backtracks++
-		if w.opts.Recorder != nil {
-			w.opts.Recorder.Record(obs.Event{Kind: obs.KindBacktrack, Depth: len(job.path)})
-		}
-	}
-	st.Pop()
-}
-
-// minimizeRec is the per-worker branch-and-bound recursion. It returns
-// true when the worker must unwind (global stop).
-func (w *parWorker) minimizeRec(depth int) bool {
-	if w.checkStops() {
-		return true
-	}
-	st, ps := w.st, w.ps
-	v := w.opts.ChooseVar(w.vars)
+	v := r.opts.ChooseVar(vars)
 	if v == nil {
-		ps.offer(st, w.obj.Value(), w.curSub, depth, w.opts.Recorder)
-		return false
+		// Assigned at the root: the root is the only solution.
+		r.minimizer(st, vars, obj, r.opts.Recorder).dfs(0)
+		return nil
 	}
-	w.nodes++
-	ps.nodes.Add(1)
-	for _, val := range w.opts.OrderValues(v) {
-		if w.checkStops() {
-			return true
-		}
-		if w.opts.Recorder != nil {
-			w.opts.Recorder.Record(obs.Event{Kind: obs.KindBranch, Var: v.name, Value: val, Depth: depth})
-		}
-		st.Push()
-		st.Schedule(w.boundHandle) // the cut may have tightened since Push
-		err := st.Assign(v, val)
-		if err == nil {
-			err = st.Propagate()
-		}
-		if err == nil {
-			if stop := w.minimizeRec(depth + 1); stop {
-				st.Pop()
-				return true
-			}
-		} else {
-			w.backtracks++
-			if w.opts.Recorder != nil {
-				w.opts.Recorder.Record(obs.Event{Kind: obs.KindBacktrack, Depth: depth})
-			}
-		}
-		st.Pop()
+	vals := r.opts.OrderValues(v)
+	r.nodes.Store(1) // the root's branching node
+	sp := &split{subs: make([]subtree, len(vals)), wake: sync.NewCond(&r.mu)}
+	for i := range sp.subs {
+		sp.subs[i].best, sp.subs[i].bound = math.MaxInt, math.MaxInt
 	}
-	return false
-}
-
-// solveRec is the per-worker enumeration recursion for SolveParallel.
-func (w *parWorker) solveRec(depth int) bool {
-	if w.checkStops() {
-		return true
-	}
-	st, ps := w.st, w.ps
-	v := w.opts.ChooseVar(w.vars)
-	if v == nil {
-		if w.opts.Recorder != nil {
-			w.opts.Recorder.Record(obs.Event{Kind: obs.KindSolution, Depth: depth})
-		}
-		ps.mu.Lock()
-		if ps.stopped.Load() {
-			ps.mu.Unlock()
-			return true
-		}
-		ps.solutions++
-		keepGoing := true
-		if ps.onSolution != nil {
-			keepGoing = ps.onSolution(st)
-		}
-		if !keepGoing || (w.opts.MaxSolutions > 0 && ps.solutions >= w.opts.MaxSolutions) {
-			ps.stop(StopCut)
-			ps.mu.Unlock()
-			return true
-		}
-		ps.mu.Unlock()
-		return false
-	}
-	w.nodes++
-	ps.nodes.Add(1)
-	for _, val := range w.opts.OrderValues(v) {
-		if w.checkStops() {
-			return true
-		}
-		if w.opts.Recorder != nil {
-			w.opts.Recorder.Record(obs.Event{Kind: obs.KindBranch, Var: v.name, Value: val, Depth: depth})
-		}
-		st.Push()
-		err := st.Assign(v, val)
-		if err == nil {
-			err = st.Propagate()
-		}
-		if err == nil {
-			if stop := w.solveRec(depth + 1); stop {
-				st.Pop()
-				return true
-			}
-		} else {
-			w.backtracks++
-			if w.opts.Recorder != nil {
-				w.opts.Recorder.Record(obs.Event{Kind: obs.KindBacktrack, Depth: depth})
-			}
-		}
-		st.Pop()
-	}
-	return false
-}
-
-// loop pulls subproblems in order until the dispenser runs dry or a
-// stop fires.
-func (w *parWorker) loop(jobs []subproblem) {
-	for {
-		if w.ps.stopped.Load() {
-			return
-		}
-		i := w.ps.next.Add(1) - 1
-		if i >= int64(len(jobs)) {
-			return
-		}
-		w.runJob(jobs[i])
-	}
-}
-
-// newWorkers clones the root store once per worker and maps the search
-// variables (and objective, when minimising) onto each clone.
-func newWorkers(st *Store, searchVars []*Var, obj *Var, opts Options, ps *parState, n int) ([]*parWorker, error) {
-	workers := make([]*parWorker, n)
+	r.split = sp
+	workers := make([]*worker, min(r.opts.Workers, len(vals)))
 	for i := range workers {
 		cl, err := st.Clone()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		w := &parWorker{ps: ps, st: cl, opts: opts, boundHandle: -1}
-		w.vars = make([]*Var, len(searchVars))
-		for j, v := range searchVars {
-			w.vars[j] = cl.vars[v.id]
+		var rec obs.Recorder
+		if r.opts.Recorder != nil {
+			rec = workerRecorder{inner: r.opts.Recorder, worker: i + 1}
+			cl.SetRecorder(rec)
 		}
-		if opts.Recorder != nil {
-			w.opts.Recorder = workerRecorder{inner: opts.Recorder, worker: i + 1}
-			cl.SetRecorder(w.opts.Recorder)
+		cvars := make([]*Var, len(vars))
+		for j, x := range vars {
+			cvars[j] = cl.vars[x.id]
 		}
-		if obj != nil {
-			w.obj = cl.vars[obj.id]
-			wo := w // capture for the bound closure
-			boundProp := FuncProp(func(s *Store) error {
-				return s.SetMax(wo.obj, ps.cutFor(wo.curSub))
-			})
-			w.boundHandle = cl.Post(WithName(boundProp, "bnb.bound"), w.obj)
-			// Drain the initial scheduling of the bound prop so every
-			// job starts from a clean fixpoint.
-			if err := cl.Propagate(); err != nil {
-				return nil, err
+		workers[i] = r.minimizer(cl, cvars, cl.vars[obj.id], rec)
+		// Drain the initial scheduling of the cut so every subtree
+		// starts from a clean fixpoint.
+		if err := cl.Propagate(); err != nil {
+			return err
+		}
+	}
+	var wg sync.WaitGroup
+	for _, w := range workers {
+		wg.Add(1)
+		go func(w *worker) {
+			defer wg.Done()
+			first := w.st.vars[v.id]
+			for sp.claim(r, w) {
+				w.branch(first, vals[w.sub], 0)
+				sp.finish(r, w)
 			}
-		}
-		workers[i] = w
+		}(w)
 	}
-	return workers, nil
-}
-
-// MinimizeParallel is the parallel counterpart of Minimize: the first
-// Options.SplitDepth branching levels are expanded into subproblems,
-// explored by Options.Workers goroutines on cloned stores against a
-// shared incumbent. Requirements beyond Minimize's: every propagator on
-// st must implement Clonable (otherwise a *CloneError is returned), and
-// the ChooseVar/OrderValues heuristics must be safe for concurrent use
-// (pure functions of their arguments). onImproved is serialised but
-// called from worker goroutines, with the improving worker's store.
-//
-// Runs that exhaust the space return the identical objective and visit
-// the identical final solution as sequential Minimize (see the package
-// comments on determinism); counters (Nodes, Backtracks, Propagations)
-// are aggregated across workers.
-func MinimizeParallel(st *Store, vars []*Var, obj *Var, opts Options, onImproved func(*Store, int)) (MinimizeResult, error) {
-	opts, err := opts.withDefaults()
-	var res MinimizeResult
-	if err != nil {
-		return res, err
+	wg.Wait()
+	for _, w := range workers {
+		r.clonePropags += w.st.nPropag
 	}
-	if opts.Workers == 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
-	}
-	propBase := st.nPropag
-	if opts.Recorder != nil {
-		prev := st.Recorder()
-		st.SetRecorder(opts.Recorder)
-		defer st.SetRecorder(prev)
-	}
-	searchVars := vars
-	if !containsVar(vars, obj) {
-		searchVars = append(append([]*Var{}, vars...), obj)
-	}
-	if err := st.Propagate(); err != nil {
-		res.Propagations = st.nPropag - propBase
-		if err == ErrInconsistent {
-			res.Optimal = true // infeasible: vacuously closed
-			return res, nil
-		}
-		return res, err
-	}
-	jobs := splitJobs(st, searchVars, &opts, &res.Nodes, &res.Backtracks)
-	//solverlint:allow nondeterminism run-start timestamp only feeds ObjectivePoint.Elapsed (anytime trace), never a search decision
-	ps := &parState{opts: &opts, start: time.Now(), onImproved: onImproved}
-	ps.reason.Store(-1)
-	ps.nodes.Store(res.Nodes)
-	if len(jobs) > 0 {
-		n := opts.Workers
-		if n > len(jobs) {
-			n = len(jobs)
-		}
-		workers, err := newWorkers(st, searchVars, obj, opts, ps, n)
-		if err != nil {
-			res.Propagations = st.nPropag - propBase
-			return res, err
-		}
-		var wg sync.WaitGroup
-		for _, w := range workers {
-			wg.Add(1)
-			go func(w *parWorker) {
-				defer wg.Done()
-				w.loop(jobs)
-			}(w)
-		}
-		wg.Wait()
-		for _, w := range workers {
-			res.Nodes += w.nodes
-			res.Backtracks += w.backtracks
-			res.Propagations += w.st.nPropag
-		}
-	}
-	res.Propagations += st.nPropag - propBase
-	res.Found = ps.found
-	res.Best = ps.best
-	res.BestObjectiveTrace = ps.trace
-	if r := ps.reason.Load(); r >= 0 {
-		res.Reason = StopReason(r)
-		res.Stalled = res.Reason == StopStalled
-	} else {
-		res.Reason = StopExhausted
-		res.Optimal = true
-	}
-	return res, nil
-}
-
-// SolveParallel is the parallel counterpart of Solve. Solutions are
-// delivered serialised (onSolution never runs concurrently with
-// itself) but in a nondeterministic order that depends on worker
-// scheduling; with MaxSolutions set, which solutions are delivered is
-// likewise nondeterministic. Completeness (Reason == StopExhausted
-// when no stop fired) and the solution count for exhaustive runs are
-// deterministic. The same Clonable and pure-heuristic requirements as
-// MinimizeParallel apply.
-func SolveParallel(st *Store, vars []*Var, opts Options, onSolution func(*Store) bool) (SearchResult, error) {
-	opts, err := opts.withDefaults()
-	var res SearchResult
-	if err != nil {
-		return res, err
-	}
-	if opts.Workers == 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
-	}
-	propBase := st.nPropag
-	if opts.Recorder != nil {
-		prev := st.Recorder()
-		st.SetRecorder(opts.Recorder)
-		defer st.SetRecorder(prev)
-	}
-	if err := st.Propagate(); err != nil {
-		res.Propagations = st.nPropag - propBase
-		if err == ErrInconsistent {
-			res.Complete = true
-			return res, nil
-		}
-		return res, err
-	}
-	jobs := splitJobs(st, vars, &opts, &res.Nodes, &res.Backtracks)
-	//solverlint:allow nondeterminism run-start timestamp only feeds ObjectivePoint.Elapsed (anytime trace), never a search decision
-	ps := &parState{opts: &opts, start: time.Now(), onSolution: onSolution}
-	ps.reason.Store(-1)
-	ps.nodes.Store(res.Nodes)
-	if len(jobs) > 0 {
-		n := opts.Workers
-		if n > len(jobs) {
-			n = len(jobs)
-		}
-		workers, err := newWorkers(st, vars, nil, opts, ps, n)
-		if err != nil {
-			res.Propagations = st.nPropag - propBase
-			return res, err
-		}
-		var wg sync.WaitGroup
-		for _, w := range workers {
-			wg.Add(1)
-			go func(w *parWorker) {
-				defer wg.Done()
-				w.loop(jobs)
-			}(w)
-		}
-		wg.Wait()
-		for _, w := range workers {
-			res.Nodes += w.nodes
-			res.Backtracks += w.backtracks
-			res.Propagations += w.st.nPropag
-		}
-	}
-	res.Propagations += st.nPropag - propBase
-	res.Solutions = ps.solutions
-	if r := ps.reason.Load(); r >= 0 {
-		res.Reason = StopReason(r)
-	} else {
-		res.Reason = StopExhausted
-		res.Complete = true
-	}
-	return res, nil
+	return nil
 }

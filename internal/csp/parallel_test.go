@@ -2,7 +2,6 @@ package csp
 
 import (
 	"errors"
-	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -41,10 +40,13 @@ func randomInstance(seed int64, n int) (*Store, []*Var, *Var) {
 }
 
 // TestParallelMatchesSequential is the determinism property test: over
-// a seeded matrix of random instances and worker counts {1, 2, 4, 8},
-// an exhaustive MinimizeParallel run returns the identical objective
-// and — thanks to subtree-index tie-breaking — the identical final
-// assignment as sequential Minimize. Run it under -race.
+// a seeded matrix of random instances and worker counts {2, 4, 8}, an
+// exhaustive Minimize run on clones returns the identical objective
+// and the identical final assignment as the Workers: 1 run on the
+// caller's store. The instances branch first-fail on variables whose
+// domains the objective bound prunes, so a worker that searched a
+// subtree from any bound but the sequential one would drift to another
+// optimal assignment. Run it under -race.
 func TestParallelMatchesSequential(t *testing.T) {
 	snapshot := func(s *Store, nVars int) []int {
 		vals := make([]int, nVars)
@@ -53,11 +55,11 @@ func TestParallelMatchesSequential(t *testing.T) {
 		}
 		return vals
 	}
-	for seed := int64(1); seed <= 10; seed++ {
+	for seed := int64(1); seed <= 100; seed++ {
 		n := 4 + int(seed)%4
 		st, vars, obj := randomInstance(seed, n)
 		var seqSol []int
-		seq, err := Minimize(st, vars, obj, Options{}, func(s *Store, _ int) {
+		seq, err := Minimize(st, vars, obj, Options{Workers: 1}, func(s *Store, _ int) {
 			seqSol = snapshot(s, len(vars))
 		})
 		if err != nil {
@@ -66,14 +68,14 @@ func TestParallelMatchesSequential(t *testing.T) {
 		if !seq.Optimal {
 			t.Fatalf("seed %d: sequential run not exhaustive", seed)
 		}
-		for _, workers := range []int{1, 2, 4, 8} {
+		for _, workers := range []int{2, 4, 8} {
 			pst, pvars, pobj := randomInstance(seed, n)
 			var parSol []int
-			par, err := MinimizeParallel(pst, pvars, pobj, Options{Workers: workers}, func(s *Store, _ int) {
+			par, err := Minimize(pst, pvars, pobj, Options{Workers: workers}, func(s *Store, _ int) {
 				parSol = snapshot(s, len(pvars))
 			})
 			if err != nil {
-				t.Fatalf("seed %d workers %d: MinimizeParallel: %v", seed, workers, err)
+				t.Fatalf("seed %d workers %d: Minimize: %v", seed, workers, err)
 			}
 			if par.Found != seq.Found {
 				t.Fatalf("seed %d workers %d: Found %v, sequential %v", seed, workers, par.Found, seq.Found)
@@ -97,94 +99,6 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSequentialDeepSplit repeats the property at
-// SplitDepth 2 and 3, where intermediate split levels are committed on
-// the root store.
-func TestParallelMatchesSequentialDeepSplit(t *testing.T) {
-	for seed := int64(20); seed <= 25; seed++ {
-		st, vars, obj := randomInstance(seed, 5)
-		seq, err := Minimize(st, vars, obj, Options{}, nil)
-		if err != nil {
-			t.Fatalf("seed %d: Minimize: %v", seed, err)
-		}
-		for _, depth := range []int{2, 3} {
-			pst, pvars, pobj := randomInstance(seed, 5)
-			par, err := MinimizeParallel(pst, pvars, pobj, Options{Workers: 4, SplitDepth: depth}, nil)
-			if err != nil {
-				t.Fatalf("seed %d depth %d: MinimizeParallel: %v", seed, depth, err)
-			}
-			if par.Found != seq.Found || (seq.Found && par.Best != seq.Best) || !par.Optimal {
-				t.Fatalf("seed %d depth %d: (found %v best %d optimal %v), sequential (found %v best %d)",
-					seed, depth, par.Found, par.Best, par.Optimal, seq.Found, seq.Best)
-			}
-		}
-	}
-}
-
-// TestSolveParallelCountsSolutions checks exhaustive parallel
-// enumeration delivers exactly the sequential solution count.
-func TestSolveParallelCountsSolutions(t *testing.T) {
-	build := func() (*Store, []*Var) {
-		st := NewStore()
-		n := 6
-		vars := make([]*Var, n)
-		for i := range vars {
-			vars[i] = st.NewVarRange("q", 0, n-1)
-		}
-		AllDifferent(st, vars...)
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				NotEqualOffset(st, vars[i], vars[j], j-i)
-				NotEqualOffset(st, vars[j], vars[i], j-i)
-			}
-		}
-		return st, vars
-	}
-	st, vars := build()
-	seq, err := Solve(st, vars, Options{}, func(*Store) bool { return true })
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		pst, pvars := build()
-		par, err := SolveParallel(pst, pvars, Options{Workers: workers}, func(*Store) bool { return true })
-		if err != nil {
-			t.Fatalf("workers %d: SolveParallel: %v", workers, err)
-		}
-		if !par.Complete || par.Reason != StopExhausted {
-			t.Fatalf("workers %d: not exhausted: %+v", workers, par)
-		}
-		if par.Solutions != seq.Solutions {
-			t.Fatalf("workers %d: %d solutions, sequential %d", workers, par.Solutions, seq.Solutions)
-		}
-	}
-}
-
-// TestSolveParallelMaxSolutions checks the cut fires and at most
-// MaxSolutions callbacks run.
-func TestSolveParallelMaxSolutions(t *testing.T) {
-	st := NewStore()
-	vars := make([]*Var, 5)
-	for i := range vars {
-		vars[i] = st.NewVarRange("v", 0, 4)
-	}
-	AllDifferent(st, vars...)
-	delivered := 0
-	res, err := SolveParallel(st, vars, Options{Workers: 4, MaxSolutions: 3}, func(*Store) bool {
-		delivered++ // serialised by the parState mutex
-		return true
-	})
-	if err != nil {
-		t.Fatalf("SolveParallel: %v", err)
-	}
-	if res.Solutions != 3 || delivered != 3 {
-		t.Fatalf("got %d solutions (%d callbacks), want 3", res.Solutions, delivered)
-	}
-	if res.Reason != StopCut {
-		t.Fatalf("reason %v, want cut", res.Reason)
-	}
-}
-
 // eventCollector is a mutex-protected recorder for assertions on the
 // merged event stream of a parallel run.
 type eventCollector struct {
@@ -203,9 +117,9 @@ func (c *eventCollector) Record(e obs.Event) {
 func TestParallelWorkerEvents(t *testing.T) {
 	st, vars, obj := randomInstance(3, 5)
 	var col eventCollector
-	res, err := MinimizeParallel(st, vars, obj, Options{Workers: 4, Recorder: &col}, nil)
+	res, err := Minimize(st, vars, obj, Options{Workers: 4, Recorder: &col}, nil)
 	if err != nil {
-		t.Fatalf("MinimizeParallel: %v", err)
+		t.Fatalf("Minimize: %v", err)
 	}
 	if !res.Optimal {
 		t.Fatalf("run not exhaustive: %v", res.Reason)
@@ -240,9 +154,9 @@ func TestParallelStallNodes(t *testing.T) {
 	AllDifferent(st, vars...)
 	obj := st.NewVarRange("obj", 0, 11)
 	MaxOf(st, obj, vars...)
-	res, err := MinimizeParallel(st, vars, obj, Options{Workers: 4, StallNodes: 40}, nil)
+	res, err := Minimize(st, vars, obj, Options{Workers: 4, StallNodes: 40}, nil)
 	if err != nil {
-		t.Fatalf("MinimizeParallel: %v", err)
+		t.Fatalf("Minimize: %v", err)
 	}
 	if !res.Found {
 		t.Fatal("no solution found before stalling")
@@ -266,9 +180,9 @@ func TestParallelMaxNodes(t *testing.T) {
 	AllDifferent(st, vars...)
 	obj := st.NewVarRange("obj", 0, 14)
 	MaxOf(st, obj, vars...)
-	res, err := MinimizeParallel(st, vars, obj, Options{Workers: 4, MaxNodes: 200}, nil)
+	res, err := Minimize(st, vars, obj, Options{Workers: 4, MaxNodes: 200}, nil)
 	if err != nil {
-		t.Fatalf("MinimizeParallel: %v", err)
+		t.Fatalf("Minimize: %v", err)
 	}
 	if res.Reason != StopNodeLimit {
 		t.Fatalf("reason %v, want node-limit", res.Reason)
@@ -279,16 +193,27 @@ func TestParallelMaxNodes(t *testing.T) {
 }
 
 // TestParallelRejectsFuncProp checks the unclonable-store error path
-// from the parallel entry point.
+// of Minimize with Workers > 1, and that Workers: 1 still solves the
+// same model on the caller's store.
 func TestParallelRejectsFuncProp(t *testing.T) {
-	st := NewStore()
-	x := st.NewVarRange("x", 0, 5)
-	y := st.NewVarRange("y", 0, 5)
-	st.Post(FuncProp(func(s *Store) error { return s.Remove(x, 3) }), x)
-	_, err := MinimizeParallel(st, []*Var{x, y}, y, Options{Workers: 2}, nil)
+	build := func() (*Store, []*Var, *Var) {
+		st := NewStore()
+		x := st.NewVarRange("x", 0, 5)
+		y := st.NewVarRange("y", 0, 5)
+		st.Post(FuncProp(func(s *Store) error { return s.Remove(x, 3) }), x)
+		LessEqOffset(st, x, y, 1)
+		return st, []*Var{x, y}, y
+	}
+	st, vars, obj := build()
+	_, err := Minimize(st, vars, obj, Options{Workers: 2}, nil)
 	var ce *CloneError
 	if !errors.As(err, &ce) {
 		t.Fatalf("want *CloneError, got %v", err)
+	}
+	st, vars, obj = build()
+	res, err := Minimize(st, vars, obj, Options{Workers: 1}, nil)
+	if err != nil || !res.Found || !res.Optimal || res.Best != 1 {
+		t.Fatalf("Workers: 1 on a FuncProp model: %+v, %v", res, err)
 	}
 }
 
@@ -304,7 +229,6 @@ func TestOptionsValidation(t *testing.T) {
 		{"MaxNodes", Options{MaxNodes: -7}},
 		{"MaxSolutions", Options{MaxSolutions: -2}},
 		{"Workers", Options{Workers: -1}},
-		{"SplitDepth", Options{SplitDepth: -3}},
 	}
 	for _, tc := range cases {
 		st := NewStore()
@@ -326,10 +250,6 @@ func TestOptionsValidation(t *testing.T) {
 		check("Solve", err)
 		_, err = Minimize(st, vars, y, tc.opts, nil)
 		check("Minimize", err)
-		_, err = SolveParallel(st, vars, tc.opts, func(*Store) bool { return true })
-		check("SolveParallel", err)
-		_, err = MinimizeParallel(st, vars, y, tc.opts, nil)
-		check("MinimizeParallel", err)
 	}
 }
 
@@ -362,76 +282,5 @@ func TestMaxNodesSequential(t *testing.T) {
 	}
 	if sres.Reason != StopNodeLimit || sres.Complete {
 		t.Fatalf("want node-limit stop, got %+v", sres)
-	}
-}
-
-// TestSharedBound exercises the CAS-minimum semantics including the
-// nil receiver.
-func TestSharedBound(t *testing.T) {
-	var nilB *SharedBound
-	if nilB.Get() != math.MaxInt64 {
-		t.Fatal("nil SharedBound must read as unbounded")
-	}
-	nilB.Publish(5) // must not panic
-	b := NewSharedBound()
-	if b.Get() != math.MaxInt64 {
-		t.Fatal("fresh SharedBound must read as unbounded")
-	}
-	b.Publish(10)
-	b.Publish(12) // worse: ignored
-	if b.Get() != 10 {
-		t.Fatalf("bound %d, want 10", b.Get())
-	}
-	b.Publish(7)
-	if b.Get() != 7 {
-		t.Fatalf("bound %d, want 7", b.Get())
-	}
-}
-
-// TestSharedBoundCouplesRuns checks a sequential Minimize prunes
-// against an externally published bound and publishes its own
-// improvements.
-func TestSharedBoundCouplesRuns(t *testing.T) {
-	build := func() (*Store, []*Var, *Var) {
-		st := NewStore()
-		vars := make([]*Var, 5)
-		for i := range vars {
-			vars[i] = st.NewVarRange("v", 0, 8)
-		}
-		AllDifferent(st, vars...)
-		obj := st.NewVarRange("obj", 0, 8)
-		MaxOf(st, obj, vars...)
-		return st, vars, obj
-	}
-	// Free-running reference.
-	st0, vars0, obj0 := build()
-	ref, err := Minimize(st0, vars0, obj0, Options{}, nil)
-	if err != nil || !ref.Found {
-		t.Fatalf("reference run: %+v, %v", ref, err)
-	}
-	// Coupled run starting from an already-optimal external bound: it
-	// may still match the bound (non-strict cut) but never beat it.
-	b := NewSharedBound()
-	b.Publish(ref.Best)
-	st1, vars1, obj1 := build()
-	res, err := Minimize(st1, vars1, obj1, Options{SharedBound: b}, nil)
-	if err != nil {
-		t.Fatalf("coupled run: %v", err)
-	}
-	if !res.Found || res.Best != ref.Best {
-		t.Fatalf("coupled run found=%v best=%d, want best %d", res.Found, res.Best, ref.Best)
-	}
-	if b.Get() != ref.Best {
-		t.Fatalf("bound drifted to %d", b.Get())
-	}
-	// A published improvement must land in the bound.
-	b2 := NewSharedBound()
-	st2, vars2, obj2 := build()
-	res2, err := Minimize(st2, vars2, obj2, Options{SharedBound: b2}, nil)
-	if err != nil {
-		t.Fatalf("publishing run: %v", err)
-	}
-	if b2.Get() != res2.Best {
-		t.Fatalf("bound %d, want published best %d", b2.Get(), res2.Best)
 	}
 }

@@ -2,6 +2,9 @@ package csp
 
 import (
 	"fmt"
+	"math"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -102,9 +105,9 @@ type Options struct {
 	// convergence criterion for anytime optimisation. Solve ignores it.
 	StallNodes int64
 	// MaxNodes, when positive, aborts search after exploring this many
-	// branching nodes (shared globally across workers in the parallel
-	// entry points) with Reason StopNodeLimit — a deterministic budget
-	// that, unlike Deadline, does not depend on machine speed.
+	// branching nodes (counted across all workers) with Reason
+	// StopNodeLimit — a deterministic budget that, unlike Deadline,
+	// does not depend on machine speed.
 	MaxNodes int64
 	// Recorder, when non-nil, receives the structured search event
 	// stream (branch, backtrack, solution, incumbent) and is installed
@@ -112,22 +115,12 @@ type Options struct {
 	// events (propagate, prune) are captured too. Nil keeps the search
 	// hot path free of any recording overhead.
 	Recorder obs.Recorder
-	// Workers sets the number of search goroutines used by
-	// SolveParallel and MinimizeParallel (0 = runtime.GOMAXPROCS).
-	// The sequential entry points ignore it.
+	// Workers, when greater than 1, makes Minimize split the first
+	// branching level into one subproblem per value and explore them
+	// on that many goroutines, each searching its own Store.Clone
+	// against a shared incumbent (see parallel.go). 0 or 1 searches
+	// the caller's store directly. Solve ignores it.
 	Workers int
-	// SplitDepth is the number of leading branching levels expanded
-	// into independent subproblems by the parallel entry points
-	// (0 = 1). Deeper splits yield more, finer-grained subproblems.
-	SplitDepth int
-	// SharedBound, when non-nil, couples this run to other concurrent
-	// minimisation runs over the same objective: the search prunes
-	// against the best objective published by any participant, and
-	// publishes its own improvements. Solutions matching the shared
-	// bound exactly are still accepted (the cut is non-strict), so
-	// every participant reports its own best solution. With an
-	// external bound, Optimal means optimal relative to that bound.
-	SharedBound *SharedBound
 }
 
 // OptionError reports an invalid Options field value.
@@ -153,17 +146,12 @@ func (o Options) withDefaults() (Options, error) {
 		return o, &OptionError{Field: "MaxNodes", Value: o.MaxNodes}
 	case o.Workers < 0:
 		return o, &OptionError{Field: "Workers", Value: int64(o.Workers)}
-	case o.SplitDepth < 0:
-		return o, &OptionError{Field: "SplitDepth", Value: int64(o.SplitDepth)}
 	}
 	if o.ChooseVar == nil {
 		o.ChooseVar = SmallestDomain
 	}
 	if o.OrderValues == nil {
 		o.OrderValues = AscendingValues
-	}
-	if o.SplitDepth == 0 {
-		o.SplitDepth = 1
 	}
 	return o, nil
 }
@@ -228,93 +216,30 @@ type SearchResult struct {
 // Solve runs depth-first search over vars, invoking onSolution with the
 // store in an all-assigned, propagated state for every solution. If
 // onSolution returns false, enumeration stops early. The store is left
-// at its entry state.
+// at its entry state. Solve always searches st itself.
 func Solve(st *Store, vars []*Var, opts Options, onSolution func(*Store) bool) (SearchResult, error) {
-	opts, err := opts.withDefaults()
 	var res SearchResult
+	r, err := newRun(st, opts)
 	if err != nil {
 		return res, err
 	}
-	propBase := st.nPropag
-	if opts.Recorder != nil {
-		prev := st.Recorder()
-		st.SetRecorder(opts.Recorder)
-		defer st.SetRecorder(prev)
-	}
-	if err := st.Propagate(); err != nil {
-		res.Propagations = st.nPropag - propBase
-		if err == ErrInconsistent {
-			res.Complete = true
-			return res, nil
-		}
-		return res, err
-	}
-	stop := searchRec(st, vars, &opts, &res, 0, onSolution)
-	res.Complete = !stop
-	if !stop {
-		res.Reason = StopExhausted
-	}
-	res.Propagations = st.nPropag - propBase
-	return res, nil
-}
-
-func deadlineHit(opts *Options) bool {
-	//solverlint:allow nondeterminism Options.Deadline is a documented anytime stop; deadline runs are non-deterministic by contract
-	return !opts.Deadline.IsZero() && time.Now().After(opts.Deadline)
-}
-
-// searchRec returns true when enumeration must stop entirely (deadline
-// or solution-callback cut).
-func searchRec(st *Store, vars []*Var, opts *Options, res *SearchResult, depth int, onSolution func(*Store) bool) bool {
-	if deadlineHit(opts) {
-		res.Reason = StopTimeout
-		return true
-	}
-	if opts.MaxNodes > 0 && res.Nodes >= opts.MaxNodes {
-		res.Reason = StopNodeLimit
-		return true
-	}
-	v := opts.ChooseVar(vars)
-	if v == nil {
+	defer r.end()
+	w := &worker{r: r, st: st, vars: vars, rec: r.opts.Recorder, boundHandle: -1}
+	w.leaf = func(depth int) bool {
 		res.Solutions++
-		if opts.Recorder != nil {
-			opts.Recorder.Record(obs.Event{Kind: obs.KindSolution, Depth: depth})
+		if w.rec != nil {
+			w.rec.Record(obs.Event{Kind: obs.KindSolution, Depth: depth})
 		}
-		keepGoing := onSolution(st)
-		if !keepGoing {
-			res.Reason = StopCut
-			return true
-		}
-		if opts.MaxSolutions > 0 && res.Solutions >= opts.MaxSolutions {
-			res.Reason = StopCut
+		if !onSolution(st) || (r.opts.MaxSolutions > 0 && res.Solutions >= r.opts.MaxSolutions) {
+			r.stop(StopCut)
 			return true
 		}
 		return false
 	}
-	res.Nodes++
-	for _, val := range opts.OrderValues(v) {
-		if opts.Recorder != nil {
-			opts.Recorder.Record(obs.Event{Kind: obs.KindBranch, Var: v.name, Value: val, Depth: depth})
-		}
-		st.Push()
-		err := st.Assign(v, val)
-		if err == nil {
-			err = st.Propagate()
-		}
-		if err == nil {
-			if stop := searchRec(st, vars, opts, res, depth+1, onSolution); stop {
-				st.Pop()
-				return true
-			}
-		} else {
-			res.Backtracks++
-			if opts.Recorder != nil {
-				opts.Recorder.Record(obs.Event{Kind: obs.KindBacktrack, Depth: depth})
-			}
-		}
-		st.Pop()
-	}
-	return false
+	err = w.root()
+	res.Nodes, res.Backtracks, res.Propagations = r.counters()
+	res.Reason, res.Complete = r.outcome(err)
+	return res, err
 }
 
 // ObjectivePoint is one improving step of a branch-and-bound run: the
@@ -355,71 +280,41 @@ type MinimizeResult struct {
 	BestObjectiveTrace []ObjectivePoint
 }
 
-// minimizeState carries the mutable bookkeeping of one Minimize run that
-// is not part of the public result.
-type minimizeState struct {
-	bound        int
-	boundHandle  int
-	lastImproved int64
-	start        time.Time
-	onImproved   func(*Store, int)
-}
-
 // Minimize finds an assignment of vars minimising obj using depth-first
 // branch-and-bound: after each improving solution the objective is
 // bounded below the incumbent and search continues. onImproved (may be
 // nil) is called with the store at each improving solution so the caller
 // can snapshot the assignment. The store is restored on return.
+//
+// With Options.Workers > 1 the search runs on clones of st (see
+// parallel.go): onImproved is then serialised but called from worker
+// goroutines with the improving worker's store, so it must read the
+// solution through variable ids. Runs that exhaust the space return the
+// same objective and the same final solution for every worker count.
 func Minimize(st *Store, vars []*Var, obj *Var, opts Options, onImproved func(*Store, int)) (MinimizeResult, error) {
-	opts, err := opts.withDefaults()
 	var res MinimizeResult
+	r, err := newRun(st, opts)
 	if err != nil {
 		return res, err
 	}
-	propBase := st.nPropag
-	if opts.Recorder != nil {
-		prev := st.Recorder()
-		st.SetRecorder(opts.Recorder)
-		defer st.SetRecorder(prev)
-	}
-
-	ms := &minimizeState{
-		// bound is exclusive: solutions must achieve obj < bound.
-		bound: obj.Max() + 1,
-		//solverlint:allow nondeterminism run-start timestamp only feeds ObjectivePoint.Elapsed (anytime trace), never a search decision
-		start:      time.Now(),
-		onImproved: onImproved,
-	}
-	boundProp := FuncProp(func(s *Store) error {
-		hi := ms.bound - 1
-		if b := opts.SharedBound.Get(); b < hi {
-			hi = b // non-strict: matching another run's best is allowed
-		}
-		return s.SetMax(obj, hi)
-	})
-	ms.boundHandle = st.Post(WithName(boundProp, "bnb.bound"), obj)
-
+	defer r.end()
+	//solverlint:allow nondeterminism run-start timestamp only feeds ObjectivePoint.Elapsed (anytime trace), never a search decision
+	r.start = time.Now()
+	r.onImproved = onImproved
 	searchVars := vars
 	if !containsVar(vars, obj) {
 		searchVars = append(append([]*Var{}, vars...), obj)
 	}
-
-	if err := st.Propagate(); err != nil {
-		res.Propagations = st.nPropag - propBase
-		if err == ErrInconsistent {
-			res.Optimal = true // infeasible: vacuously closed
-			return res, nil
-		}
-		return res, err
+	if r.opts.Workers > 1 {
+		err = r.parallel(searchVars, obj)
+	} else {
+		err = r.minimizer(st, searchVars, obj, r.opts.Recorder).root()
 	}
-
-	stopped := minimizeRec(st, searchVars, obj, &opts, &res, ms, 0)
-	res.Optimal = !stopped
-	if !stopped {
-		res.Reason = StopExhausted
-	}
-	res.Propagations = st.nPropag - propBase
-	return res, nil
+	res.Found, res.Best, res.BestObjectiveTrace = r.found.Load(), r.best, r.trace
+	res.Nodes, res.Backtracks, res.Propagations = r.counters()
+	res.Reason, res.Optimal = r.outcome(err)
+	res.Stalled = res.Reason == StopStalled
+	return res, err
 }
 
 func containsVar(vars []*Var, v *Var) bool {
@@ -431,71 +326,237 @@ func containsVar(vars []*Var, v *Var) bool {
 	return false
 }
 
-func minimizeRec(st *Store, vars []*Var, obj *Var, opts *Options, res *MinimizeResult, ms *minimizeState, depth int) bool {
-	if deadlineHit(opts) {
-		res.Reason = StopTimeout
-		return true
+func deadlineHit(opts *Options) bool {
+	//solverlint:allow nondeterminism Options.Deadline is a documented anytime stop; deadline runs are non-deterministic by contract
+	return !opts.Deadline.IsZero() && time.Now().After(opts.Deadline)
+}
+
+// run is the state of one Solve or Minimize call, shared by every
+// worker searching for it: the stop flag, the global counters and, when
+// minimising, the incumbent.
+type run struct {
+	opts     Options
+	st       *Store // the caller's store
+	prevRec  obs.Recorder
+	propBase int64 // st's propagation count on entry
+	start    time.Time
+
+	stopped      atomic.Bool
+	reason       atomic.Int32 // first StopReason to fire; -1 = none
+	nodes        atomic.Int64
+	backtracks   atomic.Int64
+	clonePropags int64 // propagations on worker clones, summed after they finish
+
+	found        atomic.Bool  // an incumbent exists
+	lastImproved atomic.Int64 // nodes at the last strict improvement
+
+	mu         sync.Mutex // guards the fields below and onImproved calls
+	split      *split     // first-level subtrees of a parallel run; nil when sequential
+	best       int
+	bestSub    int
+	trace      []ObjectivePoint
+	onImproved func(*Store, int)
+}
+
+// newRun validates opts and installs its recorder on st until end.
+func newRun(st *Store, opts Options) (*run, error) {
+	opts, err := opts.withDefaults()
+	if err != nil {
+		return nil, err
 	}
-	if opts.MaxNodes > 0 && res.Nodes >= opts.MaxNodes {
-		res.Reason = StopNodeLimit
-		return true
+	r := &run{opts: opts, st: st, prevRec: st.Recorder(), propBase: st.nPropag}
+	r.reason.Store(-1)
+	if opts.Recorder != nil {
+		st.SetRecorder(opts.Recorder)
 	}
-	if opts.StallNodes > 0 && res.Found && res.Nodes-ms.lastImproved > opts.StallNodes {
-		res.Stalled = true
-		res.Reason = StopStalled
-		return true
+	return r, nil
+}
+
+// end restores the recorder st had before the run.
+func (r *run) end() {
+	if r.opts.Recorder != nil {
+		r.st.SetRecorder(r.prevRec)
 	}
-	v := opts.ChooseVar(vars)
-	if v == nil {
-		val := obj.Value()
-		if !res.Found || val < res.Best {
-			res.Found = true
-			res.Best = val
-			ms.bound = val
-			ms.lastImproved = res.Nodes
-			opts.SharedBound.Publish(val)
-			res.BestObjectiveTrace = append(res.BestObjectiveTrace, ObjectivePoint{
-				Objective: val,
-				Nodes:     res.Nodes,
-				//solverlint:allow nondeterminism Elapsed annotates the anytime trace for reporting; no search decision reads it
-				Elapsed: time.Since(ms.start),
-			})
-			if opts.Recorder != nil {
-				opts.Recorder.Record(obs.Event{Kind: obs.KindIncumbent, Objective: val, Nodes: res.Nodes, Depth: depth})
-			}
-			if ms.onImproved != nil {
-				ms.onImproved(st, val)
-			}
+}
+
+// stop requests a global stop, recording why if it is the first cause.
+func (r *run) stop(why StopReason) {
+	r.reason.CompareAndSwap(-1, int32(why))
+	r.stopped.Store(true)
+}
+
+// counters returns the run's nodes, backtracks and propagations.
+func (r *run) counters() (nodes, backtracks, propagations int64) {
+	return r.nodes.Load(), r.backtracks.Load(), r.st.nPropag - r.propBase + r.clonePropags
+}
+
+// outcome reports why the run ended and whether it exhausted the space;
+// a run that failed with err did neither.
+func (r *run) outcome(err error) (StopReason, bool) {
+	why := r.reason.Load()
+	if err != nil || why >= 0 {
+		return StopReason(max(why, 0)), false
+	}
+	return StopExhausted, true
+}
+
+// offer submits a solution with objective obj found by w. It becomes
+// the incumbent when strictly better, or equal and from the same or an
+// earlier first-level subtree: the order sequential search would prefer
+// it in (see parallel.go).
+func (r *run) offer(w *worker, obj, depth int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.split != nil {
+		r.split.improve(w.sub, obj)
+	}
+	improved := !r.found.Load() || obj < r.best
+	if !improved && !(obj == r.best && w.sub <= r.bestSub) {
+		return
+	}
+	r.best, r.bestSub = obj, w.sub
+	if improved {
+		n := r.nodes.Load()
+		r.found.Store(true)
+		r.lastImproved.Store(n)
+		r.trace = append(r.trace, ObjectivePoint{
+			Objective: obj,
+			Nodes:     n,
+			//solverlint:allow nondeterminism Elapsed annotates the anytime trace for reporting; no search decision reads it
+			Elapsed: time.Since(r.start),
+		})
+		if w.rec != nil {
+			w.rec.Record(obs.Event{Kind: obs.KindIncumbent, Objective: obj, Nodes: n, Depth: depth})
+		}
+	}
+	// Ties re-snapshot too: the earlier subtree's solution, or the later
+	// run of the same subtree, becomes the reported one.
+	if r.onImproved != nil {
+		r.onImproved(w.st, obj)
+	}
+}
+
+// worker runs the depth-first recursion on one store: the caller's
+// store in a sequential search, its own clone in a parallel one.
+type worker struct {
+	r           *run
+	st          *Store
+	vars        []*Var
+	rec         obs.Recorder         // Options.Recorder, tagged with the worker id when parallel
+	boundHandle int                  // branch-and-bound cut, rescheduled on every branch; -1 in Solve
+	leaf        func(depth int) bool // called at each solution; true stops the run
+
+	// Branch-and-bound state of the current run (see parallel.go):
+	// solutions must beat both the bound it started from and its own
+	// best.
+	sub     int         // first-level subtree being searched
+	start   int         // incumbent objective the run started from
+	runBest int         // best objective this run has found
+	aborted atomic.Bool // the run's start went stale; unwind it
+}
+
+// minimizer returns a worker searching st for improvements of obj: it
+// posts the branch-and-bound cut on st and offers every improving
+// solution to the run's incumbent.
+func (r *run) minimizer(st *Store, vars []*Var, obj *Var, rec obs.Recorder) *worker {
+	w := &worker{r: r, st: st, vars: vars, rec: rec, start: math.MaxInt, runBest: math.MaxInt}
+	cut := FuncProp(func(s *Store) error { return s.SetMax(obj, min(w.start, w.runBest)-1) })
+	w.boundHandle = st.Post(WithName(cut, "bnb.bound"), obj)
+	w.leaf = func(depth int) bool {
+		if val := obj.Value(); val < min(w.start, w.runBest) {
+			w.runBest = val
+			r.offer(w, val, depth)
 		}
 		return false
 	}
-	res.Nodes++
-	for _, val := range opts.OrderValues(v) {
-		if deadlineHit(opts) {
-			res.Reason = StopTimeout
+	return w
+}
+
+// root propagates the worker's store to its root fixpoint and searches
+// below it. A contradiction at the root exhausts the run at once (for
+// Minimize: infeasible, vacuously optimal); any other propagation error
+// is returned.
+func (w *worker) root() error {
+	if err := w.st.Propagate(); err != nil {
+		if err == ErrInconsistent {
+			return nil
+		}
+		return err
+	}
+	w.dfs(0)
+	return nil
+}
+
+// interrupted fires the deadline and reports whether the worker must
+// unwind: the run has stopped, or this worker's run was aborted.
+func (w *worker) interrupted() bool {
+	if deadlineHit(&w.r.opts) {
+		w.r.stop(StopTimeout)
+	}
+	return w.r.stopped.Load() || w.aborted.Load()
+}
+
+// halted checks every stop condition, firing the first that holds.
+func (w *worker) halted() bool {
+	if w.interrupted() {
+		return true
+	}
+	r := w.r
+	n := r.nodes.Load()
+	switch {
+	case r.opts.MaxNodes > 0 && n >= r.opts.MaxNodes:
+		r.stop(StopNodeLimit)
+	case r.opts.StallNodes > 0 && r.found.Load() && n-r.lastImproved.Load() > r.opts.StallNodes:
+		r.stop(StopStalled)
+	default:
+		return false
+	}
+	return true
+}
+
+// dfs is the search recursion behind Solve and Minimize. It returns
+// true when the worker must unwind: the run stopped, or its current
+// run was aborted.
+func (w *worker) dfs(depth int) bool {
+	if w.halted() {
+		return true
+	}
+	v := w.r.opts.ChooseVar(w.vars)
+	if v == nil {
+		return w.leaf(depth)
+	}
+	w.r.nodes.Add(1)
+	for _, val := range w.r.opts.OrderValues(v) {
+		if w.interrupted() || w.branch(v, val, depth) {
 			return true
 		}
-		if opts.Recorder != nil {
-			opts.Recorder.Record(obs.Event{Kind: obs.KindBranch, Var: v.name, Value: val, Depth: depth})
-		}
-		st.Push()
-		st.Schedule(ms.boundHandle) // the bound may have tightened since Push
-		err := st.Assign(v, val)
-		if err == nil {
-			err = st.Propagate()
-		}
-		if err == nil {
-			if stop := minimizeRec(st, vars, obj, opts, res, ms, depth+1); stop {
-				st.Pop()
-				return true
-			}
-		} else {
-			res.Backtracks++
-			if opts.Recorder != nil {
-				opts.Recorder.Record(obs.Event{Kind: obs.KindBacktrack, Depth: depth})
-			}
-		}
-		st.Pop()
 	}
 	return false
+}
+
+// branch tries v = val below the current node and searches the subtree.
+func (w *worker) branch(v *Var, val, depth int) bool {
+	st := w.st
+	if w.rec != nil {
+		w.rec.Record(obs.Event{Kind: obs.KindBranch, Var: v.name, Value: val, Depth: depth})
+	}
+	st.Push()
+	if w.boundHandle >= 0 {
+		st.Schedule(w.boundHandle) // an improvement may have tightened the cut
+	}
+	err := st.Assign(v, val)
+	if err == nil {
+		err = st.Propagate()
+	}
+	stop := false
+	if err == nil {
+		stop = w.dfs(depth + 1)
+	} else {
+		w.r.backtracks.Add(1)
+		if w.rec != nil {
+			w.rec.Record(obs.Event{Kind: obs.KindBacktrack, Depth: depth})
+		}
+	}
+	st.Pop()
+	return stop
 }

@@ -107,23 +107,36 @@ func TestKernelCloneIndependence(t *testing.T) {
 }
 
 // TestKernelParallelMinimize runs the full geost model through
-// MinimizeParallel and checks the result matches sequential Minimize.
+// Minimize at Workers 2, 4 and 8 and checks each exhaustive run returns
+// the objective and placement of the Workers: 1 run.
 func TestKernelParallelMinimize(t *testing.T) {
-	st, k, height := buildCloneKernel(t)
-	vars := k.PlaceVars()
-	seq, err := csp.Minimize(st, vars, height, csp.Options{}, nil)
-	if err != nil {
-		t.Fatalf("Minimize: %v", err)
-	}
-	for _, workers := range []int{1, 2, 4} {
-		pst, pk, pheight := buildCloneKernel(t)
-		par, err := csp.MinimizeParallel(pst, pk.PlaceVars(), pheight, csp.Options{Workers: workers}, nil)
+	solve := func(workers int) (csp.MinimizeResult, []int) {
+		st, k, height := buildCloneKernel(t)
+		var sol []int
+		res, err := csp.Minimize(st, k.PlaceVars(), height, csp.Options{Workers: workers}, func(s *csp.Store, _ int) {
+			sol = sol[:0]
+			for _, o := range k.Objects() {
+				sol = append(sol, s.Vars()[o.Place.ID()].Value())
+			}
+		})
 		if err != nil {
-			t.Fatalf("workers %d: MinimizeParallel: %v", workers, err)
+			t.Fatalf("workers %d: Minimize: %v", workers, err)
 		}
-		if par.Found != seq.Found || par.Best != seq.Best || !par.Optimal {
-			t.Fatalf("workers %d: (found %v best %d optimal %v), sequential (found %v best %d)",
-				workers, par.Found, par.Best, par.Optimal, seq.Found, seq.Best)
+		if !res.Found || !res.Optimal {
+			t.Fatalf("workers %d: not solved to optimality: %+v", workers, res)
+		}
+		return res, sol
+	}
+	seq, seqSol := solve(1)
+	for _, workers := range []int{2, 4, 8} {
+		par, parSol := solve(workers)
+		if par.Best != seq.Best {
+			t.Fatalf("workers %d: best %d, Workers: 1 best %d", workers, par.Best, seq.Best)
+		}
+		for i := range seqSol {
+			if parSol[i] != seqSol[i] {
+				t.Fatalf("workers %d: placement %v, Workers: 1 placement %v", workers, parSol, seqSol)
+			}
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
 	"time"
 
 	"repro/internal/canon"
@@ -215,6 +216,16 @@ func (o *OptionsSpec) toRequestOptions(cfg Config) (core.RequestOptions, error) 
 	}
 	if out.StallNodes == 0 {
 		out.StallNodes = cfg.DefaultStallNodes
+	}
+	// Each search worker is a goroutine holding a full store clone, so
+	// a request may ask for at most as many as the daemon has CPUs. 1
+	// worker is the sequential search that 0 also selects; folding it
+	// keeps the two requests on one cache entry.
+	if out.Workers > runtime.GOMAXPROCS(0) {
+		out.Workers = runtime.GOMAXPROCS(0)
+	}
+	if out.Workers == 1 {
+		out.Workers = 0
 	}
 	if o.Strategy != "" {
 		s, err := core.ParseStrategy(o.Strategy)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -125,6 +126,45 @@ func TestPlacePermutationHitsCache(t *testing.T) {
 	}
 	if r1.Body.String() != r2.Body.String() {
 		t.Fatal("permuted request body differs from original")
+	}
+}
+
+// TestPlaceWorkersClamped checks the per-request worker count is
+// normalised before the digest: a huge value is clamped to GOMAXPROCS
+// (served, and sharing the clamped value's cache entry), and 1 folds
+// into 0, the sequential search both select.
+func TestPlaceWorkersClamped(t *testing.T) {
+	withWorkers := func(n int) string {
+		return fmt.Sprintf(`{"fabric":"spartan-like-24x16","generate":{"seed":3,"numModules":3,"clbMin":4,"clbMax":6,"noBram":true,"alternatives":2},"options":{"stallNodes":100,"timeoutMs":5000,"workers":%d}}`, n)
+	}
+	s := newTestServer(t, Config{})
+	h := s.Handler()
+	huge := post(t, h, withWorkers(100000))
+	if huge.Code != http.StatusOK || huge.Header().Get("X-Cache") != "miss" {
+		t.Fatalf("workers 100000: status %d X-Cache %q body %s", huge.Code, huge.Header().Get("X-Cache"), huge.Body)
+	}
+	clamped := post(t, h, withWorkers(runtime.GOMAXPROCS(0)))
+	if clamped.Code != http.StatusOK || clamped.Header().Get("X-Cache") != "hit" {
+		t.Fatalf("workers GOMAXPROCS: status %d X-Cache %q, want a hit on the clamped entry", clamped.Code, clamped.Header().Get("X-Cache"))
+	}
+	if huge.Body.String() != clamped.Body.String() {
+		t.Fatal("clamped request body differs from the huge request's")
+	}
+
+	digest := func(n int) canon.Digest {
+		t.Helper()
+		req, err := DecodeRequest(strings.NewReader(withWorkers(n)), Config{})
+		if err != nil {
+			t.Fatalf("workers %d: %v", n, err)
+		}
+		d, err := req.Digest()
+		if err != nil {
+			t.Fatalf("workers %d: %v", n, err)
+		}
+		return d
+	}
+	if digest(0) != digest(1) {
+		t.Fatal("workers 0 and 1 digest differently")
 	}
 }
 
