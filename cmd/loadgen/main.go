@@ -237,8 +237,9 @@ func runOne(c *client.Client, o cliOpts, i int64, agg *counters) {
 }
 
 // checkPlacement enforces the 200 contract: decodable body, a known
-// quality tag, and — when a placement was found — core validity
-// against the request's own region.
+// quality tag, and — when a placement was found — every requested
+// module placed exactly once with core validity against the request's
+// own region.
 func checkPlacement(o cliOpts, i int64, reqBody string, res *client.Result, agg *counters) {
 	quality := res.Header.Get("X-Placement-Quality")
 	if quality != service.QualityExact && quality != service.QualityApproximate {
@@ -280,9 +281,10 @@ func checkPlacement(o cliOpts, i int64, reqBody string, res *client.Result, agg 
 	for _, p := range resp.Placements {
 		m := byName[p.Module]
 		if m == nil {
-			agg.violation(i, "placement names unknown module %q", p.Module)
+			agg.violation(i, "placement names unknown or repeated module %q", p.Module)
 			return
 		}
+		delete(byName, p.Module)
 		if p.Shape < 0 || p.Shape >= m.NumShapes() {
 			agg.violation(i, "module %q uses shape %d of %d", p.Module, p.Shape, m.NumShapes())
 			return
@@ -293,8 +295,8 @@ func checkPlacement(o cliOpts, i int64, reqBody string, res *client.Result, agg 
 			At:         grid.Pt(p.X, p.Y),
 		})
 	}
-	if len(rec.Placements) != len(creq.Modules) {
-		agg.violation(i, "placed %d of %d modules", len(rec.Placements), len(creq.Modules))
+	if len(byName) > 0 {
+		agg.violation(i, "%d of %d modules left unplaced", len(byName), len(creq.Modules))
 		return
 	}
 	if err := rec.Validate(region); err != nil {

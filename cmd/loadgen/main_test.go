@@ -3,12 +3,18 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/client"
+	"repro/internal/fabric"
 	"repro/internal/faultinject"
+	"repro/internal/grid"
+	"repro/internal/metrics"
 	"repro/internal/service"
 )
 
@@ -224,5 +230,46 @@ func TestRunSessionsChaos(t *testing.T) {
 	}
 	if sum.Violations != 0 {
 		t.Fatalf("violations under session chaos: %+v\n%s", sum, out.String())
+	}
+}
+
+// TestCheckPlacementRejectsRepeatedModule feeds checkPlacement a 200
+// answer that places module a twice, on two free CLB tiles, and never
+// places b. The tile check alone passes it (the count matches and the
+// tiles do not overlap); the answer must still count as a violation,
+// not as an exact placement.
+func TestCheckPlacementRejectsRepeatedModule(t *testing.T) {
+	const fab = "spartan-like-24x16"
+	tile := []service.ShapeSpec{{Tiles: []service.TileSpec{{X: 0, Y: 0, Kind: "CLB"}}}}
+	req, err := json.Marshal(service.PlaceRequest{
+		Fabric:  fab,
+		Modules: []service.ModuleSpec{{Name: "a", Shapes: tile}, {Name: "b", Shapes: tile}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev, err := fabric.ByName(fab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	region := dev.FullRegion()
+	occ := grid.NewBitmap(region.W(), region.H())
+	resp := service.PlaceResponse{Fabric: fab, Found: true, Height: 1}
+	for x := 0; x < region.W() && len(resp.Placements) < 2; x++ {
+		if region.KindAt(x, 0) == fabric.CLB {
+			occ.Set(x, 0, true)
+			resp.Placements = append(resp.Placements, service.PlacementSpec{Module: "a", X: x, W: 1, H: 1})
+		}
+	}
+	resp.Utilization = metrics.Utilization(region, occ)
+	body, err := json.Marshal(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg := &counters{out: io.Discard}
+	res := &client.Result{Status: 200, Body: body, Header: http.Header{"X-Placement-Quality": {service.QualityExact}}}
+	checkPlacement(baseOpts("", 1), 0, string(req), res, agg)
+	if agg.sum.Violations != 1 || agg.sum.Exact != 0 {
+		t.Fatalf("repeated module accepted: %+v", agg.sum)
 	}
 }

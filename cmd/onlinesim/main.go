@@ -22,6 +22,10 @@ import (
 	"repro/internal/recobus"
 )
 
+// replanArm names first-fit with alternatives whose greedy rejections
+// fall back to a CP replan of the whole residency.
+const replanArm = "first-fit+cp-replan"
+
 // cliOpts carries the parsed command line into run.
 type cliOpts struct {
 	device     string
@@ -115,26 +119,34 @@ func run(o cliOpts) (err error) {
 	fmt.Printf("region %s (%dx%d), %d arrivals\n\n",
 		region.Device().Name(), region.W(), region.H(), len(ts))
 
-	managers := online.Managers()
-	// The CP-replan manager is expensive (one constraint solve per
+	type arm struct {
+		name   string
+		mgr    online.Manager
+		replan *core.Options // nil: greedy admission only
+	}
+	var arms []arm
+	for _, mgr := range online.Managers() {
+		arms = append(arms, arm{name: mgr.Name(), mgr: mgr})
+	}
+	// The CP-replan arm is expensive (one constraint solve per greedy
 	// rejection), so it only runs when explicitly requested.
-	if o.manager == "first-fit+cp-replan" {
-		managers = append(managers, &online.ReplanFirstFit{
-			FirstFit: online.FirstFit{UseAlternatives: true},
-			Budget:   core.Options{Workers: o.workers, Recorder: session.Recorder, Metrics: session.Registry},
-			Metrics:  session.Registry,
+	if o.manager == replanArm {
+		arms = append(arms, arm{
+			name:   replanArm,
+			mgr:    &online.FirstFit{UseAlternatives: true},
+			replan: &core.Options{Workers: o.workers, Recorder: session.Recorder, Metrics: session.Registry},
 		})
 	}
 	ran := false
-	for _, mgr := range managers {
-		if o.manager != "" && mgr.Name() != o.manager {
+	for _, a := range arms {
+		if o.manager != "" && a.name != o.manager {
 			continue
 		}
-		st, err := online.SimulateObserved(region, mgr, ts, fabric.DefaultFrameModel(), session.Registry)
+		st, err := online.SimulateObserved(region, a.mgr, ts, fabric.DefaultFrameModel(), a.replan, session.Registry)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-28s %v\n", mgr.Name(), st)
+		fmt.Printf("%-28s %v\n", a.name, st)
 		ran = true
 	}
 	if !ran {

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -53,12 +54,20 @@ func TestRunRegionFile(t *testing.T) {
 }
 
 // TestRunMetrics checks the online-simulation instrumentation: the
-// replan manager reports per-request latency histograms and replan
-// counts through the -metrics surface.
+// replan arm reports per-request latency histograms and replan counts
+// through the -metrics surface. The stream is loaded enough that
+// greedy first-fit rejects arrivals, so replans run.
 func TestRunMetrics(t *testing.T) {
-	metricsPath := filepath.Join(t.TempDir(), "metrics.prom")
+	dir := t.TempDir()
+	metricsPath := filepath.Join(dir, "metrics.prom")
+	regionPath := filepath.Join(dir, "r.spec")
+	if err := os.WriteFile(regionPath, []byte("region t 20 10\nbramcols 5 14\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	o := baseOpts()
-	o.tasks = 25
+	o.device, o.regionPath = "", regionPath
+	o.tasks, o.interarr, o.duration = 40, 2, 40
+	o.clbMin, o.clbMax, o.bramMax = 4, 14, 1
 	o.manager = "first-fit+cp-replan"
 	o.obs = obs.Config{MetricsPath: metricsPath}
 	if err := run(o); err != nil {
@@ -78,6 +87,29 @@ func TestRunMetrics(t *testing.T) {
 			t.Errorf("metrics output missing %q:\n%s", want, text)
 		}
 	}
+	// Every replan follows a greedy rejection, and a replan that fails
+	// is a rejection too, so 0 < replans <= rejected on this stream.
+	replans, rejected := promValue(t, text, "online_replans_total"), promValue(t, text, "online_rejected_total")
+	if replans <= 0 || replans > rejected {
+		t.Errorf("online_replans_total = %v, want in (0, online_rejected_total=%v]", replans, rejected)
+	}
+}
+
+// promValue returns the value of an unlabelled metric in Prometheus
+// text format.
+func promValue(t *testing.T, text, name string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(text, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("metrics output missing %s:\n%s", name, text)
+	return 0
 }
 
 func TestRunErrors(t *testing.T) {

@@ -8,38 +8,109 @@
 //
 //   - M_a (inside the region) and M_b (resource-type match) are fused
 //     into per-shape valid-anchor bitmaps computed by ValidAnchors;
+//     Fit/Fits check all three constraints for one shape at one anchor
+//     and are the only such check in the system;
 //   - M_c (non-overlap) is the geost kernel's pairwise filter;
 //   - the objective (eq. 6) is the geost occupied-height variable,
 //     minimised by branch-and-bound.
 package core
 
 import (
+	"fmt"
+
 	"repro/internal/fabric"
 	"repro/internal/geost"
 	"repro/internal/grid"
 	"repro/internal/module"
 )
 
+// Constraint is one of the paper's placement constraints (Section III),
+// in the order Fit checks them per tile.
+type Constraint uint8
+
+// The placement constraints.
+const (
+	InRegion      Constraint = iota + 1 // M_a: every tile inside the region
+	ResourceMatch                       // M_b: every tile on its own resource kind
+	NonOverlap                          // M_c: no tile on an occupied tile
+)
+
+// String returns "M_a", "M_b" or "M_c".
+func (c Constraint) String() string { return [...]string{"none", "M_a", "M_b", "M_c"}[c] }
+
+// FitError reports the first tile of a shape, in canonical tile order,
+// that breaks a placement constraint: the constraint, the tile's region
+// coordinate, and the tile's kind against the region's kind under it.
+type FitError struct {
+	Violated  Constraint
+	At        grid.Point
+	Need, Got fabric.Kind
+}
+
+// Error implements error.
+func (e *FitError) Error() string {
+	what := "already occupied"
+	switch e.Violated {
+	case InRegion:
+		what = "outside region"
+	case ResourceMatch:
+		what = fmt.Sprintf("on %s, needs %s", e.Got, e.Need)
+	}
+	return fmt.Sprintf("tile %v %s (violates %v)", e.At, what, e.Violated)
+}
+
+// Fits reports whether shape s anchored at at satisfies M_a, M_b and
+// M_c on region r with occupancy occ (nil means an empty fabric). It is
+// the allocation-free form of Fit: the single placement oracle that the
+// anchor bitmaps, result validation and every online audit share.
+func Fits(r *fabric.Region, occ *grid.Bitmap, s *module.Shape, at grid.Point) bool {
+	c, _ := fit(r, occ, s, at)
+	return c == 0
+}
+
+// Fit is Fits with a *FitError naming the violated constraint and the
+// first offending tile, or nil when the shape fits.
+func Fit(r *fabric.Region, occ *grid.Bitmap, s *module.Shape, at grid.Point) error {
+	c, t := fit(r, occ, s, at)
+	if c == 0 {
+		return nil
+	}
+	p := t.At.Add(at)
+	return &FitError{Violated: c, At: p, Need: t.Kind, Got: r.KindAt(p.X, p.Y)}
+}
+
+// fit checks the tiles of s at anchor at in canonical order — inside
+// the region, on a matching resource, unoccupied — and returns the
+// first violated constraint with its tile, or 0 when all hold.
+func fit(r *fabric.Region, occ *grid.Bitmap, s *module.Shape, at grid.Point) (Constraint, module.Tile) {
+	w, h := r.W(), r.H()
+	for _, t := range s.Tiles() {
+		x, y := at.X+t.At.X, at.Y+t.At.Y
+		switch {
+		case x < 0 || y < 0 || x >= w || y >= h:
+			return InRegion, t
+		case r.KindAt(x, y) != t.Kind:
+			return ResourceMatch, t
+		case occ != nil && occ.Get(x, y):
+			return NonOverlap, t
+		}
+	}
+	return 0, module.Tile{}
+}
+
 // ValidAnchors computes the anchor positions where shape s can be
-// placed on region r: anchor (x, y) is valid iff every tile of s,
-// translated by (x, y), lands on a region tile of exactly the tile's
-// resource kind. This realises the paper's constraints M_a ∧ M_b — the
-// geost extension of boxes and forbidden regions with a resource
-// property.
+// placed on region r: anchor (x, y) is valid iff Fits on an empty
+// fabric, i.e. every tile of s, translated by (x, y), lands on a region
+// tile of exactly the tile's resource kind. This realises the paper's
+// constraints M_a ∧ M_b — the geost extension of boxes and forbidden
+// regions with a resource property.
 func ValidAnchors(r *fabric.Region, s *module.Shape) *grid.Bitmap {
 	b := grid.NewBitmap(r.W(), r.H())
-	maxX := r.W() - s.W()
-	maxY := r.H() - s.H()
-	tiles := s.Tiles()
-	for y := 0; y <= maxY; y++ {
-	anchors:
-		for x := 0; x <= maxX; x++ {
-			for _, t := range tiles {
-				if r.KindAt(x+t.At.X, y+t.At.Y) != t.Kind {
-					continue anchors
-				}
+	for y := 0; y <= r.H()-s.H(); y++ {
+		for x := 0; x <= r.W()-s.W(); x++ {
+			if Fits(r, nil, s, grid.Pt(x, y)) {
+				b.Set(x, y, true)
 			}
-			b.Set(x, y, true)
 		}
 	}
 	return b

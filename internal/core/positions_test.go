@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/fabric"
@@ -115,6 +117,74 @@ func TestCapacityPrefix(t *testing.T) {
 	for h := 1; h <= 4; h++ {
 		if cp[h][fabric.CLB] != 5*h || cp[h][fabric.BRAM] != h {
 			t.Fatalf("prefix[%d] = %v", h, cp[h])
+		}
+	}
+}
+
+// TestFitConstraints drives Fit on a heterogeneous fabric (the BRAM
+// stripe) with a CLB–BRAM–CLB shape: one valid anchor and one crafted
+// violation of each constraint, checking the constraint and the first
+// offending tile Fit reports. It also pins ValidAnchors to Fits on an
+// empty fabric at every anchor, inside the region and around it.
+func TestFitConstraints(t *testing.T) {
+	r := bramStripeRegion()
+	s := module.MustShape([]module.Tile{
+		{At: grid.Pt(0, 0), Kind: fabric.CLB},
+		{At: grid.Pt(1, 0), Kind: fabric.BRAM},
+		{At: grid.Pt(2, 0), Kind: fabric.CLB},
+	})
+	occ := grid.NewBitmap(r.W(), r.H())
+	occ.Set(3, 2, true)
+	for _, tc := range []struct {
+		name string
+		at   grid.Point
+		want Constraint // 0: fits
+		tile grid.Point
+	}{
+		{"valid", grid.Pt(1, 0), 0, grid.Point{}},
+		{"M_a above the region", grid.Pt(1, 4), InRegion, grid.Pt(1, 4)},
+		{"M_a left of the region", grid.Pt(-1, 1), InRegion, grid.Pt(-1, 1)},
+		{"M_b BRAM tile on CLB", grid.Pt(0, 0), ResourceMatch, grid.Pt(1, 0)},
+		{"M_b CLB tile on BRAM", grid.Pt(2, 1), ResourceMatch, grid.Pt(2, 1)},
+		{"M_c occupied tile", grid.Pt(1, 2), NonOverlap, grid.Pt(3, 2)},
+	} {
+		err := Fit(r, occ, s, tc.at)
+		if got := Fits(r, occ, s, tc.at); got != (err == nil) {
+			t.Errorf("%s: Fits = %v, Fit = %v", tc.name, got, err)
+		}
+		if tc.want == 0 {
+			if err != nil {
+				t.Errorf("%s: %v", tc.name, err)
+			}
+			continue
+		}
+		var fe *FitError
+		if !errors.As(err, &fe) {
+			t.Fatalf("%s: Fit = %v, want a *FitError", tc.name, err)
+		}
+		if fe.Violated != tc.want || fe.At != tc.tile {
+			t.Errorf("%s: got %v at %v (%v), want %v at %v", tc.name, fe.Violated, fe.At, err, tc.want, tc.tile)
+		}
+		if !strings.Contains(err.Error(), tc.want.String()) {
+			t.Errorf("%s: %q does not name %v", tc.name, err, tc.want)
+		}
+	}
+	if Fits(r, occ, s, grid.Pt(1, 2)) || !Fits(r, nil, s, grid.Pt(1, 2)) {
+		t.Error("a nil occupancy must mean an empty fabric")
+	}
+
+	for _, sh := range []*module.Shape{s, module.MustShape([]module.Tile{
+		{At: grid.Pt(0, 0), Kind: fabric.CLB},
+		{At: grid.Pt(0, 1), Kind: fabric.CLB},
+		{At: grid.Pt(1, 1), Kind: fabric.CLB},
+	})} {
+		va := ValidAnchors(r, sh)
+		for y := -2; y < r.H()+2; y++ {
+			for x := -2; x < r.W()+2; x++ {
+				if got, want := va.Get(x, y), Fits(r, nil, sh, grid.Pt(x, y)); got != want {
+					t.Errorf("anchor (%d,%d): ValidAnchors %v, Fits %v", x, y, got, want)
+				}
+			}
 		}
 	}
 }

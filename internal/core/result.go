@@ -24,13 +24,7 @@ type Placement struct {
 func (p Placement) Shape() *module.Shape { return p.Module.Shape(p.ShapeIndex) }
 
 // Tiles returns the absolute region tiles the placement occupies.
-func (p Placement) Tiles() []grid.Point {
-	pts := p.Shape().Points()
-	for i := range pts {
-		pts[i] = pts[i].Add(p.At)
-	}
-	return pts
-}
+func (p Placement) Tiles() []grid.Point { return p.Shape().PointsAt(p.At) }
 
 // Bounds returns the absolute bounding box of the placement.
 func (p Placement) Bounds() grid.Rect {
@@ -123,30 +117,21 @@ func (res *Result) String() string {
 		res.Height, res.Utilization*100, opt, res.Nodes, res.Elapsed)
 }
 
-// Validate checks the paper's constraints M_a, M_b and M_c on a result:
-// every tile inside the region on a matching resource, and no two
-// placements sharing a tile. It returns nil for valid results and is
-// used by tests and as a post-solve assertion.
+// Validate checks the paper's constraints M_a, M_b and M_c on a result
+// through Fit — every tile inside the region on a matching resource, and
+// no two placements sharing a tile — plus the reported height and
+// utilization. It returns nil for valid results and is used by tests and
+// as a post-solve assertion.
 func (res *Result) Validate(r *fabric.Region) error {
 	if !res.Found {
 		return nil
 	}
 	occ := grid.NewBitmap(r.W(), r.H())
 	for _, p := range res.Placements {
-		s := p.Shape()
-		for _, t := range s.Tiles() {
-			x, y := p.At.X+t.At.X, p.At.Y+t.At.Y
-			if x < 0 || y < 0 || x >= r.W() || y >= r.H() {
-				return fmt.Errorf("core: %v tile (%d,%d) outside region (violates M_a)", p, x, y)
-			}
-			if got := r.KindAt(x, y); got != t.Kind {
-				return fmt.Errorf("core: %v tile (%d,%d) on %s, needs %s (violates M_b)", p, x, y, got, t.Kind)
-			}
-			if occ.Get(x, y) {
-				return fmt.Errorf("core: %v overlaps at (%d,%d) (violates M_c)", p, x, y)
-			}
-			occ.Set(x, y, true)
+		if err := Fit(r, occ, p.Shape(), p.At); err != nil {
+			return fmt.Errorf("core: %v %w", p, err)
 		}
+		occ.SetPoints(p.Tiles(), true)
 		if p.Top() > res.Height {
 			return fmt.Errorf("core: %v exceeds reported height %d", p, res.Height)
 		}

@@ -36,7 +36,7 @@ func compulsoryRegion(o *Object) *grid.Bitmap {
 	o.Place.Domain().ForEach(func(val int) bool {
 		sid, x, y := o.Decode(val)
 		cur.Clear()
-		cur.SetPoints(translate(o.Shapes[sid].Points, grid.Pt(x, y)), true)
+		cur.SetPoints(grid.Translate(o.Shapes[sid].Points, grid.Pt(x, y)), true)
 		if acc == nil {
 			acc = cur.Clone()
 		} else {

@@ -78,8 +78,9 @@ func (p *nonOverlapPair) dir(st *csp.Store, fixed, other *Object) error {
 	// Paint the fixed object into the kernel scratch bitmap; unpaint
 	// before returning so the scratch stays clean for the next pair.
 	scratch := p.k.scratch
-	scratch.SetPoints(translate(g.Points, at), true)
-	defer scratch.SetPoints(translate(g.Points, at), false)
+	pts := grid.Translate(g.Points, at)
+	scratch.SetPoints(pts, true)
+	defer scratch.SetPoints(pts, false)
 
 	return st.FilterDomain(other.Place, func(val int) bool {
 		osid, ox, oy := other.Decode(val)
@@ -89,14 +90,6 @@ func (p *nonOverlapPair) dir(st *csp.Store, fixed, other *Object) error {
 		}
 		return !scratch.AnyAt(og.Points, grid.Pt(ox, oy))
 	})
-}
-
-func translate(ps []grid.Point, d grid.Point) []grid.Point {
-	out := make([]grid.Point, len(ps))
-	for i, p := range ps {
-		out[i] = p.Add(d)
-	}
-	return out
 }
 
 // heightBound implements capacity-based bound reasoning for the

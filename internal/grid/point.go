@@ -24,6 +24,15 @@ func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
 // Sub returns the translation of p by -q.
 func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 
+// Translate returns a new slice holding ps shifted by d.
+func Translate(ps []Point, d Point) []Point {
+	out := make([]Point, len(ps))
+	for i, p := range ps {
+		out[i] = p.Add(d)
+	}
+	return out
+}
+
 // Neg returns the point reflected through the origin.
 func (p Point) Neg() Point { return Point{-p.X, -p.Y} }
 

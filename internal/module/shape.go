@@ -35,6 +35,7 @@ func (t Tile) String() string { return fmt.Sprintf("%v:%s", t.At, t.Kind) }
 // which is what the placer and the geost kernel consume.
 type Shape struct {
 	tiles  []Tile
+	points []grid.Point // tile coordinates, parallel to tiles
 	bounds grid.Rect
 	hist   fabric.Histogram
 	key    string
@@ -82,6 +83,7 @@ func NewShape(tiles []Tile) (*Shape, error) {
 	for i, t := range s.tiles {
 		pts[i] = t.At
 	}
+	s.points = pts
 	s.bounds = grid.BoundsOf(pts)
 	var sb strings.Builder
 	for _, t := range s.tiles {
@@ -105,13 +107,12 @@ func (s *Shape) Tiles() []Tile { return s.tiles }
 
 // Points returns the tile coordinates (without kinds) in canonical
 // order. The slice is freshly allocated on every call.
-func (s *Shape) Points() []grid.Point {
-	pts := make([]grid.Point, len(s.tiles))
-	for i, t := range s.tiles {
-		pts[i] = t.At
-	}
-	return pts
-}
+func (s *Shape) Points() []grid.Point { return append([]grid.Point(nil), s.points...) }
+
+// PointsAt returns the absolute tile coordinates of the shape anchored
+// at at, in canonical order. The slice is freshly allocated on every
+// call.
+func (s *Shape) PointsAt(at grid.Point) []grid.Point { return grid.Translate(s.points, at) }
 
 // TilesOfKind returns the tileset of kind k (tiles in canonical order).
 func (s *Shape) TilesOfKind(k fabric.Kind) []grid.Point {

@@ -18,13 +18,7 @@ type Resident struct {
 	At     grid.Point
 }
 
-func (r Resident) tiles() []grid.Point {
-	pts := r.Module.Shape(r.Shape).Points()
-	for i := range pts {
-		pts[i] = pts[i].Add(r.At)
-	}
-	return pts
-}
+func (r Resident) tiles() []grid.Point { return r.Module.Shape(r.Shape).PointsAt(r.At) }
 
 // Move relocates one resident module to a new shape/anchor. Moves of a
 // compaction plan are ordered: each move's target is free given all
@@ -50,8 +44,7 @@ func PlanCompaction(region *fabric.Region, residents []Resident, opts core.Optio
 		return nil, nil, fmt.Errorf("online: no residents to compact")
 	}
 	seen := map[TaskID]bool{}
-	mods := make([]*module.Module, len(residents))
-	for i, r := range residents {
+	for _, r := range residents {
 		if r.Module == nil {
 			return nil, nil, fmt.Errorf("online: resident %d has no module", r.ID)
 		}
@@ -62,10 +55,9 @@ func PlanCompaction(region *fabric.Region, residents []Resident, opts core.Optio
 			return nil, nil, fmt.Errorf("online: duplicate resident %d", r.ID)
 		}
 		seen[r.ID] = true
-		mods[i] = r.Module
 	}
 
-	target, err := core.New(region, opts).Place(mods)
+	target, moves, stuck, err := relayout(region, residents, nil, opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -73,7 +65,7 @@ func PlanCompaction(region *fabric.Region, residents []Resident, opts core.Optio
 		return nil, nil, fmt.Errorf("online: compaction target infeasible")
 	}
 
-	// Current height; bail out early if the target is no better.
+	// Keep the current layout unless the target is strictly lower.
 	curTop := 0
 	for _, r := range residents {
 		if t := r.At.Y + r.Module.Shape(r.Shape).H(); t > curTop {
@@ -83,28 +75,46 @@ func PlanCompaction(region *fabric.Region, residents []Resident, opts core.Optio
 	if target.Height >= curTop {
 		return nil, target, nil
 	}
+	if stuck > 0 {
+		return nil, target, fmt.Errorf("online: compaction blocked by a relocation cycle (%d modules)", stuck)
+	}
+	return moves, target, nil
+}
 
-	// Order the moves so each target is free at its turn.
+// relayout is the CP step shared by admission replans and compaction:
+// it solves a target layout for the residents — plus newcomer as the
+// last module, when non-nil — under opts, diffs it against the current
+// sites, and orders the relocations with orderMoves. stuck > 0 means a
+// relocation cycle left that many moves unordered. Callers apply their
+// own policy: admission forces first-solution search, compaction keeps
+// the layout unless the target is lower.
+func relayout(region *fabric.Region, residents []Resident, newcomer *module.Module, opts core.Options) (target *core.Result, moves []Move, stuck int, err error) {
+	mods := make([]*module.Module, 0, len(residents)+1)
+	for _, r := range residents {
+		mods = append(mods, r.Module)
+	}
+	if newcomer != nil {
+		mods = append(mods, newcomer)
+	}
+	target, err = core.New(region, opts).Place(mods)
+	if err != nil || !target.Found {
+		return target, nil, 0, err
+	}
 	occ := grid.NewBitmap(region.W(), region.H())
 	cur := make(map[TaskID][]grid.Point, len(residents))
-	for _, r := range residents {
+	var todo []pendingMove
+	for i, r := range residents {
 		pts := r.tiles()
 		occ.SetPoints(pts, true)
 		cur[r.ID] = pts
-	}
-	var todo []pendingMove
-	for i, r := range residents {
 		p := target.Placements[i]
 		if p.At == r.At && p.ShapeIndex == r.Shape {
 			continue
 		}
 		todo = append(todo, pendingMove{id: r.ID, shape: p.ShapeIndex, at: p.At, target: p.Tiles()})
 	}
-	moves, stuck := orderMoves(occ, cur, todo)
-	if stuck > 0 {
-		return nil, target, fmt.Errorf("online: compaction blocked by a relocation cycle (%d modules)", stuck)
-	}
-	return moves, target, nil
+	moves, stuck = orderMoves(occ, cur, todo)
+	return target, moves, stuck, nil
 }
 
 // pendingMove is one relocation awaiting ordering: where a resident
@@ -156,6 +166,12 @@ func orderMoves(occ *grid.Bitmap, cur map[TaskID][]grid.Point, todo []pendingMov
 // counterpart of PlanCompaction and is used by tests and callers that
 // maintain their own occupancy.
 func ApplyMoves(region *fabric.Region, residents []Resident, moves []Move) ([]Resident, error) {
+	out, _, err := applyMoves(region, residents, moves)
+	return out, err
+}
+
+// applyMoves is ApplyMoves also returning the final occupancy.
+func applyMoves(region *fabric.Region, residents []Resident, moves []Move) ([]Resident, *grid.Bitmap, error) {
 	byID := make(map[TaskID]int, len(residents))
 	occ := grid.NewBitmap(region.W(), region.H())
 	out := make([]Resident, len(residents))
@@ -167,17 +183,17 @@ func ApplyMoves(region *fabric.Region, residents []Resident, moves []Move) ([]Re
 	for _, m := range moves {
 		i, ok := byID[m.ID]
 		if !ok {
-			return nil, fmt.Errorf("online: move for unknown resident %d", m.ID)
+			return nil, nil, fmt.Errorf("online: move for unknown resident %d", m.ID)
 		}
 		r := out[i]
 		occ.SetPoints(r.tiles(), false)
 		next := Resident{ID: r.ID, Module: r.Module, Shape: m.Shape, At: m.At}
 		pts, err := ValidatePlacement(region, occ, next.Module, Placement{Shape: m.Shape, At: m.At})
 		if err != nil {
-			return nil, fmt.Errorf("online: move of %d invalid: %w", m.ID, err)
+			return nil, nil, fmt.Errorf("online: move of %d invalid: %w", m.ID, err)
 		}
 		occ.SetPoints(pts, true)
 		out[i] = next
 	}
-	return out, nil
+	return out, occ, nil
 }

@@ -7,14 +7,6 @@ import (
 	"repro/internal/module"
 )
 
-// residentRec tracks one placed task inside a manager.
-type residentRec struct {
-	module *module.Module
-	shape  int
-	at     grid.Point
-	pts    []grid.Point
-}
-
 // base carries the bookkeeping shared by all managers: the region, an
 // occupancy mirror, per-shape anchor caches (the fused M_a ∧ M_b
 // constraint, cached by shape fingerprint since tasks reuse module
@@ -23,14 +15,14 @@ type base struct {
 	region   *fabric.Region
 	occ      *grid.Bitmap
 	anchors  map[string]*grid.Bitmap
-	resident map[TaskID]residentRec
+	resident map[TaskID][]grid.Point // absolute tiles per placed task
 }
 
 func (b *base) reset(region *fabric.Region) {
 	b.region = region
 	b.occ = grid.NewBitmap(region.W(), region.H())
 	b.anchors = map[string]*grid.Bitmap{}
-	b.resident = map[TaskID]residentRec{}
+	b.resident = map[TaskID][]grid.Point{}
 }
 
 func (b *base) anchorsFor(s *module.Shape) *grid.Bitmap {
@@ -42,40 +34,31 @@ func (b *base) anchorsFor(s *module.Shape) *grid.Bitmap {
 	return a
 }
 
-// freeAt reports whether shape s can go at (x, y): anchor valid and all
-// tiles unoccupied.
+// freeAt reports whether shape s can go at (x, y): the cached anchor
+// bitmap prefilters M_a ∧ M_b, and core.Fits decides against the
+// manager's occupancy.
 func (b *base) freeAt(s *module.Shape, x, y int) bool {
-	if !b.anchorsFor(s).Get(x, y) {
-		return false
-	}
-	return !b.occ.AnyAt(s.Points(), grid.Pt(x, y))
+	return b.anchorsFor(s).Get(x, y) && core.Fits(b.region, b.occ, s, grid.Pt(x, y))
 }
 
 func (b *base) commit(id TaskID, m *module.Module, si, x, y int) {
-	s := m.Shape(si)
-	pts := make([]grid.Point, 0, s.Size())
-	for _, p := range s.Points() {
-		pts = append(pts, p.Add(grid.Pt(x, y)))
-	}
+	pts := m.Shape(si).PointsAt(grid.Pt(x, y))
 	b.occ.SetPoints(pts, true)
-	b.resident[id] = residentRec{module: m, shape: si, at: grid.Pt(x, y), pts: pts}
+	b.resident[id] = pts
 }
 
 // Release implements Manager.
 func (b *base) Release(id TaskID) {
-	rec, ok := b.resident[id]
+	pts, ok := b.resident[id]
 	if !ok {
 		return
 	}
 	delete(b.resident, id)
-	b.occ.SetPoints(rec.pts, false)
+	b.occ.SetPoints(pts, false)
 }
 
-// Preplace imposes an externally computed placement on the manager: the
-// session engine uses it to re-seed a manager after a CP replan or a
-// defragmentation changed the layout behind the greedy policy's back.
-// The placement is checked exactly like TryPlace would (valid anchor,
-// no overlap); false means the manager did not adopt it.
+// Preplace implements Manager. The placement is checked exactly like
+// TryPlace would (valid anchor, no overlap).
 func (b *base) Preplace(id TaskID, m *module.Module, p Placement) bool {
 	if _, ok := b.resident[id]; ok {
 		return false
@@ -325,7 +308,7 @@ func (m *Slot1D) slotsFree(first, need int) bool {
 	return true
 }
 
-// Preplace implements Preplacer: the imposed placement additionally
+// Preplace implements Manager: the imposed placement additionally
 // reserves every slot its footprint touches, keeping the exclusive-slot
 // invariant that Release depends on.
 func (m *Slot1D) Preplace(id TaskID, mod *module.Module, p Placement) bool {

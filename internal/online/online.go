@@ -20,6 +20,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/grid"
 	"repro/internal/metrics"
@@ -47,21 +48,17 @@ type Placement struct {
 }
 
 // Manager is an online placement policy. Reset is called once per
-// simulation with the region; TryPlace must return a placement that the
-// manager itself considers valid (the simulator independently verifies
-// it); Release frees a previously placed task.
+// session with the region; TryPlace must return a placement that the
+// manager itself considers valid (the session engine independently
+// verifies it); Release frees a previously placed task. Preplace adopts
+// a placement computed outside the manager — by a CP replan or a
+// defragmentation that changed the layout behind the greedy policy's
+// back — and reports false when the manager refuses it.
 type Manager interface {
 	Name() string
 	Reset(region *fabric.Region)
 	TryPlace(t Task) (Placement, bool)
 	Release(id TaskID)
-}
-
-// Preplacer is the optional Manager extension the session engine needs:
-// adopting a placement computed outside the manager (by the CP replanner
-// or the defragmenter) instead of choosing one. All built-in managers
-// implement it via their shared base.
-type Preplacer interface {
 	Preplace(id TaskID, m *module.Module, p Placement) bool
 }
 
@@ -125,56 +122,52 @@ func (h *departureHeap) Pop() interface{} {
 	return x
 }
 
-// Simulate runs the task stream through the manager on region. The
-// frame model prices accepted placements' reconfiguration; pass the zero
-// FrameModel's replacement, fabric.DefaultFrameModel(), for realistic
-// numbers. The simulator keeps its own occupancy and rejects the run
-// with an error if the manager ever returns an invalid or overlapping
-// placement — manager bugs must not masquerade as good service.
+// Simulate runs the task stream through the manager on region with
+// greedy admission only. The frame model prices accepted placements'
+// reconfiguration; pass fabric.DefaultFrameModel() for realistic
+// numbers. The run is rejected with an error if the manager ever
+// returns an invalid or overlapping placement — manager bugs must not
+// masquerade as good service.
 func Simulate(region *fabric.Region, mgr Manager, tasks []Task, fm fabric.FrameModel) (*Stats, error) {
-	return SimulateObserved(region, mgr, tasks, fm, nil)
+	return SimulateObserved(region, mgr, tasks, fm, nil, nil)
 }
 
-// SimulateObserved is Simulate with instrumentation: when reg is
-// non-nil, each arrival's placement-decision latency is recorded into
-// per-outcome histograms (online_place_latency_seconds{outcome=...}),
-// and request/accept/reject/move totals plus the final service level and
-// mean utilization are published under online_* metric names. A nil reg
-// adds no overhead.
-func SimulateObserved(region *fabric.Region, mgr Manager, tasks []Task, fm fabric.FrameModel, reg *obs.Registry) (*Stats, error) {
-	if err := fm.Validate(); err != nil {
+// SimulateObserved is the arrival/departure driver behind Simulate: it
+// replays the stream on a session State built around mgr, releasing
+// departures before each arrival. A nil replan admits greedily
+// (State.PlaceGreedy); a non-nil replan is the CP replan budget of
+// State.Place, which relocates residents to admit an arrival the greedy
+// policy rejects. When reg is non-nil, each arrival's placement-decision
+// latency is recorded into per-outcome histograms
+// (online_place_latency_seconds{outcome=...}), and
+// request/accept/reject/move/replan totals plus the final service level
+// and mean utilization are published under online_* metric names. A nil
+// reg adds no overhead.
+func SimulateObserved(region *fabric.Region, mgr Manager, tasks []Task, fm fabric.FrameModel, replan *core.Options, reg *obs.Registry) (*Stats, error) {
+	var budget core.Options
+	if replan != nil {
+		budget = *replan
+	}
+	st, err := newState(region, mgr, fm, budget)
+	if err != nil {
 		return nil, err
 	}
 	sorted := make([]Task, len(tasks))
 	copy(sorted, tasks)
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Arrive < sorted[j].Arrive })
 
-	mgr.Reset(region)
-	occ := grid.NewBitmap(region.W(), region.H())
-	resident := map[TaskID][]grid.Point{}
-	residentMod := map[TaskID]*module.Module{}
 	var deps departureHeap
-
 	stats := &Stats{}
 	placeable := region.PlaceableCount()
 	var utilIntegral float64 // occupied-tiles × time
 	var lastT int64
-	occupiedNow := 0
 	var fragSamples []float64
 
 	advance := func(t int64) {
 		if t > lastT {
-			utilIntegral += float64(occupiedNow) * float64(t-lastT)
+			utilIntegral += float64(st.occ.Count()) * float64(t-lastT)
 			lastT = t
 		}
-	}
-	release := func(id TaskID) {
-		pts := resident[id]
-		delete(resident, id)
-		delete(residentMod, id)
-		occ.SetPoints(pts, false)
-		occupiedNow -= len(pts)
-		mgr.Release(id)
 	}
 
 	for _, task := range sorted {
@@ -183,70 +176,39 @@ func SimulateObserved(region *fabric.Region, mgr Manager, tasks []Task, fm fabri
 		for len(deps) > 0 && deps[0].t <= task.Arrive {
 			d := heap.Pop(&deps).(departure)
 			advance(d.t)
-			release(d.id)
+			st.Release(d.id)
 		}
 		advance(task.Arrive)
 
 		stats.Offered++
-		fragSamples = append(fragSamples, metrics.Fragmentation(region, occ))
+		fragSamples = append(fragSamples, metrics.Fragmentation(region, st.occ))
 		var t0 time.Time
 		if reg != nil {
 			reg.Counter("online_requests_total").Inc()
 			//solverlint:allow nondeterminism wall-clock telemetry only: the measured latency feeds a histogram, never a placement decision
 			t0 = time.Now()
 		}
-		p, ok := mgr.TryPlace(task)
+		var out PlaceOutcome
+		if replan != nil {
+			out, err = st.Place(task.ID, task.Module)
+		} else {
+			out, err = st.PlaceGreedy(task.ID, task.Module)
+		}
+		if err != nil {
+			return nil, err
+		}
 		if reg != nil {
 			outcome := "rejected"
-			if ok {
+			if out.Placed {
 				outcome = "accepted"
 			}
 			//solverlint:allow nondeterminism wall-clock telemetry only: the measured latency feeds a histogram, never a placement decision
 			reg.Histogram(`online_place_latency_seconds{outcome="` + outcome + `"}`).Observe(time.Since(t0).Seconds())
 		}
-		// Apply any relocations the manager performed for this arrival —
-		// they precede the newcomer's configuration and are priced like
-		// any other reconfiguration.
-		if mr, isMR := mgr.(MoveReporter); isMR {
-			for _, mv := range mr.PendingMoves() {
-				rec, live := residentMod[mv.ID]
-				if !live {
-					return nil, fmt.Errorf("online: manager %s moved unknown task %d", mgr.Name(), mv.ID)
-				}
-				occ.SetPoints(resident[mv.ID], false)
-				occupiedNow -= len(resident[mv.ID])
-				pts, err := ValidatePlacement(region, occ, rec, Placement{Shape: mv.Shape, At: mv.At})
-				if err != nil {
-					return nil, fmt.Errorf("online: manager %s move of %d: %w", mgr.Name(), mv.ID, err)
-				}
-				occ.SetPoints(pts, true)
-				occupiedNow += len(pts)
-				resident[mv.ID] = pts
-				stats.Moves++
-				reg.Counter("online_moves_total").Inc()
-				shape := rec.Shape(mv.Shape)
-				frames := fm.FrameCount(region, grid.RectXYWH(mv.At.X, mv.At.Y, shape.W(), shape.H()))
-				stats.TotalReconfig += fm.ReconfigTime(frames)
-			}
-		}
-		if !ok {
-			stats.Rejected++
+		if !out.Placed {
 			continue
 		}
-		pts, err := ValidatePlacement(region, occ, task.Module, p)
-		if err != nil {
-			return nil, fmt.Errorf("online: manager %s task %d: %w", mgr.Name(), task.ID, err)
-		}
-		occ.SetPoints(pts, true)
-		occupiedNow += len(pts)
-		resident[task.ID] = pts
-		residentMod[task.ID] = task.Module
-		stats.Accepted++
-
-		shape := task.Module.Shape(p.Shape)
-		frames := fm.FrameCount(region, grid.RectXYWH(p.At.X, p.At.Y, shape.W(), shape.H()))
-		stats.TotalReconfig += fm.ReconfigTime(frames)
-		if u := float64(occupiedNow) / float64(placeable); u > stats.PeakUtil {
+		if u := metrics.OverallUtilization(region, st.occ); u > stats.PeakUtil {
 			stats.PeakUtil = u
 		}
 		heap.Push(&deps, departure{t: task.Arrive + task.Duration, id: task.ID})
@@ -255,9 +217,11 @@ func SimulateObserved(region *fabric.Region, mgr Manager, tasks []Task, fm fabri
 	for len(deps) > 0 {
 		d := heap.Pop(&deps).(departure)
 		advance(d.t)
-		release(d.id)
+		st.Release(d.id)
 	}
 
+	stats.Accepted, stats.Rejected = st.placed, st.rejected
+	stats.Moves, stats.TotalReconfig = st.moves, st.reconfig
 	stats.Horizon = lastT
 	if stats.Offered > 0 {
 		stats.ServiceLevel = float64(stats.Accepted) / float64(stats.Offered)
@@ -269,6 +233,8 @@ func SimulateObserved(region *fabric.Region, mgr Manager, tasks []Task, fm fabri
 	if reg != nil {
 		reg.Counter("online_accepted_total").Add(int64(stats.Accepted))
 		reg.Counter("online_rejected_total").Add(int64(stats.Rejected))
+		reg.Counter("online_moves_total").Add(int64(stats.Moves))
+		reg.Counter("online_replans_total").Add(int64(st.replans))
 		reg.Gauge("online_service_level").Set(stats.ServiceLevel)
 		reg.Gauge("online_mean_utilization").Set(stats.MeanUtil)
 	}
@@ -276,28 +242,16 @@ func SimulateObserved(region *fabric.Region, mgr Manager, tasks []Task, fm fabri
 }
 
 // ValidatePlacement checks M_a, M_b and M_c for one online placement
-// and returns the absolute tiles on success. It is the shared validity
-// oracle: the simulator uses it to audit managers, the session engine
-// to audit itself, and loadgen's shadow revalidation to audit the
-// service from the outside.
+// through core.Fit and returns the absolute tiles on success. The
+// session engine audits every manager answer and relocation with it,
+// and loadgen's shadow revalidation audits the service from the outside.
 func ValidatePlacement(region *fabric.Region, occ *grid.Bitmap, m *module.Module, p Placement) ([]grid.Point, error) {
 	if p.Shape < 0 || p.Shape >= m.NumShapes() {
 		return nil, fmt.Errorf("shape index %d out of range", p.Shape)
 	}
 	shape := m.Shape(p.Shape)
-	pts := make([]grid.Point, 0, shape.Size())
-	for _, t := range shape.Tiles() {
-		x, y := p.At.X+t.At.X, p.At.Y+t.At.Y
-		if x < 0 || y < 0 || x >= region.W() || y >= region.H() {
-			return nil, fmt.Errorf("tile (%d,%d) outside region", x, y)
-		}
-		if region.KindAt(x, y) != t.Kind {
-			return nil, fmt.Errorf("tile (%d,%d) resource mismatch: %s on %s", x, y, t.Kind, region.KindAt(x, y))
-		}
-		if occ.Get(x, y) {
-			return nil, fmt.Errorf("tile (%d,%d) already occupied", x, y)
-		}
-		pts = append(pts, grid.Pt(x, y))
+	if err := core.Fit(region, occ, shape, p.At); err != nil {
+		return nil, err
 	}
-	return pts, nil
+	return shape.PointsAt(p.At), nil
 }

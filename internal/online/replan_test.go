@@ -7,16 +7,14 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fabric"
-	"repro/internal/grid"
 )
 
 func TestReplanFallsBackToFirstFit(t *testing.T) {
 	region := fabric.Homogeneous(8, 8).FullRegion()
-	mgr := &ReplanFirstFit{FirstFit: FirstFit{UseAlternatives: true}}
 	tasks := []Task{
 		{ID: 0, Module: clbModule("a", 3, 3), Arrive: 0, Duration: 100},
 	}
-	st, err := Simulate(region, mgr, tasks, fabric.DefaultFrameModel())
+	st, err := SimulateObserved(region, &FirstFit{UseAlternatives: true}, tasks, fabric.DefaultFrameModel(), &core.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,9 +43,8 @@ func TestReplanDefragmentsToAdmit(t *testing.T) {
 	if plain.Accepted != 3 {
 		t.Fatalf("premise broken: plain accepted %d, want 3", plain.Accepted)
 	}
-	replan, err := Simulate(region, &ReplanFirstFit{
-		Budget: core.Options{Timeout: 5 * time.Second},
-	}, tasks, fabric.DefaultFrameModel())
+	replan, err := SimulateObserved(region, &FirstFit{}, tasks, fabric.DefaultFrameModel(),
+		&core.Options{Timeout: 5 * time.Second}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,10 +72,8 @@ func TestReplanImprovesServiceOnStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replan, err := Simulate(region, &ReplanFirstFit{
-		FirstFit: FirstFit{UseAlternatives: true},
-		Budget:   core.Options{Timeout: 5 * time.Second, StallNodes: 200},
-	}, tasks, fabric.DefaultFrameModel())
+	replan, err := SimulateObserved(region, &FirstFit{UseAlternatives: true}, tasks, fabric.DefaultFrameModel(),
+		&core.Options{Timeout: 5 * time.Second, StallNodes: 200}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,41 +84,4 @@ func TestReplanImprovesServiceOnStream(t *testing.T) {
 		t.Log("no replans triggered on this stream")
 	}
 	t.Logf("plain=%v replan=%v moves=%d", plain, replan, replan.Moves)
-}
-
-func TestReplanMovesValidatedBySimulator(t *testing.T) {
-	// The simulator revalidates every reported move; a manager lying
-	// about moves must be caught. Use a stub around ReplanFirstFit.
-	region := fabric.Homogeneous(4, 4).FullRegion()
-	mgr := &lyingMover{}
-	tasks := []Task{
-		{ID: 0, Module: clbModule("a", 2, 2), Arrive: 0, Duration: 100},
-		{ID: 1, Module: clbModule("b", 2, 2), Arrive: 1, Duration: 100},
-	}
-	if _, err := Simulate(region, mgr, tasks, fabric.DefaultFrameModel()); err == nil {
-		t.Fatal("invalid move accepted")
-	}
-}
-
-// lyingMover places the first task, then reports a bogus move.
-type lyingMover struct {
-	FirstFit
-	moved bool
-}
-
-func (m *lyingMover) Name() string { return "liar" }
-
-func (m *lyingMover) PendingMoves() []Move {
-	if m.moved {
-		m.moved = false
-		return []Move{{ID: 0, Shape: 0, At: grid.Pt(9, 9)}} // out of range
-	}
-	return nil
-}
-
-func (m *lyingMover) TryPlace(t Task) (Placement, bool) {
-	if t.ID == 1 {
-		m.moved = true
-	}
-	return m.FirstFit.TryPlace(t)
 }

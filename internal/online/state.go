@@ -38,18 +38,18 @@ func SessionManagers() []string {
 }
 
 // State is a long-lived online placement session: the stateful
-// counterpart of Simulate. Modules arrive (Place), depart (Release) and
-// get compacted (Defrag) over the session's lifetime, against a shadow
-// occupancy the engine keeps authoritative — every manager decision is
-// audited through ValidatePlacement before it is committed, so a buggy
-// policy surfaces as an error, never as silent overlap.
+// engine Simulate drives too. Modules arrive (Place), depart (Release)
+// and get compacted (Defrag) over the session's lifetime, against a
+// shadow occupancy the engine keeps authoritative — every manager
+// decision and every relocation is audited through ValidatePlacement
+// before it is committed, so a buggy policy surfaces as an error, never
+// as silent overlap.
 //
 // State is not safe for concurrent use; callers (the placement
 // service's session store) serialise access per session.
 type State struct {
 	region    *fabric.Region
 	mgr       Manager
-	pre       Preplacer
 	fm        fabric.FrameModel
 	occ       *grid.Bitmap
 	residents map[TaskID]Resident
@@ -84,6 +84,12 @@ func NewState(region *fabric.Region, cfg StateConfig) (*State, error) {
 	if fm.FramesPerColumn == nil {
 		fm = fabric.DefaultFrameModel()
 	}
+	return newState(region, mgr, fm, cfg.Replan)
+}
+
+// newState opens a session around an already chosen manager; NewState
+// and SimulateObserved share it.
+func newState(region *fabric.Region, mgr Manager, fm fabric.FrameModel, replan core.Options) (*State, error) {
 	if err := fm.Validate(); err != nil {
 		return nil, err
 	}
@@ -91,11 +97,10 @@ func NewState(region *fabric.Region, cfg StateConfig) (*State, error) {
 	return &State{
 		region:    region,
 		mgr:       mgr,
-		pre:       mgr.(Preplacer),
 		fm:        fm,
 		occ:       grid.NewBitmap(region.W(), region.H()),
 		residents: map[TaskID]Resident{},
-		replan:    cfg.Replan,
+		replan:    replan,
 	}, nil
 }
 
@@ -122,9 +127,8 @@ type PlaceOutcome struct {
 // Place admits one module under id. Greedy placement is tried first;
 // when the manager finds no site, the CP placer replans the whole
 // residency (design alternatives included) and the arrival is admitted
-// into the relocated layout — the session-scoped equivalent of
-// ReplanFirstFit. An error means bad input or an internal invariant
-// violation; a full region is (Placed=false, nil).
+// into the relocated layout. An error means bad input or an internal
+// invariant violation; a full region is (Placed=false, nil).
 func (s *State) Place(id TaskID, mod *module.Module) (PlaceOutcome, error) {
 	out, done, err := s.placeGreedy(id, mod)
 	if err != nil || done {
@@ -175,39 +179,19 @@ func (s *State) placeGreedy(id TaskID, mod *module.Module) (PlaceOutcome, bool, 
 func (s *State) replanPlace(id TaskID, mod *module.Module) (PlaceOutcome, error) {
 	s.replans++
 	res := s.residentsSorted()
-	mods := make([]*module.Module, 0, len(res)+1)
-	for _, r := range res {
-		mods = append(mods, r.Module)
-	}
-	mods = append(mods, mod)
-
 	budget := s.replan
 	budget.FirstSolutionOnly = true
-	target, err := core.New(s.region, budget).Place(mods)
-	if err != nil || !target.Found {
+	target, moves, stuck, err := relayout(s.region, res, mod, budget)
+	if err != nil || !target.Found || stuck > 0 {
+		// No layout, or a feasible layout without a safe move order:
+		// reject rather than risk an invalid intermediate state.
 		s.rejected++
 		return PlaceOutcome{}, nil
 	}
-
-	occ := s.occ.Clone()
-	cur := make(map[TaskID][]grid.Point, len(res))
-	var todo []pendingMove
-	for i, r := range res {
-		p := target.Placements[i]
-		cur[r.ID] = r.tiles()
-		if p.At == r.At && p.ShapeIndex == r.Shape {
-			continue
-		}
-		todo = append(todo, pendingMove{id: r.ID, shape: p.ShapeIndex, at: p.At, target: p.Tiles()})
+	after, occ, err := applyMoves(s.region, res, moves)
+	if err != nil {
+		return PlaceOutcome{}, fmt.Errorf("online: replan plan failed validation: %w", err)
 	}
-	moves, stuck := orderMoves(occ, cur, todo)
-	if stuck > 0 {
-		// A feasible layout exists but no safe move order does; treat as
-		// a rejection rather than risk an invalid intermediate state.
-		s.rejected++
-		return PlaceOutcome{}, nil
-	}
-
 	newcomer := target.Placements[len(target.Placements)-1]
 	p := Placement{Shape: newcomer.ShapeIndex, At: newcomer.At}
 	pts, err := ValidatePlacement(s.region, occ, mod, p)
@@ -222,13 +206,8 @@ func (s *State) replanPlace(id TaskID, mod *module.Module) (PlaceOutcome, error)
 	}
 	out.Reconfig += s.cost(mod.Shape(p.Shape), p.At)
 
-	s.occ = occ
-	for _, mv := range moves {
-		r := s.residents[mv.ID]
-		s.residents[mv.ID] = Resident{ID: r.ID, Module: r.Module, Shape: mv.Shape, At: mv.At}
-	}
-	s.residents[id] = Resident{ID: id, Module: mod, Shape: p.Shape, At: p.At}
-	if err := s.reseedManager(); err != nil {
+	after = append(after, Resident{ID: id, Module: mod, Shape: p.Shape, At: p.At})
+	if err := s.adopt(after, occ); err != nil {
 		return PlaceOutcome{}, err
 	}
 	s.placed++
@@ -296,17 +275,11 @@ func (s *State) Defrag() (DefragOutcome, error) {
 	if len(moves) == 0 {
 		return out, nil
 	}
-	after, err := ApplyMoves(s.region, res, moves)
+	after, occ, err := applyMoves(s.region, res, moves)
 	if err != nil {
 		return DefragOutcome{}, fmt.Errorf("online: defrag plan failed validation: %w", err)
 	}
-	occ := grid.NewBitmap(s.region.W(), s.region.H())
-	for _, r := range after {
-		occ.SetPoints(r.tiles(), true)
-		s.residents[r.ID] = r
-	}
-	s.occ = occ
-	if err := s.reseedManager(); err != nil {
+	if err := s.adopt(after, occ); err != nil {
 		return DefragOutcome{}, err
 	}
 	out.Moves = s.priceMoves(moves)
@@ -376,14 +349,18 @@ func (s *State) residentsSorted() []Resident {
 	return out
 }
 
-// reseedManager rebuilds the greedy manager's internal state from the
-// shadow residency after a replan or defrag rewrote the layout. Every
-// placement was just validated against the shadow occupancy, so a
-// refusal here is an invariant violation, not a capacity problem.
-func (s *State) reseedManager() error {
+// adopt commits a relocated layout, audited by applyMoves: the
+// residency, its occupancy, and the greedy manager re-seeded onto it.
+// Every placement was just validated against occ, so a manager refusal
+// here is an invariant violation, not a capacity problem.
+func (s *State) adopt(residents []Resident, occ *grid.Bitmap) error {
+	s.occ = occ
+	for _, r := range residents {
+		s.residents[r.ID] = r
+	}
 	s.mgr.Reset(s.region)
 	for _, r := range s.residentsSorted() {
-		if !s.pre.Preplace(r.ID, r.Module, Placement{Shape: r.Shape, At: r.At}) {
+		if !s.mgr.Preplace(r.ID, r.Module, Placement{Shape: r.Shape, At: r.At}) {
 			return fmt.Errorf("online: manager %s rejected re-seeded resident %d at %v", s.mgr.Name(), r.ID, r.At)
 		}
 	}

@@ -62,7 +62,7 @@ func descend(k *geost.Kernel, vals []int, top int) int {
 	occ := grid.NewBitmap(k.W(), k.H())
 	for i, o := range objs {
 		sid, x, y := o.Decode(vals[i])
-		occ.SetPoints(translate(o.Shapes[sid].Points, grid.Pt(x, y)), true)
+		occ.SetPoints(grid.Translate(o.Shapes[sid].Points, grid.Pt(x, y)), true)
 	}
 	for {
 		moved := true
@@ -71,7 +71,7 @@ func descend(k *geost.Kernel, vals []int, top int) int {
 				continue
 			}
 			sid, x, y := o.Decode(vals[i])
-			own := translate(o.Shapes[sid].Points, grid.Pt(x, y))
+			own := grid.Translate(o.Shapes[sid].Points, grid.Pt(x, y))
 			occ.SetPoints(own, false)
 			placed := false
 			o.Place.Domain().ForEach(func(v int) bool {
@@ -84,7 +84,7 @@ func descend(k *geost.Kernel, vals []int, top int) int {
 				if occ.AnyAt(g.Points, at) {
 					return true
 				}
-				occ.SetPoints(translate(g.Points, at), true)
+				occ.SetPoints(grid.Translate(g.Points, at), true)
 				vals[i] = v
 				placed = true
 				return false
@@ -138,7 +138,7 @@ func warmPass(k *geost.Kernel, order []int) (vals []int, maxTop int, ok bool) {
 			if occ.AnyAt(g.Points, at) {
 				continue
 			}
-			occ.SetPoints(translate(g.Points, at), true)
+			occ.SetPoints(grid.Translate(g.Points, at), true)
 			vals[idx] = v
 			if t := o.TopOf(v); t > maxTop {
 				maxTop = t
@@ -185,13 +185,4 @@ func minTiles(o *geost.Object) int {
 		}
 	}
 	return best
-}
-
-// translate returns ps shifted by d.
-func translate(ps []grid.Point, d grid.Point) []grid.Point {
-	out := make([]grid.Point, len(ps))
-	for i, p := range ps {
-		out[i] = p.Add(d)
-	}
-	return out
 }
