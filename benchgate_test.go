@@ -91,6 +91,12 @@ func gateScenarios() []gateScenario {
 		NumModules: 12, CLBMin: 8, CLBMax: 24, BRAMMax: 3, Alternatives: 4,
 	}, rand.New(rand.NewSource(5)))
 
+	// The compulsory-part path: 15 Table-I modules under
+	// StrongPropagation, stopped by a node stall rather than a wall
+	// clock so its effort counts are deterministic.
+	t1mods15 := workload.MustGenerate(workload.Config{NumModules: 15}, rand.New(rand.NewSource(1)))
+	strong := core.Options{StallNodes: 200, StrongPropagation: true}
+
 	on := core.Options{StallNodes: 800}
 	off := on
 	off.Presolve = core.PresolveOff
@@ -101,6 +107,7 @@ func gateScenarios() []gateScenario {
 		{"table1-no-alternatives", table1, workload.FirstShapesOnly(t1mods), on},
 		{"fig3-alternatives", fig3.MustBuild().FullRegion(), fig3Mods, on},
 		{"fig5-alternatives", fig5.MustBuild().FullRegion(), fig5Mods, on},
+		{"table1-15-strong-propagation", table1, t1mods15, strong},
 	}
 }
 

@@ -101,7 +101,7 @@ type Options struct {
 	// runs may differ, as with any anytime stop.
 	Workers int
 	// StrongPropagation adds geost compulsory-part pruning to the
-	// pairwise non-overlap: objects whose remaining placements share a
+	// per-object non-overlap: objects whose remaining placements share a
 	// guaranteed footprint prune their neighbours before being
 	// assigned. More pruning per node, fewer nodes.
 	StrongPropagation bool

@@ -10,7 +10,8 @@
 //     into per-shape valid-anchor bitmaps computed by ValidAnchors;
 //     Fit/Fits check all three constraints for one shape at one anchor
 //     and are the only such check in the system;
-//   - M_c (non-overlap) is the geost kernel's pairwise filter;
+//   - M_c (non-overlap) is the geost kernel's per-object forward-checking
+//     filter;
 //   - the objective (eq. 6) is the geost occupied-height variable,
 //     minimised by branch-and-bound.
 package core

@@ -193,7 +193,8 @@ func (st *Store) enqueue(idx int) {
 func (st *Store) Stats() int64 { return st.nPropag }
 
 // PropagatorStat is the aggregated execution count of all propagators
-// sharing one name (e.g. every geost.non-overlap pair).
+// sharing one name (e.g. the geost.non-overlap propagators of all
+// objects).
 type PropagatorStat struct {
 	Name string
 	Runs int64

@@ -16,12 +16,11 @@ import (
 //   - heightBound.capPrefix: immutable capacity table. Shared.
 //   - fabric.Histogram is an array type (value semantics), so
 //     MinDemand's running minimum never writes into shape state.
-//   - Kernel.scratch: MUTABLE — nonOverlapPair paints the fixed
-//     object's footprint into it during propagation. Each clone gets a
-//     fresh scratch bitmap; sharing it across workers would corrupt
-//     concurrent filtering.
-//   - compulsoryRegion allocates fresh bitmaps per call; nothing to
-//     duplicate.
+//   - Kernel.scratch and Kernel.comp: MUTABLE — nonOverlap paints the
+//     fixed object's footprint into scratch during propagation, and
+//     compulsoryRegion paints candidates into scratch and accumulates
+//     into comp. Each clone gets fresh bitmaps; sharing them across
+//     workers would corrupt concurrent filtering.
 //
 // Kernel and Object reference each other, so both clone through the
 // CloneCtx memo table, registering the new value before descending into
@@ -38,6 +37,7 @@ func cloneKernel(ctx *csp.CloneCtx, k *Kernel) *Kernel {
 		w:       k.w,
 		h:       k.h,
 		scratch: grid.NewBitmap(k.w, k.h),
+		comp:    grid.NewBitmap(k.w, k.h),
 	}
 	ctx.MemoPut(k, nk)
 	nk.objects = make([]*Object, len(k.objects))
@@ -70,8 +70,8 @@ func (p *topLink) CloneFor(ctx *csp.CloneCtx) csp.Propagator {
 }
 
 // CloneFor implements csp.Clonable.
-func (p *nonOverlapPair) CloneFor(ctx *csp.CloneCtx) csp.Propagator {
-	return &nonOverlapPair{k: cloneKernel(ctx, p.k), a: cloneObject(ctx, p.a), b: cloneObject(ctx, p.b)}
+func (p *nonOverlap) CloneFor(ctx *csp.CloneCtx) csp.Propagator {
+	return &nonOverlap{o: cloneObject(ctx, p.o)}
 }
 
 // CloneFor implements csp.Clonable.
@@ -81,6 +81,6 @@ func (p *heightBound) CloneFor(ctx *csp.CloneCtx) csp.Propagator {
 }
 
 // CloneFor implements csp.Clonable.
-func (p *compulsoryPair) CloneFor(ctx *csp.CloneCtx) csp.Propagator {
-	return &compulsoryPair{k: cloneKernel(ctx, p.k), a: cloneObject(ctx, p.a), b: cloneObject(ctx, p.b)}
+func (p *compulsory) CloneFor(ctx *csp.CloneCtx) csp.Propagator {
+	return &compulsory{o: cloneObject(ctx, p.o)}
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // buildCloneKernel models a small placement problem touching every
-// geost propagator: top links, pairwise non-overlap, compulsory-part
-// pruning and the capacity height bound.
+// geost propagator: top links, per-object non-overlap and
+// compulsory-part pruning, and the capacity height bound.
 func buildCloneKernel(t *testing.T) (*csp.Store, *Kernel, *csp.Var) {
 	t.Helper()
 	st := csp.NewStore()
@@ -69,8 +69,8 @@ func TestKernelCloneIndependence(t *testing.T) {
 	}
 
 	// Assign an object on the clone; the source must not move. This
-	// drives nonOverlapPair through the clone's scratch bitmap, which
-	// must be the clone's own.
+	// drives nonOverlap through the clone's scratch bitmap, which must
+	// be the clone's own.
 	before := snapshot(st)
 	place := k.Objects()[0].Place
 	clPlace := cl.Vars()[place.ID()]

@@ -23,103 +23,63 @@ const compulsoryThreshold = 48
 
 // compulsoryRegion returns the set of cells occupied under every
 // remaining placement of o, or nil when the object's domain is too large
-// or the intersection is empty. The returned bitmap is freshly
-// allocated.
+// or the intersection is empty. The returned bitmap is the kernel's
+// accumulator, valid until the next call.
 func compulsoryRegion(o *Object) *grid.Bitmap {
 	n := o.Place.Size()
 	if n == 0 || n > compulsoryThreshold {
 		return nil
 	}
-	var acc *grid.Bitmap
-	cur := grid.NewBitmap(o.k.w, o.k.h)
-	empty := false
+	acc, scratch := o.k.comp, o.k.scratch
+	first := true
 	o.Place.Domain().ForEach(func(val int) bool {
 		sid, x, y := o.Decode(val)
-		cur.Clear()
-		cur.SetPoints(grid.Translate(o.Shapes[sid].Points, grid.Pt(x, y)), true)
-		if acc == nil {
-			acc = cur.Clone()
+		pts, at := o.Shapes[sid].Points, grid.Pt(x, y)
+		if first {
+			acc.Clear()
+			acc.SetPointsAt(pts, at, true)
+			first = false
 		} else {
-			acc.AndNot(invert(cur))
+			scratch.SetPointsAt(pts, at, true)
+			acc.And(scratch)
+			scratch.SetPointsAt(pts, at, false)
 		}
-		if acc.Count() == 0 {
-			empty = true
-			return false
-		}
-		return true
+		return acc.Count() > 0
 	})
-	if empty || acc == nil || acc.Count() == 0 {
+	if acc.Count() == 0 {
 		return nil
 	}
 	return acc
 }
 
-// invert returns the complement of b (freshly allocated).
-func invert(b *grid.Bitmap) *grid.Bitmap {
-	out := grid.NewBitmap(b.W(), b.H())
-	out.SetRect(grid.RectXYWH(0, 0, b.W(), b.H()), true)
-	out.AndNot(b)
-	return out
-}
-
-// compulsoryPair prunes object b against a's compulsory region and vice
-// versa. It watches both placement variables and complements the
-// assigned-object forward checking of nonOverlapPair.
-type compulsoryPair struct {
-	k    *Kernel
-	a, b *Object
+// compulsory prunes every other object against its object's compulsory
+// region. It watches only its own placement variable, since the region
+// depends only on that domain, and complements the assigned-object
+// forward checking of nonOverlap.
+type compulsory struct {
+	o *Object
 }
 
 // Name implements csp.Named.
-func (p *compulsoryPair) Name() string { return "geost.compulsory" }
+func (p *compulsory) Name() string { return "geost.compulsory" }
 
-func (p *compulsoryPair) Propagate(st *csp.Store) error {
-	if err := p.dir(st, p.a, p.b); err != nil {
-		return err
+func (p *compulsory) Propagate(st *csp.Store) error {
+	o := p.o
+	if o.Assigned() {
+		return nil // nonOverlap already handles fixed objects
 	}
-	return p.dir(st, p.b, p.a)
-}
-
-func (p *compulsoryPair) dir(st *csp.Store, narrow, other *Object) error {
-	if narrow.Assigned() {
-		return nil // the nonOverlapPair already handles fixed objects
-	}
-	comp := compulsoryRegion(narrow)
+	comp := compulsoryRegion(o)
 	if comp == nil {
 		return nil
 	}
-	box := boundsOfBitmap(comp)
-	return st.FilterDomain(other.Place, func(val int) bool {
-		osid, ox, oy := other.Decode(val)
-		og := &other.Shapes[osid]
-		if !box.Overlaps(grid.RectXYWH(ox, oy, og.W, og.H)) {
-			return true
-		}
-		return !comp.AnyAt(og.Points, grid.Pt(ox, oy))
-	})
+	return o.k.pruneOthers(st, o, comp, comp.Extent())
 }
 
-// boundsOfBitmap returns the tight bounding rect of the set bits.
-func boundsOfBitmap(b *grid.Bitmap) grid.Rect {
-	r := grid.Rect{}
-	for y := 0; y < b.H(); y++ {
-		for x := 0; x < b.W(); x++ {
-			if b.Get(x, y) {
-				r = r.Union(grid.RectXYWH(x, y, 1, 1))
-			}
-		}
-	}
-	return r
-}
-
-// PostCompulsoryNonOverlap adds compulsory-part pruning to all object
-// pairs. Call it after PostNonOverlap; it strengthens, not replaces, the
-// forward checking.
+// PostCompulsoryNonOverlap adds compulsory-part pruning, one propagator
+// per object. Call it after PostNonOverlap; it strengthens, not
+// replaces, the forward checking.
 func (k *Kernel) PostCompulsoryNonOverlap() {
-	for i := 0; i < len(k.objects); i++ {
-		for j := i + 1; j < len(k.objects); j++ {
-			a, b := k.objects[i], k.objects[j]
-			k.st.Post(&compulsoryPair{k: k, a: a, b: b}, a.Place, b.Place)
-		}
+	for _, o := range k.objects {
+		k.st.Post(&compulsory{o: o}, o.Place)
 	}
 }

@@ -59,7 +59,7 @@ func TestCompulsoryRegionEmptyOrLarge(t *testing.T) {
 	}
 }
 
-func TestCompulsoryPairPrunesBeforeAssignment(t *testing.T) {
+func TestCompulsoryPrunesBeforeAssignment(t *testing.T) {
 	// Object a is a 3x3 block restricted to two overlapping anchors;
 	// its compulsory 2x2 centre must already prune b's placements even
 	// though a is not assigned.

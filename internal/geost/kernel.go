@@ -70,8 +70,10 @@ type Kernel struct {
 	w, h    int
 	objects []*Object
 
-	// scratch is a reusable occupancy bitmap for non-overlap filtering.
-	scratch *grid.Bitmap
+	// scratch is a reusable occupancy bitmap for non-overlap filtering,
+	// all clear between propagator runs; comp accumulates compulsory
+	// regions.
+	scratch, comp *grid.Bitmap
 }
 
 // New creates a kernel over a w×h space backed by st. It panics on
@@ -80,7 +82,7 @@ func New(st *csp.Store, w, h int) *Kernel {
 	if w <= 0 || h <= 0 {
 		panic(fmt.Sprintf("geost: invalid space %dx%d", w, h))
 	}
-	return &Kernel{st: st, w: w, h: h, scratch: grid.NewBitmap(w, h)}
+	return &Kernel{st: st, w: w, h: h, scratch: grid.NewBitmap(w, h), comp: grid.NewBitmap(w, h)}
 }
 
 // W returns the space width.
@@ -211,15 +213,13 @@ func (k *Kernel) AddObject(name string, shapes []ShapeGeom) (*Object, error) {
 	return o, nil
 }
 
-// PostNonOverlap posts pairwise non-overlap over all objects added so
-// far (constraint M_c of the paper). Filtering is forward checking
-// against assigned objects with a bounding-box early-out.
+// PostNonOverlap posts non-overlap over all objects (constraint M_c of
+// the paper): one forward-checking propagator per object, which prunes
+// every other object once that object is assigned. Call it after the
+// last AddObject.
 func (k *Kernel) PostNonOverlap() {
-	for i := 0; i < len(k.objects); i++ {
-		for j := i + 1; j < len(k.objects); j++ {
-			a, b := k.objects[i], k.objects[j]
-			k.st.Post(&nonOverlapPair{k: k, a: a, b: b}, a.Place, b.Place)
-		}
+	for _, o := range k.objects {
+		k.st.Post(&nonOverlap{o: o}, o.Place)
 	}
 }
 

@@ -47,49 +47,58 @@ func (p *topLink) Propagate(st *csp.Store) error {
 	return nil
 }
 
-// nonOverlapPair enforces that two objects do not share a tile, by
-// forward checking: once one side is assigned, the other side's
-// candidate placements that collide with it are pruned. A bounding-box
-// test rejects most candidates before the per-tile test.
-type nonOverlapPair struct {
-	k    *Kernel
-	a, b *Object
+// nonOverlap enforces that one object shares no tile with any other
+// object, by forward checking: once the object is assigned, every other
+// object's candidate placements that collide with it are pruned —
+// assigned ones included, so a collision empties a singleton and fails.
+// It watches only its own placement variable. Filtering against a fixed
+// footprint is idempotent, so one run per assignment reaches the same
+// fixpoint as re-running whenever another object's domain moves.
+type nonOverlap struct {
+	o *Object
 }
 
 // Name implements csp.Named.
-func (p *nonOverlapPair) Name() string { return "geost.non-overlap" }
+func (p *nonOverlap) Name() string { return "geost.non-overlap" }
 
-func (p *nonOverlapPair) Propagate(st *csp.Store) error {
-	if err := p.dir(st, p.a, p.b); err != nil {
-		return err
-	}
-	return p.dir(st, p.b, p.a)
-}
-
-func (p *nonOverlapPair) dir(st *csp.Store, fixed, other *Object) error {
-	if !fixed.Assigned() {
+func (p *nonOverlap) Propagate(st *csp.Store) error {
+	o := p.o
+	if !o.Assigned() {
 		return nil
 	}
-	sid, x, y := fixed.Placement()
-	g := &fixed.Shapes[sid]
+	sid, x, y := o.Placement()
+	g := &o.Shapes[sid]
 	at := grid.Pt(x, y)
-	box := grid.RectXYWH(x, y, g.W, g.H)
 
-	// Paint the fixed object into the kernel scratch bitmap; unpaint
-	// before returning so the scratch stays clean for the next pair.
-	scratch := p.k.scratch
-	pts := grid.Translate(g.Points, at)
-	scratch.SetPoints(pts, true)
-	defer scratch.SetPoints(pts, false)
+	// Paint the fixed object into the kernel scratch bitmap and unpaint
+	// it before returning, so the scratch stays clean for the next run.
+	scratch := o.k.scratch
+	scratch.SetPointsAt(g.Points, at, true)
+	err := o.k.pruneOthers(st, o, scratch, grid.RectXYWH(x, y, g.W, g.H))
+	scratch.SetPointsAt(g.Points, at, false)
+	return err
+}
 
-	return st.FilterDomain(other.Place, func(val int) bool {
-		osid, ox, oy := other.Decode(val)
-		og := &other.Shapes[osid]
-		if !box.Overlaps(grid.RectXYWH(ox, oy, og.W, og.H)) {
-			return true
+// pruneOthers removes, from every object but self, the placements whose
+// footprint hits a set bit of occ. box bounds the set bits of occ: a
+// bounding-box test rejects most candidates before the per-tile test.
+func (k *Kernel) pruneOthers(st *csp.Store, self *Object, occ *grid.Bitmap, box grid.Rect) error {
+	for _, other := range k.objects {
+		if other == self {
+			continue
 		}
-		return !scratch.AnyAt(og.Points, grid.Pt(ox, oy))
-	})
+		if err := st.FilterDomain(other.Place, func(val int) bool {
+			osid, ox, oy := other.Decode(val)
+			og := &other.Shapes[osid]
+			if !box.Overlaps(grid.RectXYWH(ox, oy, og.W, og.H)) {
+				return true
+			}
+			return !occ.AnyAt(og.Points, grid.Pt(ox, oy))
+		}); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // heightBound implements capacity-based bound reasoning for the

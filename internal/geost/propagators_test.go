@@ -63,7 +63,7 @@ func TestTopLinkRaisesMin(t *testing.T) {
 	}
 }
 
-func TestNonOverlapPairForwardChecks(t *testing.T) {
+func TestNonOverlapForwardChecks(t *testing.T) {
 	st := csp.NewStore()
 	k := New(st, 5, 4)
 	a, err := k.AddObject("a", []ShapeGeom{rectGeom(2, 2, 5, 4)})

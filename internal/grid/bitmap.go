@@ -80,6 +80,16 @@ func (b *Bitmap) SetPoints(ps []Point, v bool) {
 	}
 }
 
+// SetPointsAt sets the bit at each point of ps, translated by at, to v;
+// points landing outside the bitmap are ignored. It is the painting
+// counterpart of AnyAt and, unlike SetPoints over Translate, allocates
+// nothing.
+func (b *Bitmap) SetPointsAt(ps []Point, at Point, v bool) {
+	for _, p := range ps {
+		b.Set(p.X+at.X, p.Y+at.Y, v)
+	}
+}
+
 // Count returns the number of set bits.
 func (b *Bitmap) Count() int {
 	n := 0
@@ -147,6 +157,17 @@ func (b *Bitmap) Or(src *Bitmap) {
 	}
 }
 
+// And clears every bit that is clear in src. Dimensions must match; a
+// mismatch panics.
+func (b *Bitmap) And(src *Bitmap) {
+	if b.w != src.w || b.h != src.h {
+		panic("grid: And dimension mismatch")
+	}
+	for i, w := range src.words {
+		b.words[i] &= w
+	}
+}
+
 // AndNot clears every bit that is set in src. Dimensions must match;
 // a mismatch panics.
 func (b *Bitmap) AndNot(src *Bitmap) {
@@ -184,6 +205,27 @@ func (b *Bitmap) MaxSetY() int {
 		}
 	}
 	return -1
+}
+
+// Extent returns the tight bounding rectangle of the set bits, or the
+// zero (empty) Rect when no bit is set. It scans a word at a time.
+func (b *Bitmap) Extent() Rect {
+	r := Rect{MinX: b.w, MinY: b.h}
+	for y := 0; y < b.h; y++ {
+		for i, w := range b.words[y*b.wpr : (y+1)*b.wpr] {
+			if w == 0 {
+				continue
+			}
+			r.MinX = min(r.MinX, i*64+bits.TrailingZeros64(w))
+			r.MaxX = max(r.MaxX, i*64+64-bits.LeadingZeros64(w))
+			r.MinY = min(r.MinY, y)
+			r.MaxY = y + 1
+		}
+	}
+	if r.Empty() {
+		return Rect{}
+	}
+	return r
 }
 
 // CountRow returns the number of set bits in row y (0 when out of range).

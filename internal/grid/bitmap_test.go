@@ -101,6 +101,56 @@ func TestBitmapBooleanOps(t *testing.T) {
 	if a.Get(2, 1) || a.Count() != 1 {
 		t.Fatal("AndNot failed")
 	}
+	a.Set(2, 1, true)
+	a.And(b)
+	if !a.Get(2, 1) || a.Count() != 1 {
+		t.Fatal("And failed")
+	}
+}
+
+func TestBitmapSetPointsAt(t *testing.T) {
+	shape := []Point{{0, 0}, {1, 0}, {0, 2}}
+	b := NewBitmap(70, 4)
+	b.SetPointsAt(shape, Pt(63, 1), true)
+	want := NewBitmap(70, 4)
+	want.SetPoints(Translate(shape, Pt(63, 1)), true)
+	if b.String() != want.String() {
+		t.Fatalf("SetPointsAt painted\n%s\nwant\n%s", b, want)
+	}
+	if !b.AnyAt(shape, Pt(63, 1)) {
+		t.Fatal("AnyAt misses what SetPointsAt painted")
+	}
+	b.SetPointsAt(shape, Pt(69, 3), true) // only (69,3) lands inside
+	if b.Count() != 4 {
+		t.Fatalf("count = %d, want 4 (clipped)", b.Count())
+	}
+	b.SetPointsAt(shape, Pt(63, 1), false)
+	b.SetPointsAt(shape, Pt(69, 3), false)
+	if b.Count() != 0 {
+		t.Fatal("unpainting left bits set")
+	}
+}
+
+func TestBitmapExtent(t *testing.T) {
+	b := NewBitmap(130, 5)
+	if got := b.Extent(); got != (Rect{}) {
+		t.Fatalf("empty extent = %v", got)
+	}
+	for _, p := range []Point{{64, 1}, {3, 3}, {127, 2}} {
+		b.Set(p.X, p.Y, true)
+		// Reference: the cell-by-cell union of set bits.
+		want := Rect{}
+		for y := 0; y < b.H(); y++ {
+			for x := 0; x < b.W(); x++ {
+				if b.Get(x, y) {
+					want = want.Union(RectXYWH(x, y, 1, 1))
+				}
+			}
+		}
+		if got := b.Extent(); got != want {
+			t.Fatalf("after %v: extent %v, want %v", p, got, want)
+		}
+	}
 }
 
 func TestBitmapDimensionMismatchPanics(t *testing.T) {
@@ -108,6 +158,7 @@ func TestBitmapDimensionMismatchPanics(t *testing.T) {
 	b := NewBitmap(5, 4)
 	for name, f := range map[string]func(){
 		"Or":         func() { a.Or(b) },
+		"And":        func() { a.And(b) },
 		"AndNot":     func() { a.AndNot(b) },
 		"Intersects": func() { a.Intersects(b) },
 		"CopyFrom":   func() { a.CopyFrom(b) },

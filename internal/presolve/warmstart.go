@@ -62,7 +62,7 @@ func descend(k *geost.Kernel, vals []int, top int) int {
 	occ := grid.NewBitmap(k.W(), k.H())
 	for i, o := range objs {
 		sid, x, y := o.Decode(vals[i])
-		occ.SetPoints(grid.Translate(o.Shapes[sid].Points, grid.Pt(x, y)), true)
+		occ.SetPointsAt(o.Shapes[sid].Points, grid.Pt(x, y), true)
 	}
 	for {
 		moved := true
@@ -71,8 +71,8 @@ func descend(k *geost.Kernel, vals []int, top int) int {
 				continue
 			}
 			sid, x, y := o.Decode(vals[i])
-			own := grid.Translate(o.Shapes[sid].Points, grid.Pt(x, y))
-			occ.SetPoints(own, false)
+			own, ownAt := o.Shapes[sid].Points, grid.Pt(x, y)
+			occ.SetPointsAt(own, ownAt, false)
 			placed := false
 			o.Place.Domain().ForEach(func(v int) bool {
 				if o.TopOf(v) >= top {
@@ -84,13 +84,13 @@ func descend(k *geost.Kernel, vals []int, top int) int {
 				if occ.AnyAt(g.Points, at) {
 					return true
 				}
-				occ.SetPoints(grid.Translate(g.Points, at), true)
+				occ.SetPointsAt(g.Points, at, true)
 				vals[i] = v
 				placed = true
 				return false
 			})
 			if !placed {
-				occ.SetPoints(own, true)
+				occ.SetPointsAt(own, ownAt, true)
 				moved = false
 				break
 			}
@@ -138,7 +138,7 @@ func warmPass(k *geost.Kernel, order []int) (vals []int, maxTop int, ok bool) {
 			if occ.AnyAt(g.Points, at) {
 				continue
 			}
-			occ.SetPoints(grid.Translate(g.Points, at), true)
+			occ.SetPointsAt(g.Points, at, true)
 			vals[idx] = v
 			if t := o.TopOf(v); t > maxTop {
 				maxTop = t
