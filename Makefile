@@ -36,12 +36,15 @@ define race-repeat
 endef
 
 # Race job, mirroring CI: the full suite once, then the multi-worker
-# search determinism suites and the stateful-session suites repeated
-# -count=3 (scheduling-order bugs rarely show on a single run).
+# search determinism suites, the stateful-session suites and the
+# serving path's concurrency suites (singleflight, admission gate,
+# cache flights) repeated -count=3 (scheduling-order bugs rarely show
+# on a single run).
 race:
 	$(GO) test -race ./...
 	$(call race-repeat,Parallel|Clone,./internal/csp ./internal/geost ./internal/core)
-	$(call race-repeat,MaximalEmptyRects|Session,./internal/online ./internal/service)
+	$(call race-repeat,MaximalEmptyRects|Session,./internal/online)
+	$(call race-repeat,Session|Singleflight|Admission|Queued|Eviction|Cancel|QueueWait|Gate|Join,./internal/service)
 
 vet:
 	$(GO) vet ./...

@@ -16,7 +16,7 @@ import (
 //     (Solve/Minimize/Place). A
 //     multi-second solve or an unbounded channel wait inside a
 //     critical section turns every other lock acquirer into a queue —
-//     the exact convoy the bounded admission pool exists to prevent.
+//     the exact convoy the bounded solver gate exists to prevent.
 //   - the unlock must be reachable on every path out of the critical
 //     section: a return (explicit or the implicit one at the end of
 //     the function body) while a lock is held and no deferred unlock

@@ -52,7 +52,7 @@ const (
 	// injected error models a broken dedup layer (each request solves
 	// solo).
 	SiteSingleflight
-	// SiteQueue is admission into the bounded worker pool: an injected
+	// SiteQueue is admission through the bounded solver gate: an injected
 	// error models a full queue (shed), an injected timeout a request
 	// that expired while queued.
 	SiteQueue

@@ -441,7 +441,7 @@ func (s *Span) End() time.Duration {
 
 // Context carriage. Traces and spans travel down a request path via
 // context.Context so layers that never see each other (HTTP handler,
-// admission pool, solver adapter) agree on the owning request.
+// admission gate, solver adapter) agree on the owning request.
 
 type traceCtxKey struct{}
 type spanCtxKey struct{}

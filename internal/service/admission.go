@@ -3,98 +3,68 @@ package service
 import (
 	"context"
 	"errors"
-	"sync"
 	"sync/atomic"
 )
 
-// errBusy is returned by pool.Submit when the admission queue is full.
-// The HTTP layer maps it to 429 Too Many Requests: under overload the
+// errBusy is returned by gate.Acquire when the wait line is full. The
+// HTTP layer maps it to 429 Too Many Requests: under overload the
 // daemon sheds load immediately instead of building an unbounded
 // backlog of multi-second solves.
 var errBusy = errors.New("service: admission queue full")
 
-// pool is the bounded-concurrency admission path: a fixed number of
-// worker goroutines drain a fixed-capacity job queue. Admission is
-// non-blocking — a request either takes a queue slot or is rejected
-// with errBusy — and a job whose context expires while queued is
-// skipped, so dead clients cannot occupy workers.
-type pool struct {
-	jobs    chan *poolJob
-	queued  atomic.Int64
-	running atomic.Int64
-	closing sync.Once
-	wg      sync.WaitGroup
+// gate bounds concurrent solves: at most cap(slots) run at once, and at
+// most maxWait callers wait for a slot. A caller runs its solve on its
+// own goroutine between Acquire and Release, so a solve never changes
+// goroutine. Waiters are admitted in arrival order (blocked channel
+// sends are served FIFO).
+type gate struct {
+	slots   chan struct{}
+	maxWait int64
+	waiting atomic.Int64
 }
 
-type poolJob struct {
-	ctx  context.Context
-	run  func()
-	done chan struct{} // closed once run finished or the job was skipped
-	ran  bool
+// newGate returns a gate of slots slots and a wait line of maxWait
+// (minimums 1 and 0).
+func newGate(slots, maxWait int) *gate {
+	return &gate{slots: make(chan struct{}, max(slots, 1)), maxWait: int64(max(maxWait, 0))}
 }
 
-// newPool starts workers goroutines behind a queue of maxInFlight
-// slots (minimums 1 and 1).
-func newPool(workers, maxInFlight int) *pool {
-	if workers < 1 {
-		workers = 1
+// Acquire takes a slot, waiting while all are taken. It returns errBusy
+// without waiting when maxWait callers already wait, and ctx.Err() if
+// ctx ends before a slot frees up.
+func (g *gate) Acquire(ctx context.Context) error {
+	if g.TryAcquire() {
+		return nil
 	}
-	if maxInFlight < 1 {
-		maxInFlight = 1
-	}
-	p := &pool{jobs: make(chan *poolJob, maxInFlight)}
-	p.wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go p.worker()
-	}
-	return p
-}
-
-func (p *pool) worker() {
-	defer p.wg.Done()
-	for j := range p.jobs {
-		p.queued.Add(-1)
-		if j.ctx.Err() == nil {
-			p.running.Add(1)
-			j.run()
-			j.ran = true
-			p.running.Add(-1)
-		}
-		close(j.done)
-	}
-}
-
-// Submit enqueues fn and waits for it to finish. It returns errBusy
-// when the queue is full, ctx.Err() when the context expires before
-// fn completed, and nil once fn has run.
-func (p *pool) Submit(ctx context.Context, fn func()) error {
-	j := &poolJob{ctx: ctx, run: fn, done: make(chan struct{})}
-	select {
-	case p.jobs <- j:
-		p.queued.Add(1)
-	default:
+	if g.waiting.Add(1) > g.maxWait {
+		g.waiting.Add(-1)
 		return errBusy
 	}
+	defer g.waiting.Add(-1)
 	select {
-	case <-j.done:
-		if !j.ran {
-			return ctx.Err()
-		}
+	case g.slots <- struct{}{}:
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
 	}
 }
 
-// QueueDepth returns the number of jobs waiting for a worker.
-func (p *pool) QueueDepth() int { return int(p.queued.Load()) }
-
-// InFlight returns the number of jobs currently executing.
-func (p *pool) InFlight() int { return int(p.running.Load()) }
-
-// Close stops the workers after the queued jobs drain. Submit must not
-// be called after Close.
-func (p *pool) Close() {
-	p.closing.Do(func() { close(p.jobs) })
-	p.wg.Wait()
+// TryAcquire takes a slot if one is free.
+func (g *gate) TryAcquire() bool {
+	select {
+	case g.slots <- struct{}{}:
+		return true
+	default:
+		return false
+	}
 }
+
+// Release frees a slot taken by Acquire or TryAcquire, admitting the
+// longest waiter if there is one.
+func (g *gate) Release() { <-g.slots }
+
+// QueueDepth returns the number of callers waiting for a slot.
+func (g *gate) QueueDepth() int { return int(g.waiting.Load()) }
+
+// InFlight returns the number of slots taken.
+func (g *gate) InFlight() int { return len(g.slots) }

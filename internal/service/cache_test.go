@@ -95,3 +95,99 @@ func TestLRUDistinctKeysKeepDistinctBodies(t *testing.T) {
 		}
 	}
 }
+
+// TestJoinRacingLand races Joins against the Land of the flight they
+// may join, on one digest, many times over (run under -race in CI).
+// Each Join either finds the stored body or attaches to the live
+// flight and receives its outcome: none registers a second leader for
+// a digest whose solve has landed.
+func TestJoinRacingLand(t *testing.T) {
+	const iterations = 2000
+	const joiners = 3
+	c := newLRU(8)
+	for i := 0; i < iterations; i++ {
+		key := dig(i)
+		want := []byte(fmt.Sprintf("body-%d", i))
+		_, f, leader := c.Join(key)
+		if !leader {
+			t.Fatalf("iteration %d: first Join did not lead", i)
+		}
+		start := make(chan struct{})
+		errs := make(chan error, joiners)
+		for j := 0; j < joiners; j++ {
+			go func() {
+				<-start
+				body, g, leader := c.Join(key)
+				switch {
+				case leader:
+					errs <- fmt.Errorf("second leader registered")
+				case body != nil:
+					if string(body) != string(want) {
+						errs <- fmt.Errorf("stored body %q, want %q", body, want)
+						return
+					}
+					errs <- nil
+				case g != f:
+					errs <- fmt.Errorf("attached to a flight other than the live one")
+				default:
+					<-g.done
+					if g.err != nil || string(g.body) != string(want) {
+						errs <- fmt.Errorf("flight outcome %q, %v; want %q", g.body, g.err, want)
+						return
+					}
+					errs <- nil
+				}
+			}()
+		}
+		close(start)
+		c.Land(key, f, want, nil, true)
+		for j := 0; j < joiners; j++ {
+			if err := <-errs; err != nil {
+				t.Fatalf("iteration %d: %v", i, err)
+			}
+		}
+	}
+}
+
+// TestLandUnstoredRetiresFlight: a flight landed without storing (a
+// failed solve) leaves no entry, so the next Join leads a new solve.
+func TestLandUnstoredRetiresFlight(t *testing.T) {
+	c := newLRU(2)
+	_, f, _ := c.Join(dig(1))
+	_, g, leader := c.Join(dig(1))
+	if leader || g != f {
+		t.Fatal("second Join did not attach to the live flight")
+	}
+	c.Land(dig(1), f, nil, fmt.Errorf("solve failed"), false)
+	if <-g.done; g.err == nil {
+		t.Fatal("waiter missed the flight's error")
+	}
+	if _, _, leader := c.Join(dig(1)); !leader {
+		t.Fatal("Join after an unstored Land did not lead")
+	}
+}
+
+// TestPrivateFlightLandsBesideSharedFlight: a solo solve (a private
+// flight that bypassed the shared one) may store its body while the
+// shared flight still runs; Join then serves the body, and the shared
+// flight still lands for its own waiters. Reset drops the body but
+// keeps a live flight.
+func TestPrivateFlightLandsBesideSharedFlight(t *testing.T) {
+	c := newLRU(2)
+	_, shared, _ := c.Join(dig(1))
+	c.Land(dig(1), newFlight(), []byte("solo"), nil, true)
+	if body, _, _ := c.Join(dig(1)); string(body) != "solo" {
+		t.Fatalf("Join after the solo landing: body %q, want solo", body)
+	}
+	c.Reset()
+	if _, f, leader := c.Join(dig(1)); leader || f != shared {
+		t.Fatal("Reset dropped the live flight")
+	}
+	c.Land(dig(1), shared, []byte("shared"), nil, true)
+	if body, _ := c.Get(dig(1)); string(body) != "shared" {
+		t.Fatalf("stored body %q after the shared landing, want shared", body)
+	}
+	if _, _, leader := c.Join(dig(2)); !leader || c.Len() != 1 {
+		t.Fatalf("bookkeeping: len %d", c.Len())
+	}
+}

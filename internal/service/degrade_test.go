@@ -263,8 +263,8 @@ func TestInjectedPartialResultNotCached(t *testing.T) {
 }
 
 // TestCacheFaultForcesMiss: with the cache site erroring, a primed
-// entry is not found by the handler lookup, but the solve path's
-// double-check still reuses it — no duplicate solve, miss semantics.
+// entry does not count as a hit, but Join still returns the stored
+// body — no duplicate solve, miss semantics.
 func TestCacheFaultForcesMiss(t *testing.T) {
 	s := newTestServer(t, Config{Faults: mustInjector(t, "cache:error:1")})
 	var solves int

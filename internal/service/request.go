@@ -206,8 +206,9 @@ func (o *OptionsSpec) toRequestOptions(cfg Config) (core.RequestOptions, error) 
 	if o.TimeoutMs < 0 {
 		return out, fmt.Errorf("negative timeoutMs %d", o.TimeoutMs)
 	}
-	// An unbounded or over-long solve would pin a worker for minutes;
-	// the daemon substitutes its default and caps at its maximum.
+	// An unbounded or over-long solve would pin a solver slot for
+	// minutes; the daemon substitutes its default and caps at its
+	// maximum.
 	if out.Timeout == 0 {
 		out.Timeout = cfg.DefaultTimeout
 	}

@@ -2,10 +2,11 @@
 // HTTP/JSON front end that serves core.Placer solves from a canonical
 // instance cache. Requests are canonicalized (internal/canon) so that
 // batches differing only in module or shape order share one cache
-// entry; concurrent identical requests collapse into a single solve
-// (singleflight); and a bounded worker pool with a fixed-capacity
-// admission queue sheds overload with 429 instead of queueing
-// unbounded multi-second solves.
+// entry. The cache is also the in-flight table: concurrent identical
+// requests collapse into a single solve (singleflight). A solver gate
+// of Workers slots bounds the solves running at once, and once
+// MaxInFlight requests wait for a slot, more are shed with 429 instead
+// of queueing unbounded multi-second solves.
 //
 // Every /v1/place request is traced end to end when a Tracer is
 // configured: canonicalization, cache lookup, singleflight role,
@@ -36,6 +37,7 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -49,24 +51,26 @@ import (
 
 // Config sizes the daemon. Zero fields take the stated defaults.
 type Config struct {
-	// Workers is the number of concurrent solver goroutines (default 2).
+	// Workers is the number of solves that may run at once (default 2).
 	Workers int
 	// CacheEntries is the LRU capacity in canonical instances
 	// (default 1024).
 	CacheEntries int
 	// MaxInFlight bounds the admission queue: at most this many solves
-	// may be waiting for a worker before requests are rejected with
-	// 429 (default 64).
+	// may be waiting for a solver slot before requests are rejected
+	// with 429 (default 64).
 	MaxInFlight int
 	// DefaultTimeout is the per-solve budget substituted when a request
 	// sets none (default 10s). Requests cannot opt out: an unbounded
-	// solve would pin a worker indefinitely.
+	// solve would pin a solver slot indefinitely.
 	DefaultTimeout time.Duration
 	// MaxTimeout caps the per-solve budget a request may ask for
 	// (default 60s).
 	MaxTimeout time.Duration
 	// QueueGrace is the extra time a solve may spend waiting for a
-	// worker before the request gives up with 504 (default 30s).
+	// solver slot before it gives up with 504 (default 30s). The budget
+	// (QueueGrace plus the solve timeout) bounds only the wait: a solve
+	// that started runs to completion.
 	QueueGrace time.Duration
 	// DefaultStallNodes is the convergence criterion substituted when a
 	// request sets none (default 2000, the experiments' default).
@@ -160,8 +164,8 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg       Config
 	cache     *lruCache
-	flight    *flightGroup
-	pool      *pool
+	solveGate *gate
+	leaders   sync.WaitGroup // detached leader goroutines, drained by Close
 	start     time.Time
 	accessLog *accessLogger
 	slo       *sloTracker
@@ -178,11 +182,11 @@ type Server struct {
 	// field so every site check is one pointer load.
 	faults *faultinject.Injector
 
-	// sessions is the online-session table; sessionSlots bounds the
+	// sessions is the online-session table; sessionGate bounds the
 	// session solves (replan, defrag) that run inline under a session
-	// lock instead of on the detached worker pool (see session.go).
-	sessions     *sessionStore
-	sessionSlots chan struct{}
+	// lock instead of on a detached leader (see session.go).
+	sessions    *sessionStore
+	sessionGate *gate
 
 	requests    *obs.Counter
 	cacheHits   *obs.Counter
@@ -200,34 +204,33 @@ type Server struct {
 	sessDefrags *obs.Counter
 }
 
-// New builds a server and starts its worker pool.
+// New builds a server.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	reg := cfg.Registry
 	s := &Server{
-		cfg:          cfg,
-		cache:        newLRU(cfg.CacheEntries),
-		flight:       newFlightGroup(),
-		pool:         newPool(cfg.Workers, cfg.MaxInFlight),
-		start:        time.Now(),
-		accessLog:    newAccessLogger(cfg.AccessLog),
-		slo:          newSLOTracker(cfg.SLOLatency),
-		sessions:     newSessionStore(cfg.MaxSessions, cfg.SessionTTL, nil),
-		sessionSlots: make(chan struct{}, cfg.Workers),
-		requests:     reg.Counter("service_requests_total"),
-		cacheHits:    reg.Counter("service_cache_hits_total"),
-		solves:       reg.Counter("service_solves_total"),
-		dedups:       reg.Counter("service_dedup_total"),
-		rejected:     reg.Counter("service_rejected_total"),
-		timeouts:     reg.Counter("service_timeouts_total"),
-		canceled:     reg.Counter("service_canceled_total"),
-		errCount:     reg.Counter("service_solve_errors_total"),
-		degraded:     reg.Counter("service_degraded_total"),
-		sessCreated:  reg.Counter("service_sessions_created_total"),
-		sessEvicted:  reg.Counter("service_sessions_evicted_total"),
-		sessExpired:  reg.Counter("service_sessions_expired_total"),
-		sessReplans:  reg.Counter("service_session_replans_total"),
-		sessDefrags:  reg.Counter("service_session_defrags_total"),
+		cfg:         cfg,
+		cache:       newLRU(cfg.CacheEntries),
+		solveGate:   newGate(cfg.Workers, cfg.MaxInFlight),
+		start:       time.Now(),
+		accessLog:   newAccessLogger(cfg.AccessLog),
+		slo:         newSLOTracker(cfg.SLOLatency),
+		sessions:    newSessionStore(cfg.MaxSessions, cfg.SessionTTL, nil),
+		sessionGate: newGate(cfg.Workers, 0),
+		requests:    reg.Counter("service_requests_total"),
+		cacheHits:   reg.Counter("service_cache_hits_total"),
+		solves:      reg.Counter("service_solves_total"),
+		dedups:      reg.Counter("service_dedup_total"),
+		rejected:    reg.Counter("service_rejected_total"),
+		timeouts:    reg.Counter("service_timeouts_total"),
+		canceled:    reg.Counter("service_canceled_total"),
+		errCount:    reg.Counter("service_solve_errors_total"),
+		degraded:    reg.Counter("service_degraded_total"),
+		sessCreated: reg.Counter("service_sessions_created_total"),
+		sessEvicted: reg.Counter("service_sessions_evicted_total"),
+		sessExpired: reg.Counter("service_sessions_expired_total"),
+		sessReplans: reg.Counter("service_session_replans_total"),
+		sessDefrags: reg.Counter("service_session_defrags_total"),
 	}
 	s.faults = cfg.Faults
 	s.solve = s.solvePlacement
@@ -235,8 +238,9 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Close stops the worker pool after draining queued solves.
-func (s *Server) Close() { s.pool.Close() }
+// Close waits for the detached leader solves to land. The server must
+// not serve requests after Close.
+func (s *Server) Close() { s.leaders.Wait() }
 
 // Handler returns the daemon's HTTP handler.
 func (s *Server) Handler() http.Handler {
@@ -362,23 +366,22 @@ func (s *Server) servePlace(w http.ResponseWriter, r *http.Request, tr *obs.Trac
 	out.digest = digest.String()
 
 	// Fault site "cache": an injected fault models an unavailable
-	// cache backend — the lookup is skipped (forced miss) after any
-	// injected latency; the solve path below still stores its result.
+	// cache backend — after any injected latency, a stored body does
+	// not count as a hit. The request is answered as a miss but still
+	// goes through the table: it reuses a stored body instead of
+	// solving it again, and otherwise joins or leads the flight.
 	cacheFault := s.faults.Check(faultinject.SiteCache)
 	if cacheFault.Delay > 0 {
 		time.Sleep(cacheFault.Delay)
 	}
 	lookupSp := tr.StartSpan("cache_lookup")
-	var body []byte
-	var ok bool
-	if cacheFault.Err == nil && !cacheFault.Timeout {
-		body, ok = s.cache.Get(digest)
-	}
+	body, f, leader := s.cache.Join(digest)
+	hit := body != nil && cacheFault.Err == nil && !cacheFault.Timeout
 	if lookupSp != nil {
-		lookupSp.SetAttrs(obs.Bool("hit", ok))
+		lookupSp.SetAttrs(obs.Bool("hit", hit))
 		lookupSp.End()
 	}
-	if ok {
+	if hit {
 		s.cacheHits.Inc()
 		out.cache = "hit"
 		writePlacement(w, body, digest, true, QualityExact)
@@ -386,22 +389,31 @@ func (s *Server) servePlace(w http.ResponseWriter, r *http.Request, tr *obs.Trac
 	}
 
 	// Fault site "singleflight": an injected fault models a broken
-	// dedup layer — this request solves solo instead of joining the
-	// flight group (the cache double-check in solveAndCache keeps the
-	// result consistent).
+	// dedup layer — a request that would wait on another request's
+	// flight solves solo on a private one instead.
 	flightFault := s.faults.Check(faultinject.SiteSingleflight)
 	if flightFault.Delay > 0 {
 		time.Sleep(flightFault.Delay)
 	}
 	flightSp := tr.StartSpan("singleflight")
-	var leader bool
-	if flightFault.Err != nil || flightFault.Timeout {
-		leader = true
-		body, err = s.solveAndCache(tr, out, creq, digest)
+	if body != nil {
+		leader = true // a forced miss served from the table solves nothing
 	} else {
-		body, leader, err = s.flight.Do(r.Context(), digest, func() ([]byte, error) {
-			return s.solveAndCache(tr, out, creq, digest)
-		})
+		if !leader && (flightFault.Err != nil || flightFault.Timeout) {
+			f, leader = newFlight(), true
+		}
+		if leader {
+			s.leaders.Add(1)
+			go s.lead(tr, out, creq, digest, f)
+		}
+		// A waiter that gives up leaves the solve running for the
+		// others and the cache.
+		select {
+		case <-f.done:
+			body, err = f.body, f.err
+		case <-r.Context().Done():
+			err = r.Context().Err()
+		}
 	}
 	if flightSp != nil {
 		role := "waiter"
@@ -423,11 +435,10 @@ func (s *Server) servePlace(w http.ResponseWriter, r *http.Request, tr *obs.Trac
 		s.failPlace(w, out, http.StatusTooManyRequests, errors.New("admission queue full, retry later"))
 		return
 	case errors.Is(err, context.Canceled) && errors.Is(r.Context().Err(), context.Canceled):
-		// The client disconnected while this request was queued or
-		// waiting on a singleflight leader: stop immediately (the
-		// leader's solve stays detached and still fills the cache) and
-		// log a 499 instead of burning the timeout. Never degrade: no
-		// one is listening.
+		// The client disconnected while this request waited on its
+		// flight: stop immediately (the leader's solve stays detached
+		// and still fills the cache) and log a 499 instead of burning
+		// the timeout. Never degrade: no one is listening.
 		s.canceled.Inc()
 		s.failPlace(w, out, statusClientClosedRequest, errors.New("client closed request"))
 		return
@@ -468,22 +479,26 @@ func (s *Server) failPlace(w http.ResponseWriter, out *placeOutcome, status int,
 	writeError(w, status, err)
 }
 
-// solveAndCache runs one canonical instance on the admission pool and
-// caches the encoded response. It runs detached from any single HTTP
-// request: waiters that give up do not cancel it, and its result
-// serves future requests. The queue-wait and solve spans it records
-// belong to the leader request's trace (tr); if that request has
-// already finished, the spans still reach the span sink, marked
-// unended in the trace's filed ring summary.
-func (s *Server) solveAndCache(tr *obs.Trace, out *placeOutcome, creq *canon.Request, digest canon.Digest) ([]byte, error) {
-	// Double-check the cache: a request that missed it just before a
-	// concurrent identical solve finished (and left the flight group)
-	// becomes a fresh leader here; the entry it needs is already
-	// cached, because the completed call stores the body before
-	// leaving the group.
-	if body, ok := s.cache.Get(digest); ok {
-		return body, nil
-	}
+// lead solves f's instance and lands the outcome in the cache. It
+// runs on its own goroutine, detached from every request on purpose:
+// waiters share its result, so one waiter giving up must not abort the
+// work the others are waiting on, and the stored body serves later
+// requests. The queue-wait and solve spans it records belong to the
+// leader request's trace (tr); if that request has already finished,
+// the spans still reach the span sink, marked unended in the trace's
+// filed ring summary.
+func (s *Server) lead(tr *obs.Trace, out *placeOutcome, creq *canon.Request, digest canon.Digest, f *flight) {
+	defer s.leaders.Done()
+	var skipStore bool
+	body, err := s.solveExact(tr, out, creq, digest, &skipStore)
+	s.cache.Land(digest, f, body, err, err == nil && !skipStore)
+}
+
+// solveExact waits for a solver slot, runs one canonical instance on
+// the calling goroutine and encodes the response. The wait is bounded
+// by the queue grace plus the solve timeout; a solve that started runs
+// to completion and is never thrown away.
+func (s *Server) solveExact(tr *obs.Trace, out *placeOutcome, creq *canon.Request, digest canon.Digest, skipStore *bool) ([]byte, error) {
 	// Fault site "queue": an injected error models a full admission
 	// queue (shed → 429 or degradation), an injected timeout a request
 	// that expired while queued (→ 504 or degradation).
@@ -497,71 +512,52 @@ func (s *Server) solveAndCache(tr *obs.Trace, out *placeOutcome, creq *canon.Req
 	if queueFault.Timeout {
 		return nil, context.DeadlineExceeded
 	}
-	// The singleflight leader's solve is detached from any one caller
-	// on purpose: followers share its result, so one follower's
-	// cancellation must not abort the work the others are waiting on.
-	// The solve is still bounded by its own grace+solve timeout.
 	//solverlint:allow ctxflow deliberate detachment: shared singleflight solve outlives any single caller
-	ctx, cancel := context.WithTimeout(context.Background(),
-		s.cfg.QueueGrace+creq.Options.Timeout)
-	defer cancel()
+	detached := context.Background()
+	waitCtx, cancel := context.WithTimeout(detached, s.cfg.QueueGrace+creq.Options.Timeout)
 	queueSp := tr.StartSpan("queue_wait")
 	queued := time.Now()
-	var body []byte
-	var solveErr error
-	var skipStore bool
-	err := s.pool.Submit(ctx, func() {
-		wait := time.Since(queued)
-		queueSp.End()
-		out.queueNs.Store(int64(wait))
-		s.cfg.Registry.ObserveDuration("service_queue_wait", wait)
-		solveT := s.cfg.Registry.Timer("service_solve")
-		solveSp := tr.StartSpan("solve")
-		s.solves.Inc()
-		sctx := obs.ContextWithSpan(obs.ContextWithTrace(ctx, tr), solveSp)
-		res, err := s.injectedSolve(sctx, creq, &skipStore)
-		solveDur := solveT.Stop()
-		out.solveNs.Store(int64(solveDur))
-		if err != nil {
-			if solveSp != nil {
-				solveSp.SetAttrs(obs.String("error", err.Error()))
-				solveSp.End()
-			}
-			if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, faultinject.ErrInjected) {
-				// A missed solve deadline keeps its identity so the
-				// HTTP layer can degrade instead of erroring; an
-				// injected solver error is machinery failure (500),
-				// not a malformed instance (422).
-				solveErr = err
-			} else {
-				solveErr = errSolve{err}
-			}
-			return
-		}
-		if solveSp != nil {
-			solveSp.SetAttrs(
-				obs.Bool("found", res.Found),
-				obs.Int("height", int64(res.Height)),
-				obs.String("reason", res.Reason.String()),
-			)
-			solveSp.End()
-		}
-		body, solveErr = buildResponse(digest, creq, res, QualityExact)
-	})
-	// A job that was shed (errBusy) or expired while queued never ran;
-	// close its queue-wait span so the trace does not dangle. End is
-	// idempotent, so the raced already-ran case stays correct.
+	err := s.solveGate.Acquire(waitCtx)
+	cancel()
+	wait := time.Since(queued)
+	// A request shed (errBusy) or expired while waiting never solves;
+	// its queue-wait span still ends so the trace does not dangle.
 	queueSp.End()
 	if err != nil {
 		return nil, err
 	}
-	if solveErr != nil {
-		return nil, solveErr
+	defer s.solveGate.Release()
+	out.queueNs.Store(int64(wait))
+	s.cfg.Registry.ObserveDuration("service_queue_wait", wait)
+	solveT := s.cfg.Registry.Timer("service_solve")
+	solveSp := tr.StartSpan("solve")
+	s.solves.Inc()
+	sctx := obs.ContextWithSpan(obs.ContextWithTrace(detached, tr), solveSp)
+	res, err := s.injectedSolve(sctx, creq, skipStore)
+	out.solveNs.Store(int64(solveT.Stop()))
+	if err != nil {
+		if solveSp != nil {
+			solveSp.SetAttrs(obs.String("error", err.Error()))
+			solveSp.End()
+		}
+		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, faultinject.ErrInjected) {
+			// A missed solve deadline keeps its identity so the HTTP
+			// layer can degrade instead of erroring; an injected
+			// solver error is machinery failure (500), not a malformed
+			// instance (422).
+			return nil, err
+		}
+		return nil, errSolve{err}
 	}
-	if !skipStore {
-		s.cache.Put(digest, body)
+	if solveSp != nil {
+		solveSp.SetAttrs(
+			obs.Bool("found", res.Found),
+			obs.Int("height", int64(res.Height)),
+			obs.String("reason", res.Reason.String()),
+		)
+		solveSp.End()
 	}
-	return body, nil
+	return buildResponse(digest, creq, res, QualityExact)
 }
 
 // injectedSolve interposes the "solver" fault site in front of the
@@ -669,8 +665,8 @@ func (s *Server) Stats() StatsResponse {
 		Timeouts:        s.timeouts.Value(),
 		Canceled:        s.canceled.Value(),
 		Degraded:        s.degraded.Value(),
-		QueueDepth:      s.pool.QueueDepth(),
-		InFlight:        s.pool.InFlight(),
+		QueueDepth:      s.solveGate.QueueDepth(),
+		InFlight:        s.solveGate.InFlight(),
 		Workers:         s.cfg.Workers,
 		MaxInFlight:     s.cfg.MaxInFlight,
 		Cache:           s.cache.Stats(),

@@ -204,7 +204,7 @@ func TestSingleflightOneSolve(t *testing.T) {
 		}(i)
 	}
 	// Let the leader into the stub, give the rest time to pile up
-	// behind the flight group, then release. Exactly-one-solve holds
+	// behind the leader's flight, then release. Exactly-one-solve holds
 	// for any interleaving (stragglers hit the cache), so the timing
 	// here only makes the dedup path likely, not the assertion true.
 	for solves.Load() == 0 {
@@ -338,7 +338,7 @@ func TestAdmissionBackpressure(t *testing.T) {
 	second := make(chan *httptest.ResponseRecorder, 1)
 	go func() { second <- post(t, h, genBody(2, 2)) }()
 	deadline := time.Now().Add(5 * time.Second)
-	for s.pool.QueueDepth() != 1 {
+	for s.solveGate.QueueDepth() != 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("second request never queued")
 		}
@@ -379,6 +379,24 @@ func TestQueuedRequestDeadline(t *testing.T) {
 	}
 	if st := s.Stats(); st.Timeouts != 1 {
 		t.Fatalf("timeouts counter = %d, want 1", st.Timeouts)
+	}
+}
+
+// TestStartedSolveIsNeverThrownAway: the queue grace plus the solve
+// timeout bound only the wait for a solver slot. A solve that started
+// and outlives that budget still answers 200 and fills the cache.
+func TestStartedSolveIsNeverThrownAway(t *testing.T) {
+	s := newTestServer(t, Config{QueueGrace: 10 * time.Millisecond})
+	s.solve = func(context.Context, *canon.Request) (*core.Result, error) {
+		time.Sleep(100 * time.Millisecond)
+		return stubResult(1), nil
+	}
+	body := `{"fabric":"spartan-like-24x16","generate":{"seed":1,"numModules":1,"clbMin":4,"clbMax":6,"noBram":true},"options":{"timeoutMs":10}}`
+	if rr := post(t, s.Handler(), body); rr.Code != http.StatusOK {
+		t.Fatalf("slow started solve: status %d body %s, want 200", rr.Code, rr.Body)
+	}
+	if n := s.cache.Len(); n != 1 {
+		t.Fatalf("cache holds %d entries, want 1", n)
 	}
 }
 

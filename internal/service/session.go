@@ -26,14 +26,14 @@ import (
 // at capacity, the least recently used.
 //
 // Session solves (the CP replan behind a blocked arrival, the
-// compaction behind /defrag) deliberately do NOT go through the
-// stateless worker pool: a pooled solve runs detached and may outlive
-// its request, which is exactly wrong for an operation that mutates
-// session state — the client must observe the true outcome. Instead a
-// Workers-sized slot set bounds concurrent session solves inline; when
-// it is saturated a place request degrades to the greedy-only path
-// (X-Placement-Quality: approximate) if degradation is enabled, and is
-// shed with 429 otherwise.
+// compaction behind /defrag) deliberately do NOT run on a detached
+// /v1/place leader: a detached solve may outlive its request, which is
+// exactly wrong for an operation that mutates session state — the
+// client must observe the true outcome. They run inline instead, each
+// holding a slot of sessionGate, a second gate of Workers slots that is
+// never waited for (TryAcquire). When it is saturated a place request
+// degrades to the greedy-only path (X-Placement-Quality: approximate)
+// if degradation is enabled, and is shed with 429 otherwise.
 
 // session is one live fabric. mu serialises all State access; lastUsed
 // and elem belong to the store and are guarded by the store's lock.
@@ -428,16 +428,16 @@ func (s *Server) handleSessionPlace(w http.ResponseWriter, r *http.Request, tr *
 	var result online.PlaceOutcome
 	sp := tr.StartSpan("session_place")
 	start := time.Now()
-	if s.acquireSessionSlot() {
+	if s.sessionGate.TryAcquire() {
 		// The inline solve deliberately runs under the session lock:
 		// the whole point of a session is that its mutations are
-		// serialised, and the slot set bounds how many such solves run
-		// at once. Responses are also written under the lock so the
-		// answer reflects exactly the state the client's shadow will
-		// replay.
-		//solverlint:allow lockscope per-session serialisation is the contract; concurrency is bounded by sessionSlots, not by shortening this critical section
+		// serialised, and the session gate bounds how many such
+		// solves run at once. Responses are also written under the
+		// lock so the answer reflects exactly the state the client's
+		// shadow will replay.
+		//solverlint:allow lockscope per-session serialisation is the contract; concurrency is bounded by sessionGate, not by shortening this critical section
 		result, err = sess.state.Place(id, mod)
-		s.releaseSessionSlot()
+		s.sessionGate.Release()
 	} else if s.cfg.Degrade {
 		// Solver capacity is saturated: fall back to the greedy-only
 		// path. A greedy decision costs microseconds and needs no
@@ -542,7 +542,7 @@ func (s *Server) handleSessionDefrag(w http.ResponseWriter, r *http.Request, tr 
 	}
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	if !s.acquireSessionSlot() {
+	if !s.sessionGate.TryAcquire() {
 		s.rejected.Inc()
 		//solverlint:allow lockscope in-memory response writer; writing under the session lock keeps the answer consistent with the state the client replays
 		w.Header().Set("Retry-After", "1")
@@ -552,7 +552,7 @@ func (s *Server) handleSessionDefrag(w http.ResponseWriter, r *http.Request, tr 
 	sp := tr.StartSpan("session_defrag")
 	start := time.Now()
 	result, err := sess.state.Defrag()
-	s.releaseSessionSlot()
+	s.sessionGate.Release()
 	out.solveNs.Store(int64(time.Since(start)))
 	if sp != nil {
 		sp.SetAttrs(obs.Int("moves", int64(len(result.Moves))))
@@ -633,19 +633,6 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request, tr 
 	// Idempotent like module release: deleting a gone session is 200.
 	writeJSON(w, http.StatusOK, map[string]any{"session": id, "closed": closed})
 }
-
-// acquireSessionSlot takes one inline-solve slot without blocking;
-// false means session solver capacity is saturated.
-func (s *Server) acquireSessionSlot() bool {
-	select {
-	case s.sessionSlots <- struct{}{}:
-		return true
-	default:
-		return false
-	}
-}
-
-func (s *Server) releaseSessionSlot() { <-s.sessionSlots }
 
 func moveSpecs(moves []online.MoveCost) []MoveSpec {
 	if len(moves) == 0 {

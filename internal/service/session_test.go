@@ -315,12 +315,12 @@ func TestSessionFaultInjection(t *testing.T) {
 // approximate) when degradation is on.
 func TestSessionSaturationShedsOrDegrades(t *testing.T) {
 	saturate := func(s *Server) func() {
-		for i := 0; i < cap(s.sessionSlots); i++ {
-			s.sessionSlots <- struct{}{}
+		for i := 0; i < cap(s.sessionGate.slots); i++ {
+			s.sessionGate.slots <- struct{}{}
 		}
 		return func() {
-			for i := 0; i < cap(s.sessionSlots); i++ {
-				<-s.sessionSlots
+			for i := 0; i < cap(s.sessionGate.slots); i++ {
+				<-s.sessionGate.slots
 			}
 		}
 	}

@@ -139,7 +139,7 @@ func TestQueueWaitSpanUnderSaturation(t *testing.T) {
 	var once sync.Once
 	s.solve = func(_ context.Context, req *canon.Request) (*core.Result, error) {
 		once.Do(func() { close(entered) })
-		if req.Modules[0].Name() == "m0" { // the blocker
+		if len(req.Modules) == 1 { // the blocker: genBody(1, 1)
 			<-release
 		}
 		return stubResult(len(req.Modules)), nil
@@ -148,12 +148,13 @@ func TestQueueWaitSpanUnderSaturation(t *testing.T) {
 
 	blocker := make(chan *httptest.ResponseRecorder, 1)
 	go func() { blocker <- post(t, h, genBody(1, 1)) }()
-	<-entered // the lone worker is now occupied
+	<-entered // the lone solver slot is now occupied
 
 	queuedDone := make(chan *httptest.ResponseRecorder, 1)
 	go func() { queuedDone <- post(t, h, genBody(2, 2)) }()
-	// Give the queued request time to be admitted to the queue before
-	// releasing the blocker, so a real wait accrues.
+	// Once the queued request waits at the gate, hold the blocker for
+	// 20ms more, so a real wait accrues.
+	waitUntil(t, "the queued request", func() bool { return s.solveGate.QueueDepth() == 1 })
 	time.Sleep(20 * time.Millisecond)
 	close(release)
 
@@ -170,8 +171,8 @@ func TestQueueWaitSpanUnderSaturation(t *testing.T) {
 	if !ok {
 		t.Fatalf("saturated request's trace has no queue_wait span: %+v", ts.Spans)
 	}
-	if !qw.Ended || qw.DurMs <= 0 {
-		t.Fatalf("queue_wait span did not record the wait: %+v", qw)
+	if !qw.Ended || qw.DurMs < 10 {
+		t.Fatalf("queue_wait span did not record the wait (want >= 10ms): %+v", qw)
 	}
 }
 
