@@ -19,8 +19,10 @@
 // even with modules or shapes listed in a different order — returns
 // the byte-identical body from the cache (X-Cache: hit). /v1/healthz
 // answers liveness probes, /v1/stats reports cache hit ratio, queue
-// depth, in-flight solves and rolling SLO attainment, and /v1/fabrics
-// lists the device catalog.
+// depth, in-flight solves and rolling SLO attainment, /v1/fabrics
+// lists the device catalog, and GET /metrics serves the metric
+// registry live in Prometheus text format: the service counters, the
+// solver phase timers and the solver's own search counters.
 //
 // The daemon also serves stateful online sessions: POST /v1/sessions
 // opens a fabric-backed session with a selectable greedy manager,
@@ -64,7 +66,6 @@ type cliOpts struct {
 	maxInFlight    int
 	defaultTimeout time.Duration
 	maxTimeout     time.Duration
-	metricsPath    string
 	tracePath      string
 	accessLog      string
 	sloLatency     time.Duration
@@ -85,7 +86,6 @@ func main() {
 	flag.IntVar(&o.maxInFlight, "max-inflight", 64, "admission queue capacity before 429")
 	flag.DurationVar(&o.defaultTimeout, "default-timeout", 10*time.Second, "per-solve budget when the request sets none")
 	flag.DurationVar(&o.maxTimeout, "max-timeout", time.Minute, "cap on the per-solve budget a request may ask for")
-	flag.StringVar(&o.metricsPath, "metrics", "", "dump metrics at exit: - for a summary table, a path for Prometheus text format")
 	flag.StringVar(&o.tracePath, "trace", "", "stream span and solver events as JSONL to this path (- for stdout, feed to tracecat)")
 	flag.StringVar(&o.accessLog, "access-log", "-", "write one JSON line per request to this path (- for stdout, empty to disable)")
 	flag.DurationVar(&o.sloLatency, "slo-latency", 500*time.Millisecond, "request-latency objective for /v1/stats SLO accounting")
@@ -104,7 +104,7 @@ func main() {
 }
 
 func run(o cliOpts) (err error) {
-	session, err := obs.Start(obs.Config{MetricsPath: o.metricsPath, TracePath: o.tracePath})
+	session, err := obs.Start(obs.Config{TracePath: o.tracePath})
 	if err != nil {
 		return err
 	}
@@ -113,11 +113,6 @@ func run(o cliOpts) (err error) {
 			err = cerr
 		}
 	}()
-	reg := session.Registry
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-
 	// The tracer always runs: the in-memory recent/slowest rings behind
 	// /debug/traces are cheap, and the span JSONL stream only flows
 	// when -trace opened a sink.
@@ -157,7 +152,7 @@ func run(o cliOpts) (err error) {
 		DefaultTimeout:  o.defaultTimeout,
 		MaxTimeout:      o.maxTimeout,
 		DefaultPresolve: presolve,
-		Registry:        reg,
+		Registry:        obs.NewRegistry(),
 		Tracer:          tracer,
 		AccessLog:       accessLog,
 		SLOLatency:      o.sloLatency,

@@ -118,7 +118,9 @@ type Options struct {
 	// Nil keeps the solve free of any recording overhead.
 	Recorder obs.Recorder
 	// Metrics, when non-nil, receives phase timings (model build,
-	// search, propagation, optimality proof) and enables per-fixpoint
+	// search, propagation, optimality proof) and the search's own
+	// effort counters (backtracks, propagations, incumbents, best
+	// objective, runs per propagator), and enables per-fixpoint
 	// propagation timing on the store.
 	Metrics *obs.Registry
 }
@@ -259,6 +261,10 @@ func (p *Placer) Place(mods []*module.Module) (*Result, error) {
 	if p.opts.Recorder != nil {
 		p.opts.Recorder.Record(obs.Event{Kind: obs.KindPhase, Phase: "search"})
 	}
+	var runsBase map[string]int64
+	if reg != nil {
+		runsBase = runsByName(st)
+	}
 	searchT := reg.Timer("phase_search")
 	if p.opts.FirstSolutionOnly {
 		onSolution := func(s *csp.Store) bool {
@@ -290,6 +296,7 @@ func (p *Placer) Place(mods []*module.Module) (*Result, error) {
 	}
 	searchDur := searchT.Stop()
 	if reg != nil {
+		exportCounters(reg, res, st, runsBase)
 		reg.ObserveDuration("phase_propagation", st.PropagationTime())
 		// The optimality proof is the tail of the search after the last
 		// improving solution.
@@ -305,6 +312,34 @@ func (p *Placer) Place(mods []*module.Module) (*Result, error) {
 		res.Utilization = metrics.Utilization(p.region, res.Occupancy(p.region))
 	}
 	return res, nil
+}
+
+// runsByName maps each propagator name on st to its runs so far.
+func runsByName(st *csp.Store) map[string]int64 {
+	runs := map[string]int64{}
+	for _, s := range st.PropagatorStats() {
+		runs[s.Name] = s.Runs
+	}
+	return runs
+}
+
+// exportCounters adds the search's own effort counts to reg: the
+// totals of res, its incumbents and best objective, and each
+// propagator's runs since the search started (runsBase). Like
+// res.Propagations, the runs leave out the propagation of presolve and
+// the warm clip before the search.
+func exportCounters(reg *obs.Registry, res *Result, st *csp.Store, runsBase map[string]int64) {
+	reg.Counter("solver_backtracks_total").Add(res.Backtracks)
+	reg.Counter("solver_propagations_total").Add(res.Propagations)
+	reg.Counter("solver_incumbents_total").Add(int64(len(res.ObjectiveTrace)))
+	if n := len(res.ObjectiveTrace); n > 0 {
+		reg.Gauge("solver_best_objective").Set(float64(res.ObjectiveTrace[n-1].Objective))
+	}
+	for _, s := range st.PropagatorStats() {
+		if d := s.Runs - runsBase[s.Name]; d > 0 {
+			reg.Counter(`solver_propagator_runs_total{propagator="` + s.Name + `"}`).Add(d)
+		}
+	}
 }
 
 // chooser builds the branching-variable heuristic. It always exhausts

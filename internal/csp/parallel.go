@@ -212,7 +212,7 @@ func (r *run) parallel(vars []*Var, obj *Var) error {
 	}
 	wg.Wait()
 	for _, w := range workers {
-		r.clonePropags += w.st.nPropag
+		st.fold(w.st)
 	}
 	return nil
 }

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -139,6 +141,58 @@ func TestParallelWorkerEvents(t *testing.T) {
 	}
 	if tagged == 0 {
 		t.Fatal("no event carries a worker attribution")
+	}
+}
+
+// sleepProp is a clonable propagator that only burns time, adding
+// what it slept to slept (shared with its clones), so a test can bound
+// from below the propagation time its runs account for.
+type sleepProp struct{ slept *atomic.Int64 }
+
+func (p sleepProp) Name() string                  { return "test.sleep" }
+func (p sleepProp) CloneFor(*CloneCtx) Propagator { return p }
+func (p sleepProp) Propagate(*Store) error {
+	start := time.Now()
+	time.Sleep(20 * time.Microsecond)
+	p.slept.Add(int64(time.Since(start)))
+	return nil
+}
+
+// TestParallelCloneFold checks that a parallel Minimize folds its
+// worker clones' statistics into the caller's store: the store's
+// propagation count rises by exactly the run's Propagations, its
+// per-propagator runs include the bnb.bound cut that only the clones
+// carry, and its propagation time covers the time spent on the clones.
+func TestParallelCloneFold(t *testing.T) {
+	st, vars, obj := randomInstance(3, 5)
+	var slept atomic.Int64
+	st.Post(sleepProp{&slept}, append(vars, obj)...)
+	st.EnableTiming(true)
+	before := st.Stats()
+	res, err := Minimize(st, vars, obj, Options{Workers: 2}, nil)
+	if err != nil {
+		t.Fatalf("Minimize: %v", err)
+	}
+	if got := st.Stats() - before; got != res.Propagations {
+		t.Fatalf("store propagations rose by %d, run reports %d", got, res.Propagations)
+	}
+	runs := map[string]int64{}
+	var total int64
+	for _, s := range st.PropagatorStats() {
+		runs[s.Name] = s.Runs
+		total += s.Runs
+	}
+	if total != st.Stats() {
+		t.Fatalf("per-propagator runs sum to %d, store counts %d", total, st.Stats())
+	}
+	if runs["bnb.bound"] == 0 {
+		t.Fatalf("clones' bnb.bound runs missing: %v", runs)
+	}
+	if runs["test.sleep"] < 10 {
+		t.Fatalf("sleep propagator ran %d times, want runs on the clones too", runs["test.sleep"])
+	}
+	if st.PropagationTime() < time.Duration(slept.Load()) {
+		t.Fatalf("propagation time %v < %v slept in %d runs", st.PropagationTime(), time.Duration(slept.Load()), runs["test.sleep"])
 	}
 }
 

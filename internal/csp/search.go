@@ -338,14 +338,13 @@ type run struct {
 	opts     Options
 	st       *Store // the caller's store
 	prevRec  obs.Recorder
-	propBase int64 // st's propagation count on entry
+	propBase int64 // st's propagation count on entry; worker clones fold into st
 	start    time.Time
 
-	stopped      atomic.Bool
-	reason       atomic.Int32 // first StopReason to fire; -1 = none
-	nodes        atomic.Int64
-	backtracks   atomic.Int64
-	clonePropags int64 // propagations on worker clones, summed after they finish
+	stopped    atomic.Bool
+	reason     atomic.Int32 // first StopReason to fire; -1 = none
+	nodes      atomic.Int64
+	backtracks atomic.Int64
 
 	found        atomic.Bool  // an incumbent exists
 	lastImproved atomic.Int64 // nodes at the last strict improvement
@@ -387,7 +386,7 @@ func (r *run) stop(why StopReason) {
 
 // counters returns the run's nodes, backtracks and propagations.
 func (r *run) counters() (nodes, backtracks, propagations int64) {
-	return r.nodes.Load(), r.backtracks.Load(), r.st.nPropag - r.propBase + r.clonePropags
+	return r.nodes.Load(), r.backtracks.Load(), r.st.nPropag - r.propBase
 }
 
 // outcome reports why the run ended and whether it exhausted the space;

@@ -113,6 +113,10 @@ type Store struct {
 	failed  bool
 	nPropag int64 // statistics: propagator executions
 
+	// folded holds the per-propagator runs of finished clones, by
+	// name (see fold).
+	folded map[string]int64
+
 	// Observability. rec is nil on the uninstrumented path; running is
 	// the index of the propagator currently executing, for prune
 	// attribution (-1 outside propagation).
@@ -139,7 +143,8 @@ func (st *Store) Recorder() obs.Recorder { return st.rec }
 func (st *Store) EnableTiming(on bool) { st.timing = on }
 
 // PropagationTime returns the accumulated propagation wall-clock time
-// (zero unless EnableTiming was switched on).
+// (zero unless EnableTiming was switched on). A parallel Minimize adds
+// each worker clone's time, so it can exceed the search's wall clock.
 func (st *Store) PropagationTime() time.Duration { return st.propagDur }
 
 // NewVar creates a variable with the given initial domain. The domain is
@@ -189,7 +194,8 @@ func (st *Store) enqueue(idx int) {
 	}
 }
 
-// Stats returns the number of propagator executions so far.
+// Stats returns the number of propagator executions so far, including
+// those of the worker clones a parallel Minimize searched on.
 func (st *Store) Stats() int64 { return st.nPropag }
 
 // PropagatorStat is the aggregated execution count of all propagators
@@ -216,9 +222,14 @@ func (st *Store) propName(idx int) string {
 }
 
 // PropagatorStats returns per-propagator execution counts aggregated by
-// name, most-run first (ties broken alphabetically).
+// name, most-run first (ties broken alphabetically). Like Stats, it
+// includes the runs of a parallel Minimize's worker clones.
 func (st *Store) PropagatorStats() []PropagatorStat {
 	byName := map[string]int64{}
+	//solverlint:allow nondeterminism aggregation order is irrelevant; the result is fully sorted below before returning
+	for n, r := range st.folded {
+		byName[n] += r
+	}
 	for i := range st.props {
 		byName[st.propName(i)] += st.props[i].runs
 	}
@@ -234,6 +245,23 @@ func (st *Store) PropagatorStats() []PropagatorStat {
 		return out[i].Name < out[j].Name
 	})
 	return out
+}
+
+// fold adds the statistics of cl, a finished clone of st, to st's own:
+// the propagation count, the propagation time and the per-propagator
+// runs. Runs fold by name, not by index: a clone may carry propagators
+// st does not, such as a parallel worker's branch-and-bound cut.
+func (st *Store) fold(cl *Store) {
+	st.nPropag += cl.nPropag
+	st.propagDur += cl.propagDur
+	if st.folded == nil {
+		st.folded = map[string]int64{}
+	}
+	for i := range cl.props {
+		if r := cl.props[i].runs; r > 0 {
+			st.folded[cl.propName(i)] += r
+		}
+	}
 }
 
 // namedProp decorates a propagator with an explicit metrics name.

@@ -49,6 +49,19 @@ func (g *Gauge) Set(v float64) {
 	}
 }
 
+// SetMax raises the gauge to v when v exceeds its current value.
+func (g *Gauge) SetMax(v float64) {
+	if g == nil {
+		return
+	}
+	for {
+		old := g.bits.Load()
+		if math.Float64frombits(old) >= v || g.bits.CompareAndSwap(old, math.Float64bits(v)) {
+			return
+		}
+	}
+}
+
 // Value returns the stored value.
 func (g *Gauge) Value() float64 {
 	if g == nil {

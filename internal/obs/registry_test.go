@@ -75,7 +75,7 @@ func TestRegistryConcurrency(t *testing.T) {
 				r.Counter("shared_total").Inc()
 				r.Gauge("shared_gauge").Set(float64(i))
 				r.Histogram("shared_hist", 1, 10, 100).Observe(float64(i % 150))
-				stats.Record(Event{Kind: KindPropagate, Prop: "p"})
+				stats.Record(Event{Kind: KindPrune, Removed: 2})
 				stats.Record(Event{Kind: KindBranch, Depth: i % 40})
 			}
 		}(g)
@@ -87,14 +87,17 @@ func TestRegistryConcurrency(t *testing.T) {
 	if got := r.Histogram("shared_hist").Count(); got != 8000 {
 		t.Fatalf("hist count = %d, want 8000", got)
 	}
-	if got := r.Counter("solver_propagations_total").Value(); got != 8000 {
-		t.Fatalf("propagations = %d, want 8000", got)
+	if got := r.Counter("solver_pruned_values_total").Value(); got != 16000 {
+		t.Fatalf("pruned values = %d, want 16000", got)
+	}
+	if got := r.Gauge("solver_max_depth").Value(); got != 39 {
+		t.Fatalf("max depth = %v, want 39", got)
 	}
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), `solver_propagator_runs_total{propagator="p"} 8000`) {
-		t.Fatalf("per-propagator counter missing:\n%s", sb.String())
+	if !strings.Contains(sb.String(), "solver_branches_total 8000") {
+		t.Fatalf("branch counter missing:\n%s", sb.String())
 	}
 }

@@ -89,43 +89,28 @@ func (j *JSONL) Flush() error {
 	return j.bw.Flush()
 }
 
-// Stats is a Recorder that aggregates the event stream into a Registry:
-// totals for branches/backtracks/propagations/prunes, pruned-value
-// counts, per-propagator run counters, and the incumbent objective
-// trajectory (gauge solver_best_objective, counter
-// solver_incumbents_total).
+// Stats is a Recorder that aggregates the quantities that exist only
+// as events into a Registry: branches, prunes and pruned values,
+// solutions, and the maximum search depth. The search's own counts
+// (backtracks, propagations, incumbents, runs per propagator) are
+// exported by the placer from the solver itself (core.Options.Metrics).
+// Safe for concurrent Record calls.
 type Stats struct {
-	reg *Registry
-
-	branches     *Counter
-	backtracks   *Counter
-	propagations *Counter
-	prunes       *Counter
-	pruned       *Counter
-	solutions    *Counter
-	incumbents   *Counter
-	best         *Gauge
-	maxDepth     *Gauge
-
-	mu      sync.Mutex
-	perProp map[string]*Counter
-	maxSeen int
+	branches  *Counter
+	prunes    *Counter
+	pruned    *Counter
+	solutions *Counter
+	maxDepth  *Gauge
 }
 
 // NewStats returns a Stats aggregator feeding reg.
 func NewStats(reg *Registry) *Stats {
 	return &Stats{
-		reg:          reg,
-		branches:     reg.Counter("solver_branches_total"),
-		backtracks:   reg.Counter("solver_backtracks_total"),
-		propagations: reg.Counter("solver_propagations_total"),
-		prunes:       reg.Counter("solver_prunes_total"),
-		pruned:       reg.Counter("solver_pruned_values_total"),
-		solutions:    reg.Counter("solver_solutions_total"),
-		incumbents:   reg.Counter("solver_incumbents_total"),
-		best:         reg.Gauge("solver_best_objective"),
-		maxDepth:     reg.Gauge("solver_max_depth"),
-		perProp:      map[string]*Counter{},
+		branches:  reg.Counter("solver_branches_total"),
+		prunes:    reg.Counter("solver_prunes_total"),
+		pruned:    reg.Counter("solver_pruned_values_total"),
+		solutions: reg.Counter("solver_solutions_total"),
+		maxDepth:  reg.Gauge("solver_max_depth"),
 	}
 }
 
@@ -134,41 +119,13 @@ func (s *Stats) Record(e Event) {
 	switch e.Kind {
 	case KindBranch:
 		s.branches.Inc()
-		s.noteDepth(e.Depth)
-	case KindBacktrack:
-		s.backtracks.Inc()
-	case KindPropagate:
-		s.propagations.Inc()
-		s.propCounter(e.Prop).Inc()
+		s.maxDepth.SetMax(float64(e.Depth))
 	case KindPrune:
 		s.prunes.Inc()
 		s.pruned.Add(int64(e.Removed))
 	case KindSolution:
 		s.solutions.Inc()
-	case KindIncumbent:
-		s.incumbents.Inc()
-		s.best.Set(float64(e.Objective))
 	}
-}
-
-func (s *Stats) noteDepth(d int) {
-	s.mu.Lock()
-	if d > s.maxSeen {
-		s.maxSeen = d
-		s.maxDepth.Set(float64(d))
-	}
-	s.mu.Unlock()
-}
-
-func (s *Stats) propCounter(name string) *Counter {
-	s.mu.Lock()
-	c, ok := s.perProp[name]
-	if !ok {
-		c = s.reg.Counter(`solver_propagator_runs_total{propagator="` + name + `"}`)
-		s.perProp[name] = c
-	}
-	s.mu.Unlock()
-	return c
 }
 
 // family splits a possibly-labelled metric name into its family.

@@ -48,30 +48,38 @@ func TestStatsAggregation(t *testing.T) {
 	s := NewStats(r)
 	s.Record(Event{Kind: KindBranch, Depth: 3})
 	s.Record(Event{Kind: KindBranch, Depth: 9})
+	s.Record(Event{Kind: KindBranch, Depth: 4})
 	s.Record(Event{Kind: KindBacktrack, Depth: 9})
 	s.Record(Event{Kind: KindPropagate, Prop: "geost.non-overlap"})
-	s.Record(Event{Kind: KindPropagate, Prop: "geost.non-overlap"})
 	s.Record(Event{Kind: KindPrune, Var: "v", Removed: 12, Prop: "geost.non-overlap"})
-	s.Record(Event{Kind: KindIncumbent, Objective: 17, Nodes: 100})
+	s.Record(Event{Kind: KindSolution})
 	s.Record(Event{Kind: KindIncumbent, Objective: 13, Nodes: 150})
 
-	if got := r.Counter("solver_branches_total").Value(); got != 2 {
+	if got := r.Counter("solver_branches_total").Value(); got != 3 {
 		t.Errorf("branches = %d", got)
 	}
-	if got := r.Counter("solver_backtracks_total").Value(); got != 1 {
-		t.Errorf("backtracks = %d", got)
-	}
-	if got := r.Counter(`solver_propagator_runs_total{propagator="geost.non-overlap"}`).Value(); got != 2 {
-		t.Errorf("per-prop runs = %d", got)
+	if got := r.Counter("solver_prunes_total").Value(); got != 1 {
+		t.Errorf("prunes = %d", got)
 	}
 	if got := r.Counter("solver_pruned_values_total").Value(); got != 12 {
 		t.Errorf("pruned values = %d", got)
 	}
-	if got := r.Gauge("solver_best_objective").Value(); got != 13 {
-		t.Errorf("best objective = %v", got)
+	if got := r.Counter("solver_solutions_total").Value(); got != 1 {
+		t.Errorf("solutions = %d", got)
 	}
 	if got := r.Gauge("solver_max_depth").Value(); got != 9 {
 		t.Errorf("max depth = %v", got)
+	}
+	// The search's own counts are the placer's to export; Stats leaves
+	// them alone.
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"solver_backtracks_total", "solver_propagations_total", "solver_propagator_runs_total", "solver_incumbents_total", "solver_best_objective"} {
+		if strings.Contains(sb.String(), name) {
+			t.Errorf("Stats exported %s:\n%s", name, sb.String())
+		}
 	}
 }
 
@@ -139,7 +147,7 @@ func TestSessionRoundTrip(t *testing.T) {
 	if s.Recorder == nil || s.Registry == nil {
 		t.Fatal("session must expose recorder and registry")
 	}
-	s.Recorder.Record(Event{Kind: KindBranch, Var: "x", Value: 1})
+	s.Recorder.Record(Event{Kind: KindBranch, Var: "x", Value: 1, Depth: 4})
 	s.Recorder.Record(Event{Kind: KindIncumbent, Objective: 4})
 	s.Registry.Counter("custom_total").Inc()
 	if err := s.Close(); err != nil {
@@ -167,7 +175,7 @@ func TestSessionRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"custom_total 1", "solver_branches_total 1", "solver_best_objective 4"} {
+	for _, want := range []string{"custom_total 1", "solver_branches_total 1", "solver_max_depth 4"} {
 		if !strings.Contains(string(prom), want) {
 			t.Errorf("metrics missing %q:\n%s", want, prom)
 		}

@@ -1,14 +1,12 @@
 package obs
 
 import (
-	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -437,91 +435,4 @@ func (s *Span) End() time.Duration {
 		})
 	}
 	return d
-}
-
-// Context carriage. Traces and spans travel down a request path via
-// context.Context so layers that never see each other (HTTP handler,
-// admission gate, solver adapter) agree on the owning request.
-
-type traceCtxKey struct{}
-type spanCtxKey struct{}
-
-// ContextWithTrace returns ctx carrying t (ctx unchanged when t is
-// nil, so disabled tracing adds no context allocation).
-func ContextWithTrace(ctx context.Context, t *Trace) context.Context {
-	if t == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, traceCtxKey{}, t)
-}
-
-// TraceFromContext returns the trace carried by ctx, or nil.
-func TraceFromContext(ctx context.Context) *Trace {
-	t, _ := ctx.Value(traceCtxKey{}).(*Trace)
-	return t
-}
-
-// ContextWithSpan returns ctx carrying s (ctx unchanged when s is nil).
-func ContextWithSpan(ctx context.Context, s *Span) context.Context {
-	if s == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, spanCtxKey{}, s)
-}
-
-// SpanFromContext returns the span carried by ctx, or nil.
-func SpanFromContext(ctx context.Context) *Span {
-	s, _ := ctx.Value(spanCtxKey{}).(*Span)
-	return s
-}
-
-// SpanStats is a Recorder that aggregates a solver event stream into
-// per-request counters, attributing search work to the one request
-// whose solve emitted it. Pass a fresh SpanStats as the solver
-// Options.Recorder for one solve, then AttachTo the request's solve
-// span. Safe for concurrent Record calls (parallel search workers).
-type SpanStats struct {
-	branches     atomic.Int64
-	backtracks   atomic.Int64
-	propagations atomic.Int64
-	prunes       atomic.Int64
-	prunedValues atomic.Int64
-	solutions    atomic.Int64
-	incumbents   atomic.Int64
-}
-
-// Record implements Recorder.
-func (s *SpanStats) Record(e Event) {
-	switch e.Kind {
-	case KindBranch:
-		s.branches.Add(1)
-	case KindBacktrack:
-		s.backtracks.Add(1)
-	case KindPropagate:
-		s.propagations.Add(1)
-	case KindPrune:
-		s.prunes.Add(1)
-		s.prunedValues.Add(int64(e.Removed))
-	case KindSolution:
-		s.solutions.Add(1)
-	case KindIncumbent:
-		s.incumbents.Add(1)
-	}
-}
-
-// AttachTo flattens the counters onto sp as typed attributes (branch
-// events are the solver's node count). Nil-safe on both sides.
-func (s *SpanStats) AttachTo(sp *Span) {
-	if s == nil || sp == nil {
-		return
-	}
-	sp.SetAttrs(
-		Int("nodes", s.branches.Load()),
-		Int("backtracks", s.backtracks.Load()),
-		Int("propagations", s.propagations.Load()),
-		Int("prunes", s.prunes.Load()),
-		Int("pruned_values", s.prunedValues.Load()),
-		Int("solutions", s.solutions.Load()),
-		Int("incumbents", s.incumbents.Load()),
-	)
 }

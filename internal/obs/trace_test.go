@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -179,55 +178,6 @@ func TestTracerRings(t *testing.T) {
 	if snap.Slowest[0].DurMs < snap.Slowest[1].DurMs {
 		t.Fatal("slowest ring not sorted descending")
 	}
-}
-
-func TestContextCarriage(t *testing.T) {
-	tr := NewTracer(TracerConfig{})
-	trace := tr.New("r")
-	sp := trace.StartSpan("s")
-	ctx := ContextWithSpan(ContextWithTrace(context.Background(), trace), sp)
-	if TraceFromContext(ctx) != trace || SpanFromContext(ctx) != sp {
-		t.Fatal("context round trip lost the trace or span")
-	}
-	if TraceFromContext(context.Background()) != nil || SpanFromContext(context.Background()) != nil {
-		t.Fatal("empty context yielded a trace or span")
-	}
-	// Nil values leave the context untouched.
-	base := context.Background()
-	if ContextWithTrace(base, nil) != base || ContextWithSpan(base, nil) != base {
-		t.Fatal("nil trace/span changed the context")
-	}
-}
-
-func TestSpanStatsAttribution(t *testing.T) {
-	var st SpanStats
-	st.Record(Event{Kind: KindBranch})
-	st.Record(Event{Kind: KindBranch})
-	st.Record(Event{Kind: KindBacktrack})
-	st.Record(Event{Kind: KindPropagate})
-	st.Record(Event{Kind: KindPrune, Removed: 5})
-	st.Record(Event{Kind: KindIncumbent, Objective: 3})
-	st.Record(Event{Kind: KindSolution})
-
-	tr := NewTracer(TracerConfig{})
-	trace := tr.New("r")
-	sp := trace.StartSpan("solve")
-	st.AttachTo(sp)
-	sp.End()
-	trace.Finish()
-
-	attrs := tr.Snapshot().Recent[0].Spans[1].Attrs
-	for key, want := range map[string]string{
-		"nodes": "2", "backtracks": "1", "propagations": "1",
-		"prunes": "1", "pruned_values": "5", "incumbents": "1", "solutions": "1",
-	} {
-		if attrs[key] != want {
-			t.Fatalf("attr %s = %q, want %q (attrs %v)", key, attrs[key], want, attrs)
-		}
-	}
-	// Nil-safety both ways.
-	(*SpanStats)(nil).AttachTo(sp)
-	st.AttachTo(nil)
 }
 
 // TestDisabledTracerIsNilSafe drives the whole span API through a nil

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -238,7 +237,7 @@ func TestInjectedSolverErrorIs500(t *testing.T) {
 func TestInjectedPartialResultNotCached(t *testing.T) {
 	s := newTestServer(t, Config{Faults: mustInjector(t, "solver:partial:1")})
 	var solves int
-	s.solve = func(context.Context, *canon.Request) (*core.Result, error) {
+	s.solve = func(*canon.Request) (*core.Result, error) {
 		solves++
 		return stubResult(1), nil
 	}
@@ -269,7 +268,7 @@ func TestCacheFaultForcesMiss(t *testing.T) {
 	s := newTestServer(t, Config{Faults: mustInjector(t, "cache:error:1")})
 	var solves int
 	var mu sync.Mutex
-	s.solve = func(context.Context, *canon.Request) (*core.Result, error) {
+	s.solve = func(*canon.Request) (*core.Result, error) {
 		mu.Lock()
 		solves++
 		mu.Unlock()
@@ -305,7 +304,7 @@ func TestSingleflightFaultBypassesDedup(t *testing.T) {
 	solves := 0
 	entered := make(chan struct{}, 4)
 	release := make(chan struct{})
-	s.solve = func(context.Context, *canon.Request) (*core.Result, error) {
+	s.solve = func(*canon.Request) (*core.Result, error) {
 		mu.Lock()
 		solves++
 		mu.Unlock()
@@ -342,7 +341,7 @@ func TestSingleflightFaultBypassesDedup(t *testing.T) {
 // is observable end to end without failing the request.
 func TestInjectedLatencySlowsRequest(t *testing.T) {
 	s := newTestServer(t, Config{Faults: mustInjector(t, "cache:latency:1:30ms")})
-	s.solve = func(context.Context, *canon.Request) (*core.Result, error) {
+	s.solve = func(*canon.Request) (*core.Result, error) {
 		return stubResult(1), nil
 	}
 	h := s.Handler()
@@ -362,7 +361,7 @@ func TestInjectedLatencySlowsRequest(t *testing.T) {
 // set, so cached bodies stay byte-identical across this change.
 func TestExactResponseBytesPinned(t *testing.T) {
 	s := newTestServer(t, Config{})
-	s.solve = func(context.Context, *canon.Request) (*core.Result, error) {
+	s.solve = func(*canon.Request) (*core.Result, error) {
 		return &core.Result{Found: true, Height: 4, Utilization: 0.5, Optimal: true}, nil
 	}
 	h := s.Handler()

@@ -11,10 +11,12 @@
 // Every /v1/place request is traced end to end when a Tracer is
 // configured: canonicalization, cache lookup, singleflight role,
 // admission-queue wait and the solve itself become spans of one
-// request-scoped trace (internal/obs), the solver's counters are
-// attributed to the owning request's solve span, the trace id travels
-// back in the X-Trace-Id header, one JSON access-log line is emitted
-// per request, and rolling SLO attainment is reported by /v1/stats.
+// request-scoped trace (internal/obs), the solve span carries the
+// solver's own counts from core.Result, the trace id travels back in
+// the X-Trace-Id header, one JSON access-log line is emitted per
+// request, and rolling SLO attainment is reported by /v1/stats. The
+// registry — service counters, solver phase timers and search
+// counters — is served live in Prometheus text by GET /metrics.
 //
 // Endpoints:
 //
@@ -28,6 +30,7 @@
 //	GET    /v1/healthz                      liveness
 //	GET    /v1/stats                        cache/queue/solve/session counters plus SLO attainment
 //	GET    /v1/fabrics                      catalog of placeable devices
+//	GET    /metrics                         the metric registry in Prometheus text format
 //	GET    /debug/traces                    recent and slowest request traces
 package service
 
@@ -80,7 +83,8 @@ type Config struct {
 	// by default; cmd/placed lowers it with -presolve=off.
 	DefaultPresolve core.PresolveMode
 	// Registry receives the daemon's counters and histograms; nil
-	// allocates a private registry (still visible via /v1/stats).
+	// allocates a private registry (still served by /v1/stats and
+	// GET /metrics).
 	Registry *obs.Registry
 	// Tracer mints the request-scoped traces; nil disables tracing
 	// (no spans, no X-Trace-Id header) at zero per-request cost.
@@ -171,10 +175,8 @@ type Server struct {
 	slo       *sloTracker
 
 	// solve computes one canonical instance; tests substitute stubs to
-	// probe the concurrency machinery without real solver runs. The
-	// context carries the owning request's solve span (if any); it is
-	// not a cancellation signal — solves run detached by design.
-	solve func(context.Context, *canon.Request) (*core.Result, error)
+	// probe the concurrency machinery without real solver runs.
+	solve func(*canon.Request) (*core.Result, error)
 	// fallback computes the approximate placement served when the
 	// exact solve degraded; tests substitute stubs.
 	fallback func(*canon.Request) (*core.Result, error)
@@ -255,6 +257,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("GET /v1/fabrics", s.handleFabrics)
+	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /debug/traces", s.handleTraces)
 	return mux
 }
@@ -532,8 +535,7 @@ func (s *Server) solveExact(tr *obs.Trace, out *placeOutcome, creq *canon.Reques
 	solveT := s.cfg.Registry.Timer("service_solve")
 	solveSp := tr.StartSpan("solve")
 	s.solves.Inc()
-	sctx := obs.ContextWithSpan(obs.ContextWithTrace(detached, tr), solveSp)
-	res, err := s.injectedSolve(sctx, creq, skipStore)
+	res, err := s.injectedSolve(creq, skipStore)
 	out.solveNs.Store(int64(solveT.Stop()))
 	if err != nil {
 		if solveSp != nil {
@@ -554,6 +556,10 @@ func (s *Server) solveExact(tr *obs.Trace, out *placeOutcome, creq *canon.Reques
 			obs.Bool("found", res.Found),
 			obs.Int("height", int64(res.Height)),
 			obs.String("reason", res.Reason.String()),
+			obs.Int("nodes", res.Nodes),
+			obs.Int("backtracks", res.Backtracks),
+			obs.Int("propagations", res.Propagations),
+			obs.Int("incumbents", int64(len(res.ObjectiveTrace))),
 		)
 		solveSp.End()
 	}
@@ -565,7 +571,7 @@ func (s *Server) solveExact(tr *obs.Trace, out *placeOutcome, creq *canon.Reques
 // deadline miss the HTTP layer degrades on; an injected error as a
 // machinery failure; an injected partial as a stalled, placement-free
 // result that must not poison the cache (hence *skipStore).
-func (s *Server) injectedSolve(ctx context.Context, creq *canon.Request, skipStore *bool) (*core.Result, error) {
+func (s *Server) injectedSolve(creq *canon.Request, skipStore *bool) (*core.Result, error) {
 	fault := s.faults.Check(faultinject.SiteSolver)
 	if fault.Delay > 0 {
 		time.Sleep(fault.Delay)
@@ -579,27 +585,19 @@ func (s *Server) injectedSolve(ctx context.Context, creq *canon.Request, skipSto
 		*skipStore = true
 		return &core.Result{Stalled: true, Reason: csp.StopStalled}, nil
 	}
-	return s.solve(ctx, creq)
+	return s.solve(creq)
 }
 
 // solvePlacement is the production solver: materialise the fabric,
-// window the region, place the canonical module set. When ctx carries
-// a solve span, a per-request obs.SpanStats recorder is threaded
-// through the solver options and the search counters (nodes,
-// backtracks, propagations, prunes, incumbents) are attributed to that
-// span on return.
-func (s *Server) solvePlacement(ctx context.Context, creq *canon.Request) (*core.Result, error) {
+// window the region, place the canonical module set. The placer adds
+// its phase timings and search counters to the daemon's registry.
+func (s *Server) solvePlacement(creq *canon.Request) (*core.Result, error) {
 	region, err := regionFor(creq)
 	if err != nil {
 		return nil, err
 	}
 	opts := creq.Options.Options()
 	opts.Metrics = s.cfg.Registry
-	if sp := obs.SpanFromContext(ctx); sp != nil {
-		stats := &obs.SpanStats{}
-		opts.Recorder = stats
-		defer stats.AttachTo(sp)
-	}
 	return core.New(region, opts).Place(creq.Modules)
 }
 
@@ -609,6 +607,15 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleFabrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string][]string{"fabrics": fabric.Catalog()})
+}
+
+// handleMetrics writes the registry in the Prometheus text exposition
+// format, so a scraper reads the daemon's counters while it runs.
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	// A write error means the scraper went away; there is no one left
+	// to report it to.
+	_ = s.cfg.Registry.WritePrometheus(w)
 }
 
 // handleTraces dumps the tracer's recent and slowest rings. With

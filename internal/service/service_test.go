@@ -180,7 +180,7 @@ func TestSingleflightOneSolve(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 4, MaxInFlight: 64})
 	var solves atomic.Int64
 	release := make(chan struct{})
-	s.solve = func(context.Context, *canon.Request) (*core.Result, error) {
+	s.solve = func(*canon.Request) (*core.Result, error) {
 		solves.Add(1)
 		<-release
 		return stubResult(7), nil
@@ -230,7 +230,7 @@ func TestDistinctRequestsDoNotBlock(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 2, MaxInFlight: 8})
 	slowEntered := make(chan struct{})
 	slowRelease := make(chan struct{})
-	s.solve = func(_ context.Context, req *canon.Request) (*core.Result, error) {
+	s.solve = func(req *canon.Request) (*core.Result, error) {
 		if req.Modules[0].Name() == "slow" {
 			close(slowEntered)
 			<-slowRelease
@@ -271,7 +271,7 @@ func TestDistinctRequestsDoNotBlock(t *testing.T) {
 // wires. Run under -race in CI.
 func TestEvictionChurnServesCorrectPlacements(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 4, MaxInFlight: 256, CacheEntries: 2})
-	s.solve = func(_ context.Context, req *canon.Request) (*core.Result, error) {
+	s.solve = func(req *canon.Request) (*core.Result, error) {
 		// Height identifies the instance: module count is the marker.
 		return stubResult(len(req.Modules)), nil
 	}
@@ -321,7 +321,7 @@ func TestAdmissionBackpressure(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	s.solve = func(context.Context, *canon.Request) (*core.Result, error) {
+	s.solve = func(*canon.Request) (*core.Result, error) {
 		once.Do(func() { close(entered) })
 		<-release
 		return stubResult(1), nil
@@ -360,7 +360,7 @@ func TestQueuedRequestDeadline(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	s.solve = func(context.Context, *canon.Request) (*core.Result, error) {
+	s.solve = func(*canon.Request) (*core.Result, error) {
 		once.Do(func() { close(entered) })
 		<-release
 		return stubResult(1), nil
@@ -387,7 +387,7 @@ func TestQueuedRequestDeadline(t *testing.T) {
 // and outlives that budget still answers 200 and fills the cache.
 func TestStartedSolveIsNeverThrownAway(t *testing.T) {
 	s := newTestServer(t, Config{QueueGrace: 10 * time.Millisecond})
-	s.solve = func(context.Context, *canon.Request) (*core.Result, error) {
+	s.solve = func(*canon.Request) (*core.Result, error) {
 		time.Sleep(100 * time.Millisecond)
 		return stubResult(1), nil
 	}
@@ -403,7 +403,7 @@ func TestStartedSolveIsNeverThrownAway(t *testing.T) {
 func TestSolveErrorsAreNotCached(t *testing.T) {
 	s := newTestServer(t, Config{})
 	var solves atomic.Int64
-	s.solve = func(context.Context, *canon.Request) (*core.Result, error) {
+	s.solve = func(*canon.Request) (*core.Result, error) {
 		solves.Add(1)
 		return nil, fmt.Errorf("module m00: no feasible position")
 	}
@@ -425,7 +425,7 @@ func TestSolveErrorsAreNotCached(t *testing.T) {
 func TestInfeasibleInstanceIsCached(t *testing.T) {
 	s := newTestServer(t, Config{})
 	var solves atomic.Int64
-	s.solve = func(context.Context, *canon.Request) (*core.Result, error) {
+	s.solve = func(*canon.Request) (*core.Result, error) {
 		solves.Add(1)
 		return &core.Result{Found: false}, nil
 	}
@@ -522,6 +522,46 @@ func TestHealthzStatsFabrics(t *testing.T) {
 	// Method mismatches are rejected by the mux.
 	if rr := get(t, h, "/v1/place"); rr.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /v1/place: status %d, want 405", rr.Code)
+	}
+}
+
+// TestMetricsScrape reads the registry live after one miss and one
+// hit: GET /metrics must agree with /v1/stats on the service counters
+// and carry the solver's per-propagator runs from the miss's solve.
+func TestMetricsScrape(t *testing.T) {
+	s := newTestServer(t, Config{})
+	h := s.Handler()
+	body := genBody(1, 6)
+	for _, want := range []string{"miss", "hit"} {
+		if rr := post(t, h, body); rr.Code != http.StatusOK || rr.Header().Get("X-Cache") != want {
+			t.Fatalf("place: status %d X-Cache %q, want %s", rr.Code, rr.Header().Get("X-Cache"), want)
+		}
+	}
+	rr := get(t, h, "/metrics")
+	if rr.Code != http.StatusOK || !strings.HasPrefix(rr.Header().Get("Content-Type"), "text/plain") {
+		t.Fatalf("/metrics: status %d Content-Type %q", rr.Code, rr.Header().Get("Content-Type"))
+	}
+	samples := map[string]string{}
+	for _, line := range strings.Split(rr.Body.String(), "\n") {
+		if name, val, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
+			samples[name] = val
+		}
+	}
+	st := s.Stats()
+	for name, want := range map[string]int64{
+		"service_requests_total":   st.Requests,
+		"service_cache_hits_total": st.CacheHits,
+		"service_solves_total":     st.Solves,
+	} {
+		if got := samples[name]; got != fmt.Sprint(want) {
+			t.Errorf("/metrics %s = %q, /v1/stats says %d", name, got, want)
+		}
+	}
+	if st.Requests != 2 || st.CacheHits != 1 || st.Solves != 1 {
+		t.Errorf("stats after a miss and a hit: %+v", st)
+	}
+	if runs := samples[`solver_propagator_runs_total{propagator="geost.non-overlap"}`]; runs == "" || runs == "0" {
+		t.Errorf("no non-overlap runs in /metrics:\n%s", rr.Body)
 	}
 }
 

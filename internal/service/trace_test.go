@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -100,6 +101,34 @@ func TestTracedRequestSpanTree(t *testing.T) {
 	}
 }
 
+// TestSolveSpanMatchesBody pins that a traced miss's solve span and
+// its response body report the same search: both read the nodes and
+// backtracks of the one core.Result.
+func TestSolveSpanMatchesBody(t *testing.T) {
+	s := newTestServer(t, Config{Tracer: obs.NewTracer(obs.TracerConfig{})})
+	h := s.Handler()
+	rr := post(t, h, genBody(1, 6))
+	if rr.Code != http.StatusOK || rr.Header().Get("X-Cache") != "miss" {
+		t.Fatalf("place: status %d X-Cache %q body %s", rr.Code, rr.Header().Get("X-Cache"), rr.Body)
+	}
+	var body struct {
+		Nodes      int64 `json:"nodes"`
+		Backtracks int64 `json:"backtracks"`
+	}
+	if err := json.Unmarshal(rr.Body.Bytes(), &body); err != nil {
+		t.Fatal(err)
+	}
+	if body.Nodes == 0 {
+		t.Fatalf("miss explored no nodes: %s", rr.Body)
+	}
+	solve := spanNames(findTrace(t, h, rr.Header().Get("X-Trace-Id")))["solve"]
+	for name, want := range map[string]int64{"nodes": body.Nodes, "backtracks": body.Backtracks} {
+		if got := solve.Attrs[name]; got != strconv.FormatInt(want, 10) {
+			t.Errorf("solve span %s = %q, body says %d", name, got, want)
+		}
+	}
+}
+
 // TestCacheHitTraceHasNoSolveSpan requires a hit to skip the solver
 // entirely: its trace contains the lookup (hit=true) but no
 // singleflight, queue_wait, or solve span.
@@ -137,7 +166,7 @@ func TestQueueWaitSpanUnderSaturation(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	s.solve = func(_ context.Context, req *canon.Request) (*core.Result, error) {
+	s.solve = func(req *canon.Request) (*core.Result, error) {
 		once.Do(func() { close(entered) })
 		if len(req.Modules) == 1 { // the blocker: genBody(1, 1)
 			<-release
@@ -184,7 +213,7 @@ func TestQueueWaitSpanUnderSaturation(t *testing.T) {
 func TestConcurrentTracedRequestsNoSpanLeakage(t *testing.T) {
 	tracer := obs.NewTracer(obs.TracerConfig{Recent: 256})
 	s := newTestServer(t, Config{Workers: 4, MaxInFlight: 256, Tracer: tracer})
-	s.solve = func(_ context.Context, req *canon.Request) (*core.Result, error) {
+	s.solve = func(req *canon.Request) (*core.Result, error) {
 		return stubResult(len(req.Modules)), nil
 	}
 	h := s.Handler()
@@ -250,7 +279,7 @@ func TestClientCancelReturns499(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, MaxInFlight: 4, Tracer: tracer})
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	s.solve = func(context.Context, *canon.Request) (*core.Result, error) {
+	s.solve = func(*canon.Request) (*core.Result, error) {
 		close(entered)
 		<-release
 		return stubResult(1), nil

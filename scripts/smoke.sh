@@ -3,11 +3,11 @@
 # the CI "smoke" job (and `make smoke` locally): build cmd/placed,
 # start it on the Table-I fabric's catalog, place the committed smoke
 # request twice and require a cache miss then a byte-identical cache
-# hit, check liveness and the observability round trip (X-Trace-Id
-# header, structured access-log line, span stream rendered by
-# tracecat), run a stateful session round trip (create, place, release,
-# defrag with priced moves, occupancy stats, delete), and shut down
-# cleanly.
+# hit, check liveness, the live /metrics scrape and the observability
+# round trip (X-Trace-Id header, structured access-log line, span
+# stream rendered by tracecat), run a stateful session round trip
+# (create, place, release, defrag with priced moves, occupancy stats,
+# delete), and shut down cleanly.
 set -eu
 
 PORT="${PORT:-18723}"
@@ -58,6 +58,21 @@ if ! cmp -s "$WORKDIR/first.body" "$WORKDIR/second.body"; then
     exit 1
 fi
 echo "smoke: miss then byte-identical hit"
+
+# The registry is served live: after the miss and the hit, the scrape
+# carries the solver's per-propagator runs and exactly one solve.
+curl -sf "$BASE/metrics" >"$WORKDIR/metrics.prom"
+if ! grep -q '^solver_propagator_runs_total{' "$WORKDIR/metrics.prom"; then
+    echo "smoke: /metrics has no solver_propagator_runs_total line" >&2
+    cat "$WORKDIR/metrics.prom" >&2
+    exit 1
+fi
+if ! grep -qx 'service_solves_total 1' "$WORKDIR/metrics.prom"; then
+    echo "smoke: /metrics does not report service_solves_total 1" >&2
+    cat "$WORKDIR/metrics.prom" >&2
+    exit 1
+fi
+echo "smoke: /metrics serves the solver and service counters"
 
 # Every response must carry a 32-hex X-Trace-Id.
 TRACE_ID="$(grep -i '^x-trace-id:' "$WORKDIR/first.headers" | tr -d '\r' | awk '{print $2}')"
