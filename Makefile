@@ -38,13 +38,14 @@ endef
 # Race job, mirroring CI: the full suite once, then the multi-worker
 # search determinism suites, the stateful-session suites and the
 # serving path's concurrency suites (singleflight, admission gate,
-# cache flights) repeated -count=3 (scheduling-order bugs rarely show
-# on a single run).
+# cache flights, permuted-order dedup waiters and spec aliases)
+# repeated -count=3 (scheduling-order bugs rarely show on a single
+# run).
 race:
 	$(GO) test -race ./...
 	$(call race-repeat,Parallel|Clone,./internal/csp ./internal/geost ./internal/core)
 	$(call race-repeat,MaximalEmptyRects|Session,./internal/online)
-	$(call race-repeat,Session|Singleflight|Admission|Queued|Eviction|Cancel|QueueWait|Gate|Join,./internal/service)
+	$(call race-repeat,Session|Singleflight|Admission|Queued|Eviction|Cancel|QueueWait|Gate|Join|Permuted|Aliases,./internal/service)
 
 vet:
 	$(GO) vet ./...
@@ -114,7 +115,8 @@ benchgate:
 	sh scripts/benchgate.sh
 
 # End-to-end daemon smoke test (requires curl): build cmd/placed, serve
-# the committed smoke request, require miss → byte-identical hit.
+# the committed smoke request, require miss → byte-identical hit, then
+# a hit on the same digest for its permuted explicit spelling.
 smoke:
 	sh scripts/smoke.sh
 

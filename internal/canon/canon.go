@@ -22,11 +22,13 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/module"
+	"repro/internal/workload"
 )
 
 // Request is a transport-independent placement request: the instance a
@@ -55,49 +57,76 @@ func (d Digest) String() string { return hex.EncodeToString(d[:]) }
 // names, or invalid options, since none of those have a well-defined
 // canonical instance.
 func (r *Request) Canonical() (*Request, error) {
-	if r.Fabric == "" {
-		return nil, fmt.Errorf("canon: empty fabric name")
-	}
-	if len(r.Modules) == 0 {
-		return nil, fmt.Errorf("canon: no modules in request")
-	}
-	if err := r.Options.Validate(); err != nil {
-		return nil, fmt.Errorf("canon: %w", err)
+	o, err := r.order()
+	if err != nil {
+		return nil, err
 	}
 	out := &Request{Fabric: r.Fabric, Region: r.Region, Options: r.Options}
-	out.Modules = make([]*module.Module, len(r.Modules))
-	seen := make(map[string]bool, len(r.Modules))
-	for i, m := range r.Modules {
-		if m == nil {
-			return nil, fmt.Errorf("canon: nil module at index %d", i)
-		}
-		if seen[m.Name()] {
-			return nil, fmt.Errorf("canon: duplicate module name %q", m.Name())
-		}
-		seen[m.Name()] = true
-		cm, err := canonicalModule(m)
-		if err != nil {
-			return nil, err
-		}
-		out.Modules[i] = cm
-	}
-	sort.Slice(out.Modules, func(i, j int) bool {
-		return out.Modules[i].Name() < out.Modules[j].Name()
-	})
 	out.Options.BusRows = sortedUniqueInts(r.Options.BusRows)
+	out.Modules = make([]*module.Module, len(o.Modules))
+	for c, i := range o.Modules {
+		m := r.Modules[i]
+		shapes := make([]*module.Shape, len(o.Shapes[c]))
+		for k, j := range o.Shapes[c] {
+			shapes[k] = m.Shape(j)
+		}
+		if out.Modules[c], err = module.NewModule(m.Name(), shapes...); err != nil {
+			return nil, fmt.Errorf("canon: module %s: %w", m.Name(), err)
+		}
+	}
 	return out, nil
 }
 
-// canonicalModule rebuilds m with its design alternatives in key order.
-func canonicalModule(m *module.Module) (*module.Module, error) {
-	shapes := make([]*module.Shape, len(m.Shapes()))
-	copy(shapes, m.Shapes())
-	sort.Slice(shapes, func(i, j int) bool { return shapes[i].Key() < shapes[j].Key() })
-	cm, err := module.NewModule(m.Name(), shapes...)
-	if err != nil {
-		return nil, fmt.Errorf("canon: module %s: %w", m.Name(), err)
+// Order maps a canonical request back to the request it was computed
+// from: canonical module c is the request's module Modules[c], and
+// canonical shape k of that module is the request module's shape
+// Shapes[c][k]. Two requests with one digest share their canonical
+// form, so a result indexed canonically answers either of them in its
+// own order through its Order.
+type Order struct {
+	Modules []int
+	Shapes  [][]int
+}
+
+// order validates the request and sorts it into canonical order.
+func (r *Request) order() (Order, error) {
+	if r.Fabric == "" {
+		return Order{}, fmt.Errorf("canon: empty fabric name")
 	}
-	return cm, nil
+	if len(r.Modules) == 0 {
+		return Order{}, fmt.Errorf("canon: no modules in request")
+	}
+	if err := r.Options.Validate(); err != nil {
+		return Order{}, fmt.Errorf("canon: %w", err)
+	}
+	seen := make(map[string]bool, len(r.Modules))
+	for i, m := range r.Modules {
+		if m == nil {
+			return Order{}, fmt.Errorf("canon: nil module at index %d", i)
+		}
+		if seen[m.Name()] {
+			return Order{}, fmt.Errorf("canon: duplicate module name %q", m.Name())
+		}
+		seen[m.Name()] = true
+	}
+	o := Order{Modules: sortedIndexes(r.Modules, (*module.Module).Name)}
+	o.Shapes = make([][]int, len(o.Modules))
+	for c, i := range o.Modules {
+		o.Shapes[c] = sortedIndexes(r.Modules[i].Shapes(), (*module.Shape).Key)
+	}
+	return o, nil
+}
+
+// sortedIndexes returns the indexes of xs in ascending key order.
+// Keys are unique: module names are checked, and a module drops
+// duplicate shapes.
+func sortedIndexes[T any](xs []T, key func(T) string) []int {
+	idx := make([]int, len(xs))
+	for i := range idx {
+		idx[i] = i
+	}
+	slices.SortFunc(idx, func(a, b int) int { return strings.Compare(key(xs[a]), key(xs[b])) })
+	return idx
 }
 
 // sortedUniqueInts returns a sorted copy of xs with duplicates removed
@@ -106,38 +135,37 @@ func sortedUniqueInts(xs []int) []int {
 	if xs == nil {
 		return nil
 	}
-	out := make([]int, len(xs))
-	copy(out, xs)
-	sort.Ints(out)
-	n := 0
-	for i, x := range out {
-		if i == 0 || x != out[n-1] {
-			out[n] = x
-			n++
-		}
-	}
-	return out[:n]
+	out := slices.Clone(xs)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // CanonicalBytes returns the injective byte encoding of the canonical
 // form of the request. Two requests are canonically equal iff their
 // CanonicalBytes are equal; Digest hashes exactly these bytes.
 func (r *Request) CanonicalBytes() ([]byte, error) {
-	c, err := r.Canonical()
+	o, err := r.order()
 	if err != nil {
 		return nil, err
 	}
-	return c.appendEncoding(make([]byte, 0, 256)), nil
+	return r.appendEncoding(make([]byte, 0, 256), o), nil
 }
 
 // Digest canonicalizes the request and returns the SHA-256 of its
 // canonical encoding.
 func (r *Request) Digest() (Digest, error) {
-	b, err := r.CanonicalBytes()
+	d, _, err := r.Key()
+	return d, err
+}
+
+// Key canonicalizes the request once and returns its digest and the
+// Order that leads from the canonical form back to the request.
+func (r *Request) Key() (Digest, Order, error) {
+	o, err := r.order()
 	if err != nil {
-		return Digest{}, err
+		return Digest{}, Order{}, err
 	}
-	return sha256.Sum256(b), nil
+	return sha256.Sum256(r.appendEncoding(make([]byte, 0, 256), o)), o, nil
 }
 
 // Equal reports whether a and b are canonically equal. It returns false
@@ -159,24 +187,29 @@ func Equal(a, b *Request) bool {
 // Version 2 added RequestOptions.Presolve to the options tail.
 const encVersion = 2
 
-// appendEncoding writes the canonical frame. Every variable-length
-// field is length-prefixed, making the overall encoding injective.
-func (c *Request) appendEncoding(b []byte) []byte {
+// appendEncoding writes the canonical frame of r, visiting its modules
+// and shapes in the canonical order o. Every variable-length field is
+// length-prefixed, making the overall encoding injective.
+func (r *Request) appendEncoding(b []byte, o Order) []byte {
 	b = append(b, encVersion)
-	b = appendString(b, c.Fabric)
-	b = binary.AppendVarint(b, int64(c.Region.MinX))
-	b = binary.AppendVarint(b, int64(c.Region.MinY))
-	b = binary.AppendVarint(b, int64(c.Region.MaxX))
-	b = binary.AppendVarint(b, int64(c.Region.MaxY))
-	b = binary.AppendUvarint(b, uint64(len(c.Modules)))
-	for _, m := range c.Modules {
+	b = appendString(b, r.Fabric)
+	b = appendRect(b, r.Region)
+	b = binary.AppendUvarint(b, uint64(len(o.Modules)))
+	for c, i := range o.Modules {
+		m := r.Modules[i]
 		b = appendString(b, m.Name())
-		b = binary.AppendUvarint(b, uint64(m.NumShapes()))
-		for _, s := range m.Shapes() {
-			b = appendString(b, s.Key())
+		b = binary.AppendUvarint(b, uint64(len(o.Shapes[c])))
+		for _, j := range o.Shapes[c] {
+			b = appendString(b, m.Shape(j).Key())
 		}
 	}
-	o := c.Options
+	opts := r.Options
+	opts.BusRows = sortedUniqueInts(opts.BusRows)
+	return appendOptions(b, opts)
+}
+
+// appendOptions writes the solver options, the tail of both frames.
+func appendOptions(b []byte, o core.RequestOptions) []byte {
 	b = binary.AppendVarint(b, int64(o.Timeout))
 	b = append(b, byte(o.Strategy), byte(o.ValueOrder), boolByte(o.FirstSolutionOnly))
 	b = binary.AppendVarint(b, o.StallNodes)
@@ -187,6 +220,50 @@ func (c *Request) appendEncoding(b []byte) []byte {
 	b = binary.AppendVarint(b, int64(o.Workers))
 	b = append(b, boolByte(o.StrongPropagation), byte(o.Presolve))
 	return b
+}
+
+// Spec is a placement request whose modules are the seeded workload
+// generator's batch (workload.Generate with Generate and Seed) instead
+// of an explicit list. A spec fixes its modules and their order, so
+// its Digest can key a finished answer before the batch is expanded.
+type Spec struct {
+	Fabric   string
+	Region   grid.Rect
+	Generate workload.Config
+	Seed     int64
+	Options  core.RequestOptions
+}
+
+// specTag opens the spec frame. Canonical frames open with encVersion,
+// so no spec digest aliases a canonical one.
+const specTag = 'g'
+
+// Digest returns the SHA-256 of the spec's frame: the fabric, region,
+// generator config after Defaults, seed, workload.GeneratorVersion and
+// the options with bus rows normalised as in Canonical. Equal digests
+// mean equal batches on equal canonical instances.
+func (s *Spec) Digest() Digest {
+	g := s.Generate.Defaults()
+	b := make([]byte, 0, 128)
+	b = append(b, specTag, encVersion)
+	b = binary.AppendUvarint(b, workload.GeneratorVersion)
+	b = appendString(b, s.Fabric)
+	b = appendRect(b, s.Region)
+	for _, v := range []int{g.NumModules, g.CLBMin, g.CLBMax, g.BRAMMin, g.BRAMMax, g.DSPMax, g.Alternatives} {
+		b = binary.AppendVarint(b, int64(v))
+	}
+	b = append(b, boolByte(g.NoBRAM), boolByte(g.NoRotation))
+	b = binary.AppendVarint(b, s.Seed)
+	o := s.Options
+	o.BusRows = sortedUniqueInts(o.BusRows)
+	return sha256.Sum256(appendOptions(b, o))
+}
+
+func appendRect(b []byte, r grid.Rect) []byte {
+	b = binary.AppendVarint(b, int64(r.MinX))
+	b = binary.AppendVarint(b, int64(r.MinY))
+	b = binary.AppendVarint(b, int64(r.MaxX))
+	return binary.AppendVarint(b, int64(r.MaxY))
 }
 
 // appendString writes a uvarint length prefix followed by the bytes.

@@ -126,7 +126,7 @@ func (st *Store) Clone() (*Store, error) {
 		dst.props[i] = propEntry{p: np, name: st.props[i].name}
 	}
 	dst.queued = append([]bool(nil), st.queued...)
-	dst.queue = append([]int(nil), st.queue...)
+	dst.queue = append([]int(nil), st.queue[st.qhead:]...)
 	dst.failed = st.failed
 	return dst, nil
 }

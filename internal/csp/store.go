@@ -105,7 +105,8 @@ type Store struct {
 	vars  []*Var
 	props []propEntry
 
-	queue   []int // propagator indices pending execution
+	queue   []int // propagator indices, pending from qhead on
+	qhead   int   // next queue entry to run; 0 once the queue drains
 	queued  []bool
 	trail   []trailEntry
 	marks   []int // trail lengths at Push points
@@ -457,15 +458,12 @@ func (st *Store) Propagate() error {
 
 func (st *Store) propagate() error {
 	if st.failed {
-		st.queue = st.queue[:0]
-		for i := range st.queued {
-			st.queued[i] = false
-		}
+		st.clearQueue()
 		return ErrInconsistent
 	}
-	for len(st.queue) > 0 {
-		idx := st.queue[0]
-		st.queue = st.queue[1:]
+	for st.qhead < len(st.queue) {
+		idx := st.queue[st.qhead]
+		st.qhead++
 		st.queued[idx] = false
 		st.nPropag++
 		st.props[idx].runs++
@@ -477,14 +475,21 @@ func (st *Store) propagate() error {
 		st.running = -1
 		if err != nil {
 			st.failed = true
-			st.queue = st.queue[:0]
-			for i := range st.queued {
-				st.queued[i] = false
-			}
+			st.clearQueue()
 			return err
 		}
 	}
+	st.queue, st.qhead = st.queue[:0], 0
 	return nil
+}
+
+// clearQueue drops every pending propagator, keeping the queue's
+// capacity for the next fixpoint.
+func (st *Store) clearQueue() {
+	st.queue, st.qhead = st.queue[:0], 0
+	for i := range st.queued {
+		st.queued[i] = false
+	}
 }
 
 // Push opens a new trail level. Subsequent domain mutations are undone
@@ -511,10 +516,7 @@ func (st *Store) Pop() {
 	st.trail = st.trail[:mark]
 	st.level--
 	st.failed = false
-	st.queue = st.queue[:0]
-	for i := range st.queued {
-		st.queued[i] = false
-	}
+	st.clearQueue()
 }
 
 // ScheduleAll re-enqueues every propagator; used when search state

@@ -6,8 +6,10 @@
 package module
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 
 	"repro/internal/fabric"
@@ -50,47 +52,53 @@ func NewShape(tiles []Tile) (*Shape, error) {
 	}
 	ts := make([]Tile, len(tiles))
 	copy(ts, tiles)
-	seen := make(map[grid.Point]bool, len(ts))
 	minX, minY := ts[0].At.X, ts[0].At.Y
 	for _, t := range ts {
 		if !t.Kind.Placeable() {
 			return nil, fmt.Errorf("module: tile %v has unplaceable kind %s", t.At, t.Kind)
 		}
-		if seen[t.At] {
-			return nil, fmt.Errorf("module: duplicate tile at %v", t.At)
-		}
-		seen[t.At] = true
-		if t.At.X < minX {
-			minX = t.At.X
-		}
-		if t.At.Y < minY {
-			minY = t.At.Y
-		}
+		minX, minY = min(minX, t.At.X), min(minY, t.At.Y)
 	}
 	s := &Shape{tiles: ts}
 	for i := range s.tiles {
 		s.tiles[i].At = s.tiles[i].At.Sub(grid.Pt(minX, minY))
 		s.hist.Add(s.tiles[i].Kind)
 	}
-	sort.Slice(s.tiles, func(i, j int) bool {
-		a, b := s.tiles[i], s.tiles[j]
+	slices.SortFunc(s.tiles, func(a, b Tile) int {
 		if a.At != b.At {
-			return a.At.Less(b.At)
+			if a.At.Less(b.At) {
+				return -1
+			}
+			return 1
 		}
-		return a.Kind < b.Kind
+		return cmp.Compare(a.Kind, b.Kind)
 	})
+	// Sorting makes tiles at one coordinate adjacent.
 	pts := make([]grid.Point, len(s.tiles))
 	for i, t := range s.tiles {
+		if i > 0 && t.At == pts[i-1] {
+			return nil, fmt.Errorf("module: duplicate tile at %v", t.At.Add(grid.Pt(minX, minY)))
+		}
 		pts[i] = t.At
 	}
 	s.points = pts
 	s.bounds = grid.BoundsOf(pts)
-	var sb strings.Builder
-	for _, t := range s.tiles {
-		fmt.Fprintf(&sb, "%d,%d,%d;", t.At.X, t.At.Y, t.Kind)
-	}
-	s.key = sb.String()
+	s.key = shapeKey(s.tiles)
 	return s, nil
+}
+
+// shapeKey renders sorted tiles as "x,y,kind;" per tile.
+func shapeKey(tiles []Tile) string {
+	b := make([]byte, 0, 8*len(tiles))
+	for _, t := range tiles {
+		b = strconv.AppendInt(b, int64(t.At.X), 10)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, int64(t.At.Y), 10)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, int64(t.Kind), 10)
+		b = append(b, ';')
+	}
+	return string(b)
 }
 
 // MustShape is NewShape panicking on error, for statically known shapes.

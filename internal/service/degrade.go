@@ -49,10 +49,10 @@ func regionFor(creq *canon.Request) (*fabric.Region, error) {
 // — when the fallback cannot produce a valid placement either.
 // Degraded bodies are never cached: the instance deserves an exact
 // answer once capacity returns.
-func (s *Server) serveDegraded(w http.ResponseWriter, tr *obs.Trace, out *placeOutcome, creq *canon.Request, digest canon.Digest) bool {
+func (s *Server) serveDegraded(w http.ResponseWriter, tr *obs.Trace, out *placeOutcome, k *keyed) bool {
 	sp := tr.StartSpan("degrade")
 	start := time.Now()
-	res, err := s.fallback(creq)
+	res, err := s.fallback(k.creq)
 	elapsed := time.Since(start)
 	if sp != nil {
 		found := err == nil && res != nil && res.Found
@@ -65,7 +65,7 @@ func (s *Server) serveDegraded(w http.ResponseWriter, tr *obs.Trace, out *placeO
 	if err != nil || res == nil || !res.Found {
 		return false
 	}
-	body, err := buildResponse(digest, creq, res, QualityApproximate)
+	body, err := newPlaced(k, res, QualityApproximate).encode(k)
 	if err != nil {
 		return false
 	}
@@ -74,7 +74,7 @@ func (s *Server) serveDegraded(w http.ResponseWriter, tr *obs.Trace, out *placeO
 	out.status = http.StatusOK
 	out.errText = ""
 	out.quality = QualityApproximate
-	writePlacement(w, body, digest, false, QualityApproximate)
+	writePlacement(w, body, k.digest, false, QualityApproximate)
 	return true
 }
 

@@ -288,7 +288,7 @@ func TestCacheFaultForcesMiss(t *testing.T) {
 		t.Fatal("cache-fault path served a different body")
 	}
 	if solves != 1 {
-		t.Fatalf("solves = %d, want 1 (double-check must still reuse the stored body)", solves)
+		t.Fatalf("solves = %d, want 1 (double-check must still reuse the stored outcome)", solves)
 	}
 }
 

@@ -21,7 +21,8 @@ import (
 // seeded generator spec (Generate, the paper's workload model) —
 // exactly one of the two. Both forms are expanded to the same
 // canonical instance, so a generated batch and its explicit spelling
-// share one cache entry.
+// share one cache entry; each is answered in its own module and shape
+// order.
 type PlaceRequest struct {
 	// Fabric names a catalog device (GET /v1/fabrics lists them).
 	Fabric string `json:"fabric"`
@@ -101,76 +102,103 @@ const maxRequestBytes = 8 << 20
 // (cfg's zero fields take the documented Config defaults). All
 // failures are client errors (HTTP 400).
 func DecodeRequest(body io.Reader, cfg Config) (*canon.Request, error) {
-	cfg = cfg.withDefaults()
-	dec := json.NewDecoder(io.LimitReader(body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	var wire PlaceRequest
-	if err := dec.Decode(&wire); err != nil {
-		return nil, fmt.Errorf("invalid JSON: %w", err)
+	d, err := decode(body, cfg.withDefaults())
+	if err != nil {
+		return nil, err
 	}
-	return wire.toCanon(cfg)
+	return d.expand()
 }
 
-// toCanon validates the wire request and expands it into the canonical
-// domain form, applying the daemon's solver-option defaults before the
-// digest is taken (so an omitted option and its explicit default share
-// a cache entry).
-func (wire *PlaceRequest) toCanon(cfg Config) (*canon.Request, error) {
+// decoded is a validated wire request with the daemon's option
+// defaults applied and its modules not yet expanded. The defaults are
+// applied before any digest is taken, so an omitted option and its
+// explicit default share a cache entry.
+type decoded struct {
+	wire PlaceRequest
+	req  canon.Request // everything but Modules
+}
+
+// decode parses and validates a wire request. cfg must already carry
+// its defaults.
+func decode(body io.Reader, cfg Config) (*decoded, error) {
+	dec := json.NewDecoder(io.LimitReader(body, maxRequestBytes))
+	dec.DisallowUnknownFields()
+	d := &decoded{}
+	if err := dec.Decode(&d.wire); err != nil {
+		return nil, fmt.Errorf("invalid JSON: %w", err)
+	}
+	wire := &d.wire
 	if wire.Fabric == "" {
 		return nil, fmt.Errorf("missing fabric")
 	}
 	if _, err := fabric.ByName(wire.Fabric); err != nil {
 		return nil, err
 	}
-	mods, err := wire.expandModules()
-	if err != nil {
-		return nil, err
+	switch {
+	case wire.Generate != nil && len(wire.Modules) > 0:
+		return nil, fmt.Errorf("modules and generate are mutually exclusive")
+	case wire.Generate == nil && len(wire.Modules) == 0:
+		return nil, fmt.Errorf("request needs modules or generate")
 	}
 	opts, err := wire.Options.toRequestOptions(cfg)
 	if err != nil {
 		return nil, err
 	}
-	req := &canon.Request{Fabric: wire.Fabric, Modules: mods, Options: opts}
+	d.req = canon.Request{Fabric: wire.Fabric, Options: opts}
 	if wire.Region != nil {
 		if wire.Region.W <= 0 || wire.Region.H <= 0 {
 			return nil, fmt.Errorf("region %dx%d must have positive size", wire.Region.W, wire.Region.H)
 		}
-		req.Region = grid.RectXYWH(wire.Region.X, wire.Region.Y, wire.Region.W, wire.Region.H)
+		d.req.Region = grid.RectXYWH(wire.Region.X, wire.Region.Y, wire.Region.W, wire.Region.H)
 	}
-	return req, nil
+	return d, nil
 }
 
-func (wire *PlaceRequest) expandModules() ([]*module.Module, error) {
-	switch {
-	case wire.Generate != nil && len(wire.Modules) > 0:
-		return nil, fmt.Errorf("modules and generate are mutually exclusive")
-	case wire.Generate != nil:
-		g := wire.Generate
-		mods, err := workload.Generate(workload.Config{
-			NumModules: g.NumModules,
-			CLBMin:     g.CLBMin, CLBMax: g.CLBMax,
-			BRAMMin: g.BRAMMin, BRAMMax: g.BRAMMax,
-			NoBRAM:       g.NoBRAM,
-			DSPMax:       g.DSPMax,
-			Alternatives: g.Alternatives,
-			NoRotation:   g.NoRotation,
-		}, rand.New(rand.NewSource(g.Seed)))
+// specKey returns the digest of a generate request's spec, which keys
+// the finished answer before the batch is expanded; nil for an
+// explicit module list.
+func (d *decoded) specKey() *canon.Digest {
+	g := d.wire.Generate
+	if g == nil {
+		return nil
+	}
+	sp := canon.Spec{Fabric: d.req.Fabric, Region: d.req.Region, Generate: g.config(), Seed: g.Seed, Options: d.req.Options}
+	key := sp.Digest()
+	return &key
+}
+
+// expand builds the request's modules: the seeded batch of a generate
+// request, or the explicit module list in the order it was given.
+func (d *decoded) expand() (*canon.Request, error) {
+	req := d.req
+	if g := d.wire.Generate; g != nil {
+		mods, err := workload.Generate(g.config(), rand.New(rand.NewSource(g.Seed)))
 		if err != nil {
 			return nil, err
 		}
-		return mods, nil
-	case len(wire.Modules) > 0:
-		mods := make([]*module.Module, len(wire.Modules))
-		for i, ms := range wire.Modules {
-			m, err := ms.toModule()
-			if err != nil {
-				return nil, err
-			}
-			mods[i] = m
+		req.Modules = mods
+		return &req, nil
+	}
+	req.Modules = make([]*module.Module, len(d.wire.Modules))
+	for i, ms := range d.wire.Modules {
+		m, err := ms.toModule()
+		if err != nil {
+			return nil, err
 		}
-		return mods, nil
-	default:
-		return nil, fmt.Errorf("request needs modules or generate")
+		req.Modules[i] = m
+	}
+	return &req, nil
+}
+
+func (g *GenerateSpec) config() workload.Config {
+	return workload.Config{
+		NumModules: g.NumModules,
+		CLBMin:     g.CLBMin, CLBMax: g.CLBMax,
+		BRAMMin: g.BRAMMin, BRAMMax: g.BRAMMax,
+		NoBRAM:       g.NoBRAM,
+		DSPMax:       g.DSPMax,
+		Alternatives: g.Alternatives,
+		NoRotation:   g.NoRotation,
 	}
 }
 

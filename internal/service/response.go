@@ -3,17 +3,20 @@ package service
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 
-	"repro/internal/canon"
 	"repro/internal/core"
 )
 
-// PlaceResponse is the wire form of a /v1/place result. The body is
-// built exactly once per canonical instance — on the solving request —
-// and cached verbatim, so cache hits are byte-identical to the
-// original response (the per-request hit/miss indicator travels in the
-// X-Cache header instead). SolveMs is therefore the original solve's
-// wall time, not the serving time of this response.
+// PlaceResponse is the wire form of a /v1/place result. The solve
+// outcome is cached once per canonical instance, and every answer —
+// the solving request's, a deduplicated waiter's, a cache hit's — is
+// encoded from it in the requester's own module and shape order. A
+// request listing its modules and shapes in the order of the request
+// that solved the instance therefore gets a byte-identical body (the
+// per-request hit/miss indicator travels in the X-Cache header
+// instead). SolveMs is the original solve's wall time, not the
+// serving time of this response.
 type PlaceResponse struct {
 	// Digest is the canonical instance digest (the cache key), hex.
 	Digest string `json:"digest"`
@@ -34,9 +37,10 @@ type PlaceResponse struct {
 	// deadline or was shed. Omitted (empty) on exact answers, so exact
 	// response bodies are byte-identical to the pre-degradation format.
 	Quality string `json:"quality,omitempty"`
-	// Placements lists one entry per module in canonical (name) order.
-	// Shape indexes refer to the canonical shape order (shapes sorted
-	// by geometric key), not the order the request listed them in.
+	// Placements lists one entry per placed module, in the order the
+	// request listed its modules. Shape is an index into that module's
+	// shapes as the request listed them (after dropping repeated
+	// shapes), so it names the requester's own design alternative.
 	Placements []PlacementSpec `json:"placements,omitempty"`
 }
 
@@ -56,13 +60,29 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-// buildResponse encodes the solve outcome for the canonical request.
-// quality is QualityExact for solver results (encoded as the empty,
-// omitted field) or QualityApproximate for degraded ones.
-func buildResponse(digest canon.Digest, req *canon.Request, res *core.Result, quality string) ([]byte, error) {
-	resp := PlaceResponse{
-		Digest:      digest.String(),
-		Fabric:      req.Fabric,
+// placed is a solve outcome in canonical terms, as the cache stores
+// it: the answer's header fields, and per placed module its canonical
+// module index, canonical shape index and box. Every answer is encoded
+// from it through the requester's own canon.Order, so its shape
+// indexes point into the requester's own shape lists.
+type placed struct {
+	head PlaceResponse // Placements unset
+	mods []placedModule
+}
+
+type placedModule struct {
+	module, shape int // canonical indexes
+	x, y, w, h    int
+}
+
+// newPlaced re-indexes res, solved on k's request, in canonical terms
+// through k's order. quality is QualityExact for solver results
+// (encoded as the empty, omitted field) or QualityApproximate for
+// degraded ones.
+func newPlaced(k *keyed, res *core.Result, quality string) *placed {
+	p := &placed{head: PlaceResponse{
+		Digest:      k.digest.String(),
+		Fabric:      k.creq.Fabric,
 		Found:       res.Found,
 		Height:      res.Height,
 		Utilization: res.Utilization,
@@ -72,20 +92,54 @@ func buildResponse(digest canon.Digest, req *canon.Request, res *core.Result, qu
 		Nodes:       res.Nodes,
 		Backtracks:  res.Backtracks,
 		SolveMs:     float64(res.Elapsed.Microseconds()) / 1e3,
-	}
+	}}
 	if quality != QualityExact {
-		resp.Quality = quality
+		p.head.Quality = quality
 	}
-	for _, p := range res.Placements {
-		s := p.Shape()
-		resp.Placements = append(resp.Placements, PlacementSpec{
-			Module: p.Module.Name(),
-			Shape:  p.ShapeIndex,
-			X:      p.At.X,
-			Y:      p.At.Y,
-			W:      s.W(),
-			H:      s.H(),
+	if len(res.Placements) == 0 {
+		return p
+	}
+	canonOf := make(map[string]int, len(k.order.Modules))
+	for c, i := range k.order.Modules {
+		canonOf[k.creq.Modules[i].Name()] = c
+	}
+	for _, pl := range res.Placements {
+		c := canonOf[pl.Module.Name()]
+		s := pl.Shape()
+		p.mods = append(p.mods, placedModule{
+			module: c,
+			shape:  slices.Index(k.order.Shapes[c], pl.ShapeIndex),
+			x:      pl.At.X,
+			y:      pl.At.Y,
+			w:      s.W(),
+			h:      s.H(),
 		})
+	}
+	return p
+}
+
+// encode renders p as the answer to k's request: placements in its
+// module order, shape indexes into its shape lists.
+func (p *placed) encode(k *keyed) ([]byte, error) {
+	resp := p.head
+	if len(p.mods) > 0 {
+		byRequest := make([]PlacementSpec, len(k.creq.Modules))
+		for _, m := range p.mods {
+			i := k.order.Modules[m.module]
+			byRequest[i] = PlacementSpec{
+				Module: k.creq.Modules[i].Name(),
+				Shape:  k.order.Shapes[m.module][m.shape],
+				X:      m.x,
+				Y:      m.y,
+				W:      m.w,
+				H:      m.h,
+			}
+		}
+		for _, ps := range byRequest {
+			if ps.Module != "" {
+				resp.Placements = append(resp.Placements, ps)
+			}
+		}
 	}
 	body, err := json.Marshal(resp)
 	if err != nil {

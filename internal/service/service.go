@@ -350,44 +350,75 @@ func traceIDString(tr *obs.Trace) string {
 	return tr.ID().String()
 }
 
+// keyed is an expanded request with its canonical digest, the order
+// that leads from the canonical form back to the request and, for a
+// generate request, the digest of its spec.
+type keyed struct {
+	creq   *canon.Request
+	digest canon.Digest
+	order  canon.Order
+	spec   *canon.Digest
+}
+
 // servePlace is the traced request body of handlePlace; it fills out
 // for the deferred access-log/SLO bookkeeping.
 func (s *Server) servePlace(w http.ResponseWriter, r *http.Request, tr *obs.Trace, out *placeOutcome) {
 	canonSp := tr.StartSpan("canonicalize")
-	creq, err := DecodeRequest(r.Body, s.cfg)
+	d, err := decode(r.Body, s.cfg)
 	if err != nil {
 		canonSp.End()
 		s.failPlace(w, out, http.StatusBadRequest, err)
 		return
 	}
-	digest, err := creq.Digest()
-	canonSp.End()
-	if err != nil {
-		s.failPlace(w, out, http.StatusBadRequest, err)
-		return
-	}
-	out.digest = digest.String()
 
-	// Fault site "cache": an injected fault models an unavailable
-	// cache backend — after any injected latency, a stored body does
-	// not count as a hit. The request is answered as a miss but still
-	// goes through the table: it reuses a stored body instead of
-	// solving it again, and otherwise joins or leads the flight.
+	// Fault site "cache", drawn once per decoded request before its
+	// first lookup: an injected fault models an unavailable cache
+	// backend — after any injected latency, nothing stored counts as a
+	// hit. The request is answered as a miss but still goes through the
+	// table: it reuses a stored outcome instead of solving it again,
+	// and otherwise joins or leads the flight.
 	cacheFault := s.faults.Check(faultinject.SiteCache)
 	if cacheFault.Delay > 0 {
 		time.Sleep(cacheFault.Delay)
 	}
+	cacheDown := cacheFault.Err != nil || cacheFault.Timeout
+
+	// A generate spec fixes its batch, module and shape order included,
+	// so a spec answered before is served its body unexpanded.
+	k := &keyed{spec: d.specKey()}
+	if k.spec != nil && !cacheDown {
+		if body, digest := s.cache.Spec(*k.spec); body != nil {
+			endCanonicalize(canonSp, false)
+			lookupSp := tr.StartSpan("cache_lookup")
+			if lookupSp != nil {
+				lookupSp.SetAttrs(obs.Bool("hit", true))
+				lookupSp.End()
+			}
+			out.digest = digest.String()
+			s.serve(w, out, body, digest, "hit")
+			return
+		}
+	}
+	k.creq, err = d.expand()
+	if err == nil {
+		k.digest, k.order, err = k.creq.Key()
+	}
+	endCanonicalize(canonSp, true)
+	if err != nil {
+		s.failPlace(w, out, http.StatusBadRequest, err)
+		return
+	}
+	out.digest = k.digest.String()
+
 	lookupSp := tr.StartSpan("cache_lookup")
-	body, f, leader := s.cache.Join(digest)
-	hit := body != nil && cacheFault.Err == nil && !cacheFault.Timeout
+	res, f, leader := s.cache.Join(k.digest)
+	hit := res != nil && !cacheDown
 	if lookupSp != nil {
 		lookupSp.SetAttrs(obs.Bool("hit", hit))
 		lookupSp.End()
 	}
 	if hit {
-		s.cacheHits.Inc()
-		out.cache = "hit"
-		writePlacement(w, body, digest, true, QualityExact)
+		s.answer(w, out, k, res, "hit")
 		return
 	}
 
@@ -399,7 +430,7 @@ func (s *Server) servePlace(w http.ResponseWriter, r *http.Request, tr *obs.Trac
 		time.Sleep(flightFault.Delay)
 	}
 	flightSp := tr.StartSpan("singleflight")
-	if body != nil {
+	if res != nil {
 		leader = true // a forced miss served from the table solves nothing
 	} else {
 		if !leader && (flightFault.Err != nil || flightFault.Timeout) {
@@ -407,13 +438,13 @@ func (s *Server) servePlace(w http.ResponseWriter, r *http.Request, tr *obs.Trac
 		}
 		if leader {
 			s.leaders.Add(1)
-			go s.lead(tr, out, creq, digest, f)
+			go s.lead(tr, out, k, f)
 		}
 		// A waiter that gives up leaves the solve running for the
 		// others and the cache.
 		select {
 		case <-f.done:
-			body, err = f.body, f.err
+			res, err = f.res, f.err
 		case <-r.Context().Done():
 			err = r.Context().Err()
 		}
@@ -429,7 +460,7 @@ func (s *Server) servePlace(w http.ResponseWriter, r *http.Request, tr *obs.Trac
 	switch {
 	case errors.Is(err, errBusy):
 		s.rejected.Inc()
-		if s.cfg.Degrade && s.serveDegraded(w, tr, out, creq, digest) {
+		if s.cfg.Degrade && s.serveDegraded(w, tr, out, k) {
 			return
 		}
 		// Shed before any solve state existed: safe for the client to
@@ -447,7 +478,7 @@ func (s *Server) servePlace(w http.ResponseWriter, r *http.Request, tr *obs.Trac
 		return
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		s.timeouts.Inc()
-		if s.cfg.Degrade && s.serveDegraded(w, tr, out, creq, digest) {
+		if s.cfg.Degrade && s.serveDegraded(w, tr, out, k) {
 			return
 		}
 		s.failPlace(w, out, http.StatusGatewayTimeout, errors.New("request timed out waiting for a solver"))
@@ -465,12 +496,50 @@ func (s *Server) servePlace(w http.ResponseWriter, r *http.Request, tr *obs.Trac
 		s.failPlace(w, out, status, err)
 		return
 	}
-	out.cache = "miss"
+	cache := "miss"
 	if !leader {
 		s.dedups.Inc()
-		out.cache = "dedup"
+		cache = "dedup"
 	}
-	writePlacement(w, body, digest, !leader, QualityExact)
+	s.answer(w, out, k, res, cache)
+}
+
+// endCanonicalize ends the canonicalize span, noting whether the
+// request's modules were expanded and keyed or a generate spec was
+// answered before expansion.
+func endCanonicalize(sp *obs.Span, expanded bool) {
+	if sp != nil {
+		sp.SetAttrs(obs.Bool("expanded", expanded))
+		sp.End()
+	}
+}
+
+// answer serves res to k's requester, encoded in its own module and
+// shape order, as a hit, a miss or a deduplicated wait (cache). A
+// generate request's body is recorded under its spec, so its repeats
+// skip expansion.
+func (s *Server) answer(w http.ResponseWriter, out *placeOutcome, k *keyed, res *placed, cache string) {
+	body, err := res.encode(k)
+	if err != nil {
+		s.errCount.Inc()
+		s.failPlace(w, out, http.StatusInternalServerError, err)
+		return
+	}
+	if k.spec != nil {
+		s.cache.AddSpec(*k.spec, k.digest, res, body)
+	}
+	s.serve(w, out, body, k.digest, cache)
+}
+
+// serve writes an exact placement body as a hit, a miss or a
+// deduplicated wait (cache); a hit and a deduplicated wait both carry
+// X-Cache: hit, since neither ran a solve.
+func (s *Server) serve(w http.ResponseWriter, out *placeOutcome, body []byte, digest canon.Digest, cache string) {
+	if cache == "hit" {
+		s.cacheHits.Inc()
+	}
+	out.cache = cache
+	writePlacement(w, body, digest, cache != "miss", QualityExact)
 }
 
 // failPlace records the failure in the outcome and writes the error
@@ -485,23 +554,24 @@ func (s *Server) failPlace(w http.ResponseWriter, out *placeOutcome, status int,
 // lead solves f's instance and lands the outcome in the cache. It
 // runs on its own goroutine, detached from every request on purpose:
 // waiters share its result, so one waiter giving up must not abort the
-// work the others are waiting on, and the stored body serves later
+// work the others are waiting on, and the stored outcome serves later
 // requests. The queue-wait and solve spans it records belong to the
 // leader request's trace (tr); if that request has already finished,
 // the spans still reach the span sink, marked unended in the trace's
 // filed ring summary.
-func (s *Server) lead(tr *obs.Trace, out *placeOutcome, creq *canon.Request, digest canon.Digest, f *flight) {
+func (s *Server) lead(tr *obs.Trace, out *placeOutcome, k *keyed, f *flight) {
 	defer s.leaders.Done()
 	var skipStore bool
-	body, err := s.solveExact(tr, out, creq, digest, &skipStore)
-	s.cache.Land(digest, f, body, err, err == nil && !skipStore)
+	res, err := s.solveExact(tr, out, k, &skipStore)
+	s.cache.Land(k.digest, f, res, err, err == nil && !skipStore)
 }
 
-// solveExact waits for a solver slot, runs one canonical instance on
-// the calling goroutine and encodes the response. The wait is bounded
+// solveExact waits for a solver slot, solves k's request on the
+// calling goroutine in its own module and shape order, and returns the
+// outcome in canonical terms. The wait is bounded
 // by the queue grace plus the solve timeout; a solve that started runs
 // to completion and is never thrown away.
-func (s *Server) solveExact(tr *obs.Trace, out *placeOutcome, creq *canon.Request, digest canon.Digest, skipStore *bool) ([]byte, error) {
+func (s *Server) solveExact(tr *obs.Trace, out *placeOutcome, k *keyed, skipStore *bool) (*placed, error) {
 	// Fault site "queue": an injected error models a full admission
 	// queue (shed → 429 or degradation), an injected timeout a request
 	// that expired while queued (→ 504 or degradation).
@@ -517,7 +587,7 @@ func (s *Server) solveExact(tr *obs.Trace, out *placeOutcome, creq *canon.Reques
 	}
 	//solverlint:allow ctxflow deliberate detachment: shared singleflight solve outlives any single caller
 	detached := context.Background()
-	waitCtx, cancel := context.WithTimeout(detached, s.cfg.QueueGrace+creq.Options.Timeout)
+	waitCtx, cancel := context.WithTimeout(detached, s.cfg.QueueGrace+k.creq.Options.Timeout)
 	queueSp := tr.StartSpan("queue_wait")
 	queued := time.Now()
 	err := s.solveGate.Acquire(waitCtx)
@@ -535,7 +605,7 @@ func (s *Server) solveExact(tr *obs.Trace, out *placeOutcome, creq *canon.Reques
 	solveT := s.cfg.Registry.Timer("service_solve")
 	solveSp := tr.StartSpan("solve")
 	s.solves.Inc()
-	res, err := s.injectedSolve(creq, skipStore)
+	res, err := s.injectedSolve(k.creq, skipStore)
 	out.solveNs.Store(int64(solveT.Stop()))
 	if err != nil {
 		if solveSp != nil {
@@ -563,7 +633,7 @@ func (s *Server) solveExact(tr *obs.Trace, out *placeOutcome, creq *canon.Reques
 		)
 		solveSp.End()
 	}
-	return buildResponse(digest, creq, res, QualityExact)
+	return newPlaced(k, res, QualityExact), nil
 }
 
 // injectedSolve interposes the "solver" fault site in front of the
@@ -698,11 +768,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Stats())
 }
 
-// writePlacement serves a (possibly cached) placement body. The body
-// bytes are identical for every request of the same canonical
-// instance; the per-request hit/miss and exact/approximate
-// distinctions travel in the X-Cache and X-Placement-Quality headers
-// so they cannot perturb the payload.
+// writePlacement serves a placement body. The body bytes are identical
+// for every request of the same canonical instance that lists its
+// modules and shapes in the same order; the per-request hit/miss and
+// exact/approximate distinctions travel in the X-Cache and
+// X-Placement-Quality headers so they cannot perturb the payload.
 func writePlacement(w http.ResponseWriter, body []byte, digest canon.Digest, hit bool, quality string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Placement-Digest", digest.String())

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -98,7 +99,9 @@ func TestPlaceMissThenHit(t *testing.T) {
 
 // TestPlacePermutationHitsCache drives the canonicalization through the
 // wire format: the same two modules with module order and shape order
-// permuted must be answered from the cache byte-identically.
+// permuted must be answered from the cache, in the permuted request's
+// own order: the same placements, listed b before a, each shape index
+// naming the same shape in the reversed shape lists.
 func TestPlacePermutationHitsCache(t *testing.T) {
 	s := newTestServer(t, Config{})
 	h := s.Handler()
@@ -124,8 +127,23 @@ func TestPlacePermutationHitsCache(t *testing.T) {
 	if r2.Header().Get("X-Cache") != "hit" {
 		t.Fatalf("permuted request missed the cache (X-Cache %q)", r2.Header().Get("X-Cache"))
 	}
-	if r1.Body.String() != r2.Body.String() {
-		t.Fatal("permuted request body differs from original")
+	var first, second PlaceResponse
+	if err := json.Unmarshal(r1.Body.Bytes(), &first); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(r2.Body.Bytes(), &second); err != nil {
+		t.Fatal(err)
+	}
+	if len(first.Placements) != 2 || len(second.Placements) != 2 {
+		t.Fatalf("placements: %d original, %d permuted; want 2 each", len(first.Placements), len(second.Placements))
+	}
+	mirror := func(p PlacementSpec) PlacementSpec { p.Shape = 1 - p.Shape; return p }
+	if second.Placements[0] != mirror(first.Placements[1]) || second.Placements[1] != mirror(first.Placements[0]) {
+		t.Fatalf("permuted placements %+v do not mirror the original %+v", second.Placements, first.Placements)
+	}
+	first.Placements, second.Placements = nil, nil
+	if !reflect.DeepEqual(first, second) {
+		t.Fatalf("permuted answer header %+v differs from the original %+v", second, first)
 	}
 }
 

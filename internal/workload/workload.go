@@ -12,6 +12,13 @@ import (
 	"repro/internal/module"
 )
 
+// GeneratorVersion identifies the batches Generate draws: a (Config,
+// seed) pair yields the same modules, shapes and order for as long as
+// the version stands. Caches keyed by a generator spec instead of its
+// expanded modules include it, so bump it whenever Generate's output
+// changes for any spec (TestGeneratorVersionPinned fails until then).
+const GeneratorVersion = 1
+
 // Config parameterises module-batch generation. The zero value is
 // completed by Defaults to the paper's Table-I workload.
 type Config struct {

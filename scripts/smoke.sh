@@ -3,7 +3,8 @@
 # the CI "smoke" job (and `make smoke` locally): build cmd/placed,
 # start it on the Table-I fabric's catalog, place the committed smoke
 # request twice and require a cache miss then a byte-identical cache
-# hit, check liveness, the live /metrics scrape and the observability
+# hit, then its committed explicit spelling with modules and shapes
+# permuted and require a hit on the same digest, check liveness, the live /metrics scrape and the observability
 # round trip (X-Trace-Id header, structured access-log line, span
 # stream rendered by tracecat), run a stateful session round trip
 # (create, place, release, defrag with priced moves, occupancy stats,
@@ -35,12 +36,19 @@ until curl -sf "$BASE/v1/healthz" >/dev/null 2>&1; do
 done
 echo "smoke: daemon healthy on $BASE"
 
+# place NAME [REQUEST] posts REQUEST (default: the smoke request) and
+# prints its X-Cache disposition.
 place() {
     curl -sf -D "$WORKDIR/$1.headers" -o "$WORKDIR/$1.body" \
         -H 'Content-Type: application/json' \
-        --data-binary @cmd/placed/testdata/smoke-request.json \
+        --data-binary @"${2:-cmd/placed/testdata/smoke-request.json}" \
         "$BASE/v1/place"
     grep -i '^x-cache:' "$WORKDIR/$1.headers" | tr -d '\r' | awk '{print $2}'
+}
+
+# digest_of NAME prints the digest field of a placement body.
+digest_of() {
+    sed -n 's/^{"digest":"\([0-9a-f]*\)".*/\1/p' "$WORKDIR/$1.body"
 }
 
 CACHE1="$(place first)"
@@ -58,6 +66,22 @@ if ! cmp -s "$WORKDIR/first.body" "$WORKDIR/second.body"; then
     exit 1
 fi
 echo "smoke: miss then byte-identical hit"
+
+# The explicit spelling lists the same batch with modules and shapes in
+# another order: the same canonical instance, so a hit on the same
+# digest, answered in the permuted request's own order.
+CACHE3="$(place permuted cmd/placed/testdata/smoke-request-permuted.json)"
+if [ "$CACHE3" != "hit" ]; then
+    echo "smoke: permuted explicit placement X-Cache=$CACHE3, want hit" >&2
+    exit 1
+fi
+DIGEST1="$(digest_of first)"
+DIGEST3="$(digest_of permuted)"
+if [ -z "$DIGEST1" ] || [ "$DIGEST1" != "$DIGEST3" ]; then
+    echo "smoke: permuted spelling digest \"$DIGEST3\", want \"$DIGEST1\"" >&2
+    exit 1
+fi
+echo "smoke: permuted explicit spelling hits digest $DIGEST1"
 
 # The registry is served live: after the miss and the hit, the scrape
 # carries the solver's per-propagator runs and exactly one solve.
@@ -193,10 +217,10 @@ DAEMON_PID=""
 echo "smoke: clean shutdown"
 
 # One well-formed access-log line per request, correlated by trace id:
-# 2 /v1/place requests plus the 10-request session round trip.
+# 3 /v1/place requests plus the 10-request session round trip.
 LINES="$(wc -l < "$WORKDIR/access.log")"
-if [ "$LINES" -ne 12 ]; then
-    echo "smoke: access log has $LINES lines after 12 requests" >&2
+if [ "$LINES" -ne 13 ]; then
+    echo "smoke: access log has $LINES lines after 13 requests" >&2
     cat "$WORKDIR/access.log" >&2
     exit 1
 fi
