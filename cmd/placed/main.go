@@ -69,7 +69,6 @@ type cliOpts struct {
 	tracePath      string
 	accessLog      string
 	sloLatency     time.Duration
-	sloWindow      time.Duration
 	degrade        bool
 	presolve       string
 	faults         string
@@ -89,7 +88,6 @@ func main() {
 	flag.StringVar(&o.tracePath, "trace", "", "stream span and solver events as JSONL to this path (- for stdout, feed to tracecat)")
 	flag.StringVar(&o.accessLog, "access-log", "-", "write one JSON line per request to this path (- for stdout, empty to disable)")
 	flag.DurationVar(&o.sloLatency, "slo-latency", 500*time.Millisecond, "request-latency objective for /v1/stats SLO accounting")
-	flag.DurationVar(&o.sloWindow, "slo-window", time.Hour, "headline SLO attainment window (max 1h)")
 	flag.BoolVar(&o.degrade, "degrade", true, "serve approximate baseline placements when the exact solve times out or is shed")
 	flag.StringVar(&o.presolve, "presolve", "on", "default presolve mode for requests that set none: on, off")
 	flag.StringVar(&o.faults, "faults", "", "fault-injection rules, e.g. 'solver:timeout:0.2;cache:latency:0.5:10ms' (chaos testing; empty disables)")
@@ -113,9 +111,8 @@ func run(o cliOpts) (err error) {
 			err = cerr
 		}
 	}()
-	// The tracer always runs: the in-memory recent/slowest rings behind
-	// /debug/traces are cheap, and the span JSONL stream only flows
-	// when -trace opened a sink.
+	// The service traces every request; this tracer only adds the span
+	// JSONL stream, which flows when -trace opened a sink.
 	tracer := obs.NewTracer(obs.TracerConfig{Recorder: session.Recorder})
 
 	var accessLog io.Writer
@@ -156,7 +153,6 @@ func run(o cliOpts) (err error) {
 		Tracer:          tracer,
 		AccessLog:       accessLog,
 		SLOLatency:      o.sloLatency,
-		SLOWindow:       o.sloWindow,
 		Degrade:         o.degrade,
 		Faults:          faults,
 		MaxSessions:     o.maxSessions,

@@ -163,7 +163,6 @@ func TestDaemonTracing(t *testing.T) {
 		tracePath:      tracePath,
 		accessLog:      accessPath,
 		sloLatency:     time.Millisecond,
-		sloWindow:      time.Minute,
 	})
 
 	req, err := os.ReadFile("testdata/smoke-request.json")

@@ -57,8 +57,12 @@ type Session struct {
 // flush traces and write profiles.
 func Start(cfg Config) (*Session, error) {
 	s := &Session{metrics: cfg.MetricsPath, memPath: cfg.MemProfile}
+	// Only live sinks reach Combine: a nil *JSONL or *Stats in a
+	// Recorder interface would not compare equal to nil.
+	var trace, stats Recorder
 	if cfg.MetricsPath != "" {
 		s.Registry = NewRegistry()
+		stats = NewStats(s.Registry)
 	}
 	if cfg.TracePath != "" {
 		w := os.Stdout
@@ -71,18 +75,9 @@ func Start(cfg Config) (*Session, error) {
 			w = f
 		}
 		s.jsonl = NewJSONL(w)
+		trace = s.jsonl
 	}
-	var stats *Stats
-	if s.Registry != nil {
-		stats = NewStats(s.Registry)
-	}
-	if s.jsonl != nil && stats != nil {
-		s.Recorder = Multi{s.jsonl, stats}
-	} else if s.jsonl != nil {
-		s.Recorder = s.jsonl
-	} else if stats != nil {
-		s.Recorder = stats
-	}
+	s.Recorder = Combine(trace, stats)
 
 	if cfg.CPUProfile != "" {
 		f, err := os.Create(cfg.CPUProfile)

@@ -15,11 +15,8 @@ import (
 // bounded rings of the most recent and the slowest finished traces (in
 // the spirit of golang.org/x/net/trace) and forwards every completed
 // span to the existing Recorder/sink machinery as a KindSpan event.
-//
-// The layer follows the package's zero-cost-when-disabled contract
-// end to end: a nil *Tracer mints nil *Trace values, and every Trace
-// and Span method is a no-op on a nil receiver, so instrumentation
-// sites need no guards and allocate nothing when tracing is off.
+// Tracing has no disabled mode: whoever traces holds a live Tracer,
+// and every Trace and Span it mints is live too.
 
 // TraceID is a 128-bit trace identifier, rendered as 32 hex digits
 // (the W3C trace-context format).
@@ -148,9 +145,7 @@ type TracerConfig struct {
 }
 
 // Tracer mints request-scoped traces and retains bounded rings of the
-// most recent and the slowest finished ones. A nil *Tracer is the
-// disabled tracer: New returns a nil *Trace whose span operations are
-// all no-ops, so callers never guard.
+// most recent and the slowest finished ones.
 type Tracer struct {
 	rec Recorder
 
@@ -177,20 +172,13 @@ func NewTracer(cfg TracerConfig) *Tracer {
 }
 
 // New starts a trace with a fresh random id; name labels the root span.
-// Nil-safe: a nil tracer returns a nil trace.
 func (tr *Tracer) New(name string) *Trace {
-	if tr == nil {
-		return nil
-	}
 	return tr.NewWithID(NewTraceID(), name)
 }
 
 // NewWithID starts a trace under a caller-provided id (e.g. one
-// propagated from an upstream system). Nil-safe.
+// propagated from an upstream system).
 func (tr *Tracer) NewWithID(id TraceID, name string) *Trace {
-	if tr == nil {
-		return nil
-	}
 	//solverlint:allow nondeterminism trace start timestamps are reporting-only; no solver or serving decision reads them
 	t := &Trace{id: id, tracer: tr, start: time.Now()}
 	t.root = t.newSpan(name, 0)
@@ -228,13 +216,10 @@ type TracerSnapshot struct {
 	Slowest []TraceSummary `json:"slowest"`
 }
 
-// Snapshot copies both rings. Nil-safe: a nil tracer yields empty
-// (non-nil) slices.
+// Snapshot copies both rings; empty rings yield empty (non-nil)
+// slices.
 func (tr *Tracer) Snapshot() TracerSnapshot {
 	snap := TracerSnapshot{Recent: []TraceSummary{}, Slowest: []TraceSummary{}}
-	if tr == nil {
-		return snap
-	}
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
 	n := len(tr.recent)
@@ -246,7 +231,7 @@ func (tr *Tracer) Snapshot() TracerSnapshot {
 }
 
 // Trace is one request's tree of spans. All methods are safe for
-// concurrent use and no-ops on a nil receiver.
+// concurrent use.
 type Trace struct {
 	id     TraceID
 	tracer *Tracer
@@ -259,27 +244,14 @@ type Trace struct {
 	finished bool
 }
 
-// ID returns the trace id (zero on a nil trace).
-func (t *Trace) ID() TraceID {
-	if t == nil {
-		return TraceID{}
-	}
-	return t.id
-}
+// ID returns the trace id.
+func (t *Trace) ID() TraceID { return t.id }
 
 // Root returns the root span.
-func (t *Trace) Root() *Span {
-	if t == nil {
-		return nil
-	}
-	return t.root
-}
+func (t *Trace) Root() *Span { return t.root }
 
 // StartSpan opens a child of the root span.
 func (t *Trace) StartSpan(name string) *Span {
-	if t == nil {
-		return nil
-	}
 	return t.newSpan(name, t.root.id)
 }
 
@@ -294,27 +266,23 @@ func (t *Trace) newSpan(name string, parent int) *Span {
 }
 
 // Finish ends the root span and files the trace into the tracer's
-// recent and slowest rings, returning the root duration. Spans still
-// running — detached work owned by this request, e.g. a singleflight
-// leader's solve outliving its HTTP request — appear in the filed
-// summary marked unended; their KindSpan event is still emitted when
-// they eventually end. Only the first Finish files; later calls are
-// no-ops returning the root duration.
-func (t *Trace) Finish() time.Duration {
-	if t == nil {
-		return 0
-	}
-	d := t.root.End()
+// recent and slowest rings, returning the summary it filed. Spans
+// still running — detached work owned by this request, e.g. a
+// singleflight leader's solve outliving its HTTP request — appear in
+// the filed summary marked unended; their KindSpan event is still
+// emitted when they eventually end. Only the first Finish files; later
+// calls return a fresh summary without filing it.
+func (t *Trace) Finish() TraceSummary {
+	t.root.End()
 	t.mu.Lock()
-	if t.finished {
-		t.mu.Unlock()
-		return d
-	}
+	first := !t.finished
 	t.finished = true
 	ts := t.summaryLocked()
 	t.mu.Unlock()
-	t.tracer.file(ts)
-	return d
+	if first {
+		t.tracer.file(ts)
+	}
+	return ts
 }
 
 // summaryLocked snapshots the trace; t.mu must be held.
@@ -370,7 +338,7 @@ type SpanSummary struct {
 func durMs(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
 // Span is one timed interval of a trace. Mutable state is guarded by
-// the owning trace's lock; all methods are no-ops on a nil receiver.
+// the owning trace's lock.
 type Span struct {
 	trace  *Trace
 	id     int
@@ -386,17 +354,14 @@ type Span struct {
 
 // StartChild opens a sub-span.
 func (s *Span) StartChild(name string) *Span {
-	if s == nil {
-		return nil
-	}
 	return s.trace.newSpan(name, s.id)
 }
 
+// Name returns the span's name.
+func (s *Span) Name() string { return s.name }
+
 // SetAttrs appends typed attributes to the span.
 func (s *Span) SetAttrs(attrs ...Attr) {
-	if s == nil {
-		return
-	}
 	s.trace.mu.Lock()
 	s.attrs = append(s.attrs, attrs...)
 	s.trace.mu.Unlock()
@@ -406,9 +371,6 @@ func (s *Span) SetAttrs(attrs ...Attr) {
 // recorder, and returns its duration. End is idempotent: a second call
 // returns the recorded duration without re-emitting.
 func (s *Span) End() time.Duration {
-	if s == nil {
-		return 0
-	}
 	t := s.trace
 	t.mu.Lock()
 	if s.ended {

@@ -11,7 +11,6 @@ import (
 type CacheStats struct {
 	Entries   int   `json:"entries"`
 	Capacity  int   `json:"capacity"`
-	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`
 	Evictions int64 `json:"evictions"`
 }
@@ -36,7 +35,6 @@ type lruCache struct {
 	ll        *list.List // stored entries, front = most recently used
 	items     map[canon.Digest]*cacheEntry
 	specs     map[canon.Digest]specBody
-	hits      int64
 	misses    int64
 	evictions int64
 }
@@ -89,9 +87,9 @@ func newLRU(capacity int) *lruCache {
 
 // Spec returns the body stored for a generate spec and the digest of
 // its instance, marking the instance most recently used; nil when
-// there is none. A found body counts as a hit; a missing one counts
-// nothing, since the request goes on to Join. Callers must not mutate
-// the body.
+// there is none. It counts nothing: the server counts a served body as
+// a hit, and a request without one goes on to Join. Callers must not
+// mutate the body.
 func (c *lruCache) Spec(spec canon.Digest) ([]byte, canon.Digest) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -99,7 +97,6 @@ func (c *lruCache) Spec(spec canon.Digest) ([]byte, canon.Digest) {
 	if !ok {
 		return nil, canon.Digest{}
 	}
-	c.hits++
 	c.ll.MoveToFront(sb.owner.elem)
 	return sb.body, sb.owner.key
 }
@@ -134,7 +131,6 @@ func (c *lruCache) Join(key canon.Digest) (res *placed, f *flight, leader bool) 
 	defer c.mu.Unlock()
 	e := c.items[key]
 	if e != nil && e.elem != nil {
-		c.hits++
 		c.ll.MoveToFront(e.elem)
 		return e.res, nil, false
 	}
@@ -232,7 +228,6 @@ func (c *lruCache) Stats() CacheStats {
 	return CacheStats{
 		Entries:   c.ll.Len(),
 		Capacity:  c.capacity,
-		Hits:      c.hits,
 		Misses:    c.misses,
 		Evictions: c.evictions,
 	}

@@ -15,7 +15,6 @@ func (c *lruCache) Get(key canon.Digest) (*placed, bool) {
 		c.misses++
 		return nil, false
 	}
-	c.hits++
 	c.ll.MoveToFront(e.elem)
 	return e.res, true
 }

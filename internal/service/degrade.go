@@ -3,7 +3,6 @@ package service
 import (
 	"fmt"
 	"net/http"
-	"time"
 
 	"repro/internal/baseline"
 	"repro/internal/canon"
@@ -51,18 +50,14 @@ func regionFor(creq *canon.Request) (*fabric.Region, error) {
 // answer once capacity returns.
 func (s *Server) serveDegraded(w http.ResponseWriter, tr *obs.Trace, out *placeOutcome, k *keyed) bool {
 	sp := tr.StartSpan("degrade")
-	start := time.Now()
 	res, err := s.fallback(k.creq)
-	elapsed := time.Since(start)
-	if sp != nil {
-		found := err == nil && res != nil && res.Found
-		sp.SetAttrs(obs.Bool("found", found))
-		if err != nil {
-			sp.SetAttrs(obs.String("error", err.Error()))
-		}
-		sp.End()
+	found := err == nil && res != nil && res.Found
+	sp.SetAttrs(obs.Bool("found", found))
+	if err != nil {
+		sp.SetAttrs(obs.String("error", err.Error()))
 	}
-	if err != nil || res == nil || !res.Found {
+	s.end(sp)
+	if !found {
 		return false
 	}
 	body, err := newPlaced(k, res, QualityApproximate).encode(k)
@@ -70,7 +65,6 @@ func (s *Server) serveDegraded(w http.ResponseWriter, tr *obs.Trace, out *placeO
 		return false
 	}
 	s.degraded.Inc()
-	s.cfg.Registry.ObserveDuration("service_degrade", elapsed)
 	out.status = http.StatusOK
 	out.errText = ""
 	out.quality = QualityApproximate

@@ -292,6 +292,40 @@ func TestCacheFaultForcesMiss(t *testing.T) {
 	}
 }
 
+// TestCacheFaultCountsNoHit: with the cache site erroring, a repeat of
+// a solved generate request is answered as a miss, and no hit is
+// counted anywhere — not in /v1/stats, not in the cache section, not in
+// /metrics, not in the access log.
+func TestCacheFaultCountsNoHit(t *testing.T) {
+	var log syncBuffer
+	s := newTestServer(t, Config{AccessLog: &log, Faults: mustInjector(t, "cache:error:1")})
+	s.solve = func(*canon.Request) (*core.Result, error) { return stubResult(3), nil }
+	h := s.Handler()
+	body := genBody(1, 2)
+	for i := 0; i < 2; i++ {
+		if rr := post(t, h, body); rr.Code != http.StatusOK || rr.Header().Get("X-Cache") != "miss" {
+			t.Fatalf("request %d: status %d X-Cache %q, want a 200 miss", i, rr.Code, rr.Header().Get("X-Cache"))
+		}
+	}
+	var stats struct {
+		CacheHits int64          `json:"cacheHits"`
+		HitRatio  float64        `json:"hitRatio"`
+		Cache     map[string]any `json:"cache"`
+	}
+	if err := json.Unmarshal(get(t, h, "/v1/stats").Body.Bytes(), &stats); err != nil {
+		t.Fatal(err)
+	}
+	if hits, ok := stats.Cache["hits"]; stats.CacheHits != 0 || stats.HitRatio != 0 || (ok && hits != 0.0) {
+		t.Fatalf("/v1/stats counts a hit under the cache fault: %+v", stats)
+	}
+	if got := scrape(t, h)["service_cache_hits_total"]; got != "0" {
+		t.Fatalf("/metrics service_cache_hits_total = %q, want 0", got)
+	}
+	if strings.Contains(log.String(), `"cache":"hit"`) {
+		t.Fatalf("access log records a hit under the cache fault:\n%s", log.String())
+	}
+}
+
 // TestSingleflightFaultBypassesDedup: with the dedup layer broken,
 // concurrent identical requests each solve solo.
 func TestSingleflightFaultBypassesDedup(t *testing.T) {

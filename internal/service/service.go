@@ -8,15 +8,18 @@
 // MaxInFlight requests wait for a slot, more are shed with 429 instead
 // of queueing unbounded multi-second solves.
 //
-// Every /v1/place request is traced end to end when a Tracer is
-// configured: canonicalization, cache lookup, singleflight role,
-// admission-queue wait and the solve itself become spans of one
-// request-scoped trace (internal/obs), the solve span carries the
-// solver's own counts from core.Result, the trace id travels back in
-// the X-Trace-Id header, one JSON access-log line is emitted per
-// request, and rolling SLO attainment is reported by /v1/stats. The
-// registry — service counters, solver phase timers and search
-// counters — is served live in Prometheus text by GET /metrics.
+// Every request is traced end to end, and the trace is the serving
+// path's only clock: canonicalization, cache lookup, singleflight
+// role, admission-queue wait, the solve and each session operation
+// become spans of one request-scoped trace (internal/obs). Each ended
+// span is observed once into the registry as service_<span>_seconds;
+// the access log's durations and the SLO accounting read the finished
+// trace. The solve span carries the solver's own counts from
+// core.Result, the trace id travels back in the X-Trace-Id header, one
+// JSON access-log line is emitted per request, and rolling SLO
+// attainment is reported by /v1/stats. The registry — service
+// counters, span histograms, solver phase timers and search counters —
+// is served live in Prometheus text by GET /metrics.
 //
 // Endpoints:
 //
@@ -40,8 +43,8 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/canon"
@@ -86,19 +89,16 @@ type Config struct {
 	// allocates a private registry (still served by /v1/stats and
 	// GET /metrics).
 	Registry *obs.Registry
-	// Tracer mints the request-scoped traces; nil disables tracing
-	// (no spans, no X-Trace-Id header) at zero per-request cost.
+	// Tracer mints the request-scoped traces; nil allocates a private
+	// tracer (still served by /debug/traces). Every request is traced
+	// either way.
 	Tracer *obs.Tracer
 	// AccessLog receives one JSON line per /v1/place request; nil
 	// disables access logging.
 	AccessLog io.Writer
 	// SLOLatency is the request-latency objective for SLO accounting
-	// (default 500ms).
+	// over the 1m/5m/1h windows of /v1/stats (default 500ms).
 	SLOLatency time.Duration
-	// SLOWindow is the headline SLO attainment window reported by
-	// /v1/stats (default 1h, clamped to [1s, 1h]; the 1m/5m/1h
-	// standard windows are always reported alongside).
-	SLOWindow time.Duration
 	// Degrade enables graceful degradation: a request whose exact
 	// solve misses its deadline or is shed by admission is answered
 	// with a fast approximate placement (tagged X-Placement-Quality:
@@ -145,14 +145,11 @@ func (c Config) withDefaults() Config {
 	if c.Registry == nil {
 		c.Registry = obs.NewRegistry()
 	}
+	if c.Tracer == nil {
+		c.Tracer = obs.NewTracer(obs.TracerConfig{})
+	}
 	if c.SLOLatency <= 0 {
 		c.SLOLatency = 500 * time.Millisecond
-	}
-	if c.SLOWindow <= 0 || c.SLOWindow > time.Hour {
-		c.SLOWindow = time.Hour
-	}
-	if c.SLOWindow < time.Second {
-		c.SLOWindow = time.Second
 	}
 	if c.MaxSessions < 1 {
 		c.MaxSessions = 256
@@ -274,27 +271,19 @@ func (e errSolve) Error() string { return e.err.Error() }
 const statusClientClosedRequest = 499
 
 // placeOutcome accumulates what the access log and SLO accounting need
-// to know about one /v1/place request. The queue/solve durations are
-// written by the detached leader goroutine — which may outlive the
-// request that spawned it — and read by the deferred logger, hence the
-// atomics.
+// to know about one request besides its durations, which they read
+// from the finished trace.
 type placeOutcome struct {
 	status  int
 	cache   string
 	digest  string
 	errText string
 	quality string
-	queueNs atomic.Int64
-	solveNs atomic.Int64
 }
 
 // traceFor mints the request-scoped trace, honouring a well-formed
-// client-supplied X-Trace-Id so upstream callers can correlate. Nil
-// when tracing is disabled.
+// client-supplied X-Trace-Id so upstream callers can correlate.
 func (s *Server) traceFor(r *http.Request) *obs.Trace {
-	if s.cfg.Tracer == nil {
-		return nil
-	}
 	if id, ok := obs.ParseTraceID(r.Header.Get("X-Trace-Id")); ok {
 		return s.cfg.Tracer.NewWithID(id, "request")
 	}
@@ -302,7 +291,7 @@ func (s *Server) traceFor(r *http.Request) *obs.Trace {
 }
 
 // observed wraps a traced endpoint body with the daemon's per-request
-// bookkeeping: the request counter and timer, the request-scoped trace
+// bookkeeping: the request counter, the request-scoped trace
 // (X-Trace-Id on every response, including errors), SLO accounting,
 // and one access-log line. /v1/place and every session endpoint share
 // this skeleton, so all of them show up in the same operational
@@ -310,31 +299,25 @@ func (s *Server) traceFor(r *http.Request) *obs.Trace {
 func (s *Server) observed(h func(http.ResponseWriter, *http.Request, *obs.Trace, *placeOutcome)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.requests.Inc()
-		reqT := s.cfg.Registry.Timer("service_request")
-		start := time.Now()
 		tr := s.traceFor(r)
-		if tr != nil {
-			// Set on the header map before any WriteHeader call, so error
-			// responses (400/429/499/504/...) carry the id too.
-			w.Header().Set("X-Trace-Id", tr.ID().String())
-		}
+		// Set on the header map before any WriteHeader call, so error
+		// responses (400/429/499/504/...) carry the id too.
+		w.Header().Set("X-Trace-Id", tr.ID().String())
 		out := &placeOutcome{status: http.StatusOK, cache: "none"}
 		defer func() {
-			elapsed := time.Since(start)
-			reqT.Stop()
-			tr.Finish()
-			s.slo.Observe(elapsed, out.status)
+			s.slo.Observe(s.end(tr.Root()), out.status)
+			ts := tr.Finish()
 			s.accessLog.log(AccessRecord{
-				Time:    start.UTC().Format(time.RFC3339Nano),
-				TraceID: traceIDString(tr),
+				Time:    ts.Start.UTC().Format(time.RFC3339Nano),
+				TraceID: ts.TraceID,
 				Method:  r.Method,
 				Path:    r.URL.Path,
 				Status:  out.status,
-				DurMs:   float64(elapsed.Microseconds()) / 1000,
+				DurMs:   ts.DurMs,
 				Digest:  out.digest,
 				Cache:   out.cache,
-				QueueMs: float64(out.queueNs.Load()) / 1e6,
-				SolveMs: float64(out.solveNs.Load()) / 1e6,
+				QueueMs: spanMs(ts, "queue_wait"),
+				SolveMs: spanMs(ts, "solve", "session_place", "session_defrag"),
 				Quality: out.quality,
 				Error:   out.errText,
 			})
@@ -343,11 +326,29 @@ func (s *Server) observed(h func(http.ResponseWriter, *http.Request, *obs.Trace,
 	}
 }
 
-func traceIDString(tr *obs.Trace) string {
-	if tr == nil {
-		return ""
+// end closes sp with attrs attached and observes its duration into the
+// registry as service_<span>_seconds. It is the one place a span
+// becomes a histogram observation, so each span of the serving path
+// ends here exactly once; the root span ends here before Finish.
+func (s *Server) end(sp *obs.Span, attrs ...obs.Attr) time.Duration {
+	if len(attrs) > 0 {
+		sp.SetAttrs(attrs...)
 	}
-	return tr.ID().String()
+	d := sp.End()
+	s.cfg.Registry.Histogram("service_" + sp.Name() + "_seconds").Observe(d.Seconds())
+	return d
+}
+
+// spanMs is the duration of ts's span named one of names (a trace holds
+// at most one of them); 0 when there is none or it had not ended when
+// the trace finished.
+func spanMs(ts obs.TraceSummary, names ...string) float64 {
+	for _, sp := range ts.Spans {
+		if slices.Contains(names, sp.Name) {
+			return sp.DurMs
+		}
+	}
+	return 0
 }
 
 // keyed is an expanded request with its canonical digest, the order
@@ -366,7 +367,7 @@ func (s *Server) servePlace(w http.ResponseWriter, r *http.Request, tr *obs.Trac
 	canonSp := tr.StartSpan("canonicalize")
 	d, err := decode(r.Body, s.cfg)
 	if err != nil {
-		canonSp.End()
+		s.end(canonSp)
 		s.failPlace(w, out, http.StatusBadRequest, err)
 		return
 	}
@@ -388,12 +389,8 @@ func (s *Server) servePlace(w http.ResponseWriter, r *http.Request, tr *obs.Trac
 	k := &keyed{spec: d.specKey()}
 	if k.spec != nil && !cacheDown {
 		if body, digest := s.cache.Spec(*k.spec); body != nil {
-			endCanonicalize(canonSp, false)
-			lookupSp := tr.StartSpan("cache_lookup")
-			if lookupSp != nil {
-				lookupSp.SetAttrs(obs.Bool("hit", true))
-				lookupSp.End()
-			}
+			s.end(canonSp, obs.Bool("expanded", false))
+			s.end(tr.StartSpan("cache_lookup"), obs.Bool("hit", true))
 			out.digest = digest.String()
 			s.serve(w, out, body, digest, "hit")
 			return
@@ -403,7 +400,7 @@ func (s *Server) servePlace(w http.ResponseWriter, r *http.Request, tr *obs.Trac
 	if err == nil {
 		k.digest, k.order, err = k.creq.Key()
 	}
-	endCanonicalize(canonSp, true)
+	s.end(canonSp, obs.Bool("expanded", true))
 	if err != nil {
 		s.failPlace(w, out, http.StatusBadRequest, err)
 		return
@@ -413,10 +410,7 @@ func (s *Server) servePlace(w http.ResponseWriter, r *http.Request, tr *obs.Trac
 	lookupSp := tr.StartSpan("cache_lookup")
 	res, f, leader := s.cache.Join(k.digest)
 	hit := res != nil && !cacheDown
-	if lookupSp != nil {
-		lookupSp.SetAttrs(obs.Bool("hit", hit))
-		lookupSp.End()
-	}
+	s.end(lookupSp, obs.Bool("hit", hit))
 	if hit {
 		s.answer(w, out, k, res, "hit")
 		return
@@ -438,7 +432,7 @@ func (s *Server) servePlace(w http.ResponseWriter, r *http.Request, tr *obs.Trac
 		}
 		if leader {
 			s.leaders.Add(1)
-			go s.lead(tr, out, k, f)
+			go s.lead(tr, k, f)
 		}
 		// A waiter that gives up leaves the solve running for the
 		// others and the cache.
@@ -449,14 +443,11 @@ func (s *Server) servePlace(w http.ResponseWriter, r *http.Request, tr *obs.Trac
 			err = r.Context().Err()
 		}
 	}
-	if flightSp != nil {
-		role := "waiter"
-		if leader {
-			role = "leader"
-		}
-		flightSp.SetAttrs(obs.String("role", role))
-		flightSp.End()
+	role := "waiter"
+	if leader {
+		role = "leader"
 	}
+	s.end(flightSp, obs.String("role", role))
 	switch {
 	case errors.Is(err, errBusy):
 		s.rejected.Inc()
@@ -504,16 +495,6 @@ func (s *Server) servePlace(w http.ResponseWriter, r *http.Request, tr *obs.Trac
 	s.answer(w, out, k, res, cache)
 }
 
-// endCanonicalize ends the canonicalize span, noting whether the
-// request's modules were expanded and keyed or a generate spec was
-// answered before expansion.
-func endCanonicalize(sp *obs.Span, expanded bool) {
-	if sp != nil {
-		sp.SetAttrs(obs.Bool("expanded", expanded))
-		sp.End()
-	}
-}
-
 // answer serves res to k's requester, encoded in its own module and
 // shape order, as a hit, a miss or a deduplicated wait (cache). A
 // generate request's body is recorded under its spec, so its repeats
@@ -559,10 +540,10 @@ func (s *Server) failPlace(w http.ResponseWriter, out *placeOutcome, status int,
 // leader request's trace (tr); if that request has already finished,
 // the spans still reach the span sink, marked unended in the trace's
 // filed ring summary.
-func (s *Server) lead(tr *obs.Trace, out *placeOutcome, k *keyed, f *flight) {
+func (s *Server) lead(tr *obs.Trace, k *keyed, f *flight) {
 	defer s.leaders.Done()
 	var skipStore bool
-	res, err := s.solveExact(tr, out, k, &skipStore)
+	res, err := s.solveExact(tr, k, &skipStore)
 	s.cache.Land(k.digest, f, res, err, err == nil && !skipStore)
 }
 
@@ -571,7 +552,7 @@ func (s *Server) lead(tr *obs.Trace, out *placeOutcome, k *keyed, f *flight) {
 // outcome in canonical terms. The wait is bounded
 // by the queue grace plus the solve timeout; a solve that started runs
 // to completion and is never thrown away.
-func (s *Server) solveExact(tr *obs.Trace, out *placeOutcome, k *keyed, skipStore *bool) (*placed, error) {
+func (s *Server) solveExact(tr *obs.Trace, k *keyed, skipStore *bool) (*placed, error) {
 	// Fault site "queue": an injected error models a full admission
 	// queue (shed → 429 or degradation), an injected timeout a request
 	// that expired while queued (→ 504 or degradation).
@@ -589,29 +570,21 @@ func (s *Server) solveExact(tr *obs.Trace, out *placeOutcome, k *keyed, skipStor
 	detached := context.Background()
 	waitCtx, cancel := context.WithTimeout(detached, s.cfg.QueueGrace+k.creq.Options.Timeout)
 	queueSp := tr.StartSpan("queue_wait")
-	queued := time.Now()
 	err := s.solveGate.Acquire(waitCtx)
 	cancel()
-	wait := time.Since(queued)
 	// A request shed (errBusy) or expired while waiting never solves;
-	// its queue-wait span still ends so the trace does not dangle.
-	queueSp.End()
+	// its queue-wait span still ends, and is observed, so the trace does
+	// not dangle.
+	s.end(queueSp)
 	if err != nil {
 		return nil, err
 	}
 	defer s.solveGate.Release()
-	out.queueNs.Store(int64(wait))
-	s.cfg.Registry.ObserveDuration("service_queue_wait", wait)
-	solveT := s.cfg.Registry.Timer("service_solve")
 	solveSp := tr.StartSpan("solve")
 	s.solves.Inc()
 	res, err := s.injectedSolve(k.creq, skipStore)
-	out.solveNs.Store(int64(solveT.Stop()))
 	if err != nil {
-		if solveSp != nil {
-			solveSp.SetAttrs(obs.String("error", err.Error()))
-			solveSp.End()
-		}
+		s.end(solveSp, obs.String("error", err.Error()))
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, faultinject.ErrInjected) {
 			// A missed solve deadline keeps its identity so the HTTP
 			// layer can degrade instead of erroring; an injected
@@ -621,18 +594,15 @@ func (s *Server) solveExact(tr *obs.Trace, out *placeOutcome, k *keyed, skipStor
 		}
 		return nil, errSolve{err}
 	}
-	if solveSp != nil {
-		solveSp.SetAttrs(
-			obs.Bool("found", res.Found),
-			obs.Int("height", int64(res.Height)),
-			obs.String("reason", res.Reason.String()),
-			obs.Int("nodes", res.Nodes),
-			obs.Int("backtracks", res.Backtracks),
-			obs.Int("propagations", res.Propagations),
-			obs.Int("incumbents", int64(len(res.ObjectiveTrace))),
-		)
-		solveSp.End()
-	}
+	s.end(solveSp,
+		obs.Bool("found", res.Found),
+		obs.Int("height", int64(res.Height)),
+		obs.String("reason", res.Reason.String()),
+		obs.Int("nodes", res.Nodes),
+		obs.Int("backtracks", res.Backtracks),
+		obs.Int("propagations", res.Propagations),
+		obs.Int("incumbents", int64(len(res.ObjectiveTrace))),
+	)
 	return newPlaced(k, res, QualityExact), nil
 }
 
@@ -688,8 +658,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_ = s.cfg.Registry.WritePrometheus(w)
 }
 
-// handleTraces dumps the tracer's recent and slowest rings. With
-// tracing disabled both lists are empty.
+// handleTraces dumps the tracer's recent and slowest rings.
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.cfg.Tracer.Snapshot())
 }
@@ -747,7 +716,7 @@ func (s *Server) Stats() StatsResponse {
 		Workers:         s.cfg.Workers,
 		MaxInFlight:     s.cfg.MaxInFlight,
 		Cache:           s.cache.Stats(),
-		SLO:             s.slo.Stats(s.cfg.SLOWindow),
+		SLO:             s.slo.Stats(),
 		Sessions:        s.sessions.len(),
 		SessionsCreated: s.sessCreated.Value(),
 		SessionsEvicted: s.sessEvicted.Value(),

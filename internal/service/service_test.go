@@ -543,18 +543,9 @@ func TestHealthzStatsFabrics(t *testing.T) {
 	}
 }
 
-// TestMetricsScrape reads the registry live after one miss and one
-// hit: GET /metrics must agree with /v1/stats on the service counters
-// and carry the solver's per-propagator runs from the miss's solve.
-func TestMetricsScrape(t *testing.T) {
-	s := newTestServer(t, Config{})
-	h := s.Handler()
-	body := genBody(1, 6)
-	for _, want := range []string{"miss", "hit"} {
-		if rr := post(t, h, body); rr.Code != http.StatusOK || rr.Header().Get("X-Cache") != want {
-			t.Fatalf("place: status %d X-Cache %q, want %s", rr.Code, rr.Header().Get("X-Cache"), want)
-		}
-	}
+// scrape reads GET /metrics into a sample-name -> value map.
+func scrape(t *testing.T, h http.Handler) map[string]string {
+	t.Helper()
 	rr := get(t, h, "/metrics")
 	if rr.Code != http.StatusOK || !strings.HasPrefix(rr.Header().Get("Content-Type"), "text/plain") {
 		t.Fatalf("/metrics: status %d Content-Type %q", rr.Code, rr.Header().Get("Content-Type"))
@@ -565,21 +556,56 @@ func TestMetricsScrape(t *testing.T) {
 			samples[name] = val
 		}
 	}
+	return samples
+}
+
+// TestMetricsScrape reads the registry live after a miss, a hit and a
+// session round trip: GET /metrics must agree with /v1/stats on every
+// service counter and carry the solver's per-propagator runs from the
+// miss's solve.
+func TestMetricsScrape(t *testing.T) {
+	s := newTestServer(t, Config{})
+	h := s.Handler()
+	body := genBody(1, 6)
+	for _, want := range []string{"miss", "hit"} {
+		if rr := post(t, h, body); rr.Code != http.StatusOK || rr.Header().Get("X-Cache") != want {
+			t.Fatalf("place: status %d X-Cache %q, want %s", rr.Code, rr.Header().Get("X-Cache"), want)
+		}
+	}
+	id := createSession(t, h, `{"fabric":"spartan-like-24x16"}`)
+	if resp, rr := sessionPlace(t, h, id, 1, clbModuleJSON("m", 2, 2)); rr.Code != http.StatusOK || !resp.Placed {
+		t.Fatalf("session place: status %d body %s", rr.Code, rr.Body)
+	}
+	if rr := do(t, h, "POST", "/v1/sessions/"+id+"/defrag", ""); rr.Code != http.StatusOK {
+		t.Fatalf("defrag: status %d body %s", rr.Code, rr.Body)
+	}
+	samples := scrape(t, h)
 	st := s.Stats()
 	for name, want := range map[string]int64{
-		"service_requests_total":   st.Requests,
-		"service_cache_hits_total": st.CacheHits,
-		"service_solves_total":     st.Solves,
+		"service_requests_total":         st.Requests,
+		"service_cache_hits_total":       st.CacheHits,
+		"service_dedup_total":            st.DedupHits,
+		"service_solves_total":           st.Solves,
+		"service_solve_errors_total":     st.SolveErrors,
+		"service_rejected_total":         st.Rejected,
+		"service_timeouts_total":         st.Timeouts,
+		"service_canceled_total":         st.Canceled,
+		"service_degraded_total":         st.Degraded,
+		"service_sessions_created_total": st.SessionsCreated,
+		"service_sessions_evicted_total": st.SessionsEvicted,
+		"service_sessions_expired_total": st.SessionsExpired,
+		"service_session_replans_total":  st.SessionReplans,
+		"service_session_defrags_total":  st.SessionDefrags,
 	} {
 		if got := samples[name]; got != fmt.Sprint(want) {
 			t.Errorf("/metrics %s = %q, /v1/stats says %d", name, got, want)
 		}
 	}
-	if st.Requests != 2 || st.CacheHits != 1 || st.Solves != 1 {
-		t.Errorf("stats after a miss and a hit: %+v", st)
+	if st.Requests != 5 || st.CacheHits != 1 || st.Solves != 1 || st.SessionsCreated != 1 || st.SessionDefrags != 1 {
+		t.Errorf("stats after a miss, a hit and a session round trip: %+v", st)
 	}
 	if runs := samples[`solver_propagator_runs_total{propagator="geost.non-overlap"}`]; runs == "" || runs == "0" {
-		t.Errorf("no non-overlap runs in /metrics:\n%s", rr.Body)
+		t.Errorf("no non-overlap runs in /metrics: %v", samples)
 	}
 }
 

@@ -38,9 +38,8 @@ import (
 // session is one live fabric. mu serialises all State access; lastUsed
 // and elem belong to the store and are guarded by the store's lock.
 type session struct {
-	id      string
-	fabric  string
-	created time.Time
+	id     string
+	fabric string
 
 	mu    sync.Mutex
 	state *online.State
@@ -365,19 +364,15 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request, tr 
 		return
 	}
 	sess := &session{
-		id:      obs.NewTraceID().String(),
-		fabric:  wire.Fabric,
-		created: time.Now(),
-		state:   state,
+		id:     obs.NewTraceID().String(),
+		fabric: wire.Fabric,
+		state:  state,
 	}
 	expired, evicted := s.sessions.add(sess)
 	s.sessExpired.Add(int64(expired))
 	s.sessEvicted.Add(int64(evicted))
 	s.sessCreated.Inc()
-	if sp := tr.StartSpan("session_create"); sp != nil {
-		sp.SetAttrs(obs.String("session", sess.id), obs.String("manager", state.ManagerName()))
-		sp.End()
-	}
+	s.end(tr.StartSpan("session_create"), obs.String("session", sess.id), obs.String("manager", state.ManagerName()))
 	writeJSON(w, http.StatusOK, SessionInfo{
 		Session: sess.id,
 		Fabric:  wire.Fabric,
@@ -427,7 +422,6 @@ func (s *Server) handleSessionPlace(w http.ResponseWriter, r *http.Request, tr *
 	quality := QualityExact
 	var result online.PlaceOutcome
 	sp := tr.StartSpan("session_place")
-	start := time.Now()
 	if s.sessionGate.TryAcquire() {
 		// The inline solve deliberately runs under the session lock:
 		// the whole point of a session is that its mutations are
@@ -446,28 +440,22 @@ func (s *Server) handleSessionPlace(w http.ResponseWriter, r *http.Request, tr *
 		result, err = sess.state.PlaceGreedy(id, mod)
 		s.degraded.Inc()
 	} else {
-		if sp != nil {
-			sp.SetAttrs(obs.String("error", "shed"))
-			sp.End()
-		}
+		s.end(sp, obs.String("error", "shed"))
 		s.rejected.Inc()
 		//solverlint:allow lockscope in-memory response writer; writing under the session lock keeps the answer consistent with the state the client replays
 		w.Header().Set("Retry-After", "1")
 		s.failPlace(w, out, http.StatusTooManyRequests, fmt.Errorf("session solver capacity saturated, retry later"))
 		return
 	}
-	out.solveNs.Store(int64(time.Since(start)))
-	if sp != nil {
-		sp.SetAttrs(
-			obs.Bool("placed", result.Placed),
-			obs.Bool("replanned", result.Replanned),
-			obs.Int("moves", int64(len(result.Moves))),
-		)
-		if err != nil {
-			sp.SetAttrs(obs.String("error", err.Error()))
-		}
-		sp.End()
+	sp.SetAttrs(
+		obs.Bool("placed", result.Placed),
+		obs.Bool("replanned", result.Replanned),
+		obs.Int("moves", int64(len(result.Moves))),
+	)
+	if err != nil {
+		sp.SetAttrs(obs.String("error", err.Error()))
 	}
+	s.end(sp)
 	if err != nil {
 		// Input errors were screened above; what remains is an internal
 		// invariant violation (manager/shadow disagreement).
@@ -522,10 +510,7 @@ func (s *Server) handleSessionRelease(w http.ResponseWriter, r *http.Request, tr
 	sess.mu.Lock()
 	released := sess.state.Release(online.TaskID(task))
 	sess.mu.Unlock()
-	if sp := tr.StartSpan("session_release"); sp != nil {
-		sp.SetAttrs(obs.Bool("released", released))
-		sp.End()
-	}
+	s.end(tr.StartSpan("session_release"), obs.Bool("released", released))
 	writeJSON(w, http.StatusOK, SessionReleaseResponse{Session: sess.id, Task: task, Released: released})
 }
 
@@ -550,17 +535,13 @@ func (s *Server) handleSessionDefrag(w http.ResponseWriter, r *http.Request, tr 
 		return
 	}
 	sp := tr.StartSpan("session_defrag")
-	start := time.Now()
 	result, err := sess.state.Defrag()
 	s.sessionGate.Release()
-	out.solveNs.Store(int64(time.Since(start)))
-	if sp != nil {
-		sp.SetAttrs(obs.Int("moves", int64(len(result.Moves))))
-		if err != nil {
-			sp.SetAttrs(obs.String("error", err.Error()))
-		}
-		sp.End()
+	sp.SetAttrs(obs.Int("moves", int64(len(result.Moves))))
+	if err != nil {
+		sp.SetAttrs(obs.String("error", err.Error()))
 	}
+	s.end(sp)
 	if err != nil {
 		s.errCount.Inc()
 		s.failPlace(w, out, http.StatusInternalServerError, err)

@@ -110,27 +110,20 @@ func (t *sloTracker) Window(w time.Duration) SLOWindowStats {
 	return st
 }
 
-// SLOStats is the SLO section of /v1/stats: the configured objectives,
-// the attainment over the configured headline window, and the three
-// standard rolling windows.
+// SLOStats is the SLO section of /v1/stats: the configured latency
+// objective and the attainment over the three standard rolling
+// windows.
 type SLOStats struct {
 	LatencyObjectiveMs float64                   `json:"latencyObjectiveMs"`
-	Window             string                    `json:"window"`
-	Attainment         SLOWindowStats            `json:"attainment"`
 	Windows            map[string]SLOWindowStats `json:"windows"`
 }
 
-// Stats snapshots the SLO accounting for the configured headline
-// window.
-func (t *sloTracker) Stats(headline time.Duration) SLOStats {
-	st := SLOStats{
-		Window:  headline.String(),
-		Windows: make(map[string]SLOWindowStats, len(sloWindows)),
-	}
+// Stats snapshots the SLO accounting over the standard windows.
+func (t *sloTracker) Stats() SLOStats {
+	st := SLOStats{Windows: make(map[string]SLOWindowStats, len(sloWindows))}
 	if t != nil {
 		st.LatencyObjectiveMs = float64(t.objective.Microseconds()) / 1000
 	}
-	st.Attainment = t.Window(headline)
 	for _, w := range sloWindows {
 		st.Windows[w.label] = t.Window(w.d)
 	}

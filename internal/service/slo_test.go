@@ -69,16 +69,20 @@ func TestSLOStatsShape(t *testing.T) {
 	tr.now = clk.now
 	tr.Observe(10*time.Millisecond, 200)
 
-	st := tr.Stats(5 * time.Minute)
-	if st.LatencyObjectiveMs != 250 || st.Window != "5m0s" {
+	st := tr.Stats()
+	if st.LatencyObjectiveMs != 250 {
 		t.Fatalf("stats header: %+v", st)
 	}
-	if st.Attainment.Requests != 1 {
-		t.Fatalf("headline attainment: %+v", st.Attainment)
+	if len(st.Windows) != 3 {
+		t.Fatalf("windows: %+v", st.Windows)
 	}
 	for _, label := range []string{"1m", "5m", "1h"} {
-		if _, ok := st.Windows[label]; !ok {
+		w, ok := st.Windows[label]
+		if !ok {
 			t.Fatalf("window %q missing: %+v", label, st.Windows)
+		}
+		if w.Requests != 1 {
+			t.Fatalf("window %q attainment: %+v", label, w)
 		}
 	}
 }
@@ -87,7 +91,7 @@ func TestSLOStatsShape(t *testing.T) {
 // 1µs — any real request misses it) and reads the attainment back
 // through GET /v1/stats.
 func TestStatsSLOEndToEnd(t *testing.T) {
-	s := newTestServer(t, Config{SLOLatency: time.Microsecond, SLOWindow: time.Minute})
+	s := newTestServer(t, Config{SLOLatency: time.Microsecond})
 	h := s.Handler()
 
 	if rr := post(t, h, genBody(1, 2)); rr.Code != http.StatusOK {
@@ -104,10 +108,10 @@ func TestStatsSLOEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	slo := st.SLO
-	if slo.LatencyObjectiveMs <= 0 || slo.Window != "1m0s" {
+	if slo.LatencyObjectiveMs <= 0 {
 		t.Fatalf("SLO header: %+v", slo)
 	}
-	a := slo.Attainment
+	a := slo.Windows["1m"]
 	if a.Requests != 2 || a.Available != 1 {
 		t.Fatalf("attainment after good+failed: %+v", a)
 	}

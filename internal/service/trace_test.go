@@ -429,20 +429,91 @@ func TestInboundTraceIDHonored(t *testing.T) {
 	}
 }
 
-// TestTracingDisabledNoHeader pins the disabled default: no tracer, no
-// header, /debug/traces empty but serving.
-func TestTracingDisabledNoHeader(t *testing.T) {
-	s := newTestServer(t, Config{})
+// TestSpanHistogramsCountEveryRequest sends a mix of /v1/place and
+// session requests, then pins the span histograms against the counters
+// of the same scrape — every request, place post, solve and session
+// call is observed exactly once — and every access-log duration
+// against the span of the filed trace it was read from.
+func TestSpanHistogramsCountEveryRequest(t *testing.T) {
+	var log syncBuffer
+	s := newTestServer(t, Config{AccessLog: &log})
 	h := s.Handler()
-	rr := post(t, h, genBody(6, 1))
-	if rr.Code != http.StatusOK {
-		t.Fatalf("place: status %d", rr.Code)
+	places := []struct {
+		name, body, status, cache string
+	}{
+		{"miss", permGenerateBody(), "200", "miss"},
+		{"hit", permExplicitBody(t, 0), "200", "hit"},
+		{"permuted hit", permExplicitBody(t, 7), "200", "hit"},
+		{"generate hit", permGenerateBody(), "200", "hit"},
+		{"bad request", `{`, "400", ""},
 	}
-	if id := rr.Header().Get("X-Trace-Id"); id != "" {
-		t.Fatalf("untraced response carries X-Trace-Id %q", id)
+	for _, p := range places {
+		rr := post(t, h, p.body)
+		if got := strconv.Itoa(rr.Code); got != p.status || rr.Header().Get("X-Cache") != p.cache {
+			t.Fatalf("%s: status %s X-Cache %q, want %s %q", p.name, got, rr.Header().Get("X-Cache"), p.status, p.cache)
+		}
 	}
-	snap := tracesSnapshot(t, h)
-	if len(snap.Recent)+len(snap.Slowest) != 0 {
-		t.Fatalf("disabled tracer filed traces: %+v", snap)
+	id := createSession(t, h, `{"fabric":"spartan-like-24x16","region":{"x":0,"y":0,"w":8,"h":12}}`)
+	if resp, rr := sessionPlace(t, h, id, 1, clbModuleJSON("m", 4, 4)); rr.Code != http.StatusOK || !resp.Placed {
+		t.Fatalf("session place: status %d body %s", rr.Code, rr.Body)
+	}
+	if rr := do(t, h, "POST", "/v1/sessions/"+id+"/defrag", ""); rr.Code != http.StatusOK {
+		t.Fatalf("defrag: status %d body %s", rr.Code, rr.Body)
+	}
+
+	samples := scrape(t, h)
+	st := s.Stats()
+	if st.Requests != int64(len(places))+3 || st.Solves != 1 {
+		t.Fatalf("stats after the mix: %+v", st)
+	}
+	for name, want := range map[string]int64{
+		"service_request_seconds_count":        st.Requests,
+		"service_canonicalize_seconds_count":   int64(len(places)),
+		"service_cache_lookup_seconds_count":   int64(len(places)) - 1,
+		"service_singleflight_seconds_count":   st.Solves,
+		"service_queue_wait_seconds_count":     st.Solves,
+		"service_solve_seconds_count":          st.Solves,
+		"service_session_create_seconds_count": 1,
+		"service_session_place_seconds_count":  1,
+		"service_session_defrag_seconds_count": 1,
+	} {
+		if got := samples[name]; got != strconv.FormatInt(want, 10) {
+			t.Errorf("/metrics %s = %q, want %d", name, got, want)
+		}
+	}
+	if got := samples["service_requests_total"]; got != strconv.FormatInt(st.Requests, 10) {
+		t.Errorf("/metrics service_requests_total = %q, want %d", got, st.Requests)
+	}
+
+	traces := map[string]obs.TraceSummary{}
+	for _, ts := range tracesSnapshot(t, h).Recent {
+		traces[ts.TraceID] = ts
+	}
+	lines := strings.Split(strings.TrimSpace(log.String()), "\n")
+	if len(lines) != int(st.Requests) {
+		t.Fatalf("access log has %d lines for %d requests", len(lines), st.Requests)
+	}
+	solved := 0
+	for _, line := range lines {
+		var rec AccessRecord
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatal(err)
+		}
+		ts, ok := traces[rec.TraceID]
+		if !ok {
+			t.Fatalf("access-log trace %s not in /debug/traces", rec.TraceID)
+		}
+		spans := spanNames(ts)
+		solve := spans["solve"].DurMs + spans["session_place"].DurMs + spans["session_defrag"].DurMs
+		if rec.DurMs != ts.DurMs || rec.QueueMs != spans["queue_wait"].DurMs || rec.SolveMs != solve {
+			t.Errorf("%s %s: access log durMs/queueMs/solveMs %v/%v/%v, trace spans %+v",
+				rec.Method, rec.Path, rec.DurMs, rec.QueueMs, rec.SolveMs, ts)
+		}
+		if rec.Cache == "miss" && rec.SolveMs > 0 {
+			solved++
+		}
+	}
+	if solved != 1 {
+		t.Errorf("%d access-log lines report a solve time, want the miss's 1", solved)
 	}
 }

@@ -4,9 +4,10 @@
 # start it on the Table-I fabric's catalog, place the committed smoke
 # request twice and require a cache miss then a byte-identical cache
 # hit, then its committed explicit spelling with modules and shapes
-# permuted and require a hit on the same digest, check liveness, the live /metrics scrape and the observability
-# round trip (X-Trace-Id header, structured access-log line, span
-# stream rendered by tracecat), run a stateful session round trip
+# permuted and require a hit on the same digest, check liveness, the
+# live /metrics scrape (span histograms counting every request) and the
+# observability round trip (X-Trace-Id header, structured access-log
+# line, span stream rendered by tracecat), run a stateful session round trip
 # (create, place, release, defrag with priced moves, occupancy stats,
 # delete), and shut down cleanly.
 set -eu
@@ -97,6 +98,25 @@ if ! grep -qx 'service_solves_total 1' "$WORKDIR/metrics.prom"; then
     exit 1
 fi
 echo "smoke: /metrics serves the solver and service counters"
+
+# Every span feeds a histogram: the request span is observed once per
+# request, the canonicalize span once per /v1/place post (3 so far).
+sample() {
+    awk -v n="$1" '$1 == n { print $2 }' "$WORKDIR/metrics.prom"
+}
+REQUESTS="$(sample service_requests_total)"
+REQUEST_SPANS="$(sample service_request_seconds_count)"
+if [ -z "$REQUESTS" ] || [ "$REQUEST_SPANS" != "$REQUESTS" ]; then
+    echo "smoke: service_request_seconds_count \"$REQUEST_SPANS\", service_requests_total \"$REQUESTS\"" >&2
+    cat "$WORKDIR/metrics.prom" >&2
+    exit 1
+fi
+if [ "$(sample service_canonicalize_seconds_count)" != 3 ]; then
+    echo "smoke: service_canonicalize_seconds_count is not the 3 place posts" >&2
+    cat "$WORKDIR/metrics.prom" >&2
+    exit 1
+fi
+echo "smoke: span histograms count every request"
 
 # Every response must carry a 32-hex X-Trace-Id.
 TRACE_ID="$(grep -i '^x-trace-id:' "$WORKDIR/first.headers" | tr -d '\r' | awk '{print $2}')"
