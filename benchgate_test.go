@@ -3,7 +3,10 @@
 // *deterministic* effort metrics — search nodes and backtracks of a
 // sequential solve, which are bit-reproducible for a fixed instance and
 // configuration — exactly via a committed baseline (BENCH_solver.json)
-// with a small slack, and uses wall time only as a coarse sanity bound.
+// with a small slack. It pins the solve's heap allocation count
+// (runtime.MemStats.Mallocs) with a tight slack, since a sequential
+// solve allocates nearly the same number of objects every run, and uses
+// wall time only as a coarse sanity bound.
 //
 //	go test -run TestBenchGate -benchgate .            # gate against the baseline
 //	go test -run TestBenchGate -benchgate-update .     # re-baseline after an intended change
@@ -20,6 +23,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"runtime"
 	"testing"
 	"time"
 
@@ -43,6 +47,11 @@ const (
 	// generosity toward incidental changes (e.g. a reordered propagator
 	// queue); real pruning regressions blow well past 10%.
 	gateEffortSlack = 1.10
+	// gateAllocSlack bounds heap allocations. A sequential solve's
+	// allocation count varies by well under 0.1% between runs, so 2%
+	// catches an allocation added to a per-node or per-propagation path
+	// without tripping on noise.
+	gateAllocSlack = 1.02
 	// gateTimeSlack bounds wall time. CI machines vary widely, so this
 	// only catches catastrophic slowdowns (an accidental O(n²) in a hot
 	// path), not percentage-level drift — that is what nodes are for.
@@ -56,6 +65,7 @@ type gateRecord struct {
 	Optimal    bool   `json:"optimal"`
 	Nodes      int64  `json:"nodes"`
 	Backtracks int64  `json:"backtracks"`
+	Allocs     uint64 `json:"allocs"`
 	NS         int64  `json:"ns"`
 }
 
@@ -113,9 +123,12 @@ func gateScenarios() []gateScenario {
 
 func runGateScenario(t *testing.T, sc gateScenario) gateRecord {
 	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	start := time.Now()
 	res, err := core.New(sc.region, sc.opts).Place(sc.mods)
 	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatalf("%s: %v", sc.name, err)
 	}
@@ -131,6 +144,7 @@ func runGateScenario(t *testing.T, sc gateScenario) gateRecord {
 		Optimal:    res.Optimal,
 		Nodes:      res.Nodes,
 		Backtracks: res.Backtracks,
+		Allocs:     after.Mallocs - before.Mallocs,
 		NS:         elapsed.Nanoseconds(),
 	}
 }
@@ -145,8 +159,8 @@ func TestBenchGate(t *testing.T) {
 	var got []gateRecord
 	for _, sc := range gateScenarios() {
 		rec := runGateScenario(t, sc)
-		t.Logf("%s: height=%d optimal=%v nodes=%d backtracks=%d elapsed=%v",
-			rec.Name, rec.Height, rec.Optimal, rec.Nodes, rec.Backtracks, time.Duration(rec.NS))
+		t.Logf("%s: height=%d optimal=%v nodes=%d backtracks=%d allocs=%d elapsed=%v",
+			rec.Name, rec.Height, rec.Optimal, rec.Nodes, rec.Backtracks, rec.Allocs, time.Duration(rec.NS))
 		got = append(got, rec)
 	}
 
@@ -199,6 +213,10 @@ func TestBenchGate(t *testing.T) {
 		if maxB := int64(float64(b.Backtracks) * gateEffortSlack); rec.Backtracks > maxB {
 			failures = append(failures, fmt.Sprintf("%s: backtracks %d exceeds baseline %d x%.2f = %d",
 				rec.Name, rec.Backtracks, b.Backtracks, gateEffortSlack, maxB))
+		}
+		if maxA := uint64(float64(b.Allocs) * gateAllocSlack); rec.Allocs > maxA {
+			failures = append(failures, fmt.Sprintf("%s: allocs %d exceeds baseline %d x%.2f = %d",
+				rec.Name, rec.Allocs, b.Allocs, gateAllocSlack, maxA))
 		}
 		if maxT := int64(float64(b.NS) * gateTimeSlack); rec.NS > maxT {
 			failures = append(failures, fmt.Sprintf("%s: wall time %v exceeds baseline %v x%.0f",

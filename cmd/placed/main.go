@@ -52,7 +52,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/obs"
 	"repro/internal/service"
@@ -70,7 +69,6 @@ type cliOpts struct {
 	accessLog      string
 	sloLatency     time.Duration
 	degrade        bool
-	presolve       string
 	faults         string
 	faultsSeed     int64
 	maxSessions    int
@@ -89,7 +87,6 @@ func main() {
 	flag.StringVar(&o.accessLog, "access-log", "-", "write one JSON line per request to this path (- for stdout, empty to disable)")
 	flag.DurationVar(&o.sloLatency, "slo-latency", 500*time.Millisecond, "request-latency objective for /v1/stats SLO accounting")
 	flag.BoolVar(&o.degrade, "degrade", true, "serve approximate baseline placements when the exact solve times out or is shed")
-	flag.StringVar(&o.presolve, "presolve", "on", "default presolve mode for requests that set none: on, off")
 	flag.StringVar(&o.faults, "faults", "", "fault-injection rules, e.g. 'solver:timeout:0.2;cache:latency:0.5:10ms' (chaos testing; empty disables)")
 	flag.Int64Var(&o.faultsSeed, "faults-seed", 1, "PRNG seed for -faults, for reproducible chaos runs")
 	flag.IntVar(&o.maxSessions, "max-sessions", 256, "live online sessions before LRU eviction")
@@ -137,26 +134,20 @@ func run(o cliOpts) (err error) {
 		fmt.Printf("placed: fault injection ACTIVE: %s (seed %d)\n", faults, o.faultsSeed)
 	}
 
-	presolve, err := core.ParsePresolve(o.presolve)
-	if err != nil {
-		return err
-	}
-
 	svc := service.New(service.Config{
-		Workers:         o.workers,
-		CacheEntries:    o.cacheEntries,
-		MaxInFlight:     o.maxInFlight,
-		DefaultTimeout:  o.defaultTimeout,
-		MaxTimeout:      o.maxTimeout,
-		DefaultPresolve: presolve,
-		Registry:        obs.NewRegistry(),
-		Tracer:          tracer,
-		AccessLog:       accessLog,
-		SLOLatency:      o.sloLatency,
-		Degrade:         o.degrade,
-		Faults:          faults,
-		MaxSessions:     o.maxSessions,
-		SessionTTL:      o.sessionTTL,
+		Workers:        o.workers,
+		CacheEntries:   o.cacheEntries,
+		MaxInFlight:    o.maxInFlight,
+		DefaultTimeout: o.defaultTimeout,
+		MaxTimeout:     o.maxTimeout,
+		Registry:       obs.NewRegistry(),
+		Tracer:         tracer,
+		AccessLog:      accessLog,
+		SLOLatency:     o.sloLatency,
+		Degrade:        o.degrade,
+		Faults:         faults,
+		MaxSessions:    o.maxSessions,
+		SessionTTL:     o.sessionTTL,
 	})
 	defer svc.Close()
 

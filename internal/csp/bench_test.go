@@ -13,7 +13,7 @@ func BenchmarkQueensFirstSolution(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		st := NewStore()
 		q := postQueens(st, 12)
-		res, err := Solve(st, q, Options{MaxSolutions: 1}, func(*Store) bool { return true })
+		res, err := Solve(st, q, Options{}, func(*Store) bool { return false })
 		if err != nil || res.Solutions != 1 {
 			b.Fatalf("res=%+v err=%v", res, err)
 		}

@@ -42,7 +42,8 @@ func TestLangfordPairs(t *testing.T) {
 
 // TestMagicSeries solves the magic-series problem: s[i] = number of
 // occurrences of i in s. Unique solutions are known for n >= 7:
-// (n-4, 2, 1, 0, ..., 0, 1, 0, 0, 0).
+// (n-4, 2, 1, 0, ..., 0, 1, 0, 0, 0). The occurrence and sum
+// constraints are ad-hoc FuncProps.
 func TestMagicSeries(t *testing.T) {
 	const n = 8
 	st := NewStore()
@@ -50,13 +51,42 @@ func TestMagicSeries(t *testing.T) {
 	for i := range s {
 		s[i] = st.NewVarRange("s", 0, n-1)
 	}
-	// Occurrence constraints: s[i] counts the occurrences of i in s.
+	// Occurrence constraints: s[i] lies between the number of vars
+	// already fixed to i and the number that can still take i.
 	for i := 0; i < n; i++ {
-		Count(st, s[i], i, s...)
+		st.Post(FuncProp(func(store *Store) error {
+			fixed, possible := 0, 0
+			for _, v := range s {
+				if v.Domain().Contains(i) {
+					possible++
+					if v.Assigned() {
+						fixed++
+					}
+				}
+			}
+			if err := store.SetMin(s[i], fixed); err != nil {
+				return err
+			}
+			return store.SetMax(s[i], possible)
+		}), s...)
 	}
 	// Redundant constraint speeding things up: sum s[i] = n.
-	total := st.NewVarRange("n", n, n)
-	Sum(st, total, s...)
+	st.Post(FuncProp(func(store *Store) error {
+		lo, hi := 0, 0
+		for _, v := range s {
+			lo += v.Min()
+			hi += v.Max()
+		}
+		for _, v := range s {
+			if err := store.SetMin(v, n-(hi-v.Max())); err != nil {
+				return err
+			}
+			if err := store.SetMax(v, n-(lo-v.Min())); err != nil {
+				return err
+			}
+		}
+		return nil
+	}), s...)
 
 	res, err := Solve(st, s, Options{}, func(store *Store) bool {
 		// Verify the solution is a genuine magic series.
@@ -130,7 +160,7 @@ func TestGolombRulerMinimize(t *testing.T) {
 			diffs = append(diffs, d)
 		}
 	}
-	AllDifferent(st, diffs...)
+	pairwiseDifferent(st, diffs...)
 
 	res, err := Minimize(st, m, m[marks-1], Options{}, nil)
 	if err != nil {

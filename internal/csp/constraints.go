@@ -1,43 +1,5 @@
 package csp
 
-import "fmt"
-
-// notEqualOffset enforces x != y + c.
-type notEqualOffset struct {
-	x, y *Var
-	c    int
-}
-
-// NotEqual posts x != y.
-func NotEqual(st *Store, x, y *Var) { NotEqualOffset(st, x, y, 0) }
-
-// NotEqualOffset posts x != y + c.
-func NotEqualOffset(st *Store, x, y *Var, c int) {
-	st.Post(&notEqualOffset{x, y, c}, x, y)
-}
-
-// Name implements Named.
-func (p *notEqualOffset) Name() string { return "csp.not-equal" }
-
-// CloneFor implements Clonable.
-func (p *notEqualOffset) CloneFor(ctx *CloneCtx) Propagator {
-	return &notEqualOffset{ctx.Var(p.x), ctx.Var(p.y), p.c}
-}
-
-func (p *notEqualOffset) Propagate(st *Store) error {
-	if v, ok := p.y.dom.Singleton(); ok {
-		if err := st.Remove(p.x, v+p.c); err != nil {
-			return err
-		}
-	}
-	if v, ok := p.x.dom.Singleton(); ok {
-		if err := st.Remove(p.y, v-p.c); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // lessEqOffset enforces x + c <= y (bounds consistency).
 type lessEqOffset struct {
 	x, y *Var
@@ -65,120 +27,6 @@ func (p *lessEqOffset) Propagate(st *Store) error {
 		return err
 	}
 	return st.SetMin(p.y, p.x.Min()+p.c)
-}
-
-// equalOffset enforces x = y + c (domain consistency).
-type equalOffset struct {
-	x, y *Var
-	c    int
-}
-
-// Equal posts x = y.
-func Equal(st *Store, x, y *Var) { EqualOffset(st, x, y, 0) }
-
-// EqualOffset posts x = y + c.
-func EqualOffset(st *Store, x, y *Var, c int) {
-	st.Post(&equalOffset{x, y, c}, x, y)
-}
-
-// Name implements Named.
-func (p *equalOffset) Name() string { return "csp.equal" }
-
-// CloneFor implements Clonable.
-func (p *equalOffset) CloneFor(ctx *CloneCtx) Propagator {
-	return &equalOffset{ctx.Var(p.x), ctx.Var(p.y), p.c}
-}
-
-func (p *equalOffset) Propagate(st *Store) error {
-	if err := st.FilterDomain(p.x, func(v int) bool { return p.y.dom.Contains(v - p.c) }); err != nil {
-		return err
-	}
-	return st.FilterDomain(p.y, func(v int) bool { return p.x.dom.Contains(v + p.c) })
-}
-
-// allDifferent enforces pairwise difference by forward checking: once a
-// variable is assigned, its value is pruned from the others.
-type allDifferent struct {
-	vars []*Var
-}
-
-// AllDifferent posts pairwise-distinct over vars.
-func AllDifferent(st *Store, vars ...*Var) {
-	p := &allDifferent{vars: vars}
-	st.Post(p, vars...)
-}
-
-// Name implements Named.
-func (p *allDifferent) Name() string { return "csp.all-different" }
-
-// CloneFor implements Clonable.
-func (p *allDifferent) CloneFor(ctx *CloneCtx) Propagator {
-	return &allDifferent{vars: ctx.Vars(p.vars)}
-}
-
-func (p *allDifferent) Propagate(st *Store) error {
-	for _, v := range p.vars {
-		val, ok := v.dom.Singleton()
-		if !ok {
-			continue
-		}
-		for _, o := range p.vars {
-			if o == v {
-				continue
-			}
-			if err := st.Remove(o, val); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// sum enforces total = Σ vars (bounds consistency).
-type sum struct {
-	vars  []*Var
-	total *Var
-}
-
-// Sum posts total = Σ vars.
-func Sum(st *Store, total *Var, vars ...*Var) {
-	p := &sum{vars: vars, total: total}
-	watched := append([]*Var{total}, vars...)
-	st.Post(p, watched...)
-}
-
-// Name implements Named.
-func (p *sum) Name() string { return "csp.sum" }
-
-// CloneFor implements Clonable.
-func (p *sum) CloneFor(ctx *CloneCtx) Propagator {
-	return &sum{vars: ctx.Vars(p.vars), total: ctx.Var(p.total)}
-}
-
-func (p *sum) Propagate(st *Store) error {
-	loSum, hiSum := 0, 0
-	for _, v := range p.vars {
-		loSum += v.Min()
-		hiSum += v.Max()
-	}
-	if err := st.SetMin(p.total, loSum); err != nil {
-		return err
-	}
-	if err := st.SetMax(p.total, hiSum); err != nil {
-		return err
-	}
-	for _, v := range p.vars {
-		// total - (sum of others' bounds) brackets v.
-		othersLo := loSum - v.Min()
-		othersHi := hiSum - v.Max()
-		if err := st.SetMin(v, p.total.Min()-othersHi); err != nil {
-			return err
-		}
-		if err := st.SetMax(v, p.total.Max()-othersLo); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // maxOf enforces m = max(vars) (bounds consistency).
@@ -253,116 +101,6 @@ func (p *maxOf) countReaching(val int) int {
 	return n
 }
 
-// element enforces result = table[index] (domain consistency, with
-// out-of-range indices pruned).
-type element struct {
-	index  *Var
-	table  []int
-	result *Var
-}
-
-// Element posts result = table[index]. It panics on an empty table,
-// which admits no support at all and is a modelling bug.
-func Element(st *Store, index *Var, table []int, result *Var) {
-	if len(table) == 0 {
-		panic("csp: Element with empty table")
-	}
-	st.Post(&element{index: index, table: table, result: result}, index, result)
-}
-
-// Name implements Named.
-func (p *element) Name() string { return "csp.element" }
-
-// CloneFor implements Clonable; the value table is immutable and
-// shared.
-func (p *element) CloneFor(ctx *CloneCtx) Propagator {
-	//solverlint:allow clonecomplete table is write-once at Element post time; Propagate only reads it
-	return &element{index: ctx.Var(p.index), table: p.table, result: ctx.Var(p.result)}
-}
-
-func (p *element) Propagate(st *Store) error {
-	if err := st.FilterDomain(p.index, func(i int) bool {
-		return i >= 0 && i < len(p.table) && p.result.dom.Contains(p.table[i])
-	}); err != nil {
-		return err
-	}
-	return st.FilterDomain(p.result, func(r int) bool {
-		ok := false
-		p.index.dom.ForEach(func(i int) bool {
-			if p.table[i] == r {
-				ok = true
-				return false
-			}
-			return true
-		})
-		return ok
-	})
-}
-
-// binaryTable enforces (x, y) ∈ allowed (domain consistency).
-type binaryTable struct {
-	x, y    *Var
-	allowed map[[2]int]bool
-	xs      map[int][]int // x value -> supported y values
-	ys      map[int][]int
-}
-
-// BinaryTable posts (x, y) ∈ pairs. It panics on an empty pair list,
-// which admits no support at all and is a modelling bug.
-func BinaryTable(st *Store, x, y *Var, pairs [][2]int) {
-	if len(pairs) == 0 {
-		panic("csp: BinaryTable with no allowed pairs")
-	}
-	p := &binaryTable{
-		x: x, y: y,
-		allowed: make(map[[2]int]bool, len(pairs)),
-		xs:      map[int][]int{},
-		ys:      map[int][]int{},
-	}
-	for _, pr := range pairs {
-		if !p.allowed[pr] {
-			p.allowed[pr] = true
-			p.xs[pr[0]] = append(p.xs[pr[0]], pr[1])
-			p.ys[pr[1]] = append(p.ys[pr[1]], pr[0])
-		}
-	}
-	st.Post(p, x, y)
-}
-
-// Name implements Named.
-func (p *binaryTable) Name() string { return "csp.binary-table" }
-
-// CloneFor implements Clonable; the support tables are immutable and
-// shared.
-func (p *binaryTable) CloneFor(ctx *CloneCtx) Propagator {
-	return &binaryTable{
-		x: ctx.Var(p.x), y: ctx.Var(p.y),
-		//solverlint:allow clonecomplete support tables are write-once at BinaryTable post time; Propagate only reads them
-		allowed: p.allowed, xs: p.xs, ys: p.ys,
-	}
-}
-
-func (p *binaryTable) Propagate(st *Store) error {
-	if err := st.FilterDomain(p.x, func(xv int) bool {
-		for _, yv := range p.xs[xv] {
-			if p.y.dom.Contains(yv) {
-				return true
-			}
-		}
-		return false
-	}); err != nil {
-		return err
-	}
-	return st.FilterDomain(p.y, func(yv int) bool {
-		for _, xv := range p.ys[yv] {
-			if p.x.dom.Contains(xv) {
-				return true
-			}
-		}
-		return false
-	})
-}
-
 // FuncProp wraps a plain function as a Propagator, for ad-hoc
 // constraints. FuncProp does not implement Clonable — a closure cannot
 // be re-targeted mechanically — so stores holding one cannot be cloned
@@ -373,15 +111,3 @@ type FuncProp func(st *Store) error
 
 // Propagate implements Propagator.
 func (f FuncProp) Propagate(st *Store) error { return f(st) }
-
-// mustAssignedString is a debugging helper shared by tests.
-func mustAssignedString(vars []*Var) string {
-	s := ""
-	for i, v := range vars {
-		if i > 0 {
-			s += " "
-		}
-		s += fmt.Sprintf("%s=%d", v.Name(), v.Value())
-	}
-	return s
-}

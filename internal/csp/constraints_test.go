@@ -1,9 +1,55 @@
 package csp
 
-import (
-	"errors"
-	"testing"
-)
+import "testing"
+
+// notEqualOffset enforces x != y + c. No production model posts it;
+// it is the model material of the engine tests (n-queens, Langford,
+// Golomb, the random instances and the clone suite), whose solution
+// counts and optima are known.
+type notEqualOffset struct {
+	x, y *Var
+	c    int
+}
+
+// NotEqual posts x != y.
+func NotEqual(st *Store, x, y *Var) { NotEqualOffset(st, x, y, 0) }
+
+// NotEqualOffset posts x != y + c.
+func NotEqualOffset(st *Store, x, y *Var, c int) {
+	st.Post(&notEqualOffset{x, y, c}, x, y)
+}
+
+// Name implements Named.
+func (p *notEqualOffset) Name() string { return "csp.not-equal" }
+
+// CloneFor implements Clonable.
+func (p *notEqualOffset) CloneFor(ctx *CloneCtx) Propagator {
+	return &notEqualOffset{ctx.Var(p.x), ctx.Var(p.y), p.c}
+}
+
+func (p *notEqualOffset) Propagate(st *Store) error {
+	if v, ok := p.y.dom.Singleton(); ok {
+		if err := st.Remove(p.x, v+p.c); err != nil {
+			return err
+		}
+	}
+	if v, ok := p.x.dom.Singleton(); ok {
+		if err := st.Remove(p.y, v-p.c); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// pairwiseDifferent posts NotEqual between every pair of vars: an
+// all-different with forward checking.
+func pairwiseDifferent(st *Store, vars ...*Var) {
+	for i := range vars {
+		for j := i + 1; j < len(vars); j++ {
+			NotEqual(st, vars[i], vars[j])
+		}
+	}
+}
 
 func TestNotEqual(t *testing.T) {
 	st := NewStore()
@@ -50,20 +96,9 @@ func TestLessEq(t *testing.T) {
 	}
 }
 
-func TestEqualOffset(t *testing.T) {
-	st := NewStore()
-	x := st.NewVar("x", NewDomainValues(1, 4, 7))
-	y := st.NewVar("y", NewDomainValues(0, 3, 9))
-	EqualOffset(st, x, y, 1) // x = y + 1
-	if err := st.Propagate(); err != nil {
-		t.Fatal(err)
-	}
-	// Supported pairs: x=1/y=0, x=4/y=3.
-	if x.Size() != 2 || y.Size() != 2 || x.Domain().Contains(7) || y.Domain().Contains(9) {
-		t.Fatalf("x=%v y=%v", x, y)
-	}
-}
-
+// TestAllDifferentPigeonhole searches a pairwise all-different model
+// with more variables than values: the search must exhaust the space
+// and find nothing.
 func TestAllDifferentPigeonhole(t *testing.T) {
 	st := NewStore()
 	vars := []*Var{
@@ -71,7 +106,7 @@ func TestAllDifferentPigeonhole(t *testing.T) {
 		st.NewVarRange("b", 0, 1),
 		st.NewVarRange("c", 0, 1),
 	}
-	AllDifferent(st, vars...)
+	pairwiseDifferent(st, vars...)
 	res, err := Solve(st, vars, Options{}, func(*Store) bool { return true })
 	if err != nil {
 		t.Fatal(err)
@@ -81,6 +116,8 @@ func TestAllDifferentPigeonhole(t *testing.T) {
 	}
 }
 
+// TestAllDifferentEnumeration enumerates a pairwise all-different
+// model: every permutation exactly once.
 func TestAllDifferentEnumeration(t *testing.T) {
 	st := NewStore()
 	vars := []*Var{
@@ -88,47 +125,13 @@ func TestAllDifferentEnumeration(t *testing.T) {
 		st.NewVarRange("b", 0, 2),
 		st.NewVarRange("c", 0, 2),
 	}
-	AllDifferent(st, vars...)
+	pairwiseDifferent(st, vars...)
 	res, err := Solve(st, vars, Options{}, func(*Store) bool { return true })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Solutions != 6 {
 		t.Fatalf("permutations = %d, want 6", res.Solutions)
-	}
-}
-
-func TestSumBounds(t *testing.T) {
-	st := NewStore()
-	x := st.NewVarRange("x", 0, 10)
-	y := st.NewVarRange("y", 0, 10)
-	total := st.NewVarRange("t", 15, 15)
-	Sum(st, total, x, y)
-	if err := st.Propagate(); err != nil {
-		t.Fatal(err)
-	}
-	if x.Min() != 5 || y.Min() != 5 {
-		t.Fatalf("x.min=%d y.min=%d, want 5/5", x.Min(), y.Min())
-	}
-	if err := st.Assign(x, 7); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Propagate(); err != nil {
-		t.Fatal(err)
-	}
-	if !y.Assigned() || y.Value() != 8 {
-		t.Fatalf("y = %v, want 8", y)
-	}
-}
-
-func TestSumInfeasible(t *testing.T) {
-	st := NewStore()
-	x := st.NewVarRange("x", 0, 2)
-	y := st.NewVarRange("y", 0, 2)
-	total := st.NewVarRange("t", 10, 10)
-	Sum(st, total, x, y)
-	if err := st.Propagate(); !errors.Is(err, ErrInconsistent) {
-		t.Fatalf("err = %v", err)
 	}
 }
 
@@ -176,78 +179,6 @@ func TestMaxOfPanicsOnEmpty(t *testing.T) {
 		}
 	}()
 	MaxOf(st, m)
-}
-
-func TestElement(t *testing.T) {
-	st := NewStore()
-	idx := st.NewVarRange("i", -2, 10)
-	res := st.NewVarRange("r", 0, 100)
-	table := []int{5, 9, 5, 12}
-	Element(st, idx, table, res)
-	if err := st.Propagate(); err != nil {
-		t.Fatal(err)
-	}
-	if idx.Min() != 0 || idx.Max() != 3 {
-		t.Fatalf("index not clamped: %v", idx)
-	}
-	if res.Domain().Contains(7) || !res.Domain().Contains(12) {
-		t.Fatalf("result not filtered: %v", res)
-	}
-	if err := st.Remove(res, 5); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Propagate(); err != nil {
-		t.Fatal(err)
-	}
-	if idx.Domain().Contains(0) || idx.Domain().Contains(2) {
-		t.Fatalf("index values without support survived: %v", idx)
-	}
-}
-
-func TestElementPanicsOnEmptyTable(t *testing.T) {
-	st := NewStore()
-	idx := st.NewVarRange("i", 0, 1)
-	res := st.NewVarRange("r", 0, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	Element(st, idx, nil, res)
-}
-
-func TestBinaryTable(t *testing.T) {
-	st := NewStore()
-	x := st.NewVarRange("x", 0, 3)
-	y := st.NewVarRange("y", 0, 3)
-	BinaryTable(st, x, y, [][2]int{{0, 1}, {1, 2}, {1, 3}, {2, 0}})
-	if err := st.Propagate(); err != nil {
-		t.Fatal(err)
-	}
-	if x.Domain().Contains(3) {
-		t.Fatal("x=3 has no support")
-	}
-	if err := st.Assign(x, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Propagate(); err != nil {
-		t.Fatal(err)
-	}
-	if y.Domain().Contains(0) || y.Domain().Contains(1) || y.Size() != 2 {
-		t.Fatalf("y = %v, want {2,3}", y)
-	}
-}
-
-func TestBinaryTablePanicsOnEmpty(t *testing.T) {
-	st := NewStore()
-	x := st.NewVarRange("x", 0, 1)
-	y := st.NewVarRange("y", 0, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	BinaryTable(st, x, y, nil)
 }
 
 func TestFuncProp(t *testing.T) {

@@ -5,9 +5,12 @@
 //
 // It is the solving substrate under the geost geometric kernel and the
 // module placer, playing the role the SICStus/choco-hosted solver of
-// Beldiceanu et al. plays in the paper. The kernel is deliberately
-// general — classic finite-domain constraints, pluggable search — so it
-// is usable (and tested) independently of placement.
+// Beldiceanu et al. plays in the paper. It ships only the propagators
+// the placement model posts (LessEq/LessEqOffset, MaxOf, FuncProp);
+// geost adds its own through the Propagator interface. The engine is
+// tested independently of placement on classic models (n-queens,
+// Langford pairs, magic series, Golomb rulers) built from a test-only
+// not-equal propagator and FuncProps.
 package csp
 
 import (

@@ -11,8 +11,7 @@ func ExampleSolve() {
 	st := csp.NewStore()
 	x := st.NewVarRange("x", 0, 2)
 	y := st.NewVarRange("y", 0, 2)
-	csp.NotEqual(st, x, y)
-	csp.LessEq(st, x, y)
+	csp.LessEqOffset(st, x, y, 1) // x < y
 
 	res, err := csp.Solve(st, []*csp.Var{x, y}, csp.Options{}, func(s *csp.Store) bool {
 		fmt.Printf("x=%d y=%d\n", x.Value(), y.Value())
@@ -35,8 +34,8 @@ func ExampleMinimize() {
 	st := csp.NewStore()
 	x := st.NewVarRange("x", 0, 9)
 	y := st.NewVarRange("y", 0, 9)
-	obj := st.NewVarRange("obj", 0, 18)
-	csp.Sum(st, obj, x, y)
+	obj := st.NewVarRange("obj", 0, 9)
+	csp.MaxOf(st, obj, x, y)
 	csp.LessEqOffset(st, x, y, 3) // x + 3 <= y
 
 	res, err := csp.Minimize(st, []*csp.Var{x, y}, obj, csp.Options{}, nil)

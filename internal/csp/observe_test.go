@@ -1,6 +1,7 @@
 package csp
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -22,6 +23,14 @@ func (l *eventLog) count(k obs.EventKind) int {
 		}
 	}
 	return n
+}
+
+// descendingValues tries domain values largest-first, so a minimising
+// search meets a poor incumbent first.
+func descendingValues(v *Var) []int {
+	vals := v.Domain().Values()
+	slices.Reverse(vals)
+	return vals
 }
 
 func TestSolveEmitsEvents(t *testing.T) {
@@ -79,12 +88,12 @@ func TestSolveCountsWithoutRecorder(t *testing.T) {
 func TestSolveStopReasons(t *testing.T) {
 	st := NewStore()
 	q := postQueens(st, 8)
-	res, err := Solve(st, q, Options{MaxSolutions: 2}, func(*Store) bool { return true })
+	res, err := Solve(st, q, Options{}, func(*Store) bool { return false })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Reason != StopCut {
-		t.Errorf("MaxSolutions reason = %v, want cut", res.Reason)
+		t.Errorf("callback stop reason = %v, want cut", res.Reason)
 	}
 
 	st2 := NewStore()
@@ -114,7 +123,7 @@ func TestMinimizeStopReasonDistinguishesCauses(t *testing.T) {
 	// run improves slowly and a 1-node stall budget trips quickly.
 	st2 := NewStore()
 	q2 := postQueens(st2, 8)
-	res2, err := Minimize(st2, q2, q2[0], Options{StallNodes: 1, OrderValues: DescendingValues}, nil)
+	res2, err := Minimize(st2, q2, q2[0], Options{StallNodes: 1, OrderValues: descendingValues}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,11 +150,11 @@ func TestMinimizeBestObjectiveTrace(t *testing.T) {
 	st := NewStore()
 	x := st.NewVarRange("x", 0, 9)
 	y := st.NewVarRange("y", 0, 9)
-	obj := st.NewVarRange("obj", 0, 18)
-	Sum(st, obj, x, y)
+	obj := st.NewVarRange("obj", 0, 9)
+	MaxOf(st, obj, x, y)
 	LessEqOffset(st, x, y, 2)
 	log := &eventLog{}
-	res, err := Minimize(st, []*Var{x, y}, obj, Options{Recorder: log, OrderValues: DescendingValues}, nil)
+	res, err := Minimize(st, []*Var{x, y}, obj, Options{Recorder: log, OrderValues: descendingValues}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +220,7 @@ func TestStorePropagationTiming(t *testing.T) {
 	st := NewStore()
 	st.EnableTiming(true)
 	q := postQueens(st, 8)
-	if _, err := Solve(st, q, Options{MaxSolutions: 1}, func(*Store) bool { return true }); err != nil {
+	if _, err := Solve(st, q, Options{}, func(*Store) bool { return false }); err != nil {
 		t.Fatal(err)
 	}
 	if st.PropagationTime() <= 0 {

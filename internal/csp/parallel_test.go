@@ -24,7 +24,7 @@ func randomInstance(seed int64, n int) (*Store, []*Var, *Var) {
 		vars[i] = st.NewVarRange("x", lo, lo+3+rng.Intn(2*n))
 	}
 	if rng.Intn(2) == 0 {
-		AllDifferent(st, vars...)
+		pairwiseDifferent(st, vars...)
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
@@ -205,7 +205,7 @@ func TestParallelStallNodes(t *testing.T) {
 	for i := range vars {
 		vars[i] = st.NewVarRange("v", 0, 11)
 	}
-	AllDifferent(st, vars...)
+	pairwiseDifferent(st, vars...)
 	obj := st.NewVarRange("obj", 0, 11)
 	MaxOf(st, obj, vars...)
 	res, err := Minimize(st, vars, obj, Options{Workers: 4, StallNodes: 40}, nil)
@@ -231,7 +231,7 @@ func TestParallelMaxNodes(t *testing.T) {
 	for i := range vars {
 		vars[i] = st.NewVarRange("v", 0, 14)
 	}
-	AllDifferent(st, vars...)
+	pairwiseDifferent(st, vars...)
 	obj := st.NewVarRange("obj", 0, 14)
 	MaxOf(st, obj, vars...)
 	res, err := Minimize(st, vars, obj, Options{Workers: 4, MaxNodes: 200}, nil)
@@ -281,7 +281,6 @@ func TestOptionsValidation(t *testing.T) {
 	}{
 		{"StallNodes", Options{StallNodes: -1}},
 		{"MaxNodes", Options{MaxNodes: -7}},
-		{"MaxSolutions", Options{MaxSolutions: -2}},
 		{"Workers", Options{Workers: -1}},
 	}
 	for _, tc := range cases {
@@ -316,7 +315,7 @@ func TestMaxNodesSequential(t *testing.T) {
 		for i := range vars {
 			vars[i] = st.NewVarRange("v", 0, 14)
 		}
-		AllDifferent(st, vars...)
+		pairwiseDifferent(st, vars...)
 		obj := st.NewVarRange("obj", 0, 14)
 		MaxOf(st, obj, vars...)
 		return st, vars, obj

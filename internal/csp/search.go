@@ -46,15 +46,6 @@ func SmallestDomain(vars []*Var) *Var {
 // AscendingValues tries domain values smallest-first.
 func AscendingValues(v *Var) []int { return v.Domain().Values() }
 
-// DescendingValues tries domain values largest-first.
-func DescendingValues(v *Var) []int {
-	vals := v.Domain().Values()
-	for i, j := 0, len(vals)-1; i < j; i, j = i+1, j-1 {
-		vals[i], vals[j] = vals[j], vals[i]
-	}
-	return vals
-}
-
 // PreferValues wraps a ValueOrderer so each variable tries a preferred
 // value (keyed by variable id, so the preference survives store
 // cloning) before the inner order. Variables without a preference, or
@@ -97,9 +88,6 @@ type Options struct {
 	// Deadline, when non-zero, aborts search afterwards; partial results
 	// (solutions found so far) remain valid.
 	Deadline time.Time
-	// MaxSolutions stops enumeration after this many solutions
-	// (0 = unlimited; Minimize ignores it).
-	MaxSolutions int
 	// StallNodes, when positive, makes Minimize stop after exploring
 	// this many nodes without improving the incumbent — a deterministic
 	// convergence criterion for anytime optimisation. Solve ignores it.
@@ -138,8 +126,6 @@ func (e *OptionError) Error() string {
 
 func (o Options) withDefaults() (Options, error) {
 	switch {
-	case o.MaxSolutions < 0:
-		return o, &OptionError{Field: "MaxSolutions", Value: int64(o.MaxSolutions)}
 	case o.StallNodes < 0:
 		return o, &OptionError{Field: "StallNodes", Value: o.StallNodes}
 	case o.MaxNodes < 0:
@@ -171,8 +157,7 @@ const (
 	StopTimeout
 	// StopStalled: Options.StallNodes elapsed without an improvement.
 	StopStalled
-	// StopCut: enumeration was cut short by the solution callback or
-	// Options.MaxSolutions.
+	// StopCut: enumeration was cut short by the solution callback.
 	StopCut
 	// StopNodeLimit: Options.MaxNodes was reached.
 	StopNodeLimit
@@ -230,7 +215,7 @@ func Solve(st *Store, vars []*Var, opts Options, onSolution func(*Store) bool) (
 		if w.rec != nil {
 			w.rec.Record(obs.Event{Kind: obs.KindSolution, Depth: depth})
 		}
-		if !onSolution(st) || (r.opts.MaxSolutions > 0 && res.Solutions >= r.opts.MaxSolutions) {
+		if !onSolution(st) {
 			r.stop(StopCut)
 			return true
 		}

@@ -518,11 +518,3 @@ func (st *Store) Pop() {
 	st.failed = false
 	st.clearQueue()
 }
-
-// ScheduleAll re-enqueues every propagator; used when search state
-// outside the domains (e.g. a branch-and-bound bound) changes.
-func (st *Store) ScheduleAll() {
-	for i := range st.props {
-		st.enqueue(i)
-	}
-}

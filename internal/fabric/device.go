@@ -74,18 +74,6 @@ func (d *Device) MaskStatic(r grid.Rect) {
 	}
 }
 
-// MaskStaticOutside marks every tile outside r as Static, dedicating
-// exactly r to reconfigurable modules.
-func (d *Device) MaskStaticOutside(r grid.Rect) {
-	for y := 0; y < d.h; y++ {
-		for x := 0; x < d.w; x++ {
-			if !grid.Pt(x, y).In(r) {
-				d.kinds[y*d.w+x] = Static
-			}
-		}
-	}
-}
-
 // Histogram counts device tiles by kind.
 func (d *Device) Histogram() Histogram {
 	var h Histogram
@@ -193,33 +181,6 @@ func (r *Region) PlaceableInRows(rows int) int {
 		}
 	}
 	return n
-}
-
-// KindBitmap returns a bitmap with a set bit wherever the region tile
-// has kind k.
-func (r *Region) KindBitmap(k Kind) *grid.Bitmap {
-	b := grid.NewBitmap(r.W(), r.H())
-	for y := 0; y < r.H(); y++ {
-		for x := 0; x < r.W(); x++ {
-			if r.KindAt(x, y) == k {
-				b.Set(x, y, true)
-			}
-		}
-	}
-	return b
-}
-
-// PlaceableBitmap returns a bitmap of all placeable tiles.
-func (r *Region) PlaceableBitmap() *grid.Bitmap {
-	b := grid.NewBitmap(r.W(), r.H())
-	for y := 0; y < r.H(); y++ {
-		for x := 0; x < r.W(); x++ {
-			if r.PlaceableAt(x, y) {
-				b.Set(x, y, true)
-			}
-		}
-	}
-	return b
 }
 
 // String renders the region resource map, one glyph per tile, top row

@@ -70,23 +70,6 @@ func TestMaskStatic(t *testing.T) {
 	}
 }
 
-func TestMaskStaticOutside(t *testing.T) {
-	d := stripeDevice()
-	keep := grid.RectXYWH(2, 1, 3, 2)
-	d.MaskStaticOutside(keep)
-	for y := 0; y < d.H(); y++ {
-		for x := 0; x < d.W(); x++ {
-			in := grid.Pt(x, y).In(keep)
-			if in && d.KindAt(x, y) == Static {
-				t.Fatalf("tile (%d,%d) inside keep rect was masked", x, y)
-			}
-			if !in && d.KindAt(x, y) != Static {
-				t.Fatalf("tile (%d,%d) outside keep rect not masked", x, y)
-			}
-		}
-	}
-}
-
 func TestDeviceCloneIndependent(t *testing.T) {
 	d := stripeDevice()
 	c := d.Clone()
@@ -140,19 +123,6 @@ func TestRegionPlaceableCounts(t *testing.T) {
 	}
 	if got := r.PlaceableInRows(0); got != 0 {
 		t.Fatalf("PlaceableInRows(0) = %d, want 0", got)
-	}
-}
-
-func TestRegionBitmaps(t *testing.T) {
-	d := stripeDevice()
-	r := d.FullRegion()
-	bb := r.KindBitmap(BRAM)
-	if bb.Count() != 4 || !bb.Get(3, 0) || !bb.Get(3, 3) {
-		t.Fatalf("BRAM bitmap wrong: count=%d", bb.Count())
-	}
-	pb := r.PlaceableBitmap()
-	if pb.Count() != 32 {
-		t.Fatalf("placeable bitmap count = %d, want 32", pb.Count())
 	}
 }
 

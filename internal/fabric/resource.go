@@ -84,15 +84,6 @@ func ParseKind(s string) (Kind, error) {
 	return 0, fmt.Errorf("fabric: unknown resource kind %q", s)
 }
 
-// Kinds returns all defined kinds in declaration order.
-func Kinds() []Kind {
-	out := make([]Kind, numKinds)
-	for i := range out {
-		out[i] = Kind(i)
-	}
-	return out
-}
-
 // Histogram counts tiles by kind. It is indexable by Kind.
 type Histogram [numKinds]int
 

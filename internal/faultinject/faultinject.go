@@ -203,11 +203,6 @@ type Decision struct {
 	Partial bool
 }
 
-// Injected reports whether the decision carries any fault.
-func (d Decision) Injected() bool {
-	return d.Delay > 0 || d.Err != nil || d.Timeout || d.Partial
-}
-
 // Injector evaluates the armed rules against a seeded PRNG. Safe for
 // concurrent use; all methods are nil-safe, and a nil *Injector is the
 // documented "injection disabled" state.

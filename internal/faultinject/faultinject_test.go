@@ -57,7 +57,7 @@ func TestCheckRateOneAlwaysFires(t *testing.T) {
 	}
 	for n := 0; n < 100; n++ {
 		d := inj.Check(SiteSolver)
-		if !d.Timeout || !d.Injected() {
+		if !d.Timeout {
 			t.Fatalf("check %d: rate-1 timeout rule did not fire: %+v", n, d)
 		}
 	}
@@ -65,7 +65,7 @@ func TestCheckRateOneAlwaysFires(t *testing.T) {
 		t.Fatalf("solver:timeout hits = %d, want 100", got)
 	}
 	// Unarmed sites never fire.
-	if d := inj.Check(SiteCache); d.Injected() {
+	if d := inj.Check(SiteCache); d != (Decision{}) {
 		t.Fatalf("unarmed site injected %+v", d)
 	}
 }
@@ -119,7 +119,7 @@ func TestCheckComposesLatencyWithError(t *testing.T) {
 
 func TestNilInjectorIsDisabled(t *testing.T) {
 	var inj *Injector
-	if d := inj.Check(SiteSolver); d.Injected() {
+	if d := inj.Check(SiteSolver); d != (Decision{}) {
 		t.Fatalf("nil injector injected %+v", d)
 	}
 	if s := inj.Stats(); len(s) != 0 {

@@ -34,14 +34,3 @@ func BenchmarkBitmapClone(b *testing.B) {
 		_ = bm.Clone()
 	}
 }
-
-func BenchmarkTransformApplyAll(b *testing.B) {
-	pts := make([]Point, 80)
-	for i := range pts {
-		pts[i] = Pt(i%10, i/10)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Rot180.ApplyAll(pts)
-	}
-}

@@ -113,28 +113,6 @@ func (b *Bitmap) Clear() {
 	}
 }
 
-// CopyFrom overwrites b with src. The bitmaps must have equal
-// dimensions; a mismatch panics.
-func (b *Bitmap) CopyFrom(src *Bitmap) {
-	if b.w != src.w || b.h != src.h {
-		panic("grid: CopyFrom dimension mismatch")
-	}
-	copy(b.words, src.words)
-}
-
-// AnyInRect reports whether any bit inside r (clipped) is set.
-func (b *Bitmap) AnyInRect(r Rect) bool {
-	r = r.Intersect(b.Bounds())
-	for y := r.MinY; y < r.MaxY; y++ {
-		for x := r.MinX; x < r.MaxX; x++ {
-			if b.Get(x, y) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // AnyAt reports whether any of the points ps, translated by at, hits a
 // set bit. Points landing outside the bitmap read as false.
 func (b *Bitmap) AnyAt(ps []Point, at Point) bool {
@@ -144,17 +122,6 @@ func (b *Bitmap) AnyAt(ps []Point, at Point) bool {
 		}
 	}
 	return false
-}
-
-// Or sets every bit that is set in src. Dimensions must match; a
-// mismatch panics.
-func (b *Bitmap) Or(src *Bitmap) {
-	if b.w != src.w || b.h != src.h {
-		panic("grid: Or dimension mismatch")
-	}
-	for i, w := range src.words {
-		b.words[i] |= w
-	}
 }
 
 // And clears every bit that is clear in src. Dimensions must match; a
@@ -177,20 +144,6 @@ func (b *Bitmap) AndNot(src *Bitmap) {
 	for i, w := range src.words {
 		b.words[i] &^= w
 	}
-}
-
-// Intersects reports whether b and src share a set bit. Dimensions
-// must match; a mismatch panics.
-func (b *Bitmap) Intersects(src *Bitmap) bool {
-	if b.w != src.w || b.h != src.h {
-		panic("grid: Intersects dimension mismatch")
-	}
-	for i, w := range src.words {
-		if b.words[i]&w != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // MaxSetY returns the largest y holding a set bit, or -1 if the bitmap is
@@ -226,18 +179,6 @@ func (b *Bitmap) Extent() Rect {
 		return Rect{}
 	}
 	return r
-}
-
-// CountRow returns the number of set bits in row y (0 when out of range).
-func (b *Bitmap) CountRow(y int) int {
-	if y < 0 || y >= b.h {
-		return 0
-	}
-	n := 0
-	for _, w := range b.words[y*b.wpr : (y+1)*b.wpr] {
-		n += bits.OnesCount64(w)
-	}
-	return n
 }
 
 // String renders the bitmap with '#' for set and '.' for clear bits, top

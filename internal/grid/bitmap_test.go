@@ -86,17 +86,8 @@ func TestBitmapBooleanOps(t *testing.T) {
 	a := NewBitmap(10, 2)
 	b := NewBitmap(10, 2)
 	a.Set(1, 0, true)
+	a.Set(2, 1, true)
 	b.Set(2, 1, true)
-	if a.Intersects(b) {
-		t.Fatal("disjoint Intersects true")
-	}
-	a.Or(b)
-	if !a.Get(2, 1) || a.Count() != 2 {
-		t.Fatal("Or failed")
-	}
-	if !a.Intersects(b) {
-		t.Fatal("Intersects after Or false")
-	}
 	a.AndNot(b)
 	if a.Get(2, 1) || a.Count() != 1 {
 		t.Fatal("AndNot failed")
@@ -157,11 +148,8 @@ func TestBitmapDimensionMismatchPanics(t *testing.T) {
 	a := NewBitmap(4, 4)
 	b := NewBitmap(5, 4)
 	for name, f := range map[string]func(){
-		"Or":         func() { a.Or(b) },
-		"And":        func() { a.And(b) },
-		"AndNot":     func() { a.AndNot(b) },
-		"Intersects": func() { a.Intersects(b) },
-		"CopyFrom":   func() { a.CopyFrom(b) },
+		"And":    func() { a.And(b) },
+		"AndNot": func() { a.AndNot(b) },
 	} {
 		func() {
 			defer func() {
@@ -183,19 +171,6 @@ func TestBitmapMaxSetY(t *testing.T) {
 	b.Set(5, 3, true)
 	if got := b.MaxSetY(); got != 3 {
 		t.Fatalf("MaxSetY = %d, want 3", got)
-	}
-}
-
-func TestBitmapCountRow(t *testing.T) {
-	b := NewBitmap(100, 3)
-	for x := 0; x < 100; x += 2 {
-		b.Set(x, 1, true)
-	}
-	if got := b.CountRow(1); got != 50 {
-		t.Fatalf("CountRow(1) = %d, want 50", got)
-	}
-	if b.CountRow(0) != 0 || b.CountRow(-1) != 0 || b.CountRow(3) != 0 {
-		t.Fatal("CountRow out-of-range not zero")
 	}
 }
 
@@ -235,28 +210,6 @@ func TestBitmapCountMatchesSetPoints(t *testing.T) {
 			seen[p] = true
 		}
 		return b.Count() == len(seen)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: AnyInRect agrees with a pointwise scan.
-func TestBitmapAnyInRectPointwise(t *testing.T) {
-	f := func(seed int64, rx, ry int8, rw, rh uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		b := NewBitmap(12, 12)
-		for i := 0; i < 10; i++ {
-			b.Set(rng.Intn(12), rng.Intn(12), true)
-		}
-		r := RectXYWH(int(rx)%12, int(ry)%12, int(rw)%8, int(rh)%8)
-		want := false
-		for _, p := range r.Points() {
-			if b.Get(p.X, p.Y) {
-				want = true
-			}
-		}
-		return b.AnyInRect(r) == want
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

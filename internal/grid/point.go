@@ -33,9 +33,6 @@ func Translate(ps []Point, d Point) []Point {
 	return out
 }
 
-// Neg returns the point reflected through the origin.
-func (p Point) Neg() Point { return Point{-p.X, -p.Y} }
-
 // In reports whether p lies inside r.
 func (p Point) In(r Rect) bool {
 	return r.MinX <= p.X && p.X < r.MaxX && r.MinY <= p.Y && p.Y < r.MaxY
@@ -62,22 +59,6 @@ func SortPoints(ps []Point) {
 			ps[j], ps[j-1] = ps[j-1], ps[j]
 		}
 	}
-}
-
-// DedupPoints sorts ps and removes duplicates, returning the shortened
-// slice (which aliases ps).
-func DedupPoints(ps []Point) []Point {
-	if len(ps) == 0 {
-		return ps
-	}
-	SortPoints(ps)
-	out := ps[:1]
-	for _, p := range ps[1:] {
-		if p != out[len(out)-1] {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // BoundsOf returns the tight bounding rectangle of ps. It returns the

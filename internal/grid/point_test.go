@@ -15,9 +15,6 @@ func TestPointArithmetic(t *testing.T) {
 	if got := p.Sub(q); got != Pt(4, -7) {
 		t.Errorf("Sub = %v, want (4,-7)", got)
 	}
-	if got := p.Neg(); got != Pt(-3, 2) {
-		t.Errorf("Neg = %v, want (-3,2)", got)
-	}
 }
 
 func TestPointAddSubRoundTrip(t *testing.T) {
@@ -79,23 +76,6 @@ func TestSortPointsIsSorted(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestDedupPoints(t *testing.T) {
-	ps := []Point{{1, 1}, {0, 0}, {1, 1}, {0, 0}, {2, 2}}
-	out := DedupPoints(ps)
-	if len(out) != 3 {
-		t.Fatalf("DedupPoints len = %d, want 3 (%v)", len(out), out)
-	}
-	want := []Point{{0, 0}, {1, 1}, {2, 2}}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("DedupPoints = %v, want %v", out, want)
-		}
-	}
-	if got := DedupPoints(nil); got != nil {
-		t.Errorf("DedupPoints(nil) = %v, want nil", got)
 	}
 }
 

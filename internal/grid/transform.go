@@ -63,62 +63,3 @@ func (t Transform) Apply(p Point) Point {
 	}
 	return p
 }
-
-// Compose returns the transform equivalent to applying t first and then u.
-func (t Transform) Compose(u Transform) Transform {
-	tm, tr := t >= MirrorX, int(t)%4
-	um, ur := u >= MirrorX, int(u)%4
-	// Dihedral-group algebra with elements written M^m ∘ R^r (rotation
-	// applied first): R^u ∘ M = M ∘ R^(-u), so a mirror in t flips the
-	// direction of u's rotation.
-	var rot int
-	if tm {
-		rot = (tr - ur + 8) % 4
-	} else {
-		rot = (tr + ur) % 4
-	}
-	mirror := tm != um
-	out := Transform(rot)
-	if mirror {
-		out += MirrorX
-	}
-	return out
-}
-
-// Inverse returns the transform that undoes t.
-func (t Transform) Inverse() Transform {
-	switch t {
-	case Rot90:
-		return Rot270
-	case Rot270:
-		return Rot90
-	default:
-		// Identity, Rot180 and all mirrored forms are involutions.
-		return t
-	}
-}
-
-// SwapsAxes reports whether t exchanges width and height.
-func (t Transform) SwapsAxes() bool {
-	switch t {
-	case Rot90, Rot270, MirrorXRot90, MirrorXRot270:
-		return true
-	}
-	return false
-}
-
-// ApplyAll maps each point of ps under t and renormalises the result so
-// the bounding box origin is (0, 0); the output is in canonical order.
-func (t Transform) ApplyAll(ps []Point) []Point {
-	out := make([]Point, len(ps))
-	for i, p := range ps {
-		out[i] = t.Apply(p)
-	}
-	b := BoundsOf(out)
-	off := Point{-b.MinX, -b.MinY}
-	for i := range out {
-		out[i] = out[i].Add(off)
-	}
-	SortPoints(out)
-	return out
-}

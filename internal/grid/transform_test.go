@@ -32,40 +32,6 @@ func TestTransformApplyKnown(t *testing.T) {
 	}
 }
 
-func TestTransformComposeMatchesApplication(t *testing.T) {
-	pts := []Point{{0, 0}, {1, 0}, {2, 1}, {-3, 5}, {7, -2}}
-	for _, a := range allTransforms() {
-		for _, b := range allTransforms() {
-			c := a.Compose(b)
-			if !c.Valid() {
-				t.Fatalf("%v.Compose(%v) invalid: %v", a, b, c)
-			}
-			for _, p := range pts {
-				want := b.Apply(a.Apply(p))
-				if got := c.Apply(p); got != want {
-					t.Fatalf("compose(%v,%v)=%v: apply(%v) = %v, want %v",
-						a, b, c, p, got, want)
-				}
-			}
-		}
-	}
-}
-
-func TestTransformInverse(t *testing.T) {
-	pts := []Point{{1, 2}, {-4, 3}, {0, 0}}
-	for _, a := range allTransforms() {
-		inv := a.Inverse()
-		for _, p := range pts {
-			if got := inv.Apply(a.Apply(p)); got != p {
-				t.Fatalf("%v inverse %v: round trip %v -> %v", a, inv, p, got)
-			}
-		}
-		if got := a.Compose(inv); got != Identity {
-			t.Fatalf("%v.Compose(inverse) = %v, want identity", a, got)
-		}
-	}
-}
-
 func TestTransformRot180Involution(t *testing.T) {
 	f := func(x, y int16) bool {
 		p := Pt(int(x), int(y))
@@ -73,66 +39,6 @@ func TestTransformRot180Involution(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestTransformSwapsAxes(t *testing.T) {
-	want := map[Transform]bool{
-		Identity: false, Rot90: true, Rot180: false, Rot270: true,
-		MirrorX: false, MirrorXRot90: true, MirrorXRot180: false, MirrorXRot270: true,
-	}
-	for tr, w := range want {
-		if got := tr.SwapsAxes(); got != w {
-			t.Errorf("%v.SwapsAxes = %v, want %v", tr, got, w)
-		}
-	}
-}
-
-func TestTransformApplyAllNormalises(t *testing.T) {
-	ps := []Point{{0, 0}, {1, 0}, {1, 1}}
-	for _, tr := range allTransforms() {
-		out := tr.ApplyAll(ps)
-		if len(out) != len(ps) {
-			t.Fatalf("%v: ApplyAll changed cardinality", tr)
-		}
-		b := BoundsOf(out)
-		if b.MinX != 0 || b.MinY != 0 {
-			t.Errorf("%v: ApplyAll not normalised, bounds %v", tr, b)
-		}
-		for i := 1; i < len(out); i++ {
-			if out[i].Less(out[i-1]) {
-				t.Errorf("%v: ApplyAll not sorted: %v", tr, out)
-			}
-		}
-	}
-}
-
-// Property: ApplyAll preserves pairwise distances (rigid motion).
-func TestTransformApplyAllRigid(t *testing.T) {
-	ps := []Point{{0, 0}, {3, 1}, {1, 4}, {2, 2}}
-	d2 := func(a, b Point) int {
-		dx, dy := a.X-b.X, a.Y-b.Y
-		return dx*dx + dy*dy
-	}
-	base := make(map[int]int)
-	for i := range ps {
-		for j := i + 1; j < len(ps); j++ {
-			base[d2(ps[i], ps[j])]++
-		}
-	}
-	for _, tr := range allTransforms() {
-		out := tr.ApplyAll(ps)
-		got := make(map[int]int)
-		for i := range out {
-			for j := i + 1; j < len(out); j++ {
-				got[d2(out[i], out[j])]++
-			}
-		}
-		for k, v := range base {
-			if got[k] != v {
-				t.Fatalf("%v: distance multiset changed", tr)
-			}
-		}
 	}
 }
 

@@ -184,58 +184,3 @@ func TestSummarize(t *testing.T) {
 		t.Fatalf("single summary = %+v", one)
 	}
 }
-
-func TestBusDistance(t *testing.T) {
-	// Module rows [2,5) vs bus at 0: distance 2. Crossing bus: 0.
-	if got := BusDistance([][2]int{{2, 5}}, []int{0}); got != 2 {
-		t.Fatalf("BusDistance = %v, want 2", got)
-	}
-	if got := BusDistance([][2]int{{2, 5}}, []int{3}); got != 0 {
-		t.Fatalf("crossing BusDistance = %v, want 0", got)
-	}
-	if got := BusDistance([][2]int{{2, 5}}, []int{8}); got != 4 {
-		t.Fatalf("above BusDistance = %v, want 4 (8 - 4)", got)
-	}
-	// Nearest of several buses wins; mean over modules. Span [0,2) vs
-	// bus 3: distance 3-1=2; span [6,8) vs bus 3: 6-3=3; mean 2.5.
-	if got := BusDistance([][2]int{{0, 2}, {6, 8}}, []int{3}); got != 2.5 {
-		t.Fatalf("mean BusDistance = %v, want 2.5", got)
-	}
-	if BusDistance(nil, []int{1}) != 0 || BusDistance([][2]int{{0, 1}}, nil) != 0 {
-		t.Fatal("empty inputs should be 0")
-	}
-}
-
-func TestBusDistanceEdges(t *testing.T) {
-	// Exactly abutting: span [2,5) covers rows 2..4. A bus at 5 is the
-	// first row above the module — distance 1, not 0. Likewise a bus at
-	// 1 just below. Buses at the boundary rows 2 and 4 cross: 0.
-	if got := BusDistance([][2]int{{2, 5}}, []int{5}); got != 1 {
-		t.Errorf("bus abutting above = %v, want 1", got)
-	}
-	if got := BusDistance([][2]int{{2, 5}}, []int{1}); got != 1 {
-		t.Errorf("bus abutting below = %v, want 1", got)
-	}
-	if got := BusDistance([][2]int{{2, 5}}, []int{2}); got != 0 {
-		t.Errorf("bus on bottom row = %v, want 0", got)
-	}
-	if got := BusDistance([][2]int{{2, 5}}, []int{4}); got != 0 {
-		t.Errorf("bus on top row = %v, want 0", got)
-	}
-
-	// Single-row span [3,4): only row 3 crosses.
-	if got := BusDistance([][2]int{{3, 4}}, []int{3}); got != 0 {
-		t.Errorf("single-row crossing = %v, want 0", got)
-	}
-	if got := BusDistance([][2]int{{3, 4}}, []int{0, 7}); got != 3 {
-		t.Errorf("single-row distance = %v, want 3", got)
-	}
-
-	// Unsorted bus rows: the nearest must win regardless of order.
-	if got := BusDistance([][2]int{{10, 12}}, []int{0, 30, 13, 2}); got != 2 {
-		t.Errorf("unsorted buses = %v, want 2 (13 - 11)", got)
-	}
-	if got := BusDistance([][2]int{{10, 12}}, []int{30, 11, 0}); got != 0 {
-		t.Errorf("unsorted crossing = %v, want 0", got)
-	}
-}

@@ -9,10 +9,7 @@
 package netlist
 
 import (
-	"bufio"
 	"fmt"
-	"io"
-	"strings"
 
 	"repro/internal/module"
 )
@@ -37,16 +34,6 @@ func (k CellKind) String() string {
 		return cellKindNames[k]
 	}
 	return fmt.Sprintf("CellKind(%d)", uint8(k))
-}
-
-// ParseCellKind converts a canonical name back to a kind.
-func ParseCellKind(s string) (CellKind, error) {
-	for k := CellKind(0); k < numCellKinds; k++ {
-		if cellKindNames[k] == s {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("netlist: unknown cell kind %q", s)
 }
 
 // Cell is one primitive instance.
@@ -179,100 +166,6 @@ func ToModule(n *Netlist, t PackingTarget, opts module.AlternativeOptions) (*mod
 		return nil, err
 	}
 	return module.GenerateAlternatives(n.Name, d, opts)
-}
-
-// Parse reads the textual netlist format:
-//
-//	netlist <name>
-//	cell <name> <LUT|FF|BRAM|DSP>
-//	net <name> <cell> <cell> [...]
-//
-// Multiple netlists per stream are allowed; '#' starts a comment.
-func Parse(r io.Reader) ([]*Netlist, error) {
-	var out []*Netlist
-	var cur *Netlist
-	sc := bufio.NewScanner(r)
-	lineNo := 0
-	flush := func() error {
-		if cur == nil {
-			return nil
-		}
-		if err := cur.Validate(); err != nil {
-			return err
-		}
-		out = append(out, cur)
-		cur = nil
-		return nil
-	}
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = line[:i]
-		}
-		fields := strings.Fields(line)
-		if len(fields) == 0 {
-			continue
-		}
-		switch fields[0] {
-		case "netlist":
-			if len(fields) != 2 {
-				return nil, fmt.Errorf("netlist: line %d: want 'netlist <name>'", lineNo)
-			}
-			if err := flush(); err != nil {
-				return nil, err
-			}
-			cur = &Netlist{Name: fields[1]}
-		case "cell":
-			if cur == nil {
-				return nil, fmt.Errorf("netlist: line %d: cell outside netlist", lineNo)
-			}
-			if len(fields) != 3 {
-				return nil, fmt.Errorf("netlist: line %d: want 'cell <name> <kind>'", lineNo)
-			}
-			k, err := ParseCellKind(fields[2])
-			if err != nil {
-				return nil, fmt.Errorf("netlist: line %d: %w", lineNo, err)
-			}
-			cur.Cells = append(cur.Cells, Cell{Name: fields[1], Kind: k})
-		case "net":
-			if cur == nil {
-				return nil, fmt.Errorf("netlist: line %d: net outside netlist", lineNo)
-			}
-			if len(fields) < 4 {
-				return nil, fmt.Errorf("netlist: line %d: want 'net <name> <cell> <cell>...'", lineNo)
-			}
-			cur.Nets = append(cur.Nets, Net{Name: fields[1], Pins: fields[2:]})
-		default:
-			return nil, fmt.Errorf("netlist: line %d: unknown directive %q", lineNo, fields[0])
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if err := flush(); err != nil {
-		return nil, err
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("netlist: stream defines no netlists")
-	}
-	return out, nil
-}
-
-// Write emits netlists in the format Parse reads.
-func Write(w io.Writer, nls []*Netlist) error {
-	var sb strings.Builder
-	for _, n := range nls {
-		fmt.Fprintf(&sb, "netlist %s\n", n.Name)
-		for _, c := range n.Cells {
-			fmt.Fprintf(&sb, "cell %s %s\n", c.Name, c.Kind)
-		}
-		for _, net := range n.Nets {
-			fmt.Fprintf(&sb, "net %s %s\n", net.Name, strings.Join(net.Pins, " "))
-		}
-	}
-	_, err := io.WriteString(w, sb.String())
-	return err
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }

@@ -28,12 +28,6 @@ type Config struct {
 	PprofAddr string
 }
 
-// Enabled reports whether any observability output was requested.
-func (c Config) Enabled() bool {
-	return c.TracePath != "" || c.MetricsPath != "" || c.CPUProfile != "" ||
-		c.MemProfile != "" || c.PprofAddr != ""
-}
-
 // Session is the live observability state of one command run. Recorder
 // and Registry are nil when the corresponding output is disabled, so
 // they can be passed straight into solver options (whose emission sites

@@ -137,9 +137,6 @@ func TestSessionRoundTrip(t *testing.T) {
 		MetricsPath: filepath.Join(dir, "metrics.prom"),
 		MemProfile:  filepath.Join(dir, "mem.pprof"),
 	}
-	if !cfg.Enabled() {
-		t.Fatal("config should report enabled")
-	}
 	s, err := Start(cfg)
 	if err != nil {
 		t.Fatal(err)

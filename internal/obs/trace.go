@@ -59,18 +59,14 @@ const (
 	attrStr attrKind = iota
 	attrInt
 	attrBool
-	attrFloat
-	attrDur
 )
 
-// Attr is one typed span attribute. Construct with String, Int, Bool,
-// Float or Duration.
+// Attr is one typed span attribute. Construct with String, Int or Bool.
 type Attr struct {
 	Key  string
 	kind attrKind
 	s    string
 	i    int64
-	f    float64
 }
 
 // String builds a string-valued attribute.
@@ -88,14 +84,6 @@ func Bool(key string, v bool) Attr {
 	return a
 }
 
-// Float builds a float-valued attribute.
-func Float(key string, v float64) Attr { return Attr{Key: key, kind: attrFloat, f: v} }
-
-// Duration builds a duration-valued attribute.
-func Duration(key string, d time.Duration) Attr {
-	return Attr{Key: key, kind: attrDur, i: int64(d)}
-}
-
 // Value renders the attribute value as text.
 func (a Attr) Value() string {
 	switch a.kind {
@@ -106,10 +94,6 @@ func (a Attr) Value() string {
 			return "true"
 		}
 		return "false"
-	case attrFloat:
-		return strconv.FormatFloat(a.f, 'g', -1, 64)
-	case attrDur:
-		return time.Duration(a.i).String()
 	}
 	return a.s
 }
@@ -350,11 +334,6 @@ type Span struct {
 	dur   time.Duration
 	ended bool
 	attrs []Attr
-}
-
-// StartChild opens a sub-span.
-func (s *Span) StartChild(name string) *Span {
-	return s.trace.newSpan(name, s.id)
 }
 
 // Name returns the span's name.

@@ -91,32 +91,6 @@ func TestParseRegionErrors(t *testing.T) {
 	}
 }
 
-func TestRegionRoundTrip(t *testing.T) {
-	spec, err := ParseRegion(strings.NewReader(regionText))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteRegion(&buf, spec); err != nil {
-		t.Fatal(err)
-	}
-	spec2, err := ParseRegion(&buf)
-	if err != nil {
-		t.Fatalf("re-parse: %v\n%s", err, buf.String())
-	}
-	r1, err := spec.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := spec2.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.String() != r2.String() {
-		t.Fatal("region round trip changed the fabric")
-	}
-}
-
 func TestParseModules(t *testing.T) {
 	mods, err := ParseModules(strings.NewReader(modulesText))
 	if err != nil {

@@ -134,37 +134,6 @@ func (s *RegionSpec) Build() (*fabric.Region, error) {
 	return dev.FullRegion(), nil
 }
 
-// WriteRegion emits the spec in the format ParseRegion reads.
-func WriteRegion(w io.Writer, s *RegionSpec) error {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "region %s %d %d\n", s.Fabric.Name, s.Fabric.W, s.Fabric.H)
-	writeCols := func(name string, xs []int) {
-		if len(xs) == 0 {
-			return
-		}
-		sb.WriteString(name)
-		for _, x := range xs {
-			fmt.Fprintf(&sb, " %d", x)
-		}
-		sb.WriteByte('\n')
-	}
-	writeCols("bramcols", s.Fabric.BRAMColumns)
-	writeCols("dspcols", s.Fabric.DSPColumns)
-	writeCols("clockcols", s.Fabric.ClockColumns)
-	if s.Fabric.ClockRowPeriod > 0 {
-		fmt.Fprintf(&sb, "clockrows %d\n", s.Fabric.ClockRowPeriod)
-	}
-	if s.Fabric.IOBRing {
-		sb.WriteString("iobring\n")
-	}
-	for _, r := range s.Statics {
-		fmt.Fprintf(&sb, "static %d %d %d %d\n", r.MinX, r.MinY, r.W(), r.H())
-	}
-	writeCols("bus", s.BusRows)
-	_, err := io.WriteString(w, sb.String())
-	return err
-}
-
 // ParseModules reads a module specification. Format:
 //
 //	module <name>

@@ -93,6 +93,10 @@ type OptionsSpec struct {
 	Presolve          string `json:"presolve,omitempty"`
 }
 
+// defaultStallNodes is the convergence criterion substituted when a
+// request sets none: the experiments' default.
+const defaultStallNodes = 2000
+
 // maxRequestBytes bounds the request body; a 30-module batch with four
 // alternatives of ~100 tiles each is well under 1 MiB.
 const maxRequestBytes = 8 << 20
@@ -244,7 +248,7 @@ func (o *OptionsSpec) toRequestOptions(cfg Config) (core.RequestOptions, error) 
 		out.Timeout = cfg.MaxTimeout
 	}
 	if out.StallNodes == 0 {
-		out.StallNodes = cfg.DefaultStallNodes
+		out.StallNodes = defaultStallNodes
 	}
 	// Each search worker is a goroutine holding a full store clone, so
 	// a request may ask for at most as many as the daemon has CPUs. 1
@@ -276,8 +280,6 @@ func (o *OptionsSpec) toRequestOptions(cfg Config) (core.RequestOptions, error) 
 			return out, err
 		}
 		out.Presolve = p
-	} else {
-		out.Presolve = cfg.DefaultPresolve
 	}
 	if err := out.Validate(); err != nil {
 		return out, err

@@ -78,13 +78,6 @@ type Config struct {
 	// (QueueGrace plus the solve timeout) bounds only the wait: a solve
 	// that started runs to completion.
 	QueueGrace time.Duration
-	// DefaultStallNodes is the convergence criterion substituted when a
-	// request sets none (default 2000, the experiments' default).
-	DefaultStallNodes int64
-	// DefaultPresolve is the presolve mode substituted when a request
-	// sets none. The zero value is core.PresolveOn, so presolve is on
-	// by default; cmd/placed lowers it with -presolve=off.
-	DefaultPresolve core.PresolveMode
 	// Registry receives the daemon's counters and histograms; nil
 	// allocates a private registry (still served by /v1/stats and
 	// GET /metrics).
@@ -138,9 +131,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueGrace <= 0 {
 		c.QueueGrace = 30 * time.Second
-	}
-	if c.DefaultStallNodes <= 0 {
-		c.DefaultStallNodes = 2000
 	}
 	if c.Registry == nil {
 		c.Registry = obs.NewRegistry()

@@ -131,15 +131,6 @@ func FirstShapesOnly(mods []*module.Module) []*module.Module {
 	return out
 }
 
-// TotalDemand sums tile demands (by the first shape of each module,
-// which all generated alternatives share).
-func TotalDemand(mods []*module.Module) (tiles int) {
-	for _, m := range mods {
-		tiles += m.Shape(0).Size()
-	}
-	return tiles
-}
-
 func randIn(rng *rand.Rand, lo, hi int) int {
 	if hi <= lo {
 		return lo

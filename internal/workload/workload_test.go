@@ -119,18 +119,6 @@ func TestFirstShapesOnly(t *testing.T) {
 	}
 }
 
-func TestTotalDemand(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	mods := MustGenerate(Config{NumModules: 5}, rng)
-	want := 0
-	for _, m := range mods {
-		want += m.Shape(0).Size()
-	}
-	if got := TotalDemand(mods); got != want {
-		t.Fatalf("TotalDemand = %d, want %d", got, want)
-	}
-}
-
 func TestGenerateWithDSP(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	mods := MustGenerate(Config{NumModules: 20, DSPMax: 3}, rng)

@@ -3,10 +3,10 @@
 # "benchgate" job (and `make benchgate` locally). Re-solves the pinned
 # scenario set (Table-I with the presolve pipeline off and on, Table-I
 # without alternatives, Fig. 3, Fig. 5, and 15 Table-I modules under
-# compulsory-part pruning) and fails if search nodes,
-# backtracks, the reached height/optimality, or — with a deliberately
-# loose bound, since wall time is machine-dependent — ns per solve
-# regress against the committed baseline in BENCH_solver.json.
+# compulsory-part pruning) and fails if search nodes, backtracks, heap
+# allocations (within 2%), the reached height/optimality, or — with a
+# deliberately loose bound, since wall time is machine-dependent — ns
+# per solve regress against the committed baseline in BENCH_solver.json.
 #
 # After an *intended* change to solver effort, re-baseline with:
 #
