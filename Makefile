@@ -12,7 +12,7 @@ STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 FUZZTIME ?= 30s
 
-.PHONY: all build test race vet fmt-check lint solverlint tools check bench bench-service benchgate fuzz smoke chaos clean
+.PHONY: all build test race vet fmt-check lint solverlint tools check perfbench bench bench-service benchgate fuzz smoke chaos clean
 
 all: build
 
@@ -82,7 +82,15 @@ tools:
 	$(GO) install honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION)
 	$(GO) install golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION)
 
-check: fmt-check vet lint build race
+check: fmt-check vet lint build race perfbench
+
+# The benchmark harness is its own module (perfbench/go.mod, replacing
+# repro with ../), so the root build never compiles it. Vet and test it
+# here so an API change that breaks the benchmark fails before the
+# benchmark runs.
+perfbench:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 # The observability acceptance benchmarks: recording disabled must show
 # the baseline allocation profile; the span benchmark prices one traced

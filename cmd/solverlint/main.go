@@ -49,8 +49,8 @@ var scopes = map[string][]string{
 	// held to the same bar; its deliberate uses of wall-clock time and
 	// crypto/rand ids carry explicit allow pragmas. The fault injector
 	// must replay chaos runs exactly, so its deliberately seeded PRNG
-	// sites are pragma'd too. Workload/netlist generators and
-	// experiment drivers are deliberately seeded-random.
+	// sites are pragma'd too. Workload generators and experiment
+	// drivers are deliberately seeded-random.
 	// The online managers and the session engine must stay
 	// deterministic too: a session replayed from the same arrival
 	// stream must produce the same placements.

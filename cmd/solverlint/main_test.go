@@ -19,7 +19,7 @@ func TestInScope(t *testing.T) {
 		{"clonecomplete", "repro/internal/workload", false},
 		{"nondeterminism", "repro/internal/core", true},
 		{"nondeterminism", "repro/internal/obs", true},
-		{"nondeterminism", "repro/internal/netlist", false},
+		{"nondeterminism", "repro/internal/rtsim", false},
 		{"nondeterminism", "repro/internal/experiments", false},
 		{"obsgate", "repro/internal/csp", true},
 		{"obsgate", "repro/internal/obs", true},
@@ -42,7 +42,7 @@ func TestInScope(t *testing.T) {
 		{"ctxflow", "repro/internal/client", true},
 		{"ctxflow", "repro/internal/csp", false},
 		{"goroleak", "repro/internal/obs", true},
-		{"goroleak", "repro/internal/netlist", false},
+		{"goroleak", "repro/internal/rtsim", false},
 		{"atomicsafe", "repro/internal/anything", true},
 		{"atomicsafe", "repro/cmd/placer", false},
 		{"syncmisuse", "repro/internal/service", true},

@@ -14,7 +14,6 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/grid"
 	"repro/internal/module"
-	"repro/internal/netlist"
 	"repro/internal/online"
 	"repro/internal/recobus"
 	"repro/internal/render"
@@ -130,37 +129,6 @@ use alpha beta
 				t.Fatalf("phase %s: %v off the bus", p.Phase.Name, pl)
 			}
 		}
-	}
-}
-
-func TestIntegrationNetlistToPlacement(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	var mods []*module.Module
-	for i, cfg := range []netlist.GenConfig{
-		{LUTs: 100, FFs: 80, BRAMs: 1},
-		{LUTs: 60, FFs: 60},
-		{LUTs: 140, FFs: 90, BRAMs: 2},
-	} {
-		nl, err := netlist.Generate(string(rune('a'+i)), cfg, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := netlist.ToModule(nl, netlist.DefaultPackingTarget(), module.AlternativeOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		mods = append(mods, m)
-	}
-	region := fabric.VirtexLike(48, 24).FullRegion()
-	res, err := core.New(region, core.Options{Timeout: 10 * time.Second, StallNodes: 1000}).Place(mods)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Found {
-		t.Fatal("netlist modules unplaceable")
-	}
-	if err := res.Validate(region); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -19,7 +19,11 @@ func clbModule(name string, w, h int) *module.Module {
 			tiles = append(tiles, module.Tile{At: grid.Pt(x, y), Kind: fabric.CLB})
 		}
 	}
-	return module.MustModule(name, module.MustShape(tiles))
+	m, err := module.NewModule(name, module.MustShape(tiles))
+	if err != nil {
+		panic(err)
+	}
+	return m
 }
 
 func TestAlgorithmStrings(t *testing.T) {
@@ -202,7 +206,11 @@ func TestUseAlternativesImproves(t *testing.T) {
 		hTiles = append(hTiles, module.Tile{At: grid.Pt(i, 0), Kind: fabric.CLB})
 	}
 	mk := func(name string) *module.Module {
-		return module.MustModule(name, module.MustShape(vTiles), module.MustShape(hTiles))
+		m, err := module.NewModule(name, module.MustShape(vTiles), module.MustShape(hTiles))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
 	}
 	r := fabric.Homogeneous(4, 10).FullRegion()
 	mods := []*module.Module{mk("a"), mk("b")}

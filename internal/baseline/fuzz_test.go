@@ -17,7 +17,11 @@ func fuzzBarModule(name string, n int) *module.Module {
 		hTiles = append(hTiles, module.Tile{At: grid.Pt(i, 0), Kind: fabric.CLB})
 		vTiles = append(vTiles, module.Tile{At: grid.Pt(0, i), Kind: fabric.CLB})
 	}
-	return module.MustModule(name, module.MustShape(hTiles), module.MustShape(vTiles))
+	m, err := module.NewModule(name, module.MustShape(hTiles), module.MustShape(vTiles))
+	if err != nil {
+		panic(err)
+	}
+	return m
 }
 
 func fuzzRectModule(name string, w, h int) *module.Module {
@@ -27,7 +31,11 @@ func fuzzRectModule(name string, w, h int) *module.Module {
 			tiles = append(tiles, module.Tile{At: grid.Pt(x, y), Kind: fabric.CLB})
 		}
 	}
-	return module.MustModule(name, module.MustShape(tiles))
+	m, err := module.NewModule(name, module.MustShape(tiles))
+	if err != nil {
+		panic(err)
+	}
+	return m
 }
 
 // FuzzBaselineValid is the heuristic twin of core's FuzzPlacementValid,

@@ -50,33 +50,6 @@ type Digest [sha256.Size]byte
 // String renders the digest as lowercase hex.
 func (d Digest) String() string { return hex.EncodeToString(d[:]) }
 
-// Canonical returns the normalised copy of the request: shapes within
-// each module sorted by their geometric key, modules sorted by name,
-// bus rows sorted and deduplicated. The receiver is not modified. It
-// rejects requests with no modules, nil modules, duplicate module
-// names, or invalid options, since none of those have a well-defined
-// canonical instance.
-func (r *Request) Canonical() (*Request, error) {
-	o, err := r.order()
-	if err != nil {
-		return nil, err
-	}
-	out := &Request{Fabric: r.Fabric, Region: r.Region, Options: r.Options}
-	out.Options.BusRows = sortedUniqueInts(r.Options.BusRows)
-	out.Modules = make([]*module.Module, len(o.Modules))
-	for c, i := range o.Modules {
-		m := r.Modules[i]
-		shapes := make([]*module.Shape, len(o.Shapes[c]))
-		for k, j := range o.Shapes[c] {
-			shapes[k] = m.Shape(j)
-		}
-		if out.Modules[c], err = module.NewModule(m.Name(), shapes...); err != nil {
-			return nil, fmt.Errorf("canon: module %s: %w", m.Name(), err)
-		}
-	}
-	return out, nil
-}
-
 // Order maps a canonical request back to the request it was computed
 // from: canonical module c is the request's module Modules[c], and
 // canonical shape k of that module is the request module's shape
@@ -140,17 +113,6 @@ func sortedUniqueInts(xs []int) []int {
 	return slices.Compact(out)
 }
 
-// CanonicalBytes returns the injective byte encoding of the canonical
-// form of the request. Two requests are canonically equal iff their
-// CanonicalBytes are equal; Digest hashes exactly these bytes.
-func (r *Request) CanonicalBytes() ([]byte, error) {
-	o, err := r.order()
-	if err != nil {
-		return nil, err
-	}
-	return r.appendEncoding(make([]byte, 0, 256), o), nil
-}
-
 // Digest canonicalizes the request and returns the SHA-256 of its
 // canonical encoding.
 func (r *Request) Digest() (Digest, error) {
@@ -166,20 +128,6 @@ func (r *Request) Key() (Digest, Order, error) {
 		return Digest{}, Order{}, err
 	}
 	return sha256.Sum256(r.appendEncoding(make([]byte, 0, 256), o)), o, nil
-}
-
-// Equal reports whether a and b are canonically equal. It returns false
-// (never an error) if either request has no canonical form.
-func Equal(a, b *Request) bool {
-	ab, err := a.CanonicalBytes()
-	if err != nil {
-		return false
-	}
-	bb, err := b.CanonicalBytes()
-	if err != nil {
-		return false
-	}
-	return string(ab) == string(bb)
 }
 
 // encVersion tags the encoding layout; bump it whenever the frame
@@ -240,7 +188,8 @@ const specTag = 'g'
 
 // Digest returns the SHA-256 of the spec's frame: the fabric, region,
 // generator config after Defaults, seed, workload.GeneratorVersion and
-// the options with bus rows normalised as in Canonical. Equal digests
+// the options with bus rows sorted and deduplicated, as in a request's
+// canonical encoding. Equal digests
 // mean equal batches on equal canonical instances.
 func (s *Spec) Digest() Digest {
 	g := s.Generate.Defaults()

@@ -1,6 +1,7 @@
 package canon
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -208,4 +209,55 @@ func TestCanonicalOrdering(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Canonical returns the normalised copy of the request: shapes within
+// each module sorted by their geometric key, modules sorted by name,
+// bus rows sorted and deduplicated. The receiver is not modified. It
+// rejects what order rejects. The tests use it as the oracle of the
+// canonical instance that Key's Order describes.
+func (r *Request) Canonical() (*Request, error) {
+	o, err := r.order()
+	if err != nil {
+		return nil, err
+	}
+	out := &Request{Fabric: r.Fabric, Region: r.Region, Options: r.Options}
+	out.Options.BusRows = sortedUniqueInts(r.Options.BusRows)
+	out.Modules = make([]*module.Module, len(o.Modules))
+	for c, i := range o.Modules {
+		m := r.Modules[i]
+		shapes := make([]*module.Shape, len(o.Shapes[c]))
+		for k, j := range o.Shapes[c] {
+			shapes[k] = m.Shape(j)
+		}
+		if out.Modules[c], err = module.NewModule(m.Name(), shapes...); err != nil {
+			return nil, fmt.Errorf("canon: module %s: %w", m.Name(), err)
+		}
+	}
+	return out, nil
+}
+
+// CanonicalBytes returns the injective byte encoding of the canonical
+// form of the request. Two requests are canonically equal iff their
+// CanonicalBytes are equal; Digest hashes exactly these bytes.
+func (r *Request) CanonicalBytes() ([]byte, error) {
+	o, err := r.order()
+	if err != nil {
+		return nil, err
+	}
+	return r.appendEncoding(make([]byte, 0, 256), o), nil
+}
+
+// Equal reports whether a and b are canonically equal. It returns false
+// (never an error) if either request has no canonical form.
+func Equal(a, b *Request) bool {
+	ab, err := a.CanonicalBytes()
+	if err != nil {
+		return false
+	}
+	bb, err := b.CanonicalBytes()
+	if err != nil {
+		return false
+	}
+	return string(ab) == string(bb)
 }

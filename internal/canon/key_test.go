@@ -49,7 +49,11 @@ func TestKeyOrderLeadsBackToRequest(t *testing.T) {
 			m := base.Modules[i]
 			shapes := append([]*module.Shape(nil), m.Shapes()...)
 			rng.Shuffle(len(shapes), func(a, b int) { shapes[a], shapes[b] = shapes[b], shapes[a] })
-			perm.Modules = append(perm.Modules, module.MustModule(m.Name(), shapes...))
+			pm, err := module.NewModule(m.Name(), shapes...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			perm.Modules = append(perm.Modules, pm)
 		}
 		d, o, err := perm.Key()
 		if err != nil {

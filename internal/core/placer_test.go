@@ -19,7 +19,11 @@ func rectModule(name string, w, h int) *module.Module {
 			tiles = append(tiles, module.Tile{At: grid.Pt(x, y), Kind: fabric.CLB})
 		}
 	}
-	return module.MustModule(name, module.MustShape(tiles))
+	m, err := module.NewModule(name, module.MustShape(tiles))
+	if err != nil {
+		panic(err)
+	}
+	return m
 }
 
 func barModule(name string, n int) *module.Module {
@@ -29,7 +33,11 @@ func barModule(name string, n int) *module.Module {
 		hTiles = append(hTiles, module.Tile{At: grid.Pt(i, 0), Kind: fabric.CLB})
 		vTiles = append(vTiles, module.Tile{At: grid.Pt(0, i), Kind: fabric.CLB})
 	}
-	return module.MustModule(name, module.MustShape(hTiles), module.MustShape(vTiles))
+	m, err := module.NewModule(name, module.MustShape(hTiles), module.MustShape(vTiles))
+	if err != nil {
+		panic(err)
+	}
+	return m
 }
 
 func TestPlaceSingleModule(t *testing.T) {
@@ -80,9 +88,13 @@ func TestPlaceAlternativesReduceHeight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	without := []*module.Module{
-		barModule("a", 4).MustWithShapes(1), // vertical only
-		barModule("b", 4).MustWithShapes(1),
+	var without []*module.Module
+	for _, name := range []string{"a", "b"} {
+		m, err := barModule(name, 4).WithShapes(1) // vertical only
+		if err != nil {
+			t.Fatal(err)
+		}
+		without = append(without, m)
 	}
 	resWithout, err := p.Place(without)
 	if err != nil {
@@ -106,10 +118,13 @@ func TestPlaceHeterogeneousBRAMAlignment(t *testing.T) {
 		return fabric.CLB
 	})
 	r := dev.FullRegion()
-	m := module.MustModule("mem", module.MustShape([]module.Tile{
+	m, err := module.NewModule("mem", module.MustShape([]module.Tile{
 		{At: grid.Pt(0, 0), Kind: fabric.CLB},
 		{At: grid.Pt(1, 0), Kind: fabric.BRAM},
 	}))
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := New(r, Options{}).Place([]*module.Module{m})
 	if err != nil {
 		t.Fatal(err)
@@ -424,7 +439,11 @@ func TestPlaceHeterogeneousMatchesBruteForce(t *testing.T) {
 				}
 				shapes = []*module.Shape{module.MustShape(l), module.MustShape(rt)}
 			}
-			mods[i] = module.MustModule(string(rune('a'+i)), shapes...)
+			m, err := module.NewModule(string(rune('a'+i)), shapes...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mods[i] = m
 		}
 
 		res, err := New(r, Options{}).Place(mods)

@@ -166,7 +166,11 @@ func TestPresolveStatsReported(t *testing.T) {
 				tiles = append(tiles, module.Tile{At: grid.Pt(x, y), Kind: fabric.CLB})
 			}
 		}
-		return module.MustModule(name, module.MustShape(tiles))
+		m, err := module.NewModule(name, module.MustShape(tiles))
+		if err != nil {
+			panic(err)
+		}
+		return m
 	}
 	mods := []*module.Module{square("a"), square("b"), square("c")}
 

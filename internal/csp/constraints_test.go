@@ -41,6 +41,21 @@ func (p *notEqualOffset) Propagate(st *Store) error {
 	return nil
 }
 
+// Remove deletes val from v's domain; notEqualOffset is its only caller.
+func (st *Store) Remove(v *Var, val int) error {
+	if !v.dom.Contains(val) {
+		return nil
+	}
+	st.ensureOwned(v)
+	if v.dom.Remove(val) {
+		if st.rec != nil {
+			st.notePrune(v, v.dom.Size()+1)
+		}
+		return st.changed(v)
+	}
+	return nil
+}
+
 // pairwiseDifferent posts NotEqual between every pair of vars: an
 // all-different with forward checking.
 func pairwiseDifferent(st *Store, vars ...*Var) {

@@ -143,24 +143,6 @@ func (d *Domain) recomputeBounds() {
 	}
 }
 
-// Remove deletes v, reporting whether the domain changed.
-func (d *Domain) Remove(v int) bool {
-	i := v - d.base
-	if i < 0 || i >= len(d.words)*64 {
-		return false
-	}
-	w, b := i>>6, uint(i&63)
-	if d.words[w]&(1<<b) == 0 {
-		return false
-	}
-	d.words[w] &^= 1 << b
-	d.size--
-	if d.size > 0 && (v == d.min || v == d.max) {
-		d.recomputeBounds()
-	}
-	return true
-}
-
 // RemoveBelow deletes every value < v, reporting change.
 func (d *Domain) RemoveBelow(v int) bool {
 	if d.size == 0 || v <= d.min {
@@ -329,22 +311,6 @@ func (d *Domain) Values() []int {
 	out := make([]int, 0, d.size)
 	d.ForEach(func(v int) bool { out = append(out, v); return true })
 	return out
-}
-
-// Equal reports whether d and o contain the same values.
-func (d *Domain) Equal(o *Domain) bool {
-	if d.size != o.size {
-		return false
-	}
-	eq := true
-	d.ForEach(func(v int) bool {
-		if !o.Contains(v) {
-			eq = false
-			return false
-		}
-		return true
-	})
-	return eq
 }
 
 // String renders small domains as "{1,3,5}" and large ones as

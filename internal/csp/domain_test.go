@@ -7,6 +7,40 @@ import (
 	"testing/quick"
 )
 
+// Remove deletes v, reporting whether the domain changed.
+func (d *Domain) Remove(v int) bool {
+	i := v - d.base
+	if i < 0 || i >= len(d.words)*64 {
+		return false
+	}
+	w, b := i>>6, uint(i&63)
+	if d.words[w]&(1<<b) == 0 {
+		return false
+	}
+	d.words[w] &^= 1 << b
+	d.size--
+	if d.size > 0 && (v == d.min || v == d.max) {
+		d.recomputeBounds()
+	}
+	return true
+}
+
+// Equal reports whether d and o contain the same values.
+func (d *Domain) Equal(o *Domain) bool {
+	if d.size != o.size {
+		return false
+	}
+	eq := true
+	d.ForEach(func(v int) bool {
+		if !o.Contains(v) {
+			eq = false
+			return false
+		}
+		return true
+	})
+	return eq
+}
+
 func TestDomainRange(t *testing.T) {
 	d := NewDomainRange(3, 9)
 	if d.Size() != 7 || d.Min() != 3 || d.Max() != 9 {

@@ -203,8 +203,8 @@ func TestStorePropagatorStats(t *testing.T) {
 		}
 		total += s.Runs
 	}
-	if total != st.Stats() {
-		t.Fatalf("per-propagator runs %d != total %d", total, st.Stats())
+	if total != st.nPropag {
+		t.Fatalf("per-propagator runs %d != total %d", total, st.nPropag)
 	}
 	for i := 1; i < len(stats); i++ {
 		if stats[i].Runs > stats[i-1].Runs {

@@ -168,12 +168,12 @@ func TestParallelCloneFold(t *testing.T) {
 	var slept atomic.Int64
 	st.Post(sleepProp{&slept}, append(vars, obj)...)
 	st.EnableTiming(true)
-	before := st.Stats()
+	before := st.nPropag
 	res, err := Minimize(st, vars, obj, Options{Workers: 2}, nil)
 	if err != nil {
 		t.Fatalf("Minimize: %v", err)
 	}
-	if got := st.Stats() - before; got != res.Propagations {
+	if got := st.nPropag - before; got != res.Propagations {
 		t.Fatalf("store propagations rose by %d, run reports %d", got, res.Propagations)
 	}
 	runs := map[string]int64{}
@@ -182,8 +182,8 @@ func TestParallelCloneFold(t *testing.T) {
 		runs[s.Name] = s.Runs
 		total += s.Runs
 	}
-	if total != st.Stats() {
-		t.Fatalf("per-propagator runs sum to %d, store counts %d", total, st.Stats())
+	if total != st.nPropag {
+		t.Fatalf("per-propagator runs sum to %d, store counts %d", total, st.nPropag)
 	}
 	if runs["bnb.bound"] == 0 {
 		t.Fatalf("clones' bnb.bound runs missing: %v", runs)

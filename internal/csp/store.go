@@ -195,10 +195,6 @@ func (st *Store) enqueue(idx int) {
 	}
 }
 
-// Stats returns the number of propagator executions so far, including
-// those of the worker clones a parallel Minimize searched on.
-func (st *Store) Stats() int64 { return st.nPropag }
-
 // PropagatorStat is the aggregated execution count of all propagators
 // sharing one name (e.g. the geost.non-overlap propagators of all
 // objects).
@@ -333,21 +329,6 @@ func (st *Store) changed(v *Var) error {
 	if v.dom.Empty() {
 		st.failed = true
 		return ErrInconsistent
-	}
-	return nil
-}
-
-// Remove deletes val from v's domain.
-func (st *Store) Remove(v *Var, val int) error {
-	if !v.dom.Contains(val) {
-		return nil
-	}
-	st.ensureOwned(v)
-	if v.dom.Remove(val) {
-		if st.rec != nil {
-			st.notePrune(v, v.dom.Size()+1)
-		}
-		return st.changed(v)
 	}
 	return nil
 }

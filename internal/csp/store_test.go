@@ -197,7 +197,7 @@ func TestStoreScheduleHandle(t *testing.T) {
 	if p.runs != 2 {
 		t.Fatalf("runs = %d, want 2", p.runs)
 	}
-	if st.Stats() < 2 {
+	if st.nPropag < 2 {
 		t.Fatal("Stats not counting")
 	}
 }

@@ -32,7 +32,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand" //solverlint:allow nondeterminism fault decisions are seeded and replayable by construction; the seed is the determinism contract
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -350,20 +349,4 @@ func (i *Injector) String() string {
 		return ""
 	}
 	return i.spec
-}
-
-// Summary renders the injection counts as a stable, sorted
-// "site:mode=n" list for logs and test failure messages.
-func (i *Injector) Summary() string {
-	st := i.Stats()
-	keys := make([]string, 0, len(st))
-	for k := range st { //solverlint:allow nondeterminism keys are sorted immediately below
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	parts := make([]string, len(keys))
-	for j, k := range keys {
-		parts[j] = fmt.Sprintf("%s=%d", k, st[k])
-	}
-	return strings.Join(parts, " ")
 }

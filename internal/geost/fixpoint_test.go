@@ -2,6 +2,7 @@ package geost
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/csp"
@@ -71,14 +72,7 @@ func (p *compulsoryPair) dir(st *csp.Store, narrow, other *Object) error {
 	if comp == nil {
 		return nil
 	}
-	box := grid.Rect{}
-	for y := 0; y < comp.H(); y++ {
-		for x := 0; x < comp.W(); x++ {
-			if comp.Get(x, y) {
-				box = box.Union(grid.RectXYWH(x, y, 1, 1))
-			}
-		}
-	}
+	box := comp.Extent()
 	return st.FilterDomain(other.Place, func(val int) bool {
 		osid, ox, oy := other.Decode(val)
 		og := &other.Shapes[osid]
@@ -145,10 +139,7 @@ func randomShape(r *rand.Rand, w, h int) ShapeGeom {
 	if len(pts) == 0 {
 		pts = append(pts, grid.Pt(0, 0))
 	}
-	box := grid.Rect{}
-	for _, p := range pts {
-		box = box.Union(grid.RectXYWH(p.X, p.Y, 1, 1))
-	}
+	box := grid.BoundsOf(pts)
 	pts = grid.Translate(pts, grid.Pt(-box.MinX, -box.MinY))
 	valid := grid.NewBitmap(w, h)
 	for y := 0; y < h; y++ {
@@ -210,7 +201,7 @@ func checkFixpoint(t *testing.T, seed int64, ops []byte) {
 	compare := func(step int, what string) {
 		t.Helper()
 		for i, v := range got.Vars() {
-			if rv := ref.Vars()[i]; !v.Domain().Equal(rv.Domain()) {
+			if rv := ref.Vars()[i]; !slices.Equal(v.Domain().Values(), rv.Domain().Values()) {
 				t.Fatalf("seed %d strong=%v step %d (%s): %v, pairwise reference %v",
 					seed, strong, step, what, v, rv)
 			}

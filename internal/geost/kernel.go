@@ -91,13 +91,13 @@ func (k *Kernel) W() int { return k.w }
 // H returns the space height.
 func (k *Kernel) H() int { return k.h }
 
-// Store returns the backing constraint store.
-func (k *Kernel) Store() *csp.Store { return k.st }
-
 // Objects returns the objects added so far.
 func (k *Kernel) Objects() []*Object { return k.objects }
 
-// encode packs (sid, x, y) into a placement value.
+// encode packs (sid, x, y) into a placement value, the inverse of
+// Object.Decode. Values encode identically across objects of one
+// kernel, which is what makes placements of interchangeable objects
+// directly comparable (symmetry-breaking lex orders rely on this).
 func (k *Kernel) encode(sid, x, y int) int { return (sid*k.h+y)*k.w + x }
 
 // Decode unpacks a placement value of this object.
@@ -108,12 +108,6 @@ func (o *Object) Decode(val int) (sid, x, y int) {
 	sid = rest / o.k.h
 	return sid, x, y
 }
-
-// Encode packs (sid, x, y) into a placement value of this object — the
-// inverse of Decode. Values encode identically across objects of one
-// kernel, which is what makes placements of interchangeable objects
-// directly comparable (symmetry-breaking lex orders rely on this).
-func (o *Object) Encode(sid, x, y int) int { return o.k.encode(sid, x, y) }
 
 // topOf returns the top row bound (y + shape height) of a placement
 // value.
@@ -132,9 +126,6 @@ func (o *Object) Assigned() bool { return o.Place.Assigned() }
 
 // Placement returns the assigned (sid, x, y); it panics if unassigned.
 func (o *Object) Placement() (sid, x, y int) { return o.Decode(o.Place.Value()) }
-
-// CandidateCount returns the number of remaining placements.
-func (o *Object) CandidateCount() int { return o.Place.Size() }
 
 // ShapePresent reports whether shape sid still has candidate placements.
 func (o *Object) ShapePresent(sid int) bool {

@@ -10,6 +10,9 @@ import (
 )
 
 // allValid returns a bitmap accepting every anchor.
+// CandidateCount returns the number of remaining placements.
+func (o *Object) CandidateCount() int { return o.Place.Size() }
+
 func allValid(w, h int) *grid.Bitmap {
 	b := grid.NewBitmap(w, h)
 	b.SetRect(grid.RectXYWH(0, 0, w, h), true)

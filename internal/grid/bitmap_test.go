@@ -129,15 +129,16 @@ func TestBitmapExtent(t *testing.T) {
 	}
 	for _, p := range []Point{{64, 1}, {3, 3}, {127, 2}} {
 		b.Set(p.X, p.Y, true)
-		// Reference: the cell-by-cell union of set bits.
-		want := Rect{}
+		// Reference: the bounds of the set bits, read cell by cell.
+		var set []Point
 		for y := 0; y < b.H(); y++ {
 			for x := 0; x < b.W(); x++ {
 				if b.Get(x, y) {
-					want = want.Union(RectXYWH(x, y, 1, 1))
+					set = append(set, Pt(x, y))
 				}
 			}
 		}
+		want := BoundsOf(set)
 		if got := b.Extent(); got != want {
 			t.Fatalf("after %v: extent %v, want %v", p, got, want)
 		}

@@ -33,11 +33,6 @@ func Translate(ps []Point, d Point) []Point {
 	return out
 }
 
-// In reports whether p lies inside r.
-func (p Point) In(r Rect) bool {
-	return r.MinX <= p.X && p.X < r.MaxX && r.MinY <= p.Y && p.Y < r.MaxY
-}
-
 // Less orders points lexicographically by (Y, X). It provides the
 // canonical ordering used when normalising tile sets.
 func (p Point) Less(q Point) bool {
@@ -49,17 +44,6 @@ func (p Point) Less(q Point) bool {
 
 // String returns "(x,y)".
 func (p Point) String() string { return fmt.Sprintf("(%d,%d)", p.X, p.Y) }
-
-// SortPoints sorts ps in place into the canonical (Y, X) order.
-func SortPoints(ps []Point) {
-	// Insertion sort: tile lists are short and often nearly sorted; this
-	// also avoids pulling package sort into the hot path.
-	for i := 1; i < len(ps); i++ {
-		for j := i; j > 0 && ps[j].Less(ps[j-1]); j-- {
-			ps[j], ps[j-1] = ps[j-1], ps[j]
-		}
-	}
-}
 
 // BoundsOf returns the tight bounding rectangle of ps. It returns the
 // empty rectangle for an empty slice.

@@ -1,10 +1,13 @@
 package grid
 
 import (
-	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
+
+// tile is the one-tile rectangle at p.
+func tile(p Point) Rect { return RectXYWH(p.X, p.Y, 1, 1) }
 
 func TestPointArithmetic(t *testing.T) {
 	p := Pt(3, -2)
@@ -28,54 +31,14 @@ func TestPointAddSubRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPointIn(t *testing.T) {
-	r := RectXYWH(0, 0, 4, 3)
-	cases := []struct {
-		p    Point
-		want bool
-	}{
-		{Pt(0, 0), true},
-		{Pt(3, 2), true},
-		{Pt(4, 2), false},
-		{Pt(3, 3), false},
-		{Pt(-1, 0), false},
-		{Pt(0, -1), false},
-	}
-	for _, c := range cases {
-		if got := c.p.In(r); got != c.want {
-			t.Errorf("%v.In(%v) = %v, want %v", c.p, r, got, c.want)
-		}
-	}
-}
-
 func TestSortPointsCanonicalOrder(t *testing.T) {
 	ps := []Point{{2, 1}, {0, 0}, {1, 1}, {5, 0}}
-	SortPoints(ps)
+	sort.Slice(ps, func(i, j int) bool { return ps[i].Less(ps[j]) })
 	want := []Point{{0, 0}, {5, 0}, {1, 1}, {2, 1}}
 	for i := range want {
 		if ps[i] != want[i] {
-			t.Fatalf("SortPoints = %v, want %v", ps, want)
+			t.Fatalf("sorted by Less = %v, want %v", ps, want)
 		}
-	}
-}
-
-func TestSortPointsIsSorted(t *testing.T) {
-	f := func(seed int64, n uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		ps := make([]Point, int(n)%32)
-		for i := range ps {
-			ps[i] = Pt(rng.Intn(10), rng.Intn(10))
-		}
-		SortPoints(ps)
-		for i := 1; i < len(ps); i++ {
-			if ps[i].Less(ps[i-1]) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -90,7 +53,7 @@ func TestBoundsOf(t *testing.T) {
 		t.Errorf("BoundsOf = %v, want %v", got, want)
 	}
 	for _, p := range ps {
-		if !p.In(got) {
+		if !got.Contains(tile(p)) {
 			t.Errorf("point %v not in its own bounds %v", p, got)
 		}
 	}
@@ -102,7 +65,7 @@ func TestBoundsOfContainsAll(t *testing.T) {
 		copy(ps, ps2pts(raw))
 		b := BoundsOf(ps)
 		for _, p := range ps {
-			if !p.In(b) {
+			if !b.Contains(tile(p)) {
 				return false
 			}
 		}

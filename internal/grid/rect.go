@@ -37,11 +37,6 @@ func (r Rect) Area() int { return r.W() * r.H() }
 // Empty reports whether r contains no tiles.
 func (r Rect) Empty() bool { return r.MaxX <= r.MinX || r.MaxY <= r.MinY }
 
-// Translate returns r shifted by d.
-func (r Rect) Translate(d Point) Rect {
-	return Rect{r.MinX + d.X, r.MinY + d.Y, r.MaxX + d.X, r.MaxY + d.Y}
-}
-
 // Intersect returns the common tiles of r and s (possibly empty).
 func (r Rect) Intersect(s Rect) Rect {
 	out := Rect{
@@ -54,23 +49,6 @@ func (r Rect) Intersect(s Rect) Rect {
 		return Rect{}
 	}
 	return out
-}
-
-// Union returns the smallest rectangle containing both r and s. Empty
-// inputs are ignored.
-func (r Rect) Union(s Rect) Rect {
-	if r.Empty() {
-		return s
-	}
-	if s.Empty() {
-		return r
-	}
-	return Rect{
-		MinX: min(r.MinX, s.MinX),
-		MinY: min(r.MinY, s.MinY),
-		MaxX: max(r.MaxX, s.MaxX),
-		MaxY: max(r.MaxY, s.MaxY),
-	}
 }
 
 // Overlaps reports whether r and s share at least one tile.

@@ -38,9 +38,6 @@ func (t Transform) String() string {
 	return "invalid-transform"
 }
 
-// Valid reports whether t is one of the eight defined symmetries.
-func (t Transform) Valid() bool { return t < numTransforms }
-
 // Apply maps p under t (about the origin).
 func (t Transform) Apply(p Point) Point {
 	switch t {

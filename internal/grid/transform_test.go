@@ -51,7 +51,4 @@ func TestTransformStringValid(t *testing.T) {
 	if Transform(250).String() != "invalid-transform" {
 		t.Error("out-of-range transform should report invalid")
 	}
-	if Transform(250).Valid() {
-		t.Error("out-of-range transform reported valid")
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/fabric"
+	"repro/internal/grid"
 )
 
 func TestGenerateAlternativesDefault(t *testing.T) {
@@ -39,16 +40,16 @@ func TestGenerateAlternativesCanonicalOrder(t *testing.T) {
 	}
 	base := m.Shape(0)
 	// Shape 1 is the 180° rotation of the base layout.
-	if !m.Shape(1).Equal(base.Transform180()) {
+	if !m.Shape(1).Equal(base.Transform(grid.Rot180)) {
 		t.Error("shape 1 is not rot180 of base")
 	}
 	// Shape 2 keeps the bounding box but moves the BRAM column: an
 	// internal-layout variant.
-	if m.Shape(2).Bounds() != base.Bounds() {
-		t.Errorf("internal variant changed bounds: %v vs %v", m.Shape(2).Bounds(), base.Bounds())
+	if m.Shape(2).bounds != base.bounds {
+		t.Errorf("internal variant changed bounds: %v vs %v", m.Shape(2).bounds, base.bounds)
 	}
 	// Shape 3 has a different bounding box: an external-layout variant.
-	if m.Shape(3).Bounds() == base.Bounds() {
+	if m.Shape(3).bounds == base.bounds {
 		t.Error("external variant kept the bounding box")
 	}
 }
@@ -80,7 +81,7 @@ func TestGenerateAlternativesNoRotation(t *testing.T) {
 	}
 	for i, s := range m.Shapes() {
 		for j, o := range m.Shapes() {
-			if i < j && s.Transform180().Equal(o) {
+			if i < j && s.Transform(grid.Rot180).Equal(o) {
 				// Rotated pairs can still coincide by symmetry, but for
 				// this demand the synthesised layouts are asymmetric; a
 				// rotated duplicate means rotation slipped in.

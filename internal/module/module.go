@@ -37,15 +37,6 @@ func NewModule(name string, shapes ...*Shape) (*Module, error) {
 	return m, nil
 }
 
-// MustModule is NewModule panicking on error.
-func MustModule(name string, shapes ...*Shape) *Module {
-	m, err := NewModule(name, shapes...)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 func (m *Module) addShape(s *Shape) {
 	for _, have := range m.shapes {
 		if have.Equal(s) {
@@ -83,16 +74,6 @@ func (m *Module) WithShapes(indices ...int) (*Module, error) {
 		shapes = append(shapes, m.shapes[i])
 	}
 	return NewModule(m.name, shapes...)
-}
-
-// MustWithShapes is WithShapes panicking on error, for statically known
-// indices.
-func (m *Module) MustWithShapes(indices ...int) *Module {
-	out, err := m.WithShapes(indices...)
-	if err != nil {
-		panic(err)
-	}
-	return out
 }
 
 // FirstShapeOnly returns the module reduced to its first (primary)

@@ -40,7 +40,10 @@ func TestNewModuleValidation(t *testing.T) {
 func TestModuleDeduplicatesShapes(t *testing.T) {
 	a, b := twoShapes()
 	aCopy := MustShape(a.Tiles())
-	m := MustModule("m", a, aCopy, b, b)
+	m, err := NewModule("m", a, aCopy, b, b)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if m.NumShapes() != 2 {
 		t.Fatalf("NumShapes = %d, want 2 after dedup", m.NumShapes())
 	}
@@ -51,7 +54,10 @@ func TestModuleDeduplicatesShapes(t *testing.T) {
 
 func TestModuleWithShapes(t *testing.T) {
 	a, b := twoShapes()
-	m := MustModule("m", a, b)
+	m, err := NewModule("m", a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
 	only, err := m.WithShapes(1)
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +88,10 @@ func TestModuleEnvelope(t *testing.T) {
 		{grid.Pt(1, 0), fabric.CLB},
 		{grid.Pt(2, 0), fabric.BRAM},
 	})
-	m := MustModule("m", small, big)
+	m, err := NewModule("m", small, big)
+	if err != nil {
+		t.Fatal(err)
+	}
 	lo, hi := m.Envelope()
 	if lo[fabric.CLB] != 1 || hi[fabric.CLB] != 2 {
 		t.Fatalf("CLB envelope %d..%d, want 1..2", lo[fabric.CLB], hi[fabric.CLB])
@@ -100,7 +109,10 @@ func TestModuleEnvelope(t *testing.T) {
 
 func TestModuleStringEqualEnvelope(t *testing.T) {
 	a, b := twoShapes()
-	m := MustModule("m", a, b)
+	m, err := NewModule("m", a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := m.String()
 	if !strings.Contains(s, "CLB:2") || strings.Contains(s, "..") {
 		t.Fatalf("String = %q, want single envelope with CLB:2", s)

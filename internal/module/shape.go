@@ -122,22 +122,8 @@ func (s *Shape) Points() []grid.Point { return append([]grid.Point(nil), s.point
 // call.
 func (s *Shape) PointsAt(at grid.Point) []grid.Point { return grid.Translate(s.points, at) }
 
-// TilesOfKind returns the tileset of kind k (tiles in canonical order).
-func (s *Shape) TilesOfKind(k fabric.Kind) []grid.Point {
-	var out []grid.Point
-	for _, t := range s.tiles {
-		if t.Kind == k {
-			out = append(out, t.At)
-		}
-	}
-	return out
-}
-
 // Size returns the number of tiles.
 func (s *Shape) Size() int { return len(s.tiles) }
-
-// Bounds returns the tight bounding box (origin (0,0)).
-func (s *Shape) Bounds() grid.Rect { return s.bounds }
 
 // W returns the bounding-box width.
 func (s *Shape) W() int { return s.bounds.W() }
@@ -165,12 +151,6 @@ func (s *Shape) Transform(t grid.Transform) *Shape {
 	out := MustShape(tiles)
 	return out
 }
-
-// Transform180 returns the 180°-rotated shape. It is the only
-// non-identity rotation the paper admits for modules using rectangular
-// dedicated resources (90°/270° would misalign them with the fabric's
-// vertical resource columns).
-func (s *Shape) Transform180() *Shape { return s.Transform(grid.Rot180) }
 
 // String renders the shape as a small resource map, top row first, with
 // '.' for cells of the bounding box not covered by a tile.

@@ -18,6 +18,17 @@ func lShape() *Shape {
 	})
 }
 
+// tilesOfKind returns the coordinates of s's tiles of kind k.
+func tilesOfKind(s *Shape, k fabric.Kind) []grid.Point {
+	var out []grid.Point
+	for _, t := range s.Tiles() {
+		if t.Kind == k {
+			out = append(out, t.At)
+		}
+	}
+	return out
+}
+
 func TestNewShapeValidation(t *testing.T) {
 	if _, err := NewShape(nil); err == nil {
 		t.Error("empty shape accepted")
@@ -42,8 +53,8 @@ func TestShapeNormalisation(t *testing.T) {
 		{grid.Pt(6, 7), fabric.BRAM},
 		{grid.Pt(5, 8), fabric.CLB},
 	})
-	if s.Bounds().MinX != 0 || s.Bounds().MinY != 0 {
-		t.Fatalf("not normalised: %v", s.Bounds())
+	if s.bounds.MinX != 0 || s.bounds.MinY != 0 {
+		t.Fatalf("not normalised: %v", s.bounds)
 	}
 	if s.W() != 2 || s.H() != 2 || s.Size() != 3 {
 		t.Fatalf("geometry wrong: %dx%d size %d", s.W(), s.H(), s.Size())
@@ -72,12 +83,12 @@ func TestShapeAccessors(t *testing.T) {
 	if h[fabric.BRAM] != 1 || h[fabric.CLB] != 2 {
 		t.Fatalf("histogram %v", h)
 	}
-	brams := s.TilesOfKind(fabric.BRAM)
+	brams := tilesOfKind(s, fabric.BRAM)
 	if len(brams) != 1 || brams[0] != grid.Pt(0, 0) {
-		t.Fatalf("TilesOfKind(BRAM) = %v", brams)
+		t.Fatalf("BRAM tiles = %v", brams)
 	}
-	if got := len(s.TilesOfKind(fabric.DSP)); got != 0 {
-		t.Fatalf("TilesOfKind(DSP) = %d entries", got)
+	if got := len(tilesOfKind(s, fabric.DSP)); got != 0 {
+		t.Fatalf("DSP tiles = %d entries", got)
 	}
 	pts := s.Points()
 	if len(pts) != 3 || pts[0] != grid.Pt(0, 0) || pts[2] != grid.Pt(2, 0) {
@@ -100,7 +111,7 @@ func TestShapeTransformPreservesKinds(t *testing.T) {
 	}
 	// BRAM at (0,0) maps under rot180 within the 2x2 normalised box to
 	// (1,1).
-	brams := r.TilesOfKind(fabric.BRAM)
+	brams := tilesOfKind(r, fabric.BRAM)
 	if len(brams) != 1 || brams[0] != grid.Pt(1, 1) {
 		t.Fatalf("rot180 BRAM position = %v, want (1,1)", brams)
 	}

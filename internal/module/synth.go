@@ -33,15 +33,6 @@ func (d Demand) Validate() error {
 	return nil
 }
 
-// Histogram converts the demand into a fabric histogram.
-func (d Demand) Histogram() fabric.Histogram {
-	var h fabric.Histogram
-	h[fabric.CLB] = d.CLB
-	h[fabric.BRAM] = d.BRAM
-	h[fabric.DSP] = d.DSP
-	return h
-}
-
 // Side selects on which side of a synthesised layout the dedicated
 // resource columns sit. Two sides of the same bounding box are the
 // paper's "internal layout" alternatives: same external shape, dedicated

@@ -53,19 +53,6 @@ func ExpBounds(start, factor float64, n int) []float64 {
 	return out
 }
 
-// LinearBounds returns n bounds start, start+step, ... It panics
-// unless step > 0 and n >= 1.
-func LinearBounds(start, step float64, n int) []float64 {
-	if step <= 0 || n < 1 {
-		panic("obs: LinearBounds needs step > 0, n >= 1")
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*step
-	}
-	return out
-}
-
 // DefDurationBounds are the default bounds for phase/latency timers, in
 // seconds: 10 µs .. ~84 s, doubling.
 var DefDurationBounds = ExpBounds(10e-6, 2, 24)
@@ -97,16 +84,6 @@ func (h *Histogram) Observe(v float64) {
 	h.mu.Unlock()
 }
 
-// Count returns the number of samples observed.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
 // Sum returns the sum of all samples.
 func (h *Histogram) Sum() float64 {
 	if h == nil {
@@ -115,19 +92,6 @@ func (h *Histogram) Sum() float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.sum
-}
-
-// Mean returns the sample mean (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
 }
 
 // Quantile estimates the q-quantile (0 <= q <= 1) assuming samples are

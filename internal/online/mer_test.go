@@ -252,7 +252,7 @@ func TestMaximalEmptyRectsProperties(t *testing.T) {
 				}
 				covered := false
 				for _, r := range mers {
-					if grid.Pt(x, y).In(r) {
+					if r.Contains(grid.RectXYWH(x, y, 1, 1)) {
 						covered = true
 						break
 					}

@@ -28,7 +28,11 @@ func clbModule(name string, w, h int) *module.Module {
 			tiles = append(tiles, module.Tile{At: grid.Pt(x, y), Kind: fabric.CLB})
 		}
 	}
-	return module.MustModule(name, module.MustShape(tiles))
+	m, err := module.NewModule(name, module.MustShape(tiles))
+	if err != nil {
+		panic(err)
+	}
+	return m
 }
 
 func TestRegionRender(t *testing.T) {

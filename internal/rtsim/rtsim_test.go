@@ -17,7 +17,11 @@ func clbModule(name string, w, h int) *module.Module {
 			tiles = append(tiles, module.Tile{At: grid.Pt(x, y), Kind: fabric.CLB})
 		}
 	}
-	return module.MustModule(name, module.MustShape(tiles))
+	m, err := module.NewModule(name, module.MustShape(tiles))
+	if err != nil {
+		panic(err)
+	}
+	return m
 }
 
 func region() *fabric.Region { return fabric.Homogeneous(12, 10).FullRegion() }

@@ -204,23 +204,6 @@ func (c *lruCache) dropSpecs(e *cacheEntry) {
 	e.specs = nil
 }
 
-// Len returns the number of stored outcomes.
-func (c *lruCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
-// Reset drops every stored outcome but keeps the flights in progress
-// and the counters (benchmarks use it to force cold-path solves).
-func (c *lruCache) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for c.ll.Len() > 0 {
-		c.unstore(c.ll.Back().Value.(*cacheEntry))
-	}
-}
-
 // Stats snapshots the counters.
 func (c *lruCache) Stats() CacheStats {
 	c.mu.Lock()

@@ -7,6 +7,23 @@ import (
 	"repro/internal/canon"
 )
 
+// Len returns the number of stored outcomes.
+func (c *lruCache) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.ll.Len()
+}
+
+// Reset drops every stored outcome but keeps the flights in progress
+// and the counters (benchmarks use it to force cold-path solves).
+func (c *lruCache) Reset() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for c.ll.Len() > 0 {
+		c.unstore(c.ll.Back().Value.(*cacheEntry))
+	}
+}
+
 func dig(i int) canon.Digest {
 	var d canon.Digest
 	d[0] = byte(i)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/fabric"
+	"repro/internal/grid"
 )
 
 func TestDefaultsMatchPaper(t *testing.T) {
@@ -139,7 +140,7 @@ func TestGenerateNoRotation(t *testing.T) {
 	for _, m := range mods {
 		for i, s := range m.Shapes() {
 			for j, o := range m.Shapes() {
-				if i < j && s.Transform180().Equal(o) {
+				if i < j && s.Transform(grid.Rot180).Equal(o) {
 					t.Fatalf("%s shapes %d/%d are rotations", m.Name(), i, j)
 				}
 			}
