@@ -97,6 +97,58 @@ func BenchmarkTable1(b *testing.B) {
 	})
 }
 
+// table1ColdHeights are the heights of the table1-cold corpus of the
+// repository benchmark (perfbench's pinnedHeights), by
+// "<generator seed>/<arm>".
+var table1ColdHeights = map[string]int{
+	"1/alternatives": 32, "1/single": 41,
+	"2/alternatives": 41, "2/single": 54,
+	"3/alternatives": 29, "3/single": 38,
+	"4/alternatives": 40, "4/single": 49,
+	"5/alternatives": 37, "5/single": 47,
+	"6/alternatives": 42, "6/single": 52,
+	"7/alternatives": 32, "7/single": 42,
+	"8/alternatives": 35, "8/single": 45,
+	"9/alternatives": 39, "9/single": 49,
+	"10/alternatives": 38, "10/single": 47,
+}
+
+// BenchmarkTable1Seeds solves every instance of the repository
+// benchmark's table1-cold corpus, one sub-benchmark each: generator
+// seeds 1-10, with and without design alternatives, 30 modules, stall
+// 800, presolve on. table1-cold's latency_tail_ms is a high percentile
+// over only 20 instances, so it is set by the two or three slowest of
+// them; this benchmark shows which ones, and how their solve times
+// move, without the serving path around them.
+func BenchmarkTable1Seeds(b *testing.B) {
+	region := experiments.TableIRegion()
+	placer := core.New(region, core.Options{Timeout: 60 * time.Second, StallNodes: 800})
+	for seed := int64(1); seed <= 10; seed++ {
+		mods := workload.MustGenerate(workload.Config{NumModules: 30}, rand.New(rand.NewSource(seed)))
+		for _, arm := range []string{"alternatives", "single"} {
+			m := mods
+			if arm == "single" {
+				m = workload.FirstShapesOnly(mods)
+			}
+			label := benchName("", int(seed)) + "/" + arm
+			b.Run(label, func(b *testing.B) {
+				var last *core.Result
+				for i := 0; i < b.N; i++ {
+					res, err := placer.Place(m)
+					if err != nil {
+						b.Fatal(err)
+					}
+					last = res
+				}
+				reportPlacement(b, last)
+				if want := table1ColdHeights[label]; last.Height != want {
+					b.Fatalf("height %d, table1-cold pins %d", last.Height, want)
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkTable1Parallel runs the Table-I alternatives arm (the
 // expensive one, 30 modules with four shapes each) at increasing
 // worker counts. Utilization must not move with the worker count —

@@ -2,6 +2,7 @@ package csp
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/obs"
@@ -84,7 +85,7 @@ func BenchmarkSearchParallel(b *testing.B) {
 
 func BenchmarkDomainClone(b *testing.B) {
 	d := NewDomainRange(0, 17279) // a Table-I-scale placement domain
-	d.Filter(func(v int) bool { return v%3 != 1 })
+	d.FilterIn(math.MinInt, math.MaxInt, func(v int) bool { return v%3 != 1 })
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = d.Clone()
@@ -96,13 +97,13 @@ func BenchmarkDomainFilter(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d := base.Clone()
-		d.Filter(func(v int) bool { return v&7 != 3 })
+		d.FilterIn(math.MinInt, math.MaxInt, func(v int) bool { return v&7 != 3 })
 	}
 }
 
 func BenchmarkDomainForEach(b *testing.B) {
 	d := NewDomainRange(0, 17279)
-	d.Filter(func(v int) bool { return v%5 == 0 })
+	d.FilterIn(math.MinInt, math.MaxInt, func(v int) bool { return v%5 == 0 })
 	b.ResetTimer()
 	n := 0
 	for i := 0; i < b.N; i++ {

@@ -125,22 +125,48 @@ func (d *Domain) Contains(v int) bool {
 	return d.words[i>>6]&(1<<uint(i&63)) != 0
 }
 
+// window is the word range that holds a domain's values in some
+// [lo, hi], with masks that clear the bits outside [lo, hi] in its
+// first and last words.
+type window struct {
+	wi, wj      int
+	first, last uint64
+}
+
+// window returns the window of [lo, hi] narrowed to the cached bounds;
+// ok is false when no value can lie in it. Every scan starts here, so an
+// assigned variable costs one word whatever its universe.
+func (d *Domain) window(lo, hi int) (win window, ok bool) {
+	if d.size == 0 {
+		return window{}, false
+	}
+	lo, hi = max(lo, d.min), min(hi, d.max)
+	if hi < lo {
+		return window{}, false
+	}
+	i, j := lo-d.base, hi-d.base
+	return window{i >> 6, j >> 6, ^uint64(0) << uint(i&63), ^uint64(0) >> uint(63-j&63)}, true
+}
+
+// word returns word w of the domain masked to the window.
+func (d *Domain) word(win window, w int) uint64 {
+	x := d.words[w]
+	if w == win.wi {
+		x &= win.first
+	}
+	if w == win.wj {
+		x &= win.last
+	}
+	return x
+}
+
+// recomputeBounds refreshes the cached min and max after a removal.
+// Removals only shrink the set, so the old bounds still bracket it.
 func (d *Domain) recomputeBounds() {
 	if d.size == 0 {
 		return
 	}
-	for w, word := range d.words {
-		if word != 0 {
-			d.min = d.base + w*64 + bits.TrailingZeros64(word)
-			break
-		}
-	}
-	for w := len(d.words) - 1; w >= 0; w-- {
-		if d.words[w] != 0 {
-			d.max = d.base + w*64 + 63 - bits.LeadingZeros64(d.words[w])
-			break
-		}
-	}
+	d.min, d.max, _ = d.RangeBounds(d.min, d.max)
 }
 
 // RemoveBelow deletes every value < v, reporting change.
@@ -234,17 +260,21 @@ func (d *Domain) KeepOnly(v int) bool {
 	return true
 }
 
-// Filter retains only values for which keep returns true, reporting
-// change.
-func (d *Domain) Filter(keep func(int) bool) bool {
+// FilterIn retains the values outside [lo, hi] and those inside it for
+// which keep returns true, reporting change. keep sees only the values
+// in [lo, hi].
+func (d *Domain) FilterIn(lo, hi int, keep func(int) bool) bool {
+	win, ok := d.window(lo, hi)
+	if !ok {
+		return false
+	}
 	changed := false
-	for w := range d.words {
-		word := d.words[w]
+	for w := win.wi; w <= win.wj; w++ {
+		word := d.word(win, w)
 		for word != 0 {
 			b := bits.TrailingZeros64(word)
 			word &^= 1 << uint(b)
-			v := d.base + w*64 + b
-			if !keep(v) {
+			if !keep(d.base + w*64 + b) {
 				d.words[w] &^= 1 << uint(b)
 				d.size--
 				changed = true
@@ -260,44 +290,54 @@ func (d *Domain) Filter(keep func(int) bool) bool {
 // AnyInRange reports whether the domain holds any value in [lo, hi]
 // (inclusive). It scans whole words, so testing a block of encoded
 // values is far cheaper than iterating them.
-func (d *Domain) AnyInRange(lo, hi int) bool {
-	if d.size == 0 || hi < lo {
-		return false
-	}
-	i := lo - d.base
-	j := hi - d.base
-	if j < 0 || i >= len(d.words)*64 {
-		return false
-	}
-	if i < 0 {
-		i = 0
-	}
-	if j >= len(d.words)*64 {
-		j = len(d.words)*64 - 1
-	}
-	wi, wj := i>>6, j>>6
-	if wi == wj {
-		mask := (^uint64(0) << uint(i&63)) & (^uint64(0) >> uint(63-j&63))
-		return d.words[wi]&mask != 0
-	}
-	if d.words[wi]&(^uint64(0)<<uint(i&63)) != 0 {
-		return true
-	}
-	for w := wi + 1; w < wj; w++ {
-		if d.words[w] != 0 {
-			return true
-		}
-	}
-	return d.words[wj]&(^uint64(0)>>uint(63-j&63)) != 0
+func (d *Domain) AnyInRange(lo, hi int) (found bool) {
+	d.ForEachIn(lo, hi, func(int) bool { found = true; return false })
+	return found
+}
+
+// RangeBounds returns the smallest and the largest value of the domain
+// in [lo, hi] (inclusive); ok is false when there is none. Like
+// AnyInRange it scans whole words.
+func (d *Domain) RangeBounds(lo, hi int) (first, last int, ok bool) {
+	d.ForEachIn(lo, hi, func(v int) bool { first, ok = v, true; return false })
+	d.ForEachDescIn(lo, hi, func(v int) bool { last = v; return false })
+	return first, last, ok
 }
 
 // ForEach calls fn on every value in ascending order until fn returns
 // false.
-func (d *Domain) ForEach(fn func(int) bool) {
-	for w := range d.words {
-		word := d.words[w]
+func (d *Domain) ForEach(fn func(int) bool) { d.ForEachIn(d.min, d.max, fn) }
+
+// ForEachIn calls fn on every value in [lo, hi] in ascending order
+// until fn returns false.
+func (d *Domain) ForEachIn(lo, hi int, fn func(int) bool) {
+	win, ok := d.window(lo, hi)
+	if !ok {
+		return
+	}
+	for w := win.wi; w <= win.wj; w++ {
+		word := d.word(win, w)
 		for word != 0 {
 			b := bits.TrailingZeros64(word)
+			word &^= 1 << uint(b)
+			if !fn(d.base + w*64 + b) {
+				return
+			}
+		}
+	}
+}
+
+// ForEachDescIn calls fn on every value in [lo, hi] in descending order
+// until fn returns false.
+func (d *Domain) ForEachDescIn(lo, hi int, fn func(int) bool) {
+	win, ok := d.window(lo, hi)
+	if !ok {
+		return
+	}
+	for w := win.wj; w >= win.wi; w-- {
+		word := d.word(win, w)
+		for word != 0 {
+			b := 63 - bits.LeadingZeros64(word)
 			word &^= 1 << uint(b)
 			if !fn(d.base + w*64 + b) {
 				return

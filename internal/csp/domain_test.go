@@ -1,6 +1,7 @@
 package csp
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -139,13 +140,13 @@ func TestDomainKeepOnly(t *testing.T) {
 
 func TestDomainFilter(t *testing.T) {
 	d := NewDomainRange(0, 20)
-	if !d.Filter(func(v int) bool { return v%3 == 0 }) {
+	if !d.FilterIn(math.MinInt, math.MaxInt, func(v int) bool { return v%3 == 0 }) {
 		t.Fatal("Filter reported no change")
 	}
 	if d.Size() != 7 || d.Min() != 0 || d.Max() != 18 {
 		t.Fatalf("filtered: size=%d min=%d max=%d", d.Size(), d.Min(), d.Max())
 	}
-	if d.Filter(func(v int) bool { return true }) {
+	if d.FilterIn(math.MinInt, math.MaxInt, func(v int) bool { return true }) {
 		t.Fatal("identity Filter reported change")
 	}
 }
@@ -243,7 +244,7 @@ func TestDomainAgainstReferenceModel(t *testing.T) {
 				refDel(func(x int) bool { return x > v })
 			case 3:
 				mod := 2 + rng.Intn(5)
-				d.Filter(func(x int) bool { return x%mod != 1 })
+				d.FilterIn(math.MinInt, math.MaxInt, func(x int) bool { return x%mod != 1 })
 				refDel(func(x int) bool { return x%mod == 1 })
 			}
 			if d.Size() != len(ref) {
@@ -302,7 +303,7 @@ func TestDomainAnyInRange(t *testing.T) {
 	}
 }
 
-// Property: AnyInRange agrees with a scan.
+// Property: AnyInRange and RangeBounds agree with a scan.
 func TestDomainAnyInRangeAgainstScan(t *testing.T) {
 	f := func(seed int64, lo8, hi8 int8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -313,12 +314,15 @@ func TestDomainAnyInRangeAgainstScan(t *testing.T) {
 		d := NewDomainValues(vals...)
 		lo, hi := int(lo8)+60, int(hi8)+60
 		want := false
+		first, last := hi+1, lo-1
 		for _, v := range vals {
 			if v >= lo && v <= hi {
 				want = true
+				first, last = min(first, v), max(last, v)
 			}
 		}
-		return d.AnyInRange(lo, hi) == want
+		f, l, ok := d.RangeBounds(lo, hi)
+		return d.AnyInRange(lo, hi) == want && ok == want && (!ok || f == first && l == last)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

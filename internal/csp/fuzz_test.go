@@ -1,16 +1,20 @@
 package csp
 
 import (
+	"slices"
 	"sort"
 	"testing"
 )
 
 // FuzzDomain drives the bitset Domain through a byte-encoded op stream
-// (remove, range removal, keep-only, filter, then clone) and cross-checks
-// every observable — size, emptiness, bounds, membership, value
-// enumeration — against a brute-force map model after every op.
-// The universe straddles word boundaries (negative base, >64 values)
-// so word-edge masking bugs are reachable.
+// (remove, range removal, keep-only, filter over a range, then clone)
+// and cross-checks every observable — size, emptiness, bounds,
+// membership, ascending and descending scans over ranges, scans stopped
+// early, the bounds within a range, the values FilterIn offers —
+// against a brute-force map model after every op. Scans visit only the
+// words between the cached bounds, so these checks also catch stale
+// bounds. The universe straddles word boundaries (negative base, >64
+// values) so word-edge masking bugs are reachable.
 func FuzzDomain(f *testing.F) {
 	f.Add([]byte{0, 10, 1, 5, 2, 60, 3, 20})
 	f.Add([]byte{4, 3, 5, 0, 4, 7, 0, 0, 1, 40})
@@ -44,6 +48,34 @@ func FuzzDomain(f *testing.F) {
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("%s: values[%d] = %d, model %d", ctx, i, got[i], want[i])
+				}
+			}
+			// Every scan over a range, in either direction and stopped
+			// early, yields exactly the model's values in the range.
+			for a := lo - 2; a <= hi+2; a += 9 {
+				for _, b := range []int{a, a + 5, a + 70, hi + 2} {
+					i := sort.SearchInts(want, a)
+					j := sort.SearchInts(want, b+1)
+					in := want[i:max(i, j)]
+					var up, down []int
+					d.ForEachIn(a, b, func(v int) bool { up = append(up, v); return true })
+					d.ForEachDescIn(a, b, func(v int) bool { down = append(down, v); return true })
+					slices.Reverse(down)
+					if !slices.Equal(up, in) || !slices.Equal(down, in) {
+						t.Fatalf("%s: [%d,%d] ascending %v, descending reversed %v, model %v", ctx, a, b, up, down, in)
+					}
+					stop := len(in)/2 + 1
+					up, down = nil, nil
+					d.ForEachIn(a, b, func(v int) bool { up = append(up, v); return len(up) < stop })
+					d.ForEachDescIn(a, b, func(v int) bool { down = append(down, v); return len(down) < stop })
+					n := min(stop, len(in))
+					if len(up) != n || len(down) != n || (n > 0 && (up[n-1] != in[n-1] || down[n-1] != in[len(in)-n])) {
+						t.Fatalf("%s: [%d,%d] stopped after %d: ascending %v, descending %v, model %v", ctx, a, b, stop, up, down, in)
+					}
+					first, last, ok := d.RangeBounds(a, b)
+					if ok != (len(in) > 0) || (ok && (first != in[0] || last != in[len(in)-1])) {
+						t.Fatalf("%s: RangeBounds(%d,%d) = (%d,%d,%v), model %v", ctx, a, b, first, last, ok, in)
+					}
 				}
 			}
 			if len(want) > 0 {
@@ -94,10 +126,27 @@ func FuzzDomain(f *testing.F) {
 					model[arg] = true
 				}
 			case 4:
-				// Filter: keep values congruent to arg mod 3.
+				// FilterIn over [arg-20, arg+40]: keep values congruent
+				// to arg mod 3; values outside the range stay.
 				want := ((arg % 3) + 3) % 3
-				keep := func(v int) bool { return ((v%3)+3)%3 == want }
-				d.Filter(keep)
+				a, b := arg-20, arg+40
+				keep := func(v int) bool { return v < a || v > b || ((v%3)+3)%3 == want }
+				offered, inRange := 0, 0
+				for v := range model {
+					if v >= a && v <= b {
+						inRange++
+					}
+				}
+				d.FilterIn(a, b, func(v int) bool {
+					if !model[v] || v < a || v > b {
+						t.Fatalf("FilterIn(%d,%d) offered %d, not in the model's range", a, b, v)
+					}
+					offered++
+					return keep(v)
+				})
+				if offered != inRange {
+					t.Fatalf("FilterIn(%d,%d) offered %d values, model holds %d", a, b, offered, inRange)
+				}
 				for v := range model {
 					if !keep(v) {
 						delete(model, v)

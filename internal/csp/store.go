@@ -3,6 +3,7 @@ package csp
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -396,9 +397,17 @@ func (st *Store) Assign(v *Var, val int) error {
 
 // FilterDomain retains only the values of v for which keep returns true.
 func (st *Store) FilterDomain(v *Var, keep func(int) bool) error {
+	return st.FilterDomainIn(v, math.MinInt, math.MaxInt, keep)
+}
+
+// FilterDomainIn retains the values of v outside [lo, hi] and those
+// inside it for which keep returns true. keep sees only the values in
+// [lo, hi], so a propagator that knows where its removals can lie pays
+// nothing for the rest of the domain.
+func (st *Store) FilterDomainIn(v *Var, lo, hi int, keep func(int) bool) error {
 	// Probe first so untouched domains stay shared across levels.
 	any := false
-	v.dom.ForEach(func(val int) bool {
+	v.dom.ForEachIn(lo, hi, func(val int) bool {
 		if !keep(val) {
 			any = true
 			return false
@@ -413,7 +422,7 @@ func (st *Store) FilterDomain(v *Var, keep func(int) bool) error {
 		before = v.dom.Size()
 	}
 	st.ensureOwned(v)
-	if v.dom.Filter(keep) {
+	if v.dom.FilterIn(lo, hi, keep) {
 		if st.rec != nil {
 			st.notePrune(v, before)
 		}

@@ -142,6 +142,25 @@ func TestFig5(t *testing.T) {
 	}
 }
 
+// TestFiguresByteIdentical pins that the solved figures print nothing
+// that varies between runs, such as solve times: two runs of Fig3 and of
+// Fig5 give the same bytes.
+func TestFiguresByteIdentical(t *testing.T) {
+	for name, fig := range map[string]func() (string, error){"Fig3": Fig3, "Fig5": Fig5} {
+		a, err := fig()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := fig()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a != b {
+			t.Errorf("%s differs between two runs:\n%s\n---\n%s", name, a, b)
+		}
+	}
+}
+
 func TestAlternativeCountSweepQuick(t *testing.T) {
 	cfg := quickCfg()
 	cfg.Runs = 1

@@ -63,12 +63,22 @@ func figPlaceBoth(region *fabric.Region, mods []*module.Module) (string, error) 
 	if err := without.Validate(region); err != nil {
 		return "", err
 	}
-	left := fmt.Sprintf("With design alternatives: %v", with)
-	right := fmt.Sprintf("Without design alternatives: %v", without)
 	return render.SideBySide(
-		left, render.Placements(region, with.Placements),
-		right, render.Placements(region, without.Placements),
+		figLabel("With design alternatives", with), render.Placements(region, with.Placements),
+		figLabel("Without design alternatives", without), render.Placements(region, without.Placements),
 	), nil
+}
+
+// figLabel captions one placement of a figure. Unlike the result's
+// String it leaves out the solve time, so a figure is byte-identical
+// from run to run.
+func figLabel(caption string, res *core.Result) string {
+	opt := "anytime/" + res.Reason.String()
+	if res.Optimal {
+		opt = "optimal"
+	}
+	return fmt.Sprintf("%s: height=%d util=%.1f%% (%s, nodes=%d)",
+		caption, res.Height, res.Utilization*100, opt, res.Nodes)
 }
 
 // Fig3 regenerates Figure 3: optimal placement of a module set where

@@ -43,11 +43,19 @@ func Catalog() []string {
 	return names
 }
 
+// CheckName reports, with ByName's error, whether name is a predefined
+// device, without building it.
+func CheckName(name string) error {
+	if _, ok := catalog[name]; !ok {
+		return fmt.Errorf("fabric: unknown device %q (catalog: %v)", name, Catalog())
+	}
+	return nil
+}
+
 // ByName builds a fresh instance of a predefined device.
 func ByName(name string) (*Device, error) {
-	mk, ok := catalog[name]
-	if !ok {
-		return nil, fmt.Errorf("fabric: unknown device %q (catalog: %v)", name, Catalog())
+	if err := CheckName(name); err != nil {
+		return nil, err
 	}
-	return mk(), nil
+	return catalog[name](), nil
 }

@@ -180,6 +180,20 @@ func TestCatalog(t *testing.T) {
 	}
 }
 
+// TestCheckName pins the name-only check against ByName: the same
+// names pass, and an unknown name fails with the same error.
+func TestCheckName(t *testing.T) {
+	for _, n := range Catalog() {
+		if err := CheckName(n); err != nil {
+			t.Fatalf("%s: %v", n, err)
+		}
+	}
+	_, want := ByName("nonexistent")
+	if got := CheckName("nonexistent"); got == nil || want == nil || got.Error() != want.Error() {
+		t.Fatalf("CheckName error %v, ByName error %v", got, want)
+	}
+}
+
 func TestCatalogVirtex4MatchesTableI(t *testing.T) {
 	dev, err := ByName("virtex4-like-72x60")
 	if err != nil {

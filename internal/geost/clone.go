@@ -13,6 +13,9 @@ import (
 //
 //   - ShapeGeom (Points, Valid bitmap, Hist): immutable after
 //     AddObject; every propagator only reads them. Shared.
+//   - Object.rows, the shapes' per-row column masks: built once by
+//     AddObject from the immutable Points and only read by the
+//     non-overlap test afterwards. Shared.
 //   - heightBound.capPrefix: immutable capacity table. Shared.
 //   - fabric.Histogram is an array type (value semantics), so
 //     MinDemand's running minimum never writes into shape state.
@@ -58,6 +61,10 @@ func cloneObject(ctx *csp.CloneCtx, o *Object) *Object {
 		Place:  ctx.Var(o.Place),
 		Top:    ctx.Var(o.Top),
 		id:     o.id,
+
+		rows:      o.rows, // immutable row masks, shared
+		rowWords:  o.rowWords,
+		rowStride: o.rowStride,
 	}
 	ctx.MemoPut(o, no)
 	no.k = cloneKernel(ctx, o.k)

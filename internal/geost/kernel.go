@@ -41,6 +41,11 @@ func (g *ShapeGeom) validate(spaceW, spaceH int) error {
 	if g.W <= 0 || g.H <= 0 {
 		return fmt.Errorf("geost: shape with empty bounds %dx%d", g.W, g.H)
 	}
+	for _, p := range g.Points {
+		if p.X < 0 || p.Y < 0 || p.X >= g.W || p.Y >= g.H {
+			return fmt.Errorf("geost: shape point %v outside its %dx%d bounds", p, g.W, g.H)
+		}
+	}
 	if g.Valid == nil {
 		return fmt.Errorf("geost: shape without valid-anchor bitmap")
 	}
@@ -62,6 +67,13 @@ type Object struct {
 
 	k  *Kernel
 	id int
+
+	// rows holds every shape's footprint as per-row column masks, in
+	// one block: word c of row r of shape sid is
+	// rows[sid*rowStride+r*rowWords+c], and bit i of it marks the tile
+	// at column 64c+i. Built by AddObject and read-only afterwards.
+	rows                []uint64
+	rowWords, rowStride int
 }
 
 // Kernel owns the 2D space and the objects placed in it.
@@ -197,11 +209,49 @@ func (k *Kernel) AddObject(name string, shapes []ShapeGeom) (*Object, error) {
 		k:      k,
 		id:     len(k.objects),
 	}
+	o.buildRows()
 	o.Place = k.st.NewVar("place("+name+")", csp.NewDomainValues(vals...))
 	o.Top = k.st.NewVarRange("top("+name+")", minTop, maxTop)
 	k.st.Post(&topLink{o: o}, o.Place, o.Top)
 	k.objects = append(k.objects, o)
 	return o, nil
+}
+
+// buildRows fills o.rows from the shapes' points (see Object.rows).
+func (o *Object) buildRows() {
+	maxW, maxH := 0, 0
+	for _, g := range o.Shapes {
+		maxW, maxH = max(maxW, g.W), max(maxH, g.H)
+	}
+	o.rowWords = (maxW + 63) / 64
+	o.rowStride = maxH * o.rowWords
+	o.rows = make([]uint64, len(o.Shapes)*o.rowStride)
+	for sid, g := range o.Shapes {
+		for _, p := range g.Points {
+			o.rows[sid*o.rowStride+p.Y*o.rowWords+p.X>>6] |= 1 << uint(p.X&63)
+		}
+	}
+}
+
+// hits reports whether placement val of o covers a set bit of occ.
+// box bounds the set bits of occ, so a bounding-box test rejects most
+// placements, and only the shape rows inside box are tested, one AND
+// per row word.
+func (o *Object) hits(val int, occ *grid.Bitmap, box grid.Rect) bool {
+	sid, x, y := o.Decode(val)
+	g := &o.Shapes[sid]
+	if !box.Overlaps(grid.RectXYWH(x, y, g.W, g.H)) {
+		return false
+	}
+	rows := o.rows[sid*o.rowStride:]
+	for r := max(0, box.MinY-y); r < min(g.H, box.MaxY-y); r++ {
+		for c := 0; c < o.rowWords; c++ {
+			if occ.Row64(x+64*c, y+r)&rows[r*o.rowWords+c] != 0 {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // PostNonOverlap posts non-overlap over all objects (constraint M_c of

@@ -126,6 +126,13 @@ func TestAddObjectErrors(t *testing.T) {
 	if _, err := k.AddObject("empty", []ShapeGeom{g4}); err == nil {
 		t.Error("pointless shape accepted")
 	}
+	// A point outside the shape's bounds, which the row masks could
+	// not hold.
+	g5 := rectGeom(2, 2, 4, 4)
+	g5.Points = append(g5.Points, grid.Pt(2, 0))
+	if _, err := k.AddObject("outside", []ShapeGeom{g5}); err == nil {
+		t.Error("point outside the shape bounds accepted")
+	}
 }
 
 func TestNewKernelPanics(t *testing.T) {

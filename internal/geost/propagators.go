@@ -1,6 +1,8 @@
 package geost
 
 import (
+	"math"
+
 	"repro/internal/csp"
 	"repro/internal/fabric"
 	"repro/internal/grid"
@@ -20,17 +22,16 @@ func (p *topLink) Name() string { return "geost.top-link" }
 
 func (p *topLink) Propagate(st *csp.Store) error {
 	o := p.o
+	// Within one shape's block of placement values, values ascend with
+	// y, so the block's first and last values hold its lowest and
+	// highest top.
 	lo, hi := o.k.h+1, -1
-	o.Place.Domain().ForEach(func(val int) bool {
-		t := o.topOf(val)
-		if t < lo {
-			lo = t
+	for sid := range o.Shapes {
+		first, last, ok := o.Place.Domain().RangeBounds(o.k.encode(sid, 0, 0), o.k.encode(sid+1, 0, 0)-1)
+		if ok {
+			lo, hi = min(lo, o.topOf(first)), max(hi, o.topOf(last))
 		}
-		if t > hi {
-			hi = t
-		}
-		return true
-	})
+	}
 	if err := st.SetMin(o.Top, lo); err != nil {
 		return err
 	}
@@ -80,25 +81,60 @@ func (p *nonOverlap) Propagate(st *csp.Store) error {
 }
 
 // pruneOthers removes, from every object but self, the placements whose
-// footprint hits a set bit of occ. box bounds the set bits of occ: a
-// bounding-box test rejects most candidates before the per-tile test.
+// footprint hits a set bit of occ; box bounds the set bits of occ.
+//
+// It refutes before it prunes. The first pass looks in every other
+// object for one placement that occ leaves free, and fails without
+// touching a domain when some object has none: most runs end that way,
+// and pruning the objects ahead of the emptied one would only trail
+// copies that the next Pop discards. The second pass prunes in object
+// order and can no longer empty a domain, so both passes together reach
+// the same fixpoint, and fail on the same states, as pruning alone.
+// The prune pass filters each object once, offering the filter only the
+// range of values that holds the placements whose rows meet box's rows;
+// one filter per object keeps the solver's prune count at one event per
+// pruned object.
 func (k *Kernel) pruneOthers(st *csp.Store, self *Object, occ *grid.Bitmap, box grid.Rect) error {
+	for _, other := range k.objects {
+		if other != self && !other.anyFree(occ, box) {
+			return csp.ErrInconsistent
+		}
+	}
 	for _, other := range k.objects {
 		if other == self {
 			continue
 		}
-		if err := st.FilterDomain(other.Place, func(val int) bool {
-			osid, ox, oy := other.Decode(val)
-			og := &other.Shapes[osid]
-			if !box.Overlaps(grid.RectXYWH(ox, oy, og.W, og.H)) {
-				return true
-			}
-			return !occ.AnyAt(og.Points, grid.Pt(ox, oy))
+		lo, hi := other.rowSpan(box)
+		if err := st.FilterDomainIn(other.Place, lo, hi, func(val int) bool {
+			return !other.hits(val, occ, box)
 		}); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// anyFree reports whether o keeps a placement that misses every set bit
+// of occ. It scans the domain from its top, where few objects sit, so
+// a free placement is usually among the first it tries.
+func (o *Object) anyFree(occ *grid.Bitmap, box grid.Rect) bool {
+	free := false
+	o.Place.Domain().ForEachDescIn(math.MinInt, math.MaxInt, func(val int) bool {
+		free = !o.hits(val, occ, box)
+		return !free
+	})
+	return free
+}
+
+// rowSpan returns a range of o's placement values that holds every
+// placement whose rows meet box's rows. Values ascend with (shape, y,
+// x), so it runs from the first shape's lowest such row to the last
+// shape's highest.
+func (o *Object) rowSpan(box grid.Rect) (lo, hi int) {
+	last := len(o.Shapes) - 1
+	lo = o.k.encode(0, 0, max(0, box.MinY-o.Shapes[0].H+1))
+	hi = o.k.encode(last, o.k.w-1, box.MaxY-1)
+	return lo, hi
 }
 
 // heightBound implements capacity-based bound reasoning for the

@@ -113,6 +113,26 @@ func (b *Bitmap) Clear() {
 	}
 }
 
+// Row64 returns the 64 bits of row y that start at column x: bit i of
+// the result is the bit at (x+i, y). Columns and rows outside the
+// bitmap read as clear. It lets a caller test a whole shape row with
+// one AND instead of one Get per tile.
+func (b *Bitmap) Row64(x, y int) uint64 {
+	if y < 0 || y >= b.h || x >= b.w || x <= -64 {
+		return 0
+	}
+	if x < 0 {
+		return b.Row64(0, y) << uint(-x)
+	}
+	row := b.words[y*b.wpr : (y+1)*b.wpr]
+	i, s := x>>6, uint(x&63)
+	v := row[i] >> s
+	if s != 0 && i+1 < len(row) {
+		v |= row[i+1] << (64 - s)
+	}
+	return v
+}
+
 // AnyAt reports whether any of the points ps, translated by at, hits a
 // set bit. Points landing outside the bitmap read as false.
 func (b *Bitmap) AnyAt(ps []Point, at Point) bool {

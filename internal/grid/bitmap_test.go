@@ -82,6 +82,61 @@ func TestBitmapAnyAt(t *testing.T) {
 	}
 }
 
+// TestBitmapRow64 checks the row read on a 72-wide bitmap, two words
+// per row: a read that straddles the 64-bit boundary, reads that start
+// at or past the width, and rows outside the bitmap.
+func TestBitmapRow64(t *testing.T) {
+	b := NewBitmap(72, 4)
+	for _, x := range []int{0, 5, 62, 63, 64, 65, 71} {
+		b.Set(x, 2, true)
+	}
+	for _, tc := range []struct {
+		x, y int
+		want uint64
+	}{
+		{0, 2, 1<<0 | 1<<5 | 1<<62 | 1<<63},
+		{60, 2, 1<<2 | 1<<3 | 1<<4 | 1<<5 | 1<<11},
+		{64, 2, 1<<0 | 1<<1 | 1<<7},
+		{71, 2, 1},
+		{72, 2, 0},
+		{200, 2, 0},
+		{-3, 2, 1<<3 | 1<<8},
+		{-64, 2, 0},
+		{0, 1, 0},
+		{0, -1, 0},
+		{0, 4, 0},
+	} {
+		if got := b.Row64(tc.x, tc.y); got != tc.want {
+			t.Errorf("Row64(%d, %d) = %#x, want %#x", tc.x, tc.y, got, tc.want)
+		}
+	}
+}
+
+// TestBitmapRow64MatchesGet checks every bit of every row read against
+// Get on random bitmaps, one and two words per row.
+func TestBitmapRow64MatchesGet(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for _, w := range []int{1, 63, 64, 65, 72, 130} {
+		b := NewBitmap(w, 3)
+		for y := 0; y < 3; y++ {
+			for x := 0; x < w; x++ {
+				b.Set(x, y, r.Intn(2) == 0)
+			}
+		}
+		for y := -1; y <= 3; y++ {
+			for x := -66; x <= w+1; x++ {
+				got := b.Row64(x, y)
+				for i := 0; i < 64; i++ {
+					if want := b.Get(x+i, y); (got>>uint(i)&1 == 1) != want {
+						t.Fatalf("w=%d: Row64(%d, %d) bit %d = %v, Get(%d, %d) = %v",
+							w, x, y, i, !want, x+i, y, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestBitmapBooleanOps(t *testing.T) {
 	a := NewBitmap(10, 2)
 	b := NewBitmap(10, 2)

@@ -135,7 +135,7 @@ func decode(body io.Reader, cfg Config) (*decoded, error) {
 	if wire.Fabric == "" {
 		return nil, fmt.Errorf("missing fabric")
 	}
-	if _, err := fabric.ByName(wire.Fabric); err != nil {
+	if err := fabric.CheckName(wire.Fabric); err != nil {
 		return nil, err
 	}
 	switch {
