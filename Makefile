@@ -107,6 +107,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzCanonDigest -fuzztime $(FUZZTIME) ./internal/canon
 	$(GO) test -run xxx -fuzz FuzzBaselineValid -fuzztime $(FUZZTIME) ./internal/baseline
 	$(GO) test -run xxx -fuzz FuzzPresolveEquivalence -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run xxx -fuzz FuzzValidAnchors -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run xxx -fuzz FuzzNonOverlapFixpoint -fuzztime $(FUZZTIME) ./internal/geost
 
 # The serving benchmark pair behind EXPERIMENTS.md: a cached Table-I

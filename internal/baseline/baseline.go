@@ -95,6 +95,7 @@ func newState(region *fabric.Region, mods []*module.Module, useAlts bool) (*plac
 		cands:   make([][]candidate, len(mods)),
 		mods:    mods,
 	}
+	table := core.NewAnchorTable(region)
 	for i, m := range mods {
 		nShapes := m.NumShapes()
 		if !useAlts {
@@ -103,7 +104,7 @@ func newState(region *fabric.Region, mods []*module.Module, useAlts bool) (*plac
 		any := false
 		for si := 0; si < nShapes; si++ {
 			sh := m.Shape(si)
-			va := core.ValidAnchors(region, sh)
+			va := table.Anchors(sh)
 			s.anchors[i] = append(s.anchors[i], va)
 			s.cands[i] = append(s.cands[i], candidate{
 				shapeIdx: si,

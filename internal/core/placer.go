@@ -158,11 +158,12 @@ func (p *Placer) Place(mods []*module.Module) (*Result, error) {
 		st.EnableTiming(true)
 	}
 	k := geost.New(st, p.region.W(), p.region.H())
+	anchors := NewAnchorTable(p.region)
 	objects := make([]*geost.Object, len(mods))
 	for i, m := range mods {
 		geoms := make([]geost.ShapeGeom, m.NumShapes())
 		for si, s := range m.Shapes() {
-			geoms[si] = ShapeGeomFor(p.region, s)
+			geoms[si] = anchors.ShapeGeom(s)
 			if len(p.opts.BusRows) > 0 {
 				restrictToBusRows(&geoms[si], p.opts.BusRows)
 			}

@@ -7,9 +7,11 @@
 // The constraint model follows Section III of the paper:
 //
 //   - M_a (inside the region) and M_b (resource-type match) are fused
-//     into per-shape valid-anchor bitmaps computed by ValidAnchors;
-//     Fit/Fits check all three constraints for one shape at one anchor
-//     and are the only such check in the system;
+//     into per-shape valid-anchor bitmaps, which an AnchorTable computes
+//     64 anchors at a time; Fit/Fits check all three constraints for
+//     one shape at one anchor and are the one oracle that results and
+//     audits pass through. The table is only a precomputation, and a
+//     differential fuzz test pins it to Fits;
 //   - M_c (non-overlap) is the geost kernel's per-object forward-checking
 //     filter;
 //   - the objective (eq. 6) is the geost occupied-height variable,
@@ -62,8 +64,9 @@ func (e *FitError) Error() string {
 
 // Fits reports whether shape s anchored at at satisfies M_a, M_b and
 // M_c on region r with occupancy occ (nil means an empty fabric). It is
-// the allocation-free form of Fit: the single placement oracle that the
-// anchor bitmaps, result validation and every online audit share.
+// the allocation-free form of Fit: the single placement oracle that
+// result validation and every online audit share, and that the anchor
+// table is tested against.
 func Fits(r *fabric.Region, occ *grid.Bitmap, s *module.Shape, at grid.Point) bool {
 	c, _ := fit(r, occ, s, at)
 	return c == 0
@@ -104,27 +107,66 @@ func fit(r *fabric.Region, occ *grid.Bitmap, s *module.Shape, at grid.Point) (Co
 // fabric, i.e. every tile of s, translated by (x, y), lands on a region
 // tile of exactly the tile's resource kind. This realises the paper's
 // constraints M_a ∧ M_b — the geost extension of boxes and forbidden
-// regions with a resource property.
+// regions with a resource property. To compute the anchors of many
+// shapes on one region, build an AnchorTable once instead.
 func ValidAnchors(r *fabric.Region, s *module.Shape) *grid.Bitmap {
-	b := grid.NewBitmap(r.W(), r.H())
-	for y := 0; y <= r.H()-s.H(); y++ {
-		for x := 0; x <= r.W()-s.W(); x++ {
-			if Fits(r, nil, s, grid.Pt(x, y)) {
-				b.Set(x, y, true)
+	return NewAnchorTable(r).Anchors(s)
+}
+
+// AnchorTable computes ValidAnchors for many shapes on one region. It
+// holds the region's tiles of each resource kind as a bitmap, so that
+// one AND of a kind row tests one tile of a shape at 64 anchors.
+type AnchorTable struct {
+	w, h  int
+	kinds [len(fabric.Histogram{})]*grid.Bitmap // by fabric.Kind
+}
+
+// NewAnchorTable builds the per-kind tile bitmaps of r.
+func NewAnchorTable(r *fabric.Region) *AnchorTable {
+	t := &AnchorTable{w: r.W(), h: r.H()}
+	for k := range t.kinds {
+		t.kinds[k] = grid.NewBitmap(t.w, t.h)
+	}
+	for y := 0; y < t.h; y++ {
+		for x := 0; x < t.w; x++ {
+			if k := r.KindAt(x, y); k.Valid() {
+				t.kinds[k].Set(x, y, true)
 			}
+		}
+	}
+	return t
+}
+
+// Anchors returns the valid-anchor bitmap of s (see ValidAnchors). For
+// each anchor row it takes the anchors in chunks of 64 columns and ANDs
+// together, per tile, the row of the tile's kind shifted by the tile's
+// offset; a chunk stops at its first tile that no anchor survives. Kind
+// rows read clear outside the region, so an anchor that puts a tile
+// there drops out of the AND too (M_a).
+func (t *AnchorTable) Anchors(s *module.Shape) *grid.Bitmap {
+	b := grid.NewBitmap(t.w, t.h)
+	for y := 0; y <= t.h-s.H(); y++ {
+		for x := 0; x <= t.w-s.W(); x += 64 {
+			acc := ^uint64(0)
+			for _, tl := range s.Tiles() {
+				if acc &= t.kinds[tl.Kind].Row64(x+tl.At.X, y+tl.At.Y); acc == 0 {
+					break
+				}
+			}
+			b.OrRow64(x, y, acc)
 		}
 	}
 	return b
 }
 
-// ShapeGeomFor converts a module shape into the geost kernel's geometry,
-// including its valid-anchor bitmap on r.
-func ShapeGeomFor(r *fabric.Region, s *module.Shape) geost.ShapeGeom {
+// ShapeGeom converts a module shape into the geost kernel's geometry,
+// including its valid-anchor bitmap.
+func (t *AnchorTable) ShapeGeom(s *module.Shape) geost.ShapeGeom {
 	return geost.ShapeGeom{
 		Points: s.Points(),
 		W:      s.W(),
 		H:      s.H(),
-		Valid:  ValidAnchors(r, s),
+		Valid:  t.Anchors(s),
 		Hist:   s.Histogram(),
 	}
 }

@@ -92,7 +92,7 @@ func TestShapeGeomFor(t *testing.T) {
 		{At: grid.Pt(0, 0), Kind: fabric.CLB},
 		{At: grid.Pt(1, 0), Kind: fabric.BRAM},
 	})
-	g := ShapeGeomFor(r, s)
+	g := NewAnchorTable(r).ShapeGeom(s)
 	if g.W != 2 || g.H != 1 || len(g.Points) != 2 {
 		t.Fatalf("geometry wrong: %dx%d %d points", g.W, g.H, len(g.Points))
 	}

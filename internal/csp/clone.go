@@ -91,8 +91,9 @@ func (e *CloneError) Error() string {
 // starts at trail level zero regardless of the source's level — it is a
 // snapshot of the current domains, and cannot Pop below the clone
 // point. Statistics (propagation counts, per-propagator runs,
-// accumulated propagation time) restart at zero, and no recorder is
-// installed on the clone.
+// accumulated propagation time) restart at zero, no recorder is
+// installed on the clone, and the clone's trailing free list starts
+// empty: clones share no domain, discarded or live.
 //
 // Clone fails with a *CloneError if any registered propagator does not
 // implement Clonable (FuncProp closures, for example, cannot be

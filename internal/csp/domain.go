@@ -85,6 +85,12 @@ func (d *Domain) Clone() *Domain {
 	return &Domain{base: d.base, words: w, size: d.size, min: d.min, max: d.max}
 }
 
+// copyFrom makes d a copy of src, which has d's word count.
+func (d *Domain) copyFrom(src *Domain) {
+	copy(d.words, src.words)
+	d.base, d.size, d.min, d.max = src.base, src.size, src.min, src.max
+}
+
 // Size returns the number of values.
 func (d *Domain) Size() int { return d.size }
 

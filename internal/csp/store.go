@@ -38,7 +38,9 @@ func (v *Var) Name() string { return v.name }
 // read assignments when search runs on cloned stores.
 func (v *Var) ID() int { return v.id }
 
-// Domain returns the current domain for read-only inspection.
+// Domain returns the current domain for read-only inspection. The
+// store reuses a domain once the level it belongs to is popped, so do
+// not keep the result across a Pop.
 func (v *Var) Domain() *Domain { return v.dom }
 
 // Min returns the current lower bound.
@@ -118,6 +120,13 @@ type Store struct {
 	// folded holds the per-propagator runs of finished clones, by
 	// name (see fold).
 	folded map[string]int64
+
+	// free holds the domains Pop discarded, by word count, for
+	// ensureOwned to copy into, so that a warmed search trails without
+	// allocating. A discarded domain belongs to a popped level, so
+	// nothing reads it any more (propagators keep no domain across
+	// calls).
+	free [][]*Domain
 
 	// Observability. rec is nil on the uninstrumented path; running is
 	// the index of the propagator currently executing, for prune
@@ -319,8 +328,31 @@ func (st *Store) ensureOwned(v *Var) {
 		return
 	}
 	st.trail = append(st.trail, trailEntry{v: v, dom: v.dom, at: v.trailedAt})
-	v.dom = v.dom.Clone()
+	v.dom = st.copyOf(v.dom)
 	v.trailedAt = st.level
+}
+
+// copyOf returns a copy of d, written into a free domain of d's word
+// count when there is one.
+func (st *Store) copyOf(d *Domain) *Domain {
+	n := len(d.words)
+	if n >= len(st.free) || len(st.free[n]) == 0 {
+		return d.Clone()
+	}
+	last := len(st.free[n]) - 1
+	c := st.free[n][last]
+	st.free[n] = st.free[n][:last]
+	c.copyFrom(d)
+	return c
+}
+
+// release puts d, a domain Pop discarded, on the free list.
+func (st *Store) release(d *Domain) {
+	n := len(d.words)
+	for len(st.free) <= n {
+		st.free = append(st.free, nil)
+	}
+	st.free[n] = append(st.free[n], d)
 }
 
 func (st *Store) changed(v *Var) error {
@@ -490,8 +522,10 @@ func (st *Store) Push() {
 }
 
 // Pop restores all domains to their state at the matching Push and
-// clears any pending failure. It panics when no Push is open: an
-// unbalanced Pop always indicates a search-loop bug.
+// clears any pending failure. The domains the popped level owned go to
+// the store's free list, so a *Domain read at a level must not be kept
+// past that level's Pop. It panics when no Push is open: an unbalanced
+// Pop always indicates a search-loop bug.
 func (st *Store) Pop() {
 	if len(st.marks) == 0 {
 		panic("csp: Pop without Push")
@@ -500,6 +534,7 @@ func (st *Store) Pop() {
 	st.marks = st.marks[:len(st.marks)-1]
 	for i := len(st.trail) - 1; i >= mark; i-- {
 		e := st.trail[i]
+		st.release(e.v.dom)
 		e.v.dom = e.dom
 		e.v.trailedAt = e.at
 	}

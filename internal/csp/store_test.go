@@ -225,3 +225,84 @@ func TestStoreFilterDomainSharing(t *testing.T) {
 		t.Fatal("Pop did not restore filtered domain")
 	}
 }
+
+// TestStorePoolReuseKeepsRestoredDomains checks the trailing free
+// list: a domain Pop discards is reused by the next trail of a domain
+// of its word count, and writing into it never changes the domain Pop
+// restored.
+func TestStorePoolReuseKeepsRestoredDomains(t *testing.T) {
+	st := NewStore()
+	x := st.NewVarRange("x", 0, 199)
+	y := st.NewVarRange("y", 0, 199)
+
+	st.Push()
+	if err := st.SetMax(x, 150); err != nil {
+		t.Fatal(err)
+	}
+	discarded := x.Domain()
+	st.Pop()
+	restored := x.Domain()
+	if restored == discarded || x.Size() != 200 {
+		t.Fatalf("Pop did not restore x: %v", x)
+	}
+
+	st.Push()
+	if err := st.SetMin(y, 120); err != nil {
+		t.Fatal(err)
+	}
+	if y.Domain() != discarded {
+		t.Fatal("the trail of y did not reuse the domain Pop discarded")
+	}
+	if err := st.Assign(y, 130); err != nil {
+		t.Fatal(err)
+	}
+	if x.Domain() != restored || x.Size() != 200 || x.Min() != 0 || x.Max() != 199 {
+		t.Fatalf("writing the reused domain changed x: %v", x)
+	}
+	st.Pop()
+	if y.Size() != 200 || x.Size() != 200 {
+		t.Fatalf("Pop did not restore: x=%v y=%v", x, y)
+	}
+}
+
+// TestClonePoolIndependent checks that a clone starts with its own
+// empty free list: trailing on the clone never takes a domain from its
+// source's list, nor gives one back to it.
+func TestClonePoolIndependent(t *testing.T) {
+	st := NewStore()
+	x := st.NewVarRange("x", 0, 199)
+	st.Push()
+	if err := st.SetMax(x, 150); err != nil {
+		t.Fatal(err)
+	}
+	st.Pop()
+	src := st.free[len(x.Domain().words)]
+	if len(src) != 1 {
+		t.Fatalf("source free list holds %d domains, want 1", len(src))
+	}
+
+	cl, err := st.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cl.free) != 0 {
+		t.Fatal("clone shares its source's free list")
+	}
+	cx := cl.Vars()[x.ID()]
+	for i := 0; i < 2; i++ {
+		cl.Push()
+		if err := cl.SetMin(cx, 100+i); err != nil {
+			t.Fatal(err)
+		}
+		if cx.Domain() == src[0] {
+			t.Fatal("clone trailed into its source's free domain")
+		}
+		cl.Pop()
+	}
+	if got := st.free[len(x.Domain().words)]; len(got) != 1 || got[0] != src[0] {
+		t.Fatal("trailing on the clone changed its source's free list")
+	}
+	if x.Size() != 200 || cx.Size() != 200 {
+		t.Fatalf("domains not restored: x=%v clone x=%v", x, cx)
+	}
+}

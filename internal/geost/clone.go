@@ -24,6 +24,10 @@ import (
 //     compulsoryRegion paints candidates into scratch and accumulates
 //     into comp. Each clone gets fresh bitmaps; sharing them across
 //     workers would corrupt concurrent filtering.
+//   - The store's trailing free list (csp.Store.free): MUTABLE, and
+//     never shared — Store.Clone starts every clone with an empty
+//     list, so one worker's trail never writes into a domain that
+//     another worker's Pop discarded.
 //
 // Kernel and Object reference each other, so both clone through the
 // CloneCtx memo table, registering the new value before descending into

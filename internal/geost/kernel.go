@@ -121,6 +121,10 @@ func (o *Object) Decode(val int) (sid, x, y int) {
 	return sid, x, y
 }
 
+// Value encodes placement (sid, x, y) of this object, the inverse of
+// Decode.
+func (o *Object) Value(sid, x, y int) int { return o.k.encode(sid, x, y) }
+
 // topOf returns the top row bound (y + shape height) of a placement
 // value.
 func (o *Object) topOf(val int) int {

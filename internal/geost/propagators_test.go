@@ -310,3 +310,48 @@ func TestPostHeightObjectivePanics(t *testing.T) {
 		}()
 	}
 }
+
+// TestTrailingAllocationFree pins the trailing free list: once warmed,
+// a search step — Push, assign one object, propagate non-overlap,
+// top-link and the height bound to fixpoint, Pop — allocates nothing,
+// although it trails every object's multi-word placement domain.
+func TestTrailingAllocationFree(t *testing.T) {
+	const w, h = 70, 30
+	st := csp.NewStore()
+	k := New(st, w, h)
+	var objs []*Object
+	for i, sz := range []int{3, 4, 5, 6} {
+		o, err := k.AddObject(string(rune('a'+i)), []ShapeGeom{rectGeom(sz, 2, w, h), rectGeom(2, sz, w, h)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		objs = append(objs, o)
+	}
+	k.PostNonOverlap()
+	k.PostHeightObjective(uniformCapPrefix(w, h))
+	if err := st.Propagate(); err != nil {
+		t.Fatal(err)
+	}
+	before := objs[1].Place.Size()
+	first := objs[0].Place.Min()
+	step := func() {
+		st.Push()
+		if err := st.Assign(objs[0].Place, first); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Propagate(); err != nil {
+			t.Fatal(err)
+		}
+		if objs[1].Place.Size() >= before {
+			t.Fatal("the assignment pruned nothing, so nothing was trailed")
+		}
+		st.Pop()
+	}
+	step()
+	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+		t.Fatalf("a warmed Push/Assign/Propagate/Pop step allocates %v times, want 0", allocs)
+	}
+	if objs[1].Place.Size() != before {
+		t.Fatal("Pop did not restore the pruned domain")
+	}
+}

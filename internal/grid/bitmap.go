@@ -133,6 +133,27 @@ func (b *Bitmap) Row64(x, y int) uint64 {
 	return v
 }
 
+// OrRow64 sets the bits of row y that v marks, the counterpart of
+// Row64: bit i of v sets the bit at (x+i, y). Bits that fall outside
+// the bitmap are dropped.
+func (b *Bitmap) OrRow64(x, y int, v uint64) {
+	if y < 0 || y >= b.h || x >= b.w || x <= -64 {
+		return
+	}
+	if x < 0 {
+		v, x = v>>uint(-x), 0
+	}
+	if n := b.w - x; n < 64 {
+		v &= 1<<uint(n) - 1
+	}
+	row := b.words[y*b.wpr : (y+1)*b.wpr]
+	i, s := x>>6, uint(x&63)
+	row[i] |= v << s
+	if s != 0 && i+1 < len(row) {
+		row[i+1] |= v >> (64 - s)
+	}
+}
+
 // AnyAt reports whether any of the points ps, translated by at, hits a
 // set bit. Points landing outside the bitmap read as false.
 func (b *Bitmap) AnyAt(ps []Point, at Point) bool {

@@ -137,6 +137,36 @@ func TestBitmapRow64MatchesGet(t *testing.T) {
 	}
 }
 
+// TestBitmapOrRow64MatchesSet checks OrRow64 against one Set per bit
+// on random words, one and two words per row, at every offset in and
+// around the row: it sets exactly the bits Set would, drops the bits
+// outside the bitmap, and leaves the rest of the bitmap as it was.
+func TestBitmapOrRow64MatchesSet(t *testing.T) {
+	r := rand.New(rand.NewSource(2))
+	for _, w := range []int{1, 63, 64, 65, 72, 130} {
+		for y := -1; y <= 3; y++ {
+			for x := -66; x <= w+1; x++ {
+				got, want := NewBitmap(w, 3), NewBitmap(w, 3)
+				for i := 0; i < w; i++ {
+					on := r.Intn(4) == 0
+					got.Set(i, 1, on)
+					want.Set(i, 1, on)
+				}
+				v := r.Uint64()
+				got.OrRow64(x, y, v)
+				for i := 0; i < 64; i++ {
+					if v>>uint(i)&1 == 1 {
+						want.Set(x+i, y, true)
+					}
+				}
+				if got.String() != want.String() || got.Count() != want.Count() {
+					t.Fatalf("w=%d: OrRow64(%d, %d, %#x) =\n%v\nwant\n%v", w, x, y, v, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestBitmapBooleanOps(t *testing.T) {
 	a := NewBitmap(10, 2)
 	b := NewBitmap(10, 2)

@@ -8,12 +8,13 @@ import (
 )
 
 // base carries the bookkeeping shared by all managers: the region, an
-// occupancy mirror, per-shape anchor caches (the fused M_a ∧ M_b
-// constraint, cached by shape fingerprint since tasks reuse module
-// layouts), and the resident-task table.
+// occupancy mirror, the region's anchor table with per-shape anchor
+// caches (the fused M_a ∧ M_b constraint, cached by shape fingerprint
+// since tasks reuse module layouts), and the resident-task table.
 type base struct {
 	region   *fabric.Region
 	occ      *grid.Bitmap
+	table    *core.AnchorTable
 	anchors  map[string]*grid.Bitmap
 	resident map[TaskID][]grid.Point // absolute tiles per placed task
 }
@@ -21,6 +22,7 @@ type base struct {
 func (b *base) reset(region *fabric.Region) {
 	b.region = region
 	b.occ = grid.NewBitmap(region.W(), region.H())
+	b.table = core.NewAnchorTable(region)
 	b.anchors = map[string]*grid.Bitmap{}
 	b.resident = map[TaskID][]grid.Point{}
 }
@@ -29,7 +31,7 @@ func (b *base) anchorsFor(s *module.Shape) *grid.Bitmap {
 	if a, ok := b.anchors[s.Key()]; ok {
 		return a
 	}
-	a := core.ValidAnchors(b.region, s)
+	a := b.table.Anchors(s)
 	b.anchors[s.Key()] = a
 	return a
 }

@@ -1,6 +1,9 @@
 package presolve
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/csp"
@@ -209,5 +212,52 @@ func TestApplyWarmStartFeasible(t *testing.T) {
 	}
 	if stats.WarmObjective < height.Min() {
 		t.Fatalf("warm objective %d below the height lower bound %d", stats.WarmObjective, height.Min())
+	}
+}
+
+// TestFirstFreeMatchesSortedScan pins the warm start's upward walk to
+// its definition: the first placement, with the domain sorted by (top,
+// y, x, shape), whose footprint misses the occupancy. Shapes share
+// heights so that equal-height alternatives interleave by x.
+func TestFirstFreeMatchesSortedScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 300; trial++ {
+		w, h := 6+rng.Intn(10), 6+rng.Intn(10)
+		var shapes []geost.ShapeGeom
+		for n := 1 + rng.Intn(4); len(shapes) < n; {
+			g := rectGeom(1+rng.Intn(3), 1+rng.Intn(3), w, h)
+			for y := 0; y < h; y++ {
+				for x := 0; x < w; x++ {
+					g.Valid.Set(x, y, rng.Intn(3) > 0)
+				}
+			}
+			shapes = append(shapes, g)
+		}
+		_, k, _ := buildModel(t, w, h, [][]geost.ShapeGeom{shapes})
+		o := k.Objects()[0]
+		occ := grid.NewBitmap(w, h)
+		for i := rng.Intn(w * h); i > 0; i-- {
+			occ.Set(rng.Intn(w), rng.Intn(h), true)
+		}
+
+		cands := o.Place.Domain().Values()
+		sort.SliceStable(cands, func(a, b int) bool {
+			sa, xa, ya := o.Decode(cands[a])
+			sb, xb, yb := o.Decode(cands[b])
+			ka := [4]int{o.TopOf(cands[a]), ya, xa, sa}
+			kb := [4]int{o.TopOf(cands[b]), yb, xb, sb}
+			return slices.Compare(ka[:], kb[:]) < 0
+		})
+		want, wantOK := 0, false
+		for _, v := range cands {
+			sid, x, y := o.Decode(v)
+			if !occ.AnyAt(o.Shapes[sid].Points, grid.Pt(x, y)) {
+				want, wantOK = v, true
+				break
+			}
+		}
+		if got, ok := firstFree(k, o, occ); got != want || ok != wantOK {
+			t.Fatalf("trial %d: firstFree = %d, %v; sorted scan = %d, %v", trial, got, ok, want, wantOK)
+		}
 	}
 }

@@ -7,18 +7,7 @@ import (
 	"repro/internal/grid"
 )
 
-// warmStart runs bottom-left-decreasing first-fit over the pruned
-// placement domains: objects in decreasing order of their cheapest
-// surviving alternative's tile count (stable on input order), each
-// taking the first candidate value in (y, x, shape) order that does
-// not collide with the occupancy painted so far. Operating on the
-// domains — rather than re-deriving anchors as internal/baseline does —
-// means region bounds, resource compatibility, bus-row attachment and
-// any root-level pruning are all honoured for free, so a completed
-// pass is a feasible placement by construction. Its height seeds the
-// branch-and-bound incumbent; failure to complete simply leaves the
-// search cold (WarmFound=false), never an error.
-// warmKeys orders objects for one first-fit pass: decreasing primary
+// warmOrder orders objects for one first-fit pass: decreasing primary
 // key with the object index as the deterministic tie-break.
 func warmOrder(objs []*geost.Object, key func(o *geost.Object) int) []int {
 	order := make([]int, len(objs))
@@ -31,6 +20,18 @@ func warmOrder(objs []*geost.Object, key func(o *geost.Object) int) []int {
 	return order
 }
 
+// warmStart runs bottom-left-decreasing first-fit over the pruned
+// placement domains: objects in decreasing order of their cheapest
+// surviving alternative's tile count (stable on input order), each
+// taking the first candidate value in (top, y, x, shape) order that
+// does not collide with the occupancy painted so far. Operating on the
+// domains — rather than re-deriving anchors as internal/baseline does —
+// means region bounds, resource compatibility, bus-row attachment and
+// any root-level pruning are all honoured for free, so a completed
+// pass is a feasible placement by construction. Its height seeds the
+// branch-and-bound incumbent; failure to complete simply leaves the
+// search cold (WarmFound=false), never an error. Two more passes order
+// the objects by decreasing height and width instead.
 func warmStart(k *geost.Kernel, stats *Stats) {
 	objs := k.Objects()
 	keys := []func(o *geost.Object) int{
@@ -114,43 +115,50 @@ func warmPass(k *geost.Kernel, order []int) (vals []int, maxTop int, ok bool) {
 	vals = make([]int, len(objs))
 	for _, idx := range order {
 		o := objs[idx]
-		cands := o.Place.Domain().Values()
-		sort.SliceStable(cands, func(a, b int) bool {
-			ta, tb := o.TopOf(cands[a]), o.TopOf(cands[b])
-			if ta != tb {
-				return ta < tb
-			}
-			sa, xa, ya := o.Decode(cands[a])
-			sb, xb, yb := o.Decode(cands[b])
-			if ya != yb {
-				return ya < yb
-			}
-			if xa != xb {
-				return xa < xb
-			}
-			return sa < sb
-		})
-		placed := false
-		for _, v := range cands {
-			sid, x, y := o.Decode(v)
-			g := &o.Shapes[sid]
-			at := grid.Pt(x, y)
-			if occ.AnyAt(g.Points, at) {
-				continue
-			}
-			occ.SetPointsAt(g.Points, at, true)
-			vals[idx] = v
-			if t := o.TopOf(v); t > maxTop {
-				maxTop = t
-			}
-			placed = true
-			break
-		}
-		if !placed {
+		v, ok := firstFree(k, o, occ)
+		if !ok {
 			return nil, 0, false
+		}
+		sid, x, y := o.Decode(v)
+		occ.SetPointsAt(o.Shapes[sid].Points, grid.Pt(x, y), true)
+		vals[idx] = v
+		if t := o.TopOf(v); t > maxTop {
+			maxTop = t
 		}
 	}
 	return vals, maxTop, true
+}
+
+// firstFree returns o's first placement value in (top, y, x, shape)
+// order whose footprint misses occ. It walks the tops upward, so it
+// reads only the placements up to the one it returns. At one top a
+// taller shape sits lower, so the shapes go by decreasing height; the
+// shapes of one height share their rows and interleave by x.
+func firstFree(k *geost.Kernel, o *geost.Object, occ *grid.Bitmap) (int, bool) {
+	sids := make([]int, len(o.Shapes))
+	for i := range sids {
+		sids[i] = i
+	}
+	sort.SliceStable(sids, func(a, b int) bool { return o.Shapes[sids[a]].H > o.Shapes[sids[b]].H })
+	dom := o.Place.Domain()
+	for top := 1; top <= k.H(); top++ {
+		for i := 0; i < len(sids); {
+			h := o.Shapes[sids[i]].H
+			j := i + 1
+			for j < len(sids) && o.Shapes[sids[j]].H == h {
+				j++
+			}
+			for x := 0; top >= h && x < k.W(); x++ {
+				for _, sid := range sids[i:j] {
+					if v := o.Value(sid, x, top-h); dom.Contains(v) && !occ.AnyAt(o.Shapes[sid].Points, grid.Pt(x, top-h)) {
+						return v, true
+					}
+				}
+			}
+			i = j
+		}
+	}
+	return 0, false
 }
 
 // maxDim returns the largest height (or width) over the object's
