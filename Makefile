@@ -109,6 +109,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzPresolveEquivalence -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run xxx -fuzz FuzzValidAnchors -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run xxx -fuzz FuzzNonOverlapFixpoint -fuzztime $(FUZZTIME) ./internal/geost
+	$(GO) test -run xxx -fuzz FuzzValueOrder -fuzztime $(FUZZTIME) ./internal/geost
 
 # The serving benchmark pair behind EXPERIMENTS.md: a cached Table-I
 # placement versus the same request re-solved from scratch.

@@ -84,9 +84,11 @@ type gateScenario struct {
 // gateScenarios builds the pinned scenario set. All solves are
 // sequential (Workers 0) with no wall-clock timeout, so nodes and
 // backtracks depend only on the instance and the options — the
-// convergence criterion is the experiments' StallNodes. The first two
-// scenarios are the presolve before/after pair on the Table-I
-// alternatives workload: the gate's headline trajectory points.
+// convergence criterion is the experiments' StallNodes. The first
+// scenarios are the table1-cold corpus of the repository benchmark
+// (see table1ColdCorpus), the instances its end-to-end numbers come
+// from; the rest cover the presolve-off arm, the single-dive replan
+// path, the figure workloads and compulsory-part pruning.
 func gateScenarios() []gateScenario {
 	table1 := experiments.TableIRegion()
 	t1mods := workload.MustGenerate(workload.Config{}, rand.New(rand.NewSource(1)))
@@ -111,14 +113,52 @@ func gateScenarios() []gateScenario {
 	off := on
 	off.Presolve = core.PresolveOff
 
-	return []gateScenario{
-		{"table1-alternatives-presolve-off", table1, t1mods, off},
-		{"table1-alternatives-presolve-on", table1, t1mods, on},
-		{"table1-no-alternatives", table1, workload.FirstShapesOnly(t1mods), on},
-		{"fig3-alternatives", fig3.MustBuild().FullRegion(), fig3Mods, on},
-		{"fig5-alternatives", fig5.MustBuild().FullRegion(), fig5Mods, on},
-		{"table1-15-strong-propagation", table1, t1mods15, strong},
+	var out []gateScenario
+	for _, c := range table1ColdCorpus() {
+		out = append(out, gateScenario{"table1-cold/" + c.label, table1, c.mods, on})
 	}
+	return append(out,
+		gateScenario{"table1-alternatives-presolve-off", table1, t1mods, off},
+		// One bottom-left dive with no presolve, the solve every blocked
+		// session arrival runs: its first solution is the value order's.
+		gateScenario{"table1-first-solution", table1, t1mods, core.Options{FirstSolutionOnly: true}},
+		gateScenario{"fig3-alternatives", fig3.MustBuild().FullRegion(), fig3Mods, on},
+		gateScenario{"fig5-alternatives", fig5.MustBuild().FullRegion(), fig5Mods, on},
+		gateScenario{"table1-15-strong-propagation", table1, t1mods15, strong},
+	)
+}
+
+// table1ColdInstance is one instance of the table1-cold corpus.
+type table1ColdInstance struct {
+	label string // "<generator seed>/<arm>"
+	mods  []*module.Module
+}
+
+// table1ColdCorpus returns the repository benchmark's table1-cold
+// corpus: Table-I generator seeds 1-10, 30 modules, with and without
+// design alternatives. It is solved at stall 800 with presolve on.
+func table1ColdCorpus() []table1ColdInstance {
+	var out []table1ColdInstance
+	for seed := 1; seed <= 10; seed++ {
+		mods := workload.MustGenerate(workload.Config{NumModules: 30}, rand.New(rand.NewSource(int64(seed))))
+		out = append(out,
+			table1ColdInstance{fmt.Sprintf("%d/alternatives", seed), mods},
+			table1ColdInstance{fmt.Sprintf("%d/single", seed), workload.FirstShapesOnly(mods)})
+	}
+	return out
+}
+
+// readGateFile reads the committed baseline.
+func readGateFile() (gateFile, error) {
+	var base gateFile
+	data, err := os.ReadFile(benchGatePath)
+	if err != nil {
+		return base, fmt.Errorf("missing baseline (re-create with -benchgate-update): %w", err)
+	}
+	if err := json.Unmarshal(data, &base); err != nil {
+		return base, fmt.Errorf("%s: %w", benchGatePath, err)
+	}
+	return base, nil
 }
 
 func runGateScenario(t *testing.T, sc gateScenario) gateRecord {
@@ -180,13 +220,9 @@ func TestBenchGate(t *testing.T) {
 		return
 	}
 
-	data, err := os.ReadFile(benchGatePath)
+	base, err := readGateFile()
 	if err != nil {
-		t.Fatalf("missing baseline (re-create with -benchgate-update): %v", err)
-	}
-	var base gateFile
-	if err := json.Unmarshal(data, &base); err != nil {
-		t.Fatalf("%s: %v", benchGatePath, err)
+		t.Fatal(err)
 	}
 	want := make(map[string]gateRecord, len(base.Scenarios))
 	for _, rec := range base.Scenarios {

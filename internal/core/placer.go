@@ -405,47 +405,22 @@ func restrictToBusRows(g *geost.ShapeGeom, busRows []int) {
 }
 
 // valueOrderer builds the placement-value heuristic. For bottom-left
-// ordering each object's full candidate list is pre-sorted by
-// (y, x, shape); at a node the live values are picked from that
-// permutation by a constant-time membership test.
+// ordering each node walks the object's live values in (y, x, shape)
+// order (geost.Object.AppendBottomLeft).
 func (p *Placer) valueOrderer(objects []*geost.Object) csp.ValueOrderer {
 	if p.opts.ValueOrder == OrderLexicographic {
 		return csp.AscendingValues
 	}
-	// Keyed by variable id so the permutation applies to a worker
-	// clone's counterpart variable as well as the original.
-	perm := make(map[int][]int, len(objects))
+	// Indexed by variable id (the last object's is the highest), which
+	// worker clones share, as they share the geometry the walk reads.
+	byVar := make([]*geost.Object, objects[len(objects)-1].Place.ID()+1)
 	for _, o := range objects {
-		vals := o.Place.Domain().Values()
-		obj := o
-		sort.SliceStable(vals, func(a, b int) bool {
-			sa, xa, ya := obj.Decode(vals[a])
-			sb, xb, yb := obj.Decode(vals[b])
-			if ya != yb {
-				return ya < yb
-			}
-			if xa != xb {
-				return xa < xb
-			}
-			return sa < sb
-		})
-		perm[o.Place.ID()] = vals
+		byVar[o.Place.ID()] = o
 	}
-	return func(v *csp.Var) []int {
-		ordered, ok := perm[v.ID()]
-		if !ok {
-			return csp.AscendingValues(v)
+	return func(v *csp.Var, buf []int) []int {
+		if id := v.ID(); id < len(byVar) && byVar[id] != nil {
+			return byVar[id].AppendBottomLeft(buf, v.Domain())
 		}
-		dom := v.Domain()
-		out := make([]int, 0, dom.Size())
-		for _, val := range ordered {
-			if dom.Contains(val) {
-				out = append(out, val)
-				if len(out) == dom.Size() {
-					break
-				}
-			}
-		}
-		return out
+		return csp.AscendingValues(v, buf)
 	}
 }

@@ -10,7 +10,7 @@ import (
 func snapshotDomains(st *Store) [][]int {
 	out := make([][]int, len(st.Vars()))
 	for i, v := range st.Vars() {
-		out[i] = v.Domain().Values()
+		out[i] = v.Domain().AppendValues(nil)
 	}
 	return out
 }

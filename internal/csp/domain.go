@@ -16,6 +16,7 @@ package csp
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 )
 
@@ -352,11 +353,31 @@ func (d *Domain) ForEachDescIn(lo, hi int, fn func(int) bool) {
 	}
 }
 
-// Values returns all values in ascending order.
-func (d *Domain) Values() []int {
-	out := make([]int, 0, d.size)
-	d.ForEach(func(v int) bool { out = append(out, v); return true })
-	return out
+// Bits64 returns the membership of the 64 values from lo up: bit i is
+// set when lo+i is in the domain. Values outside the universe are absent.
+func (d *Domain) Bits64(lo int) uint64 {
+	i := lo - d.base
+	w, s := i>>6, uint(i&63)
+	v := d.wordAt(w) >> s
+	if s != 0 {
+		v |= d.wordAt(w+1) << (64 - s)
+	}
+	return v
+}
+
+// wordAt returns word w of the domain, or 0 outside the universe.
+func (d *Domain) wordAt(w int) uint64 {
+	if w < 0 || w >= len(d.words) {
+		return 0
+	}
+	return d.words[w]
+}
+
+// AppendValues appends all values to dst in ascending order.
+func (d *Domain) AppendValues(dst []int) []int {
+	dst = slices.Grow(dst, d.size)
+	d.ForEach(func(v int) bool { dst = append(dst, v); return true })
+	return dst
 }
 
 // String renders small domains as "{1,3,5}" and large ones as

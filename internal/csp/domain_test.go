@@ -72,7 +72,7 @@ func TestDomainValues(t *testing.T) {
 		t.Fatalf("values domain wrong: size=%d min=%d max=%d", d.Size(), d.Min(), d.Max())
 	}
 	want := []int{3, 7, 100}
-	got := d.Values()
+	got := d.AppendValues(nil)
 	if len(got) != 3 || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
 		t.Fatalf("Values = %v, want %v", got, want)
 	}

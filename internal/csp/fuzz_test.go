@@ -41,7 +41,7 @@ func FuzzDomain(f *testing.F) {
 				want = append(want, v)
 			}
 			sort.Ints(want)
-			got := d.Values()
+			got := d.AppendValues(nil)
 			if len(got) != len(want) {
 				t.Fatalf("%s: %d values, model %d", ctx, len(got), len(want))
 			}

@@ -27,8 +27,8 @@ func (l *eventLog) count(k obs.EventKind) int {
 
 // descendingValues tries domain values largest-first, so a minimising
 // search meets a poor incumbent first.
-func descendingValues(v *Var) []int {
-	vals := v.Domain().Values()
+func descendingValues(v *Var, buf []int) []int {
+	vals := AscendingValues(v, buf)
 	slices.Reverse(vals)
 	return vals
 }

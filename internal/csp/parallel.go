@@ -169,7 +169,8 @@ func (r *run) parallel(vars []*Var, obj *Var) error {
 		r.minimizer(st, vars, obj, r.opts.Recorder).dfs(0)
 		return nil
 	}
-	vals := r.opts.OrderValues(v)
+	// The root's own value list, read by every worker.
+	vals := r.opts.OrderValues(v, nil)
 	r.nodes.Store(1) // the root's branching node
 	sp := &split{subs: make([]subtree, len(vals)), wake: sync.NewCond(&r.mu)}
 	for i := range sp.subs {

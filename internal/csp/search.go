@@ -14,9 +14,11 @@ import (
 // when all given variables are assigned.
 type VarChooser func(vars []*Var) *Var
 
-// ValueOrderer returns branching values for v in trial order. It must
-// return values from v's current domain.
-type ValueOrderer func(v *Var) []int
+// ValueOrderer appends v's branching values, in trial order and from
+// v's current domain, to the empty buf and returns the result. The
+// search passes one reused buffer per depth, which the orderer must
+// not retain.
+type ValueOrderer func(v *Var, buf []int) []int
 
 // FirstUnassigned branches on the variables in the order given.
 func FirstUnassigned(vars []*Var) *Var {
@@ -44,7 +46,7 @@ func SmallestDomain(vars []*Var) *Var {
 }
 
 // AscendingValues tries domain values smallest-first.
-func AscendingValues(v *Var) []int { return v.Domain().Values() }
+func AscendingValues(v *Var, buf []int) []int { return v.Domain().AppendValues(buf) }
 
 // PreferValues wraps a ValueOrderer so each variable tries a preferred
 // value (keyed by variable id, so the preference survives store
@@ -56,14 +58,11 @@ func AscendingValues(v *Var) []int { return v.Domain().Values() }
 // the heuristic placement becomes the search's first incumbent and
 // every later branch is taken with a real bound already in place.
 func PreferValues(inner ValueOrderer, pref map[int]int) ValueOrderer {
-	if inner == nil {
-		inner = AscendingValues
-	}
 	if len(pref) == 0 {
 		return inner
 	}
-	return func(v *Var) []int {
-		out := inner(v)
+	return func(v *Var, buf []int) []int {
+		out := inner(v, buf)
 		want, ok := pref[v.ID()]
 		if !ok {
 			return out
@@ -209,7 +208,7 @@ func Solve(st *Store, vars []*Var, opts Options, onSolution func(*Store) bool) (
 		return res, err
 	}
 	defer r.end()
-	w := &worker{r: r, st: st, vars: vars, rec: r.opts.Recorder, boundHandle: -1}
+	w := &worker{r: r, st: st, vars: vars, vals: make([][]int, len(vars)), rec: r.opts.Recorder, boundHandle: -1}
 	w.leaf = func(depth int) bool {
 		res.Solutions++
 		if w.rec != nil {
@@ -429,6 +428,7 @@ type worker struct {
 	rec         obs.Recorder         // Options.Recorder, tagged with the worker id when parallel
 	boundHandle int                  // branch-and-bound cut, rescheduled on every branch; -1 in Solve
 	leaf        func(depth int) bool // called at each solution; true stops the run
+	vals        [][]int              // OrderValues buffers, one per depth below len(vars)
 
 	// Branch-and-bound state of the current run (see parallel.go):
 	// solutions must beat both the bound it started from and its own
@@ -443,7 +443,7 @@ type worker struct {
 // posts the branch-and-bound cut on st and offers every improving
 // solution to the run's incumbent.
 func (r *run) minimizer(st *Store, vars []*Var, obj *Var, rec obs.Recorder) *worker {
-	w := &worker{r: r, st: st, vars: vars, rec: rec, start: math.MaxInt, runBest: math.MaxInt}
+	w := &worker{r: r, st: st, vars: vars, vals: make([][]int, len(vars)), rec: rec, start: math.MaxInt, runBest: math.MaxInt}
 	cut := FuncProp(func(s *Store) error { return s.SetMax(obj, min(w.start, w.runBest)-1) })
 	w.boundHandle = st.Post(WithName(cut, "bnb.bound"), obj)
 	w.leaf = func(depth int) bool {
@@ -510,7 +510,9 @@ func (w *worker) dfs(depth int) bool {
 		return w.leaf(depth)
 	}
 	w.r.nodes.Add(1)
-	for _, val := range w.r.opts.OrderValues(v) {
+	vals := w.r.opts.OrderValues(v, w.vals[depth][:0])
+	w.vals[depth] = vals
+	for _, val := range vals {
 		if w.interrupted() || w.branch(v, val, depth) {
 			return true
 		}

@@ -437,16 +437,14 @@ func (st *Store) FilterDomain(v *Var, keep func(int) bool) error {
 // [lo, hi], so a propagator that knows where its removals can lie pays
 // nothing for the rest of the domain.
 func (st *Store) FilterDomainIn(v *Var, lo, hi int, keep func(int) bool) error {
-	// Probe first so untouched domains stay shared across levels.
-	any := false
+	// Probe first so untouched domains stay shared across levels, then
+	// filter from the first rejected value, so keep sees each value once.
+	first, found := 0, false
 	v.dom.ForEachIn(lo, hi, func(val int) bool {
-		if !keep(val) {
-			any = true
-			return false
-		}
-		return true
+		first, found = val, !keep(val)
+		return !found
 	})
-	if !any {
+	if !found {
 		return nil
 	}
 	before := 0
@@ -454,13 +452,11 @@ func (st *Store) FilterDomainIn(v *Var, lo, hi int, keep func(int) bool) error {
 		before = v.dom.Size()
 	}
 	st.ensureOwned(v)
-	if v.dom.FilterIn(lo, hi, keep) {
-		if st.rec != nil {
-			st.notePrune(v, before)
-		}
-		return st.changed(v)
+	v.dom.FilterIn(first, hi, func(val int) bool { return val != first && keep(val) })
+	if st.rec != nil {
+		st.notePrune(v, before)
 	}
-	return nil
+	return st.changed(v)
 }
 
 // Propagate runs the propagation queue to fixpoint. On failure the queue

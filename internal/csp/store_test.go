@@ -3,6 +3,8 @@ package csp
 import (
 	"errors"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 func TestStoreVarBasics(t *testing.T) {
@@ -223,6 +225,46 @@ func TestStoreFilterDomainSharing(t *testing.T) {
 	st.Pop()
 	if x.Size() != 10 {
 		t.Fatal("Pop did not restore filtered domain")
+	}
+}
+
+// TestStoreFilterDomainInCallsKeepOnce checks that FilterDomainIn
+// offers keep every value in its range exactly once: the filter starts
+// at the value the probe rejected instead of re-testing those below
+// it. The result and the prune event's Removed count are unchanged.
+func TestStoreFilterDomainInCallsKeepOnce(t *testing.T) {
+	st := NewStore()
+	log := &eventLog{}
+	st.SetRecorder(log)
+	x := st.NewVarRange("x", 0, 199)
+	calls := map[int]int{}
+	keep := func(v int) bool {
+		calls[v]++
+		return v < 70 || v%7 != 0
+	}
+	if err := st.FilterDomainIn(x, 10, 150, keep); err != nil {
+		t.Fatal(err)
+	}
+	for v := 10; v <= 150; v++ {
+		if calls[v] != 1 {
+			t.Fatalf("keep(%d) called %d times, want once", v, calls[v])
+		}
+	}
+	if len(calls) != 141 {
+		t.Fatalf("keep saw %d values, want the 141 in [10, 150]", len(calls))
+	}
+	removed := 0
+	for v := 0; v < 200; v++ {
+		want := v < 70 || v > 150 || v%7 != 0
+		if x.Domain().Contains(v) != want {
+			t.Fatalf("value %d kept=%v, want %v", v, !want, want)
+		}
+		if !want {
+			removed++
+		}
+	}
+	if log.count(obs.KindPrune) != 1 || log.events[0].Removed != removed {
+		t.Fatalf("prune events %+v, want one removing %d", log.events, removed)
 	}
 }
 

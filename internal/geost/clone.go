@@ -43,6 +43,8 @@ func cloneKernel(ctx *csp.CloneCtx, k *Kernel) *Kernel {
 		st:      ctx.Store(),
 		w:       k.w,
 		h:       k.h,
+		divW:    k.divW,
+		divH:    k.divH,
 		scratch: grid.NewBitmap(k.w, k.h),
 		comp:    grid.NewBitmap(k.w, k.h),
 	}

@@ -46,7 +46,7 @@ func TestKernelCloneIndependence(t *testing.T) {
 	snapshot := func(s *csp.Store) [][]int {
 		out := make([][]int, len(s.Vars()))
 		for i, v := range s.Vars() {
-			out[i] = v.Domain().Values()
+			out[i] = v.Domain().AppendValues(nil)
 		}
 		return out
 	}

@@ -17,6 +17,9 @@ package geost
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
+	"slices"
 
 	"repro/internal/csp"
 	"repro/internal/fabric"
@@ -41,9 +44,12 @@ func (g *ShapeGeom) validate(spaceW, spaceH int) error {
 	if g.W <= 0 || g.H <= 0 {
 		return fmt.Errorf("geost: shape with empty bounds %dx%d", g.W, g.H)
 	}
-	for _, p := range g.Points {
+	for i, p := range g.Points {
 		if p.X < 0 || p.Y < 0 || p.X >= g.W || p.Y >= g.H {
 			return fmt.Errorf("geost: shape point %v outside its %dx%d bounds", p, g.W, g.H)
+		}
+		if i > 0 && !g.Points[i-1].Less(p) {
+			return fmt.Errorf("geost: shape points %v, %v not in strictly ascending (y, x) order", g.Points[i-1], p)
 		}
 	}
 	if g.Valid == nil {
@@ -78,9 +84,10 @@ type Object struct {
 
 // Kernel owns the 2D space and the objects placed in it.
 type Kernel struct {
-	st      *csp.Store
-	w, h    int
-	objects []*Object
+	st         *csp.Store
+	w, h       int
+	divW, divH divider // w and h, for Decode
+	objects    []*Object
 
 	// scratch is a reusable occupancy bitmap for non-overlap filtering,
 	// all clear between propagator runs; comp accumulates compulsory
@@ -94,7 +101,24 @@ func New(st *csp.Store, w, h int) *Kernel {
 	if w <= 0 || h <= 0 {
 		panic(fmt.Sprintf("geost: invalid space %dx%d", w, h))
 	}
-	return &Kernel{st: st, w: w, h: h, scratch: grid.NewBitmap(w, h), comp: grid.NewBitmap(w, h)}
+	return &Kernel{st: st, w: w, h: h, divW: newDivider(w), divH: newDivider(h), scratch: grid.NewBitmap(w, h), comp: grid.NewBitmap(w, h)}
+}
+
+// divider divides by d > 0 with a multiply-high: m = ⌈2⁶⁴/d⌉ gives the
+// exact quotient of every n < 2³² (Lemire, Kaser and Kurz, "Faster
+// remainder by direct computation", 2019). m overflows to 0 for d = 1,
+// which divmod answers directly.
+type divider struct{ d, m uint64 }
+
+func newDivider(d int) divider { return divider{uint64(d), math.MaxUint64/uint64(d) + 1} }
+
+// divmod returns n / d and n % d for 0 <= n < 2³².
+func (v divider) divmod(n int) (q, r int) {
+	if v.d == 1 {
+		return n, 0
+	}
+	hi, _ := bits.Mul64(v.m, uint64(n))
+	return int(hi), n - int(hi*v.d)
 }
 
 // W returns the space width.
@@ -112,12 +136,10 @@ func (k *Kernel) Objects() []*Object { return k.objects }
 // directly comparable (symmetry-breaking lex orders rely on this).
 func (k *Kernel) encode(sid, x, y int) int { return (sid*k.h+y)*k.w + x }
 
-// Decode unpacks a placement value of this object.
+// Decode unpacks a placement value of this object (below 2³²: AddObject).
 func (o *Object) Decode(val int) (sid, x, y int) {
-	x = val % o.k.w
-	rest := val / o.k.w
-	y = rest % o.k.h
-	sid = rest / o.k.h
+	rest, x := o.k.divW.divmod(val)
+	sid, y = o.k.divH.divmod(rest)
 	return sid, x, y
 }
 
@@ -125,17 +147,13 @@ func (o *Object) Decode(val int) (sid, x, y int) {
 // Decode.
 func (o *Object) Value(sid, x, y int) int { return o.k.encode(sid, x, y) }
 
-// topOf returns the top row bound (y + shape height) of a placement
-// value.
-func (o *Object) topOf(val int) int {
-	sid, _, y := o.Decode(val)
-	return y + o.Shapes[sid].H
-}
-
 // TopOf returns the top row bound (y + shape height) of a placement
 // value: the object's contribution to the occupied height were it
 // placed there.
-func (o *Object) TopOf(val int) int { return o.topOf(val) }
+func (o *Object) TopOf(val int) int {
+	sid, _, y := o.Decode(val)
+	return y + o.Shapes[sid].H
+}
 
 // Assigned reports whether the object's placement is fixed.
 func (o *Object) Assigned() bool { return o.Place.Assigned() }
@@ -182,9 +200,11 @@ func (k *Kernel) AddObject(name string, shapes []ShapeGeom) (*Object, error) {
 	if len(shapes) == 0 {
 		return nil, fmt.Errorf("geost: object %s has no shapes", name)
 	}
+	if uint64(len(shapes))*uint64(k.h)*uint64(k.w) > math.MaxUint32 {
+		return nil, fmt.Errorf("geost: object %s: %d shapes over a %dx%d space need values past 2^32", name, len(shapes), k.w, k.h)
+	}
 	var vals []int
-	minTop := k.h + 1
-	maxTop := 0
+	minTop, maxTop := k.h+1, 0
 	for sid := range shapes {
 		g := &shapes[sid]
 		if err := g.validate(k.w, k.h); err != nil {
@@ -194,12 +214,7 @@ func (k *Kernel) AddObject(name string, shapes []ShapeGeom) (*Object, error) {
 			for x := 0; x <= k.w-g.W; x++ {
 				if g.Valid.Get(x, y) {
 					vals = append(vals, k.encode(sid, x, y))
-					if t := y + g.H; t < minTop {
-						minTop = t
-					}
-					if t := y + g.H; t > maxTop {
-						maxTop = t
-					}
+					minTop, maxTop = min(minTop, y+g.H), max(maxTop, y+g.H)
 				}
 			}
 		}
@@ -235,6 +250,33 @@ func (o *Object) buildRows() {
 			o.rows[sid*o.rowStride+p.Y*o.rowWords+p.X>>6] |= 1 << uint(p.X&63)
 		}
 	}
+}
+
+// AppendBottomLeft appends the values of dom, a placement domain of o,
+// to dst in bottom-left order: by y, then x, then shape. It walks the
+// rows upward until it has every value, ORs the shapes' row segments
+// read from the domain 64 columns at a time, and emits each set
+// column's shapes in id order: no sort, and no per-value decode.
+func (o *Object) AppendBottomLeft(dst []int, dom *csp.Domain) []int {
+	k := o.k
+	dst = slices.Grow(dst, dom.Size())
+	for y, n := 0, len(dst)+dom.Size(); y < k.h && len(dst) < n; y++ {
+		for x := 0; x < k.w; x += 64 {
+			var cols uint64
+			for sid := range o.Shapes {
+				cols |= dom.Bits64(k.encode(sid, x, y))
+			}
+			for cols &= ^uint64(0) >> uint(64-min(64, k.w-x)); cols != 0; cols &= cols - 1 {
+				cx := x + bits.TrailingZeros64(cols)
+				for sid := range o.Shapes {
+					if v := k.encode(sid, cx, y); dom.Contains(v) {
+						dst = append(dst, v)
+					}
+				}
+			}
+		}
+	}
+	return dst
 }
 
 // hits reports whether placement val of o covers a set bit of occ.

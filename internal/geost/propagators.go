@@ -29,7 +29,7 @@ func (p *topLink) Propagate(st *csp.Store) error {
 	for sid := range o.Shapes {
 		first, last, ok := o.Place.Domain().RangeBounds(o.k.encode(sid, 0, 0), o.k.encode(sid+1, 0, 0)-1)
 		if ok {
-			lo, hi = min(lo, o.topOf(first)), max(hi, o.topOf(last))
+			lo, hi = min(lo, o.TopOf(first)), max(hi, o.TopOf(last))
 		}
 	}
 	if err := st.SetMin(o.Top, lo); err != nil {
@@ -41,7 +41,7 @@ func (p *topLink) Propagate(st *csp.Store) error {
 	tLo, tHi := o.Top.Min(), o.Top.Max()
 	if tLo > lo || tHi < hi {
 		return st.FilterDomain(o.Place, func(val int) bool {
-			t := o.topOf(val)
+			t := o.TopOf(val)
 			return t >= tLo && t <= tHi
 		})
 	}

@@ -34,8 +34,8 @@ func TestTopLinkBounds(t *testing.T) {
 		t.Fatal("4-high shape should be pruned by top<=3")
 	}
 	o.Place.Domain().ForEach(func(val int) bool {
-		if o.topOf(val) > 3 {
-			t.Fatalf("placement with top %d survived", o.topOf(val))
+		if o.TopOf(val) > 3 {
+			t.Fatalf("placement with top %d survived", o.TopOf(val))
 		}
 		return true
 	})

@@ -94,7 +94,7 @@ func pruneKernels(r *rand.Rand) (got, ref *Kernel) {
 		ro := ref.objects[i]
 		switch r.Intn(3) {
 		case 0:
-			vals := o.Place.Domain().Values()
+			vals := o.Place.Domain().AppendValues(nil)
 			val := vals[r.Intn(len(vals))]
 			if got.st.Assign(o.Place, val) != nil || ref.st.Assign(ro.Place, val) != nil {
 				panic("assign of an in-domain value failed")
@@ -104,7 +104,7 @@ func pruneKernels(r *rand.Rand) (got, ref *Kernel) {
 			// some value stays.
 			mask := r.Int63()
 			keep := func(val int) bool { return mask>>(val%63)&1 == 1 }
-			if !slices.ContainsFunc(o.Place.Domain().Values(), keep) {
+			if !slices.ContainsFunc(o.Place.Domain().AppendValues(nil), keep) {
 				continue
 			}
 			if got.st.FilterDomain(o.Place, keep) != nil || ref.st.FilterDomain(ro.Place, keep) != nil {
@@ -128,7 +128,7 @@ func (l *pruneLog) Record(e obs.Event) {
 func domains(k *Kernel) [][]int {
 	out := make([][]int, len(k.objects))
 	for i, o := range k.objects {
-		out[i] = o.Place.Domain().Values()
+		out[i] = o.Place.Domain().AppendValues(nil)
 	}
 	return out
 }

@@ -102,18 +102,19 @@ func dominates(o *geost.Object, a, b int, anchors []*grid.Bitmap) bool {
 	return a < b
 }
 
-// pointsSubset reports whether every point of sub appears in super.
-// Both slices are anchor-relative tile sets of sibling shapes, so the
-// shared frame makes coordinate-wise comparison meaningful.
+// pointsSubset reports whether every point of sub appears in super: two
+// anchor-relative tile sets of sibling shapes, in the strictly
+// ascending (y, x) order geost.AddObject checks, so one merge walk.
 func pointsSubset(sub, super []grid.Point) bool {
-	set := make(map[grid.Point]bool, len(super))
-	for _, p := range super {
-		set[p] = true
-	}
+	j := 0
 	for _, p := range sub {
-		if !set[p] {
+		for j < len(super) && super[j].Less(p) {
+			j++
+		}
+		if j == len(super) || super[j] != p {
 			return false
 		}
+		j++
 	}
 	return true
 }

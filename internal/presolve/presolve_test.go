@@ -240,7 +240,7 @@ func TestFirstFreeMatchesSortedScan(t *testing.T) {
 			occ.Set(rng.Intn(w), rng.Intn(h), true)
 		}
 
-		cands := o.Place.Domain().Values()
+		cands := o.Place.Domain().AppendValues(nil)
 		sort.SliceStable(cands, func(a, b int) bool {
 			sa, xa, ya := o.Decode(cands[a])
 			sb, xb, yb := o.Decode(cands[b])
@@ -259,5 +259,61 @@ func TestFirstFreeMatchesSortedScan(t *testing.T) {
 		if got, ok := firstFree(k, o, occ); got != want || ok != wantOK {
 			t.Fatalf("trial %d: firstFree = %d, %v; sorted scan = %d, %v", trial, got, ok, want, wantOK)
 		}
+	}
+}
+
+// TestPointsSubsetMatchesSet pins the merge-walk pointsSubset to a
+// set-membership reference on random canonical point sets, with subsets
+// drawn from the superset and perturbed.
+func TestPointsSubsetMatchesSet(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	canonical := func(ps []grid.Point) []grid.Point {
+		slices.SortFunc(ps, func(a, b grid.Point) int {
+			if a.Less(b) {
+				return -1
+			}
+			if b.Less(a) {
+				return 1
+			}
+			return 0
+		})
+		return slices.Compact(ps)
+	}
+	for i := 0; i < 2000; i++ {
+		n := 1 + r.Intn(6)
+		var super, sub []grid.Point
+		for j := r.Intn(20); j >= 0; j-- {
+			super = append(super, grid.Pt(r.Intn(n), r.Intn(n)))
+		}
+		super = canonical(super)
+		for _, p := range super {
+			if r.Intn(3) > 0 {
+				sub = append(sub, p)
+			}
+		}
+		if r.Intn(2) == 0 {
+			sub = append(sub, grid.Pt(r.Intn(n+1), r.Intn(n+1)))
+		}
+		sub = canonical(sub)
+		set := map[grid.Point]bool{}
+		for _, p := range super {
+			set[p] = true
+		}
+		want := true
+		for _, p := range sub {
+			want = want && set[p]
+		}
+		if got := pointsSubset(sub, super); got != want {
+			t.Fatalf("pointsSubset(%v, %v) = %v, want %v", sub, super, got, want)
+		}
+	}
+}
+
+// TestPointsSubsetAllocatesNothing checks the dominance and symmetry
+// tile comparison allocates nothing.
+func TestPointsSubsetAllocatesNothing(t *testing.T) {
+	a, b := rectGeom(3, 2, 8, 8).Points, rectGeom(3, 3, 8, 8).Points
+	if n := testing.AllocsPerRun(100, func() { pointsSubset(a, b) }); n != 0 {
+		t.Fatalf("pointsSubset allocated %v times per call", n)
 	}
 }
