@@ -36,14 +36,15 @@ define race-repeat
 endef
 
 # Race job, mirroring CI: the full suite once, then the multi-worker
-# search determinism suites, the stateful-session suites and the
+# search determinism suites and the non-overlap differential suites,
+# the stateful-session suites and the
 # serving path's concurrency suites (singleflight, admission gate,
 # cache flights, permuted-order dedup waiters and spec aliases)
 # repeated -count=3 (scheduling-order bugs rarely show on a single
 # run).
 race:
 	$(GO) test -race ./...
-	$(call race-repeat,Parallel|Clone,./internal/csp ./internal/geost ./internal/core)
+	$(call race-repeat,Parallel|Clone|Prune|Fixpoint,./internal/csp ./internal/geost ./internal/core)
 	$(call race-repeat,MaximalEmptyRects|Session,./internal/online)
 	$(call race-repeat,Session|Singleflight|Admission|Queued|Eviction|Cancel|QueueWait|Gate|Join|Permuted|Aliases,./internal/service)
 
@@ -109,6 +110,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzPresolveEquivalence -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run xxx -fuzz FuzzValidAnchors -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run xxx -fuzz FuzzNonOverlapFixpoint -fuzztime $(FUZZTIME) ./internal/geost
+	$(GO) test -run xxx -fuzz FuzzPruneOthers -fuzztime $(FUZZTIME) ./internal/geost
 	$(GO) test -run xxx -fuzz FuzzValueOrder -fuzztime $(FUZZTIME) ./internal/geost
 
 # The serving benchmark pair behind EXPERIMENTS.md: a cached Table-I

@@ -45,16 +45,33 @@ type goldenModule struct {
 // deterministic configuration. Any solver change that moves this
 // placement shows up as a golden diff; regenerate deliberately with
 //
-//	go test ./internal/core -run TestGoldenTableIPlacement -update
+//	go test ./internal/core -run TestGolden -update
 func TestGoldenTableIPlacement(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second exhaustive solve; skipped with -short")
 	}
-	region := experiments.TableIRegion()
-	mods := workload.MustGenerate(workload.Config{}, rand.New(rand.NewSource(1)))
 	// Timeout must stay zero: a wall-clock stop makes the search
 	// nondeterministic, a node-based stall stop does not.
-	res, err := core.New(region, core.Options{StallNodes: 800}).Place(mods)
+	checkGolden(t, core.Options{StallNodes: 800}, "table1-seed1.golden.json")
+}
+
+// TestGoldenFirstSolutionPlacement pins the first solution of the same
+// instance: one dive in bottom-left value order, which places each
+// module at its lowest, then leftmost free anchor and breaks ties
+// between the modules' shape alternatives by shape id. The dive is the
+// solve every blocked session arrival runs, so a change to that order
+// shows up here.
+func TestGoldenFirstSolutionPlacement(t *testing.T) {
+	checkGolden(t, core.Options{FirstSolutionOnly: true}, "table1-seed1-first.golden.json")
+}
+
+// checkGolden solves the Table-I seed-1 instance with opts and compares
+// the result with the golden file testdata/name, or rewrites the file
+// under -update.
+func checkGolden(t *testing.T, opts core.Options, name string) {
+	region := experiments.TableIRegion()
+	mods := workload.MustGenerate(workload.Config{}, rand.New(rand.NewSource(1)))
+	res, err := core.New(region, opts).Place(mods)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +104,7 @@ func TestGoldenTableIPlacement(t *testing.T) {
 	}
 	data = append(data, '\n')
 
-	goldenPath := filepath.Join("testdata", "table1-seed1.golden.json")
+	goldenPath := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
 			t.Fatal(err)

@@ -51,31 +51,25 @@ func NewDomainRange(lo, hi int) *Domain {
 	return d
 }
 
-// NewDomainValues returns the domain holding exactly the given values
-// (duplicates ignored). It panics on an empty list.
-func NewDomainValues(vals ...int) *Domain {
-	if len(vals) == 0 {
-		panic("csp: empty domain value list")
+// NewDomainWords returns the domain holding base+64i+b for every set
+// bit b of words[i]. It keeps words, narrowed to its first and last
+// non-zero word, as the domain's storage, so the caller must not reuse
+// it. It panics when no bit is set.
+func NewDomainWords(base int, words []uint64) *Domain {
+	i := slices.IndexFunc(words, func(w uint64) bool { return w != 0 })
+	if i < 0 {
+		panic("csp: empty domain word list")
 	}
-	lo, hi := vals[0], vals[0]
-	for _, v := range vals[1:] {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
+	j := len(words) - 1
+	for words[j] == 0 {
+		j--
 	}
-	d := &Domain{base: lo, words: make([]uint64, (hi-lo+64)/64)}
-	for _, v := range vals {
-		i := v - lo
-		w, b := i>>6, uint(i&63)
-		if d.words[w]&(1<<b) == 0 {
-			d.words[w] |= 1 << b
-			d.size++
-		}
+	d := &Domain{base: base + 64*i, words: words[i : j+1]}
+	for _, w := range d.words {
+		d.size += bits.OnesCount64(w)
 	}
-	d.min, d.max = lo, hi
+	d.min = d.base + bits.TrailingZeros64(d.words[0])
+	d.max = d.base + 64*(j-i) + 63 - bits.LeadingZeros64(d.words[j-i])
 	return d
 }
 
@@ -292,6 +286,40 @@ func (d *Domain) FilterIn(lo, hi int, keep func(int) bool) bool {
 		d.recomputeBounds()
 	}
 	return changed
+}
+
+// Mask64 marks up to 64 consecutive values: bit i of Bits stands for
+// Lo+i, as in the result of Domain.Bits64(Lo).
+type Mask64 struct {
+	Lo   int
+	Bits uint64
+}
+
+// removeMasks deletes every value the masks mark. Marked values
+// outside the universe or already absent are ignored.
+func (d *Domain) removeMasks(masks []Mask64) {
+	for _, m := range masks {
+		i := m.Lo - d.base
+		w, s := i>>6, uint(i&63)
+		d.clearWord(w, m.Bits<<s)
+		if s != 0 {
+			d.clearWord(w+1, m.Bits>>(64-s))
+		}
+	}
+	if d.size > 0 {
+		d.recomputeBounds()
+	}
+}
+
+// clearWord clears the bits kill marks in word w, if w is in the
+// universe.
+func (d *Domain) clearWord(w int, kill uint64) {
+	if w < 0 || w >= len(d.words) {
+		return
+	}
+	kill &= d.words[w]
+	d.words[w] &^= kill
+	d.size -= bits.OnesCount64(kill)
 }
 
 // AnyInRange reports whether the domain holds any value in [lo, hi]

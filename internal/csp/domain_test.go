@@ -3,6 +3,7 @@ package csp
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -24,6 +25,19 @@ func (d *Domain) Remove(v int) bool {
 		d.recomputeBounds()
 	}
 	return true
+}
+
+// NewDomainValues returns the domain holding exactly the given values
+// (duplicates ignored), through NewDomainWords with a base below the
+// smallest value. It panics on an empty list.
+func NewDomainValues(vals ...int) *Domain {
+	lo, hi := slices.Min(vals), slices.Max(vals)
+	base := lo - 5
+	words := make([]uint64, (hi-base)/64+2)
+	for _, v := range vals {
+		words[(v-base)>>6] |= 1 << uint((v-base)&63)
+	}
+	return NewDomainWords(base, words)
 }
 
 // Equal reports whether d and o contain the same values.
@@ -326,5 +340,52 @@ func TestDomainAnyInRangeAgainstScan(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNewDomainWords checks the word constructor narrows its storage to
+// the non-zero words and derives size and bounds from the bits.
+func TestNewDomainWords(t *testing.T) {
+	d := NewDomainWords(-10, []uint64{0, 0, 1<<63 | 1<<5, 0, 1 << 2, 0})
+	if len(d.words) != 3 || d.base != 118 {
+		t.Fatalf("storage %d words from %d, want 3 from 118", len(d.words), d.base)
+	}
+	if got := d.AppendValues(nil); !slices.Equal(got, []int{123, 181, 248}) || d.Min() != 123 || d.Max() != 248 {
+		t.Fatalf("values %v, bounds [%d, %d]", got, d.Min(), d.Max())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("no panic for a word list without a bit")
+		}
+	}()
+	NewDomainWords(0, make([]uint64, 3))
+}
+
+// TestDomainRemoveMasksMatchesPerValue compares removeMasks with
+// removing each marked value on its own, on random domains whose bases
+// sit anywhere within a word and random masks around and across them.
+func TestDomainRemoveMasksMatchesPerValue(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for round := 0; round < 500; round++ {
+		lo := r.Intn(200) - 100
+		hi := lo + r.Intn(300)
+		d := NewDomainRange(lo, hi)
+		ref := d.Clone()
+		masks := make([]Mask64, 1+r.Intn(6))
+		for i := range masks {
+			masks[i] = Mask64{Lo: lo - 80 + r.Intn(hi-lo+160), Bits: r.Uint64() & r.Uint64()}
+			for b := 0; b < 64; b++ {
+				if masks[i].Bits>>b&1 == 1 {
+					ref.Remove(masks[i].Lo + b)
+				}
+			}
+		}
+		d.removeMasks(masks)
+		if !d.Equal(ref) {
+			t.Fatalf("round %d: removeMasks left %v, per-value removal %v", round, d, ref)
+		}
+		if !ref.Empty() && (d.Min() != ref.Min() || d.Max() != ref.Max()) {
+			t.Fatalf("round %d: bounds [%d, %d], want [%d, %d]", round, d.Min(), d.Max(), ref.Min(), ref.Max())
+		}
 	}
 }

@@ -427,20 +427,13 @@ func (st *Store) Assign(v *Var, val int) error {
 	return nil
 }
 
-// FilterDomain retains only the values of v for which keep returns true.
+// FilterDomain retains only the values of v for which keep returns
+// true. keep sees each value once.
 func (st *Store) FilterDomain(v *Var, keep func(int) bool) error {
-	return st.FilterDomainIn(v, math.MinInt, math.MaxInt, keep)
-}
-
-// FilterDomainIn retains the values of v outside [lo, hi] and those
-// inside it for which keep returns true. keep sees only the values in
-// [lo, hi], so a propagator that knows where its removals can lie pays
-// nothing for the rest of the domain.
-func (st *Store) FilterDomainIn(v *Var, lo, hi int, keep func(int) bool) error {
 	// Probe first so untouched domains stay shared across levels, then
 	// filter from the first rejected value, so keep sees each value once.
 	first, found := 0, false
-	v.dom.ForEachIn(lo, hi, func(val int) bool {
+	v.dom.ForEach(func(val int) bool {
 		first, found = val, !keep(val)
 		return !found
 	})
@@ -452,7 +445,31 @@ func (st *Store) FilterDomainIn(v *Var, lo, hi int, keep func(int) bool) error {
 		before = v.dom.Size()
 	}
 	st.ensureOwned(v)
-	v.dom.FilterIn(first, hi, func(val int) bool { return val != first && keep(val) })
+	v.dom.FilterIn(first, math.MaxInt, func(val int) bool { return val != first && keep(val) })
+	if st.rec != nil {
+		st.notePrune(v, before)
+	}
+	return st.changed(v)
+}
+
+// RemoveMasks deletes from v every value the masks mark, as one change
+// however many masks there are: one trailed copy, one prune event and
+// one wake-up of v's watchers. Marked values that v lacks are ignored,
+// and when it lacks them all nothing is trailed.
+func (st *Store) RemoveMasks(v *Var, masks []Mask64) error {
+	i := 0
+	for i < len(masks) && v.dom.Bits64(masks[i].Lo)&masks[i].Bits == 0 {
+		i++
+	}
+	if i == len(masks) {
+		return nil
+	}
+	before := 0
+	if st.rec != nil {
+		before = v.dom.Size()
+	}
+	st.ensureOwned(v)
+	v.dom.removeMasks(masks[i:])
 	if st.rec != nil {
 		st.notePrune(v, before)
 	}

@@ -228,11 +228,11 @@ func TestStoreFilterDomainSharing(t *testing.T) {
 	}
 }
 
-// TestStoreFilterDomainInCallsKeepOnce checks that FilterDomainIn
-// offers keep every value in its range exactly once: the filter starts
-// at the value the probe rejected instead of re-testing those below
-// it. The result and the prune event's Removed count are unchanged.
-func TestStoreFilterDomainInCallsKeepOnce(t *testing.T) {
+// TestStoreFilterDomainCallsKeepOnce checks that FilterDomain offers
+// keep every value exactly once: the filter starts at the value the
+// probe rejected instead of re-testing those below it. The result and
+// the prune event's Removed count are unchanged.
+func TestStoreFilterDomainCallsKeepOnce(t *testing.T) {
 	st := NewStore()
 	log := &eventLog{}
 	st.SetRecorder(log)
@@ -242,20 +242,20 @@ func TestStoreFilterDomainInCallsKeepOnce(t *testing.T) {
 		calls[v]++
 		return v < 70 || v%7 != 0
 	}
-	if err := st.FilterDomainIn(x, 10, 150, keep); err != nil {
+	if err := st.FilterDomain(x, keep); err != nil {
 		t.Fatal(err)
 	}
-	for v := 10; v <= 150; v++ {
+	for v := 0; v < 200; v++ {
 		if calls[v] != 1 {
 			t.Fatalf("keep(%d) called %d times, want once", v, calls[v])
 		}
 	}
-	if len(calls) != 141 {
-		t.Fatalf("keep saw %d values, want the 141 in [10, 150]", len(calls))
+	if len(calls) != 200 {
+		t.Fatalf("keep saw %d values, want the domain's 200", len(calls))
 	}
 	removed := 0
 	for v := 0; v < 200; v++ {
-		want := v < 70 || v > 150 || v%7 != 0
+		want := v < 70 || v%7 != 0
 		if x.Domain().Contains(v) != want {
 			t.Fatalf("value %d kept=%v, want %v", v, !want, want)
 		}
@@ -346,5 +346,69 @@ func TestClonePoolIndependent(t *testing.T) {
 	}
 	if x.Size() != 200 || cx.Size() != 200 {
 		t.Fatalf("domains not restored: x=%v clone x=%v", x, cx)
+	}
+}
+
+// TestStoreRemoveMasks checks the batch removal: masks that start
+// below the domain's base, straddle a word boundary, run past its last
+// word or miss the universe altogether remove exactly the live values
+// they mark, as one trailed change with one prune event, and Pop
+// restores the domain.
+func TestStoreRemoveMasks(t *testing.T) {
+	st := NewStore()
+	log := &eventLog{}
+	st.SetRecorder(log)
+	x := st.NewVarRange("x", 100, 291) // base 100, three full words
+
+	st.Push()
+	if err := st.RemoveMasks(x, []Mask64{{Lo: 0, Bits: 1<<40 - 1}, {Lo: 300, Bits: ^uint64(0)}}); err != nil {
+		t.Fatal(err)
+	}
+	if len(st.trail) != 0 || len(log.events) != 0 {
+		t.Fatalf("masks of absent values trailed %d domains and recorded %v", len(st.trail), log.events)
+	}
+
+	masks := []Mask64{
+		{Lo: 60, Bits: ^uint64(0)},        // 60..123: starts below the base
+		{Lo: 160, Bits: 0xff},             // 160..167: straddles the word boundary at 164
+		{Lo: 280, Bits: ^uint64(0)},       // 280..343: runs past the last word
+		{Lo: -500, Bits: ^uint64(0)},      // below the universe
+		{Lo: 1000, Bits: 1},               // above it
+		{Lo: 164, Bits: 1 | 1<<63},        // 164 already removed above; 227 live
+		{Lo: 230, Bits: 0b1011_0000_0101}, // 230, 232, 238, 239, 241
+	}
+	removed := func(v int) bool {
+		return v <= 123 || v >= 160 && v <= 167 || v >= 280 || v == 227 ||
+			v == 230 || v == 232 || v == 238 || v == 239 || v == 241
+	}
+	if err := st.RemoveMasks(x, masks); err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	for v := 50; v < 400; v++ {
+		in := v >= 100 && v <= 291 && !removed(v)
+		if x.Domain().Contains(v) != in {
+			t.Fatalf("value %d present=%v, want %v", v, !in, in)
+		}
+		if in {
+			want++
+		}
+	}
+	if x.Size() != want || x.Min() != 124 || x.Max() != 279 {
+		t.Fatalf("size %d, min %d, max %d; want %d, 124, 279", x.Size(), x.Min(), x.Max(), want)
+	}
+	if len(st.trail) != 1 {
+		t.Fatalf("one call trailed %d domains, want 1", len(st.trail))
+	}
+	if log.count(obs.KindPrune) != 1 || log.events[0].Removed != 192-want {
+		t.Fatalf("prune events %+v, want one removing %d", log.events, 192-want)
+	}
+
+	if err := st.RemoveMasks(x, []Mask64{{Lo: 100, Bits: ^uint64(0)}, {Lo: 164, Bits: ^uint64(0)}, {Lo: 228, Bits: ^uint64(0)}}); !errors.Is(err, ErrInconsistent) {
+		t.Fatalf("removing every value: %v, want ErrInconsistent", err)
+	}
+	st.Pop()
+	if x.Size() != 192 || x.Min() != 100 || x.Max() != 291 {
+		t.Fatalf("Pop left %v, want the full range", x)
 	}
 }

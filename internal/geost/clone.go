@@ -24,6 +24,10 @@ import (
 //     compulsoryRegion paints candidates into scratch and accumulates
 //     into comp. Each clone gets fresh bitmaps; sharing them across
 //     workers would corrupt concurrent filtering.
+//   - Kernel.kill, the removal buffer pruneOthers collects each
+//     object's hit masks in before one Store.RemoveMasks: MUTABLE,
+//     rewritten on every prune. Each clone starts with none and grows
+//     its own.
 //   - The store's trailing free list (csp.Store.free): MUTABLE, and
 //     never shared — Store.Clone starts every clone with an empty
 //     list, so one worker's trail never writes into a domain that

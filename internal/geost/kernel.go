@@ -93,6 +93,10 @@ type Kernel struct {
 	// all clear between propagator runs; comp accumulates compulsory
 	// regions.
 	scratch, comp *grid.Bitmap
+
+	// kill collects the values pruneOthers removes from one object, kept
+	// between runs for its capacity.
+	kill []csp.Mask64
 }
 
 // New creates a kernel over a w×h space backed by st. It panics on
@@ -203,7 +207,10 @@ func (k *Kernel) AddObject(name string, shapes []ShapeGeom) (*Object, error) {
 	if uint64(len(shapes))*uint64(k.h)*uint64(k.w) > math.MaxUint32 {
 		return nil, fmt.Errorf("geost: object %s: %d shapes over a %dx%d space need values past 2^32", name, len(shapes), k.w, k.h)
 	}
-	var vals []int
+	// Shape sid's anchors in row y are the values from encode(sid, 0, y)
+	// on, so each row of the valid-anchor bitmap lands in the domain's
+	// words a word at a time.
+	words := make([]uint64, (len(shapes)*k.h*k.w+63)/64)
 	minTop, maxTop := k.h+1, 0
 	for sid := range shapes {
 		g := &shapes[sid]
@@ -211,15 +218,19 @@ func (k *Kernel) AddObject(name string, shapes []ShapeGeom) (*Object, error) {
 			return nil, fmt.Errorf("geost: object %s shape %d: %w", name, sid, err)
 		}
 		for y := 0; y <= k.h-g.H; y++ {
-			for x := 0; x <= k.w-g.W; x++ {
-				if g.Valid.Get(x, y) {
-					vals = append(vals, k.encode(sid, x, y))
-					minTop, maxTop = min(minTop, y+g.H), max(maxTop, y+g.H)
+			row := false
+			for x := 0; x <= k.w-g.W; x += 64 {
+				if v := g.Valid.Row64(x, y) & lowBits(k.w-g.W+1-x); v != 0 {
+					orBits(words, k.encode(sid, x, y), v)
+					row = true
 				}
+			}
+			if row {
+				minTop, maxTop = min(minTop, y+g.H), max(maxTop, y+g.H)
 			}
 		}
 	}
-	if len(vals) == 0 {
+	if maxTop == 0 {
 		return nil, fmt.Errorf("geost: object %s has no feasible placement", name)
 	}
 	o := &Object{
@@ -229,12 +240,26 @@ func (k *Kernel) AddObject(name string, shapes []ShapeGeom) (*Object, error) {
 		id:     len(k.objects),
 	}
 	o.buildRows()
-	o.Place = k.st.NewVar("place("+name+")", csp.NewDomainValues(vals...))
+	o.Place = k.st.NewVar("place("+name+")", csp.NewDomainWords(0, words))
 	o.Top = k.st.NewVarRange("top("+name+")", minTop, maxTop)
 	k.st.Post(&topLink{o: o}, o.Place, o.Top)
 	k.objects = append(k.objects, o)
 	return o, nil
 }
+
+// orBits sets the bits of words that v marks from bit i on: bit j of v
+// sets bit i+j. Bits past the last word are dropped.
+func orBits(words []uint64, i int, v uint64) {
+	w, s := i>>6, uint(i&63)
+	words[w] |= v << s
+	if s != 0 && w+1 < len(words) {
+		words[w+1] |= v >> (64 - s)
+	}
+}
+
+// lowBits returns the mask of the low n bits of a word, all 64 for
+// n >= 64; n must be positive.
+func lowBits(n int) uint64 { return ^uint64(0) >> uint(64-min(64, n)) }
 
 // buildRows fills o.rows from the shapes' points (see Object.rows).
 func (o *Object) buildRows() {
@@ -266,7 +291,7 @@ func (o *Object) AppendBottomLeft(dst []int, dom *csp.Domain) []int {
 			for sid := range o.Shapes {
 				cols |= dom.Bits64(k.encode(sid, x, y))
 			}
-			for cols &= ^uint64(0) >> uint(64-min(64, k.w-x)); cols != 0; cols &= cols - 1 {
+			for cols &= lowBits(k.w - x); cols != 0; cols &= cols - 1 {
 				cx := x + bits.TrailingZeros64(cols)
 				for sid := range o.Shapes {
 					if v := k.encode(sid, cx, y); dom.Contains(v) {
@@ -279,16 +304,19 @@ func (o *Object) AppendBottomLeft(dst []int, dom *csp.Domain) []int {
 	return dst
 }
 
-// hits reports whether placement val of o covers a set bit of occ.
-// box bounds the set bits of occ, so a bounding-box test rejects most
-// placements, and only the shape rows inside box are tested, one AND
-// per row word.
-func (o *Object) hits(val int, occ *grid.Bitmap, box grid.Rect) bool {
+// meets reports whether the bounding box of placement val of o meets
+// box.
+func (o *Object) meets(val int, box grid.Rect) bool {
 	sid, x, y := o.Decode(val)
 	g := &o.Shapes[sid]
-	if !box.Overlaps(grid.RectXYWH(x, y, g.W, g.H)) {
-		return false
-	}
+	return box.Overlaps(grid.RectXYWH(x, y, g.W, g.H))
+}
+
+// hitsAt reports whether placement (sid, x, y) of o covers a set bit of
+// occ, which box bounds: only the shape rows inside box are tested, one
+// AND per row word.
+func (o *Object) hitsAt(sid, x, y int, occ *grid.Bitmap, box grid.Rect) bool {
+	g := &o.Shapes[sid]
 	rows := o.rows[sid*o.rowStride:]
 	for r := max(0, box.MinY-y); r < min(g.H, box.MaxY-y); r++ {
 		for c := 0; c < o.rowWords; c++ {

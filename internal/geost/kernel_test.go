@@ -1,6 +1,8 @@
 package geost
 
 import (
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -208,5 +210,61 @@ func TestMinDemand(t *testing.T) {
 	d = o.MinDemand()
 	if d[fabric.CLB] != 4 {
 		t.Fatalf("MinDemand CLB = %d, want 4", d[fabric.CLB])
+	}
+}
+
+// TestAddObjectMatchesValidScan pins the placement domain AddObject
+// reads from the valid-anchor bitmaps' row words to a per-anchor
+// Valid.Get scan, on random spaces narrower and wider than a word and
+// random shapes, some wider than 64 columns, some with their first rows
+// (or all rows) of anchors empty and some with stray valid bits past
+// the last anchor that fits. Top's bounds must match the scan's too.
+func TestAddObjectMatchesValidScan(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for round := 0; round < 400; round++ {
+		w, h := 1+r.Intn(150), 1+r.Intn(12)
+		k := New(csp.NewStore(), w, h)
+		shapes := make([]ShapeGeom, 1+r.Intn(4))
+		var want []int
+		minTop, maxTop := h+1, 0
+		for sid := range shapes {
+			gw, gh := 1+r.Intn(min(w, 6)), 1+r.Intn(h)
+			if w > 64 && r.Intn(3) == 0 {
+				gw = 60 + r.Intn(w-59)
+			}
+			g := rectGeom(gw, gh, w, h)
+			g.Valid = grid.NewBitmap(w, h)
+			empty, density := r.Intn(h+1), r.Intn(101)
+			for y := empty; y < h; y++ {
+				for x := 0; x < w; x++ {
+					g.Valid.Set(x, y, r.Intn(100) < density)
+				}
+			}
+			shapes[sid] = g
+			for y := 0; y <= h-gh; y++ {
+				for x := 0; x <= w-gw; x++ {
+					if g.Valid.Get(x, y) {
+						want = append(want, k.encode(sid, x, y))
+						minTop, maxTop = min(minTop, y+gh), max(maxTop, y+gh)
+					}
+				}
+			}
+		}
+		o, err := k.AddObject("o", shapes)
+		if len(want) == 0 {
+			if err == nil {
+				t.Fatalf("round %d: object without a valid anchor accepted", round)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if got := o.Place.Domain().AppendValues(nil); !slices.Equal(got, want) {
+			t.Fatalf("round %d (%dx%d): domain %v, Valid.Get scan %v", round, w, h, got, want)
+		}
+		if o.Top.Min() != minTop || o.Top.Max() != maxTop {
+			t.Fatalf("round %d: top [%d, %d], want [%d, %d]", round, o.Top.Min(), o.Top.Max(), minTop, maxTop)
+		}
 	}
 }

@@ -50,18 +50,16 @@ func checkValueOrder(t *testing.T, seed int64) {
 	for y := range empty {
 		empty[y] = r.Intn(4) == 0
 	}
-	var vals []int
-	o.Place.Domain().ForEach(func(v int) bool {
+	dom := o.Place.Domain().Clone()
+	top := dom.Max()
+	dom.FilterIn(math.MinInt, math.MaxInt, func(v int) bool {
 		_, _, y := o.Decode(v)
-		if !empty[y] && r.Intn(100) < density {
-			vals = append(vals, v)
-		}
-		return true
+		return !empty[y] && r.Intn(100) < density
 	})
-	if len(vals) == 0 {
-		vals = append(vals, o.Place.Domain().Max())
+	if dom.Empty() {
+		dom = o.Place.Domain().Clone()
+		dom.FilterIn(math.MinInt, math.MaxInt, func(v int) bool { return v == top })
 	}
-	dom := csp.NewDomainValues(vals...)
 	want := sortedBottomLeft(k, dom)
 	prefix := []int{-1}
 	got := o.AppendBottomLeft(prefix, dom)

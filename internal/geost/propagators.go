@@ -1,7 +1,7 @@
 package geost
 
 import (
-	"math"
+	"math/bits"
 
 	"repro/internal/csp"
 	"repro/internal/fabric"
@@ -90,10 +90,12 @@ func (p *nonOverlap) Propagate(st *csp.Store) error {
 // copies that the next Pop discards. The second pass prunes in object
 // order and can no longer empty a domain, so both passes together reach
 // the same fixpoint, and fail on the same states, as pruning alone.
-// The prune pass filters each object once, offering the filter only the
-// range of values that holds the placements whose rows meet box's rows;
-// one filter per object keeps the solver's prune count at one event per
-// pruned object.
+//
+// Both passes visit only each object's forbidden-region candidates,
+// the placements whose bounding box meets box (see scanWindow), 64 to a
+// domain word. The prune pass collects the hits as masks and removes
+// them with one Store.RemoveMasks per object, so the solver still counts
+// one prune event per pruned object.
 func (k *Kernel) pruneOthers(st *csp.Store, self *Object, occ *grid.Bitmap, box grid.Rect) error {
 	for _, other := range k.objects {
 		if other != self && !other.anyFree(occ, box) {
@@ -104,10 +106,8 @@ func (k *Kernel) pruneOthers(st *csp.Store, self *Object, occ *grid.Bitmap, box 
 		if other == self {
 			continue
 		}
-		lo, hi := other.rowSpan(box)
-		if err := st.FilterDomainIn(other.Place, lo, hi, func(val int) bool {
-			return !other.hits(val, occ, box)
-		}); err != nil {
+		k.kill = other.appendHits(k.kill[:0], occ, box)
+		if err := st.RemoveMasks(other.Place, k.kill); err != nil {
 			return err
 		}
 	}
@@ -115,26 +115,84 @@ func (k *Kernel) pruneOthers(st *csp.Store, self *Object, occ *grid.Bitmap, box 
 }
 
 // anyFree reports whether o keeps a placement that misses every set bit
-// of occ. It scans the domain from its top, where few objects sit, so
-// a free placement is usually among the first it tries.
+// of occ. A placement whose bounding box misses box is free, and the
+// domain's bounds usually are: checking them first answers most calls
+// with two decodes. Otherwise it stops at the first candidate that
+// misses occ, and when every candidate hits, a value left uncounted
+// lies outside the candidates and is free.
 func (o *Object) anyFree(occ *grid.Bitmap, box grid.Rect) bool {
-	free := false
-	o.Place.Domain().ForEachDescIn(math.MinInt, math.MaxInt, func(val int) bool {
-		free = !o.hits(val, occ, box)
-		return !free
+	dom := o.Place.Domain()
+	if !o.meets(dom.Max(), box) || !o.meets(dom.Min(), box) {
+		return true
+	}
+	seen, free := 0, false
+	o.scanWindow(dom, box, func(sid, x, y int, live uint64) bool {
+		seen += bits.OnesCount64(live)
+		for ; live != 0; live &= live - 1 {
+			if !o.hitsAt(sid, x+bits.TrailingZeros64(live), y, occ, box) {
+				free = true
+				return false
+			}
+		}
+		return true
 	})
-	return free
+	return free || seen < dom.Size()
 }
 
-// rowSpan returns a range of o's placement values that holds every
-// placement whose rows meet box's rows. Values ascend with (shape, y,
-// x), so it runs from the first shape's lowest such row to the last
-// shape's highest.
-func (o *Object) rowSpan(box grid.Rect) (lo, hi int) {
-	last := len(o.Shapes) - 1
-	lo = o.k.encode(0, 0, max(0, box.MinY-o.Shapes[0].H+1))
-	hi = o.k.encode(last, o.k.w-1, box.MaxY-1)
-	return lo, hi
+// appendHits appends to dst, as masks of placement values, the
+// placements of o that cover a set bit of occ.
+func (o *Object) appendHits(dst []csp.Mask64, occ *grid.Bitmap, box grid.Rect) []csp.Mask64 {
+	o.scanWindow(o.Place.Domain(), box, func(sid, x, y int, live uint64) bool {
+		var hit uint64
+		for m := live; m != 0; m &= m - 1 {
+			if b := bits.TrailingZeros64(m); o.hitsAt(sid, x+b, y, occ, box) {
+				hit |= 1 << uint(b)
+			}
+		}
+		if hit != 0 {
+			dst = append(dst, csp.Mask64{Lo: o.k.encode(sid, x, y), Bits: hit})
+		}
+		return true
+	})
+	return dst
+}
+
+// scanWindow calls visit with the live placements of dom, a placement
+// domain of o, whose bounding box meets box: for each shape, the
+// anchors in x ∈ [box.MinX-W+1, box.MaxX-1] and y ∈ [box.MinY-H+1,
+// box.MaxY-1], clamped to the space. visit gets them a row word at a
+// time, as the live bits of the anchors from (x, y) rightwards, and
+// stops the scan by returning false. Rows that hold no value between
+// dom's bounds are skipped without reading the domain.
+func (o *Object) scanWindow(dom *csp.Domain, box grid.Rect, visit func(sid, x, y int, live uint64) bool) {
+	k := o.k
+	smin, xmin, ymin := o.Decode(dom.Min())
+	smax, xmax, ymax := o.Decode(dom.Max())
+	for sid := smin; sid <= smax; sid++ {
+		g := &o.Shapes[sid]
+		x0, x1 := max(0, box.MinX-g.W+1), min(k.w-g.W, box.MaxX-1)
+		y0, y1 := max(0, box.MinY-g.H+1), min(k.h-g.H, box.MaxY-1)
+		if sid == smin {
+			if xmin > x1 {
+				ymin++
+			}
+			y0 = max(y0, ymin)
+		}
+		if sid == smax {
+			if xmax < x0 {
+				ymax--
+			}
+			y1 = min(y1, ymax)
+		}
+		for y := y0; y <= y1; y++ {
+			for x := x0; x <= x1; x += 64 {
+				live := dom.Bits64(k.encode(sid, x, y)) & lowBits(x1-x+1)
+				if live != 0 && !visit(sid, x, y, live) {
+					return
+				}
+			}
+		}
+	}
 }
 
 // heightBound implements capacity-based bound reasoning for the

@@ -38,7 +38,7 @@ func refPruneOthers(st *csp.Store, k *Kernel, self *Object, occ *grid.Bitmap, bo
 // pruneShape returns a random footprint with a tight bounding box at
 // the origin and a random valid-anchor bitmap over a w×h space. Most
 // shapes are small; some are thin and wider than 64 columns, so their
-// rows span two mask words.
+// rows span two mask words and their windows several domain words.
 func pruneShape(r *rand.Rand, w, h int) ShapeGeom {
 	bw, bh := 1+r.Intn(5), 1+r.Intn(4)
 	if w > 66 && r.Intn(6) == 0 {
@@ -57,10 +57,17 @@ func pruneShape(r *rand.Rand, w, h int) ShapeGeom {
 	}
 	box := grid.BoundsOf(pts)
 	pts = grid.Translate(pts, grid.Pt(-box.MinX, -box.MinY))
+	// Some shapes have no valid anchor before a random cut in row-major
+	// order, so the domain starts inside a word and windows near the
+	// bottom-left begin below its first word.
+	cut := 0
+	if r.Intn(3) == 0 {
+		cut = r.Intn(w * h)
+	}
 	valid := grid.NewBitmap(w, h)
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
-			valid.Set(x, y, r.Intn(10) < 6)
+			valid.Set(x, y, y*w+x >= cut && r.Intn(10) < 6)
 		}
 	}
 	var hist fabric.Histogram
@@ -133,85 +140,109 @@ func domains(k *Kernel) [][]int {
 	return out
 }
 
-// TestPruneOthersMatchesReference is the differential test of
-// pruneOthers against refPruneOthers on seeded random kernels, with the
-// occupancy of an assigned object (as nonOverlap passes it) or a random
-// sparse occupancy (as compulsory passes its region). Both must fail on
-// the same states; where they succeed they must leave identical
-// domains, and where they fail pruneOthers must have changed none. Each
-// kernel takes several calls, and a failed call is popped, so later
-// calls start from the state the earlier ones pruned. Both must also
-// record the same prune events, one per pruned object, so the solver's
-// prune count keeps its meaning.
+// checkPruneOthers is the differential test of pruneOthers against
+// refPruneOthers on the random kernel of one seed, with the occupancy
+// of an assigned object (as nonOverlap passes it) or a random sparse
+// occupancy (as compulsory passes its region), sometimes a band wider
+// than a word against the space's right edge. Both must fail on the
+// same states; where they succeed they must leave identical domains,
+// and where they fail pruneOthers must have changed none. The kernel
+// takes several calls, and a failed call is popped, so later calls
+// start from the state the earlier ones pruned. Both must also record
+// the same prune events, one per pruned object, so the solver's prune
+// count keeps its meaning. It returns the number of failing calls and
+// of pruned domains.
+func checkPruneOthers(t *testing.T, seed int64) (fails, prunes int) {
+	r := rand.New(rand.NewSource(seed))
+	got, ref := pruneKernels(r)
+	if len(got.objects) < 2 {
+		return 0, 0
+	}
+	for call := 0; call < 6; call++ {
+		i := r.Intn(len(got.objects))
+		self, rself := got.objects[i], ref.objects[i]
+		occ := grid.NewBitmap(got.w, got.h)
+		var box grid.Rect
+		if self.Assigned() && r.Intn(3) > 0 {
+			sid, x, y := self.Placement()
+			g := &self.Shapes[sid]
+			occ.SetPointsAt(g.Points, grid.Pt(x, y), true)
+			box = grid.RectXYWH(x, y, g.W, g.H)
+		} else {
+			for j := 1 + r.Intn(4); j > 0; j-- {
+				occ.Set(r.Intn(got.w), r.Intn(got.h), true)
+			}
+			if got.w > 66 && r.Intn(3) == 0 {
+				y := r.Intn(got.h)
+				occ.Set(got.w-1, y, true)
+				occ.Set(got.w-66-r.Intn(got.w-65), y, true)
+			}
+			box = occ.Extent()
+		}
+		before := domains(got)
+		var logG, logR pruneLog
+		got.st.SetRecorder(&logG)
+		ref.st.SetRecorder(&logR)
+		got.st.Push()
+		ref.st.Push()
+		errG := got.pruneOthers(got.st, self, occ, box)
+		errR := refPruneOthers(ref.st, ref, rself, occ, box)
+		if (errG == nil) != (errR == nil) {
+			t.Fatalf("seed %d call %d: pruneOthers %v, reference %v", seed, call, errG, errR)
+		}
+		if errG != nil {
+			fails++
+			if len(logG) != 0 {
+				t.Fatalf("seed %d call %d: failing pruneOthers recorded prunes %v", seed, call, logG)
+			}
+			for j, d := range domains(got) {
+				if !slices.Equal(d, before[j]) {
+					t.Fatalf("seed %d call %d: failing pruneOthers changed %s: %v, before %v",
+						seed, call, got.objects[j].Name, d, before[j])
+				}
+			}
+			// The reference has pruned part way: pop both back to
+			// the state before the call.
+			got.st.Pop()
+			ref.st.Pop()
+			continue
+		}
+		if !slices.Equal(logG, logR) {
+			t.Fatalf("seed %d call %d: pruneOthers recorded %v, reference %v", seed, call, logG, logR)
+		}
+		rd := domains(ref)
+		for j, d := range domains(got) {
+			if len(d) < len(before[j]) {
+				prunes++
+			}
+			if !slices.Equal(d, rd[j]) {
+				t.Fatalf("seed %d call %d: %s: pruneOthers left %v, reference %v",
+					seed, call, got.objects[j].Name, d, rd[j])
+			}
+		}
+	}
+	return fails, prunes
+}
+
+// TestPruneOthersMatchesReference runs checkPruneOthers on seeds 1 to
+// 1500 and checks that they reach both failing and pruning calls.
 func TestPruneOthersMatchesReference(t *testing.T) {
 	fails, prunes := 0, 0
 	for seed := int64(1); seed <= 1500; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		got, ref := pruneKernels(r)
-		if len(got.objects) < 2 {
-			continue
-		}
-		for call := 0; call < 6; call++ {
-			i := r.Intn(len(got.objects))
-			self, rself := got.objects[i], ref.objects[i]
-			occ := grid.NewBitmap(got.w, got.h)
-			var box grid.Rect
-			if self.Assigned() && r.Intn(3) > 0 {
-				sid, x, y := self.Placement()
-				g := &self.Shapes[sid]
-				occ.SetPointsAt(g.Points, grid.Pt(x, y), true)
-				box = grid.RectXYWH(x, y, g.W, g.H)
-			} else {
-				for j := 1 + r.Intn(4); j > 0; j-- {
-					occ.Set(r.Intn(got.w), r.Intn(got.h), true)
-				}
-				box = occ.Extent()
-			}
-			before := domains(got)
-			var logG, logR pruneLog
-			got.st.SetRecorder(&logG)
-			ref.st.SetRecorder(&logR)
-			got.st.Push()
-			ref.st.Push()
-			errG := got.pruneOthers(got.st, self, occ, box)
-			errR := refPruneOthers(ref.st, ref, rself, occ, box)
-			if (errG == nil) != (errR == nil) {
-				t.Fatalf("seed %d call %d: pruneOthers %v, reference %v", seed, call, errG, errR)
-			}
-			if errG != nil {
-				fails++
-				if len(logG) != 0 {
-					t.Fatalf("seed %d call %d: failing pruneOthers recorded prunes %v", seed, call, logG)
-				}
-				for j, d := range domains(got) {
-					if !slices.Equal(d, before[j]) {
-						t.Fatalf("seed %d call %d: failing pruneOthers changed %s: %v, before %v",
-							seed, call, got.objects[j].Name, d, before[j])
-					}
-				}
-				// The reference has pruned part way: pop both back to
-				// the state before the call.
-				got.st.Pop()
-				ref.st.Pop()
-				continue
-			}
-			if !slices.Equal(logG, logR) {
-				t.Fatalf("seed %d call %d: pruneOthers recorded %v, reference %v", seed, call, logG, logR)
-			}
-			rd := domains(ref)
-			for j, d := range domains(got) {
-				if len(d) < len(before[j]) {
-					prunes++
-				}
-				if !slices.Equal(d, rd[j]) {
-					t.Fatalf("seed %d call %d: %s: pruneOthers left %v, reference %v",
-						seed, call, got.objects[j].Name, d, rd[j])
-				}
-			}
-		}
+		f, p := checkPruneOthers(t, seed)
+		fails, prunes = fails+f, prunes+p
 	}
 	if fails == 0 || prunes == 0 {
 		t.Fatalf("test premise broken: %d failing states, %d pruned domains", fails, prunes)
 	}
 	t.Logf("%d failing states, %d pruned domains", fails, prunes)
+}
+
+// FuzzPruneOthers mutates the kernel seed of the differential test,
+// starting from the seeds TestPruneOthersMatchesReference runs.
+func FuzzPruneOthers(f *testing.F) {
+	for seed := int64(1); seed <= 1500; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) { checkPruneOthers(t, seed) })
 }
