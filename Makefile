@@ -44,7 +44,7 @@ endef
 # run).
 race:
 	$(GO) test -race ./...
-	$(call race-repeat,Parallel|Clone|Prune|Fixpoint,./internal/csp ./internal/geost ./internal/core)
+	$(call race-repeat,Parallel|Prune|Fixpoint,./internal/csp ./internal/geost ./internal/core)
 	$(call race-repeat,MaximalEmptyRects|Session,./internal/online)
 	$(call race-repeat,Session|Singleflight|Admission|Queued|Eviction|Cancel|QueueWait|Gate|Join|Permuted|Aliases,./internal/service)
 

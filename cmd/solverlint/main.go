@@ -1,7 +1,7 @@
 // Command solverlint runs the project's custom static-analysis suite
 // (see internal/analysis/solverlint) over the repository:
-// clonecomplete, nondeterminism, obsgate, optvalidate, nakedpanic,
-// lockscope, ctxflow, goroleak, atomicsafe, and syncmisuse. Each
+// nondeterminism, obsgate, optvalidate, nakedpanic, lockscope,
+// ctxflow, goroleak, atomicsafe, and syncmisuse. Each
 // analyzer applies only to the packages whose invariants it enforces —
 // e.g. nondeterminism covers the search/propagation packages but not
 // the workload generators, which are deliberately random.
@@ -38,9 +38,6 @@ const (
 // scopes maps each analyzer to the import-path fragments it applies
 // to. An empty list means every loaded package.
 var scopes = map[string][]string{
-	// Clonability is a contract of the constraint kernel and the geost
-	// propagators; other packages define no propagators.
-	"clonecomplete": {"internal/csp", "internal/geost"},
 	// Determinism matters on the search and propagation call paths —
 	// kernel, geometric propagators, placer — and in canonicalization,
 	// where a wandering digest would silently split or alias cache

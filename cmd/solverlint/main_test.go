@@ -14,9 +14,6 @@ func TestInScope(t *testing.T) {
 		analyzer, path string
 		want           bool
 	}{
-		{"clonecomplete", "repro/internal/csp", true},
-		{"clonecomplete", "repro/internal/geost", true},
-		{"clonecomplete", "repro/internal/workload", false},
 		{"nondeterminism", "repro/internal/core", true},
 		{"nondeterminism", "repro/internal/obs", true},
 		{"nondeterminism", "repro/internal/rtsim", false},
@@ -82,7 +79,7 @@ func TestScopesCoverAllAnalyzers(t *testing.T) {
 
 func analyzersUnderTest() []string {
 	return []string{
-		"clonecomplete", "nondeterminism", "obsgate", "optvalidate", "nakedpanic",
+		"nondeterminism", "obsgate", "optvalidate", "nakedpanic",
 		"lockscope", "ctxflow", "goroleak", "atomicsafe", "syncmisuse",
 	}
 }
@@ -121,13 +118,9 @@ type Propagator interface {
 	Propagate(st *Store) error
 }
 
-// CloneCtx maps originals to clones.
-type CloneCtx struct{}
-
 type eq struct{ c int }
 
-func (p *eq) Propagate(st *Store) error      { return nil }
-func (p *eq) CloneFor(ctx *CloneCtx) Propagator { return &eq{c: p.c} }
+func (p *eq) Propagate(st *Store) error { return nil }
 `,
 	})
 	diags, err := run(dir, []string{"./..."})

@@ -13,7 +13,7 @@ import (
 //   - no blocking operation while a lock is held: channel send or
 //     receive, a select with no default case, time.Sleep, network
 //     calls (package net or net/http), and solver entry points
-//     (Solve/Minimize/Place). A
+//     (Solve/Minimize/MinimizeParallel/Place). A
 //     multi-second solve or an unbounded channel wait inside a
 //     critical section turns every other lock acquirer into a queue —
 //     the exact convoy the bounded solver gate exists to prevent.
@@ -41,7 +41,7 @@ var LockScope = &Analyzer{
 // the solver entry points a request-path critical section must never
 // wait on.
 var blockingSolveNames = map[string]bool{
-	"Solve": true, "Minimize": true, "Place": true,
+	"Solve": true, "Minimize": true, "MinimizeParallel": true, "Place": true,
 }
 
 // blockingPkgs are import paths whose calls are assumed to touch the

@@ -1,10 +1,6 @@
 // Package solverlint is a suite of project-specific static analyzers
 // that enforce the solver's cross-cutting invariants mechanically:
 //
-//   - clonecomplete: every propagator (a type with a Propagate method)
-//     must implement CloneFor so Store.Clone — and with it the parallel
-//     search entry points — keeps working, and CloneFor bodies must not
-//     alias mutable slice/map fields of the receiver.
 //   - nondeterminism: no time.Now/time.Since, math/rand, or map
 //     iteration in search/propagation packages, outside the documented
 //     deadline/anytime sites. Exhaustive parallel runs must be
@@ -207,12 +203,11 @@ func sortDiagnostics(diags []Diagnostic) {
 	})
 }
 
-// Analyzers returns the full suite in stable order: the five solver
-// invariants of PR 3 followed by the five concurrency/context-safety
+// Analyzers returns the full suite in stable order: the four solver
+// invariants followed by the five concurrency/context-safety
 // analyzers of the serving path (the "concsafe" half of the suite).
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		CloneComplete,
 		Nondeterminism,
 		ObsGate,
 		OptValidate,

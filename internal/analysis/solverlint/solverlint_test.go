@@ -5,7 +5,6 @@ import (
 	"testing"
 )
 
-func TestCloneComplete(t *testing.T)  { RunFixture(t, CloneComplete, "clonecomplete") }
 func TestNondeterminism(t *testing.T) { RunFixture(t, Nondeterminism, "nondeterminism") }
 func TestObsGate(t *testing.T)        { RunFixture(t, ObsGate, "obsgate") }
 func TestOptValidate(t *testing.T)    { RunFixture(t, OptValidate, "optvalidate") }
@@ -17,10 +16,10 @@ func TestAtomicSafe(t *testing.T)     { RunFixture(t, AtomicSafe, "atomicsafe") 
 func TestSyncMisuse(t *testing.T)     { RunFixture(t, SyncMisuse, "syncmisuse") }
 
 // TestAnalyzersRegistered pins the suite composition: the driver and
-// the docs both enumerate these ten names.
+// the docs both enumerate these nine names.
 func TestAnalyzersRegistered(t *testing.T) {
 	want := []string{
-		"clonecomplete", "nondeterminism", "obsgate", "optvalidate", "nakedpanic",
+		"nondeterminism", "obsgate", "optvalidate", "nakedpanic",
 		"lockscope", "ctxflow", "goroleak", "atomicsafe", "syncmisuse",
 	}
 	got := Analyzers()

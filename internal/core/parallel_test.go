@@ -3,19 +3,23 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
+	"repro/internal/csp"
 	"repro/internal/fabric"
 	"repro/internal/module"
+	"repro/internal/workload"
 )
 
 // TestPlacerParallelMatchesSequential checks the core-level contract
 // of Options.Workers: exhaustive solves at Workers 2, 4 and 8 return
 // the same height AND the identical placement as Workers: 1, for every
-// strategy. This is the end-to-end counterpart
-// of the csp-level TestParallelMatchesSequential, driving the full
-// geost model (clone protocol, positional heuristics, id-based
-// snapshots) through worker goroutines; run it under -race.
+// strategy. This is the end-to-end counterpart of the csp-level
+// TestParallelMatchesSequential, driving the full geost model (one
+// build per worker, positional heuristics, id-based snapshots) through
+// worker goroutines; run it under -race.
 func TestPlacerParallelMatchesSequential(t *testing.T) {
 	r := fabric.Homogeneous(6, 10).FullRegion()
 	mods := []*module.Module{
@@ -116,5 +120,56 @@ func TestPlacerParallelStalled(t *testing.T) {
 		if res.Stalled {
 			t.Fatal("both Optimal and Stalled set")
 		}
+	}
+}
+
+// TestParallelBuildDeterministic is the guard that parallel workers
+// search the caller's model: two builds of the Table-I seed-1 instance,
+// with presolve and the warm clip, give identical variables and
+// domains, the same propagator names in the same order, the same
+// presolve outcome and warm placement, and the same root fixpoint.
+func TestParallelBuildDeterministic(t *testing.T) {
+	dev, err := fabric.ByName("virtex4-like-72x60") // the Table-I device
+	if err != nil {
+		t.Fatal(err)
+	}
+	mods := workload.MustGenerate(workload.Config{}, rand.New(rand.NewSource(1)))
+	p := New(dev.FullRegion(), Options{})
+	domains := func(st *csp.Store) []string {
+		var out []string
+		for _, v := range st.Vars() {
+			out = append(out, fmt.Sprint(v.Name(), v.Domain().AppendValues(nil)))
+		}
+		return out
+	}
+	var builds [2]*model
+	for i := range builds {
+		m, err := p.build(mods, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.infeasible || m.presolve == nil || m.warm == nil {
+			t.Fatalf("build %d: infeasible %v, presolve %v, warm start %v; want a presolved, warm-clipped model",
+				i, m.infeasible, m.presolve, m.warm != nil)
+		}
+		builds[i] = m
+	}
+	a, b := builds[0], builds[1]
+	if da, db := domains(a.st), domains(b.st); !slices.Equal(da, db) {
+		t.Fatal("builds differ in their variables or domains")
+	}
+	if na, nb := a.st.PropagatorNames(), b.st.PropagatorNames(); !slices.Equal(na, nb) {
+		t.Fatalf("builds differ in their propagators:\n%v\n%v", na, nb)
+	}
+	if *a.presolve != *b.presolve || fmt.Sprint(a.warm) != fmt.Sprint(b.warm) {
+		t.Fatalf("builds differ in presolve: %+v warm %v, %+v warm %v", *a.presolve, a.warm, *b.presolve, b.warm)
+	}
+	for _, m := range builds {
+		if err := m.st.Propagate(); err != nil {
+			t.Fatalf("root propagation: %v", err)
+		}
+	}
+	if da, db := domains(a.st), domains(b.st); !slices.Equal(da, db) {
+		t.Fatal("builds reach different root fixpoints")
 	}
 }

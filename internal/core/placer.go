@@ -92,13 +92,14 @@ type Options struct {
 	// bus. Anchors violating this are removed up front.
 	BusRows []int
 	// Workers, when greater than 1, optimises with branch-and-bound on
-	// that many goroutines (csp.Options.Workers): the first branching
-	// level is split into subproblems explored on cloned stores against
-	// a shared incumbent. 0 or 1 searches sequentially, and
-	// first-solution mode always does. Exhaustive runs return the same
-	// height and the same placement for every worker count (ties are
-	// broken by subtree order, not arrival order); stalled or timed-out
-	// runs may differ, as with any anytime stop.
+	// that many goroutines (csp.MinimizeParallel): the first branching
+	// level is split into subproblems, each worker searching its own
+	// build of the model against a shared incumbent. 0 or 1 searches
+	// sequentially, and first-solution mode always does. Exhaustive
+	// runs return the same height and the same placement for every
+	// worker count (ties are broken by subtree order, not arrival
+	// order); stalled or timed-out runs may differ, as with any anytime
+	// stop.
 	Workers int
 	// StrongPropagation adds geost compulsory-part pruning to the
 	// per-object non-overlap: objects whose remaining placements share a
@@ -148,8 +149,143 @@ func (p *Placer) Place(mods []*module.Module) (*Result, error) {
 	}
 
 	reg := p.opts.Metrics
+	m, err := p.build(mods, p.opts.Recorder, reg)
+	if err != nil {
+		return nil, err
+	}
+	st, objects, height := m.st, m.objects, m.height
+	res := &Result{PresolveStats: m.presolve}
+	if m.infeasible {
+		// Presolve proved the instance infeasible at the root: same
+		// outcome as an exhausted search that never found a solution.
+		//solverlint:allow nondeterminism Result.Elapsed is reporting-only; no placement decision depends on it
+		res.Elapsed = time.Since(start)
+		res.Reason = csp.StopExhausted
+		return res, nil
+	}
+
+	opts := csp.Options{
+		ChooseVar:   p.chooser(mods, objects),
+		OrderValues: csp.PreferValues(p.valueOrderer(objects), m.warm),
+		StallNodes:  p.opts.StallNodes,
+		Recorder:    p.opts.Recorder,
+	}
+	if p.opts.Timeout > 0 {
+		opts.Deadline = start.Add(p.opts.Timeout)
+	}
+	// snapshot reads the solution through variable ids, not through the
+	// objects' own pointers: under parallel search s is a worker's own
+	// build of the model, holding counterpart variables at the same ids.
+	snapshot := func(s *csp.Store, best int) {
+		res.Found = true
+		res.Height = best
+		res.Placements = res.Placements[:0]
+		for i, o := range objects {
+			sid, x, y := o.Decode(s.Vars()[o.Place.ID()].Value())
+			res.Placements = append(res.Placements, Placement{
+				Module:     mods[i],
+				ShapeIndex: sid,
+				At:         grid.Pt(x, y),
+			})
+		}
+	}
+
 	if p.opts.Recorder != nil {
-		p.opts.Recorder.Record(obs.Event{Kind: obs.KindPhase, Phase: "model_build"})
+		p.opts.Recorder.Record(obs.Event{Kind: obs.KindPhase, Phase: "search"})
+	}
+	var runsBase map[string]int64
+	if reg != nil {
+		runsBase = runsByName(st)
+	}
+	searchT := reg.Timer("phase_search")
+	if p.opts.FirstSolutionOnly {
+		onSolution := func(s *csp.Store) bool {
+			best := s.Vars()[height.ID()].Min() // all tops assigned: max top = height min
+			snapshot(s, best)
+			return false
+		}
+		sres, err := csp.Solve(st, m.k.PlaceVars(), opts, onSolution)
+		if err != nil {
+			return nil, err
+		}
+		res.Nodes = sres.Nodes
+		res.Backtracks = sres.Backtracks
+		res.Propagations = sres.Propagations
+		res.Reason = sres.Reason
+		res.Optimal = false
+	} else {
+		var mres csp.MinimizeResult
+		if p.opts.Workers > 1 {
+			// Each worker builds the model again, with no recorder and
+			// no metrics: the phases, presolve counters and events of
+			// the build above are not counted twice.
+			rebuild := func() (*csp.Store, error) {
+				wm, err := p.build(mods, nil, nil)
+				if err != nil {
+					return nil, err
+				}
+				return wm.st, nil
+			}
+			mres, err = csp.MinimizeParallel(st, m.k.PlaceVars(), height, opts, snapshot, rebuild, p.opts.Workers)
+		} else {
+			mres, err = csp.Minimize(st, m.k.PlaceVars(), height, opts, snapshot)
+		}
+		if err != nil {
+			return nil, err
+		}
+		res.Nodes = mres.Nodes
+		res.Backtracks = mres.Backtracks
+		res.Propagations = mres.Propagations
+		res.Reason = mres.Reason
+		res.Optimal = mres.Found && mres.Optimal
+		res.Stalled = mres.Stalled
+		res.ObjectiveTrace = mres.BestObjectiveTrace
+	}
+	searchDur := searchT.Stop()
+	if reg != nil {
+		exportCounters(reg, res, st, runsBase)
+		reg.ObserveDuration("phase_propagation", st.PropagationTime())
+		// The optimality proof is the tail of the search after the last
+		// improving solution.
+		if res.Optimal && len(res.ObjectiveTrace) > 0 {
+			last := res.ObjectiveTrace[len(res.ObjectiveTrace)-1]
+			reg.ObserveDuration("phase_proof", searchDur-last.Elapsed)
+		}
+	}
+
+	//solverlint:allow nondeterminism Result.Elapsed is reporting-only; no placement decision depends on it
+	res.Elapsed = time.Since(start)
+	if res.Found {
+		res.Utilization = metrics.Utilization(p.region, res.Occupancy(p.region))
+	}
+	return res, nil
+}
+
+// model is one build of a Place call's constraint model.
+type model struct {
+	st      *csp.Store
+	k       *geost.Kernel
+	objects []*geost.Object // one per module, in module order
+	height  *csp.Var
+	// presolve reports the presolve pass; nil when it did not run.
+	presolve *PresolveStats
+	// warm maps each placement variable's id to its value in the warm
+	// placement; nil without one.
+	warm map[int]int
+	// infeasible: presolve proved the instance infeasible at the root.
+	infeasible bool
+}
+
+// build makes the model of mods: the geost model, then, for an
+// optimising solve with presolve on, the presolve pass and the warm
+// clip. Every call with the same modules makes the same model — the
+// same variables with the same ids and domains, the same propagators in
+// the same order — which is what lets each parallel worker search its
+// own build. rec and reg, when non-nil, receive the phase markers,
+// phase timings and presolve counters; workers pass nil for both.
+func (p *Placer) build(mods []*module.Module, rec obs.Recorder, reg *obs.Registry) (*model, error) {
+	if rec != nil {
+		rec.Record(obs.Event{Kind: obs.KindPhase, Phase: "model_build"})
 	}
 	buildT := reg.Timer("phase_model_build")
 
@@ -180,139 +316,54 @@ func (p *Placer) Place(mods []*module.Module) (*Result, error) {
 	}
 	height := k.PostHeightObjective(CapacityPrefix(p.region))
 	buildT.Stop()
+	m := &model{st: st, k: k, objects: objects, height: height}
+	if p.opts.Presolve != PresolveOn || p.opts.FirstSolutionOnly {
+		return m, nil
+	}
 
-	opts := csp.Options{
-		ChooseVar:   p.chooser(mods, objects),
-		OrderValues: p.valueOrderer(objects),
-		StallNodes:  p.opts.StallNodes,
-		Recorder:    p.opts.Recorder,
-		Workers:     p.opts.Workers,
+	if rec != nil {
+		rec.Record(obs.Event{Kind: obs.KindPhase, Phase: "presolve"})
 	}
-	if p.opts.Timeout > 0 {
-		opts.Deadline = start.Add(p.opts.Timeout)
+	presolveT := reg.Timer("phase_presolve")
+	pstats, perr := presolve.Apply(st, k, height)
+	presolveT.Stop()
+	m.presolve = &PresolveStats{
+		AlternativesDropped: pstats.AlternativesDropped,
+		LexConstraints:      pstats.ModulesOrdered,
+		BoundDelta:          pstats.BoundDelta,
 	}
-	res := &Result{}
-
-	if p.opts.Presolve == PresolveOn && !p.opts.FirstSolutionOnly {
-		if p.opts.Recorder != nil {
-			p.opts.Recorder.Record(obs.Event{Kind: obs.KindPhase, Phase: "presolve"})
-		}
-		presolveT := reg.Timer("phase_presolve")
-		pstats, perr := presolve.Apply(st, k, height)
-		presolveT.Stop()
-		res.PresolveStats = &PresolveStats{
-			AlternativesDropped: pstats.AlternativesDropped,
-			LexConstraints:      pstats.ModulesOrdered,
-			BoundDelta:          pstats.BoundDelta,
-		}
-		reg.Counter("presolve_alternatives_dropped").Add(int64(pstats.AlternativesDropped))
-		reg.Counter("presolve_modules_ordered").Add(int64(pstats.ModulesOrdered))
-		reg.Counter("presolve_bound_delta").Add(int64(pstats.BoundDelta))
-		if perr == csp.ErrInconsistent {
-			// Presolve proved the instance infeasible at the root: same
-			// outcome as an exhausted search that never found a solution.
-			//solverlint:allow nondeterminism Result.Elapsed is reporting-only; no placement decision depends on it
-			res.Elapsed = time.Since(start)
-			res.Reason = csp.StopExhausted
-			return res, nil
-		}
-		if perr != nil {
-			return nil, perr
-		}
-		if pstats.WarmFound {
-			res.PresolveStats.WarmHeight = pstats.WarmObjective
-			reg.Gauge("presolve_warm_objective").Set(float64(pstats.WarmObjective))
-			// Clip the height domain at the warm objective — non-strict,
-			// so every placement as good as the heuristic's survives —
-			// and guide the first dive to the warm placement itself. The
-			// warm assignment is a solution of the clipped model, so the
-			// dive reaches it without backtracking and branch-and-bound
-			// opens with a real incumbent instead of a cold first
-			// plateau.
-			if err := st.SetMax(height, pstats.WarmObjective); err != nil {
-				return nil, fmt.Errorf("core: presolve warm clip: %w", err)
-			}
-			if err := st.Propagate(); err != nil {
-				return nil, fmt.Errorf("core: presolve warm clip: %w", err)
-			}
-			warmVal := make(map[int]int, len(objects))
-			for i, o := range objects {
-				warmVal[o.Place.ID()] = pstats.WarmValues[i]
-			}
-			opts.OrderValues = csp.PreferValues(opts.OrderValues, warmVal)
-		}
+	reg.Counter("presolve_alternatives_dropped").Add(int64(pstats.AlternativesDropped))
+	reg.Counter("presolve_modules_ordered").Add(int64(pstats.ModulesOrdered))
+	reg.Counter("presolve_bound_delta").Add(int64(pstats.BoundDelta))
+	if perr == csp.ErrInconsistent {
+		m.infeasible = true
+		return m, nil
 	}
-	// snapshot reads the solution through variable ids, not through the
-	// objects' own pointers: under parallel search s is a clone of st,
-	// holding counterpart variables at the same ids.
-	snapshot := func(s *csp.Store, best int) {
-		res.Found = true
-		res.Height = best
-		res.Placements = res.Placements[:0]
+	if perr != nil {
+		return nil, perr
+	}
+	if pstats.WarmFound {
+		m.presolve.WarmHeight = pstats.WarmObjective
+		reg.Gauge("presolve_warm_objective").Set(float64(pstats.WarmObjective))
+		// Clip the height domain at the warm objective — non-strict,
+		// so every placement as good as the heuristic's survives —
+		// and guide the first dive to the warm placement itself. The
+		// warm assignment is a solution of the clipped model, so the
+		// dive reaches it without backtracking and branch-and-bound
+		// opens with a real incumbent instead of a cold first
+		// plateau.
+		if err := st.SetMax(height, pstats.WarmObjective); err != nil {
+			return nil, fmt.Errorf("core: presolve warm clip: %w", err)
+		}
+		if err := st.Propagate(); err != nil {
+			return nil, fmt.Errorf("core: presolve warm clip: %w", err)
+		}
+		m.warm = make(map[int]int, len(objects))
 		for i, o := range objects {
-			sid, x, y := o.Decode(s.Vars()[o.Place.ID()].Value())
-			res.Placements = append(res.Placements, Placement{
-				Module:     mods[i],
-				ShapeIndex: sid,
-				At:         grid.Pt(x, y),
-			})
+			m.warm[o.Place.ID()] = pstats.WarmValues[i]
 		}
 	}
-
-	if p.opts.Recorder != nil {
-		p.opts.Recorder.Record(obs.Event{Kind: obs.KindPhase, Phase: "search"})
-	}
-	var runsBase map[string]int64
-	if reg != nil {
-		runsBase = runsByName(st)
-	}
-	searchT := reg.Timer("phase_search")
-	if p.opts.FirstSolutionOnly {
-		onSolution := func(s *csp.Store) bool {
-			best := s.Vars()[height.ID()].Min() // all tops assigned: max top = height min
-			snapshot(s, best)
-			return false
-		}
-		sres, err := csp.Solve(st, k.PlaceVars(), opts, onSolution)
-		if err != nil {
-			return nil, err
-		}
-		res.Nodes = sres.Nodes
-		res.Backtracks = sres.Backtracks
-		res.Propagations = sres.Propagations
-		res.Reason = sres.Reason
-		res.Optimal = false
-	} else {
-		mres, err := csp.Minimize(st, k.PlaceVars(), height, opts, snapshot)
-		if err != nil {
-			return nil, err
-		}
-		res.Nodes = mres.Nodes
-		res.Backtracks = mres.Backtracks
-		res.Propagations = mres.Propagations
-		res.Reason = mres.Reason
-		res.Optimal = mres.Found && mres.Optimal
-		res.Stalled = mres.Stalled
-		res.ObjectiveTrace = mres.BestObjectiveTrace
-	}
-	searchDur := searchT.Stop()
-	if reg != nil {
-		exportCounters(reg, res, st, runsBase)
-		reg.ObserveDuration("phase_propagation", st.PropagationTime())
-		// The optimality proof is the tail of the search after the last
-		// improving solution.
-		if res.Optimal && len(res.ObjectiveTrace) > 0 {
-			last := res.ObjectiveTrace[len(res.ObjectiveTrace)-1]
-			reg.ObserveDuration("phase_proof", searchDur-last.Elapsed)
-		}
-	}
-
-	//solverlint:allow nondeterminism Result.Elapsed is reporting-only; no placement decision depends on it
-	res.Elapsed = time.Since(start)
-	if res.Found {
-		res.Utilization = metrics.Utilization(p.region, res.Occupancy(p.region))
-	}
-	return res, nil
+	return m, nil
 }
 
 // runsByName maps each propagator name on st to its runs so far.
@@ -350,9 +401,10 @@ func exportCounters(reg *obs.Registry, res *Result, st *csp.Store, runsBase map[
 //
 // The heuristic is positional, not pointer-bound: the first
 // len(objects) search variables are the placement variables in module
-// order (k.PlaceVars ordering), on the original store and on every
-// worker clone alike. Capturing the original *Var pointers instead
-// would make parallel workers branch on the wrong (frozen) store.
+// order (k.PlaceVars ordering), on the caller's store and on every
+// parallel worker's build alike. Capturing the caller's *Var pointers
+// instead would make parallel workers branch on the wrong (frozen)
+// store.
 func (p *Placer) chooser(mods []*module.Module, objects []*geost.Object) csp.VarChooser {
 	n := len(objects)
 	var base csp.VarChooser
@@ -412,7 +464,8 @@ func (p *Placer) valueOrderer(objects []*geost.Object) csp.ValueOrderer {
 		return csp.AscendingValues
 	}
 	// Indexed by variable id (the last object's is the highest), which
-	// worker clones share, as they share the geometry the walk reads.
+	// every parallel worker's build repeats; the walk reads only the
+	// objects' geometry, which no search writes.
 	byVar := make([]*geost.Object, objects[len(objects)-1].Place.ID()+1)
 	for _, o := range objects {
 		byVar[o.Place.ID()] = o

@@ -67,14 +67,15 @@ func BenchmarkSearchTraced(b *testing.B) {
 
 // BenchmarkSearchParallel measures branch-and-bound scaling over the
 // worker count on a fixed constrained-minimization instance. The
-// workers=1 case searches the caller's store with no clone, so it is
+// workers=1 case searches the caller's store with no rebuild, so it is
 // the sequential baseline for the higher counts.
 func BenchmarkSearchParallel(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				st, vars, obj := randomInstance(7, 12)
-				res, err := Minimize(st, vars, obj, Options{Workers: workers}, nil)
+				model := func() (*Store, []*Var, *Var) { return randomInstance(7, 12) }
+				st, vars, obj := model()
+				res, err := MinimizeParallel(st, vars, obj, Options{}, nil, rebuild(model), workers)
 				if err != nil || !res.Found || !res.Optimal {
 					b.Fatalf("res=%+v err=%v", res, err)
 				}

@@ -17,11 +17,6 @@ func LessEqOffset(st *Store, x, y *Var, c int) {
 // Name implements Named.
 func (p *lessEqOffset) Name() string { return "csp.less-eq" }
 
-// CloneFor implements Clonable.
-func (p *lessEqOffset) CloneFor(ctx *CloneCtx) Propagator {
-	return &lessEqOffset{ctx.Var(p.x), ctx.Var(p.y), p.c}
-}
-
 func (p *lessEqOffset) Propagate(st *Store) error {
 	if err := st.SetMax(p.x, p.y.Max()-p.c); err != nil {
 		return err
@@ -48,11 +43,6 @@ func MaxOf(st *Store, m *Var, vars ...*Var) {
 
 // Name implements Named.
 func (p *maxOf) Name() string { return "csp.max-of" }
-
-// CloneFor implements Clonable.
-func (p *maxOf) CloneFor(ctx *CloneCtx) Propagator {
-	return &maxOf{vars: ctx.Vars(p.vars), m: ctx.Var(p.m)}
-}
 
 func (p *maxOf) Propagate(st *Store) error {
 	// m's bounds from the vars.
@@ -102,11 +92,7 @@ func (p *maxOf) countReaching(val int) int {
 }
 
 // FuncProp wraps a plain function as a Propagator, for ad-hoc
-// constraints. FuncProp does not implement Clonable — a closure cannot
-// be re-targeted mechanically — so stores holding one cannot be cloned
-// for parallel search; post ad-hoc constraints per worker instead.
-//
-//solverlint:allow clonecomplete not clonable by design; Store.Clone rejects it with a CloneError (see doc above)
+// constraints.
 type FuncProp func(st *Store) error
 
 // Propagate implements Propagator.

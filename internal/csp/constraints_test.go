@@ -4,7 +4,7 @@ import "testing"
 
 // notEqualOffset enforces x != y + c. No production model posts it;
 // it is the model material of the engine tests (n-queens, Langford,
-// Golomb, the random instances and the clone suite), whose solution
+// Golomb, the random instances and the parallel suite), whose solution
 // counts and optima are known.
 type notEqualOffset struct {
 	x, y *Var
@@ -21,11 +21,6 @@ func NotEqualOffset(st *Store, x, y *Var, c int) {
 
 // Name implements Named.
 func (p *notEqualOffset) Name() string { return "csp.not-equal" }
-
-// CloneFor implements Clonable.
-func (p *notEqualOffset) CloneFor(ctx *CloneCtx) Propagator {
-	return &notEqualOffset{ctx.Var(p.x), ctx.Var(p.y), p.c}
-}
 
 func (p *notEqualOffset) Propagate(st *Store) error {
 	if v, ok := p.y.dom.Singleton(); ok {

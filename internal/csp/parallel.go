@@ -1,18 +1,22 @@
 package csp
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/obs"
 )
 
-// This file implements the Options.Workers > 1 path of Minimize. The
-// root is propagated on the caller's store and its first branching
-// variable chosen; every value of that variable is one first-level
-// subtree, indexed in sequential visit order. Each worker goroutine
-// owns one Store.Clone and searches whole subtrees with the ordinary
-// recursion (worker.branch / worker.dfs), lowest index first.
+// This file implements MinimizeParallel. The root is propagated on
+// the caller's store and its first branching variable chosen; every
+// value of that variable is one first-level subtree, indexed in
+// sequential visit order. Each worker goroutine builds its own store of
+// the model, propagates it to the root fixpoint and searches whole
+// subtrees with the ordinary recursion (worker.branch / worker.dfs),
+// lowest index first.
 //
 // Determinism: for runs that exhaust the search space, the parallel
 // path returns exactly the objective AND solution that the sequential
@@ -42,12 +46,13 @@ import (
 // on worker interleaving and are not deterministic (same as any
 // anytime stop); they report the best solution any run found.
 //
-// Requirements beyond the sequential path: every propagator on the
-// store must implement Clonable (otherwise a *CloneError is returned),
-// and the ChooseVar/OrderValues heuristics are called concurrently from
-// all workers on different stores, so they must be pure functions of
-// the variables handed to them. Heuristics that capture *Var pointers
-// from one particular store are not safe here.
+// Requirements beyond the sequential path: the build function must
+// make the caller's model again — the same variables with the same ids
+// and domains, the same propagators in the same order — and the
+// ChooseVar/OrderValues heuristics are called concurrently from all
+// workers on different stores, so they must be pure functions of the
+// variables handed to them. Heuristics that capture *Var pointers from
+// one particular store are not safe here.
 
 // workerRecorder stamps every event with the worker's 1-based id before
 // forwarding, so merged traces from parallel runs stay attributable.
@@ -153,9 +158,32 @@ func (sp *split) reopen(k int) {
 	sp.wake.Broadcast()
 }
 
-// parallel runs the minimisation of obj over vars on Options.Workers
-// clones of the run's store, one first-level subtree at a time.
-func (r *run) parallel(vars []*Var, obj *Var) error {
+// MinimizeParallel is Minimize on workers goroutines. build must return
+// a fresh store of the model st holds (see above); each worker calls it
+// once, on its own goroutine, and searches the first-level subtrees of
+// st's root on the result. onImproved is serialised but called with the
+// improving worker's store, so it must read the solution through
+// variable ids. Runs that exhaust the space return the same objective
+// and the same final solution as Minimize. The statistics of st, its
+// propagation count, time and per-propagator runs, rise by what the
+// workers did from their root fixpoint on; their builds are not
+// counted. With workers ≤ 1 it is Minimize on st, and build is not
+// called.
+func MinimizeParallel(st *Store, vars []*Var, obj *Var, opts Options, onImproved func(*Store, int), build func() (*Store, error), workers int) (MinimizeResult, error) {
+	if workers < 0 {
+		return MinimizeResult{}, &OptionError{Field: "Workers", Value: int64(workers)}
+	}
+	if workers <= 1 {
+		return Minimize(st, vars, obj, opts, onImproved)
+	}
+	return minimize(st, vars, obj, opts, onImproved, func(r *run, vars []*Var) error {
+		return r.parallel(vars, obj, build, workers)
+	})
+}
+
+// parallel runs the minimisation of obj over vars on n workers, one
+// first-level subtree of the run's store at a time.
+func (r *run) parallel(vars []*Var, obj *Var, build func() (*Store, error), n int) error {
 	st := r.st
 	if err := st.Propagate(); err != nil {
 		if err == ErrInconsistent {
@@ -177,43 +205,81 @@ func (r *run) parallel(vars []*Var, obj *Var) error {
 		sp.subs[i].best, sp.subs[i].bound = math.MaxInt, math.MaxInt
 	}
 	r.split = sp
-	workers := make([]*worker, min(r.opts.Workers, len(vals)))
-	for i := range workers {
-		cl, err := st.Clone()
-		if err != nil {
-			return err
-		}
-		var rec obs.Recorder
-		if r.opts.Recorder != nil {
-			rec = workerRecorder{inner: r.opts.Recorder, worker: i + 1}
-			cl.SetRecorder(rec)
-		}
-		cvars := make([]*Var, len(vars))
-		for j, x := range vars {
-			cvars[j] = cl.vars[x.id]
-		}
-		workers[i] = r.minimizer(cl, cvars, cl.vars[obj.id], rec)
-		// Drain the initial scheduling of the cut so every subtree
-		// starts from a clean fixpoint.
-		if err := cl.Propagate(); err != nil {
-			return err
-		}
-	}
+	// Resolved here, once: naming caches into the store, which the
+	// workers only read.
+	names := st.PropagatorNames()
+	stores := make([]*Store, min(n, len(vals)))
+	errs := make([]error, len(stores))
 	var wg sync.WaitGroup
-	for _, w := range workers {
+	for i := range stores {
 		wg.Add(1)
-		go func(w *worker) {
+		go func(i int) {
 			defer wg.Done()
+			w, err := r.spawn(build, vars, obj, names, i+1)
+			if err != nil {
+				errs[i] = err
+				r.abandon()
+				return
+			}
+			stores[i] = w.st
 			first := w.st.vars[v.id]
 			for sp.claim(r, w) {
 				w.branch(first, vals[w.sub], 0)
 				sp.finish(r, w)
 			}
-		}(w)
+		}(i)
 	}
 	wg.Wait()
-	for _, w := range workers {
-		st.fold(w.st)
+	for _, ws := range stores {
+		if ws != nil {
+			st.fold(ws)
+		}
 	}
-	return nil
+	return errors.Join(errs...)
+}
+
+// spawn builds worker id's store and brings it to where its search
+// starts: the root fixpoint, statistics counted from there on, the
+// worker's recorder installed and the branch-and-bound cut posted. A
+// build whose variable count or propagator names (names, the caller's)
+// differ is another model, and an error.
+func (r *run) spawn(build func() (*Store, error), vars []*Var, obj *Var, names []string, id int) (*worker, error) {
+	ws, err := build()
+	if err != nil {
+		return nil, fmt.Errorf("csp: worker %d build: %w", id, err)
+	}
+	if len(ws.vars) != len(r.st.vars) || !slices.Equal(ws.PropagatorNames(), names) {
+		return nil, fmt.Errorf("csp: worker %d built another model: %d variables and %d propagators, want %d and %d",
+			id, len(ws.vars), len(ws.props), len(r.st.vars), len(names))
+	}
+	if err := ws.Propagate(); err != nil {
+		return nil, fmt.Errorf("csp: worker %d root propagation: %w", id, err)
+	}
+	ws.resetStats()
+	ws.timing = r.st.timing
+	var rec obs.Recorder
+	if r.opts.Recorder != nil {
+		rec = workerRecorder{inner: r.opts.Recorder, worker: id}
+		ws.SetRecorder(rec)
+	}
+	wvars := make([]*Var, len(vars))
+	for j, x := range vars {
+		wvars[j] = ws.vars[x.id]
+	}
+	w := r.minimizer(ws, wvars, ws.vars[obj.id], rec)
+	// Drain the initial scheduling of the cut so every subtree starts
+	// from a clean fixpoint.
+	if err := ws.Propagate(); err != nil {
+		return nil, fmt.Errorf("csp: worker %d root propagation: %w", id, err)
+	}
+	return w, nil
+}
+
+// abandon stops the run for a worker that could not start, waking the
+// workers waiting in claim so they see the stop.
+func (r *run) abandon() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.stopped.Store(true)
+	r.split.wake.Broadcast()
 }

@@ -2,6 +2,7 @@ package csp
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -41,14 +42,23 @@ func randomInstance(seed int64, n int) (*Store, []*Var, *Var) {
 	return st, vars, obj
 }
 
+// rebuild returns a build function for MinimizeParallel that makes the
+// model again.
+func rebuild(model func() (*Store, []*Var, *Var)) func() (*Store, error) {
+	return func() (*Store, error) {
+		st, _, _ := model()
+		return st, nil
+	}
+}
+
 // TestParallelMatchesSequential is the determinism property test: over
 // a seeded matrix of random instances and worker counts {2, 4, 8}, an
-// exhaustive Minimize run on clones returns the identical objective
-// and the identical final assignment as the Workers: 1 run on the
-// caller's store. The instances branch first-fail on variables whose
-// domains the objective bound prunes, so a worker that searched a
-// subtree from any bound but the sequential one would drift to another
-// optimal assignment. Run it under -race.
+// exhaustive MinimizeParallel run returns the identical objective and
+// the identical final assignment as the sequential Minimize run. The
+// instances branch first-fail on variables whose domains the objective
+// bound prunes, so a worker that searched a subtree from any bound but
+// the sequential one would drift to another optimal assignment. Run it
+// under -race.
 func TestParallelMatchesSequential(t *testing.T) {
 	snapshot := func(s *Store, nVars int) []int {
 		vals := make([]int, nVars)
@@ -61,7 +71,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 		n := 4 + int(seed)%4
 		st, vars, obj := randomInstance(seed, n)
 		var seqSol []int
-		seq, err := Minimize(st, vars, obj, Options{Workers: 1}, func(s *Store, _ int) {
+		seq, err := Minimize(st, vars, obj, Options{}, func(s *Store, _ int) {
 			seqSol = snapshot(s, len(vars))
 		})
 		if err != nil {
@@ -70,12 +80,13 @@ func TestParallelMatchesSequential(t *testing.T) {
 		if !seq.Optimal {
 			t.Fatalf("seed %d: sequential run not exhaustive", seed)
 		}
+		model := func() (*Store, []*Var, *Var) { return randomInstance(seed, n) }
 		for _, workers := range []int{2, 4, 8} {
-			pst, pvars, pobj := randomInstance(seed, n)
+			pst, pvars, pobj := model()
 			var parSol []int
-			par, err := Minimize(pst, pvars, pobj, Options{Workers: workers}, func(s *Store, _ int) {
+			par, err := MinimizeParallel(pst, pvars, pobj, Options{}, func(s *Store, _ int) {
 				parSol = snapshot(s, len(pvars))
-			})
+			}, rebuild(model), workers)
 			if err != nil {
 				t.Fatalf("seed %d workers %d: Minimize: %v", seed, workers, err)
 			}
@@ -117,9 +128,10 @@ func (c *eventCollector) Record(e obs.Event) {
 // TestParallelWorkerEvents checks every branch/backtrack/incumbent
 // event from worker goroutines carries a worker attribution.
 func TestParallelWorkerEvents(t *testing.T) {
-	st, vars, obj := randomInstance(3, 5)
+	model := func() (*Store, []*Var, *Var) { return randomInstance(3, 5) }
+	st, vars, obj := model()
 	var col eventCollector
-	res, err := Minimize(st, vars, obj, Options{Workers: 4, Recorder: &col}, nil)
+	res, err := MinimizeParallel(st, vars, obj, Options{Recorder: &col}, nil, rebuild(model), 4)
 	if err != nil {
 		t.Fatalf("Minimize: %v", err)
 	}
@@ -144,55 +156,64 @@ func TestParallelWorkerEvents(t *testing.T) {
 	}
 }
 
-// sleepProp is a clonable propagator that only burns time, adding
-// what it slept to slept (shared with its clones), so a test can bound
-// from below the propagation time its runs account for.
-type sleepProp struct{ slept *atomic.Int64 }
+// sleepProp is a propagator that only burns time. The runs it makes on
+// a store that times propagation, the caller's store and a worker's
+// from its root fixpoint on, are added to runs and what they slept to
+// slept; a worker's build times nothing, so its root runs are left out.
+type sleepProp struct{ runs, slept *atomic.Int64 }
 
-func (p sleepProp) Name() string                  { return "test.sleep" }
-func (p sleepProp) CloneFor(*CloneCtx) Propagator { return p }
-func (p sleepProp) Propagate(*Store) error {
+func (p sleepProp) Name() string { return "test.sleep" }
+func (p sleepProp) Propagate(st *Store) error {
 	start := time.Now()
 	time.Sleep(20 * time.Microsecond)
-	p.slept.Add(int64(time.Since(start)))
+	if st.timing {
+		p.runs.Add(1)
+		p.slept.Add(int64(time.Since(start)))
+	}
 	return nil
 }
 
-// TestParallelCloneFold checks that a parallel Minimize folds its
-// worker clones' statistics into the caller's store: the store's
-// propagation count rises by exactly the run's Propagations, its
-// per-propagator runs include the bnb.bound cut that only the clones
-// carry, and its propagation time covers the time spent on the clones.
-func TestParallelCloneFold(t *testing.T) {
-	st, vars, obj := randomInstance(3, 5)
-	var slept atomic.Int64
-	st.Post(sleepProp{&slept}, append(vars, obj)...)
+// TestParallelFold checks that a parallel Minimize folds its workers'
+// statistics into the caller's store, counting only what each worker
+// did after its root fixpoint: the store's propagation count rises by
+// exactly the run's Propagations, its per-propagator runs include the
+// bnb.bound cut that only the workers carry and the sleep propagator's
+// runs exactly as counted on timed stores (a worker's build runs it
+// untimed), and its propagation time covers the time those runs slept.
+func TestParallelFold(t *testing.T) {
+	var runs, slept atomic.Int64
+	model := func() (*Store, []*Var, *Var) {
+		st, vars, obj := randomInstance(3, 5)
+		st.Post(sleepProp{&runs, &slept}, append(vars, obj)...)
+		return st, vars, obj
+	}
+	st, vars, obj := model()
 	st.EnableTiming(true)
 	before := st.nPropag
-	res, err := Minimize(st, vars, obj, Options{Workers: 2}, nil)
+	res, err := MinimizeParallel(st, vars, obj, Options{}, nil, rebuild(model), 2)
 	if err != nil {
 		t.Fatalf("Minimize: %v", err)
 	}
 	if got := st.nPropag - before; got != res.Propagations {
 		t.Fatalf("store propagations rose by %d, run reports %d", got, res.Propagations)
 	}
-	runs := map[string]int64{}
+	byName := map[string]int64{}
 	var total int64
 	for _, s := range st.PropagatorStats() {
-		runs[s.Name] = s.Runs
+		byName[s.Name] = s.Runs
 		total += s.Runs
 	}
 	if total != st.nPropag {
 		t.Fatalf("per-propagator runs sum to %d, store counts %d", total, st.nPropag)
 	}
-	if runs["bnb.bound"] == 0 {
-		t.Fatalf("clones' bnb.bound runs missing: %v", runs)
+	if byName["bnb.bound"] == 0 {
+		t.Fatalf("workers' bnb.bound runs missing: %v", byName)
 	}
-	if runs["test.sleep"] < 10 {
-		t.Fatalf("sleep propagator ran %d times, want runs on the clones too", runs["test.sleep"])
+	if byName["test.sleep"] != runs.Load() || runs.Load() < 10 {
+		t.Fatalf("sleep propagator folded %d runs, %d ran on timed stores (want ≥ 10 and equal)", byName["test.sleep"], runs.Load())
 	}
 	if st.PropagationTime() < time.Duration(slept.Load()) {
-		t.Fatalf("propagation time %v < %v slept in %d runs", st.PropagationTime(), time.Duration(slept.Load()), runs["test.sleep"])
+		t.Fatalf("propagation time %v < %v slept in %d runs", st.PropagationTime(), time.Duration(slept.Load()), runs.Load())
 	}
 }
 
@@ -200,15 +221,9 @@ func TestParallelCloneFold(t *testing.T) {
 // global incumbent: with a generous stall budget and a tiny space the
 // run completes; with a tiny budget on a large space it stops stalled.
 func TestParallelStallNodes(t *testing.T) {
-	st := NewStore()
-	vars := make([]*Var, 9)
-	for i := range vars {
-		vars[i] = st.NewVarRange("v", 0, 11)
-	}
-	pairwiseDifferent(st, vars...)
-	obj := st.NewVarRange("obj", 0, 11)
-	MaxOf(st, obj, vars...)
-	res, err := Minimize(st, vars, obj, Options{Workers: 4, StallNodes: 40}, nil)
+	model := func() (*Store, []*Var, *Var) { return allDifferentMax(9, 11) }
+	st, vars, obj := model()
+	res, err := MinimizeParallel(st, vars, obj, Options{StallNodes: 40}, nil, rebuild(model), 4)
 	if err != nil {
 		t.Fatalf("Minimize: %v", err)
 	}
@@ -226,15 +241,9 @@ func TestParallelStallNodes(t *testing.T) {
 // TestParallelMaxNodes checks the global node budget stops the run
 // with StopNodeLimit.
 func TestParallelMaxNodes(t *testing.T) {
-	st := NewStore()
-	vars := make([]*Var, 10)
-	for i := range vars {
-		vars[i] = st.NewVarRange("v", 0, 14)
-	}
-	pairwiseDifferent(st, vars...)
-	obj := st.NewVarRange("obj", 0, 14)
-	MaxOf(st, obj, vars...)
-	res, err := Minimize(st, vars, obj, Options{Workers: 4, MaxNodes: 200}, nil)
+	model := func() (*Store, []*Var, *Var) { return allDifferentMax(10, 14) }
+	st, vars, obj := model()
+	res, err := MinimizeParallel(st, vars, obj, Options{MaxNodes: 200}, nil, rebuild(model), 4)
 	if err != nil {
 		t.Fatalf("Minimize: %v", err)
 	}
@@ -246,28 +255,87 @@ func TestParallelMaxNodes(t *testing.T) {
 	}
 }
 
-// TestParallelRejectsFuncProp checks the unclonable-store error path
-// of Minimize with Workers > 1, and that Workers: 1 still solves the
-// same model on the caller's store.
-func TestParallelRejectsFuncProp(t *testing.T) {
-	build := func() (*Store, []*Var, *Var) {
+// allDifferentMax builds n pairwise-different variables over 0..top,
+// minimising their maximum.
+func allDifferentMax(n, top int) (*Store, []*Var, *Var) {
+	st := NewStore()
+	vars := make([]*Var, n)
+	for i := range vars {
+		vars[i] = st.NewVarRange("v", 0, top)
+	}
+	pairwiseDifferent(st, vars...)
+	obj := st.NewVarRange("obj", 0, top)
+	MaxOf(st, obj, vars...)
+	return st, vars, obj
+}
+
+// TestParallelFuncProp checks that a model posting an ad-hoc FuncProp
+// closure solves in parallel: each worker's build posts its own
+// closure over its own variables, and every worker count returns the
+// sequential objective and assignment.
+func TestParallelFuncProp(t *testing.T) {
+	model := func() (*Store, []*Var, *Var) {
 		st := NewStore()
 		x := st.NewVarRange("x", 0, 5)
 		y := st.NewVarRange("y", 0, 5)
-		st.Post(FuncProp(func(s *Store) error { return s.Remove(x, 3) }), x)
+		z := st.NewVarRange("z", 0, 5)
+		st.Post(FuncProp(func(s *Store) error {
+			if err := s.Remove(x, 0); err != nil {
+				return err
+			}
+			return s.Remove(z, 2)
+		}), x, z)
 		LessEqOffset(st, x, y, 1)
-		return st, []*Var{x, y}, y
+		LessEqOffset(st, z, y, 0)
+		NotEqual(st, x, z)
+		return st, []*Var{x, y, z}, y
 	}
-	st, vars, obj := build()
-	_, err := Minimize(st, vars, obj, Options{Workers: 2}, nil)
-	var ce *CloneError
-	if !errors.As(err, &ce) {
-		t.Fatalf("want *CloneError, got %v", err)
+	solve := func(workers int) (MinimizeResult, []int) {
+		st, vars, obj := model()
+		var sol []int
+		res, err := MinimizeParallel(st, vars, obj, Options{}, func(s *Store, _ int) {
+			sol = sol[:0]
+			for _, v := range vars {
+				sol = append(sol, s.Vars()[v.ID()].Value())
+			}
+		}, rebuild(model), workers)
+		if err != nil || !res.Found || !res.Optimal {
+			t.Fatalf("workers %d: %+v, %v", workers, res, err)
+		}
+		return res, sol
 	}
-	st, vars, obj = build()
-	res, err := Minimize(st, vars, obj, Options{Workers: 1}, nil)
-	if err != nil || !res.Found || !res.Optimal || res.Best != 1 {
-		t.Fatalf("Workers: 1 on a FuncProp model: %+v, %v", res, err)
+	seq, seqSol := solve(1)
+	if seq.Best != 2 {
+		t.Fatalf("sequential best %d, want 2", seq.Best)
+	}
+	for _, workers := range []int{2, 4} {
+		par, parSol := solve(workers)
+		if par.Best != seq.Best || fmt.Sprint(parSol) != fmt.Sprint(seqSol) {
+			t.Fatalf("workers %d: best %d at %v, sequential %d at %v", workers, par.Best, parSol, seq.Best, seqSol)
+		}
+	}
+}
+
+// TestParallelBuildMismatch checks that a build function making a
+// different model, in its variables or in its propagators, is an
+// error, not a search of the wrong model.
+func TestParallelBuildMismatch(t *testing.T) {
+	others := map[string]func() (*Store, error){
+		"variables": func() (*Store, error) {
+			st, _, _ := allDifferentMax(4, 6)
+			return st, nil
+		},
+		"propagators": func() (*Store, error) {
+			st, vars, _ := allDifferentMax(5, 6)
+			LessEq(st, vars[0], vars[1])
+			return st, nil
+		},
+	}
+	for name, other := range others {
+		st, vars, obj := allDifferentMax(5, 6)
+		if _, err := MinimizeParallel(st, vars, obj, Options{}, nil, other, 2); err == nil {
+			t.Fatalf("a build with other %s was searched", name)
+		}
 	}
 }
 
@@ -281,7 +349,6 @@ func TestOptionsValidation(t *testing.T) {
 	}{
 		{"StallNodes", Options{StallNodes: -1}},
 		{"MaxNodes", Options{MaxNodes: -7}},
-		{"Workers", Options{Workers: -1}},
 	}
 	for _, tc := range cases {
 		st := NewStore()
@@ -303,24 +370,21 @@ func TestOptionsValidation(t *testing.T) {
 		check("Solve", err)
 		_, err = Minimize(st, vars, y, tc.opts, nil)
 		check("Minimize", err)
+		_, err = MinimizeParallel(st, vars, y, tc.opts, nil, nil, 2)
+		check("MinimizeParallel", err)
+	}
+	st, vars, obj := allDifferentMax(2, 3)
+	_, err := MinimizeParallel(st, vars, obj, Options{}, nil, nil, -1)
+	var oe *OptionError
+	if !errors.As(err, &oe) || oe.Field != "Workers" {
+		t.Fatalf("MinimizeParallel with -1 workers: want *OptionError on Workers, got %v", err)
 	}
 }
 
 // TestMaxNodesSequential checks the node budget on the sequential
 // entry points.
 func TestMaxNodesSequential(t *testing.T) {
-	build := func() (*Store, []*Var, *Var) {
-		st := NewStore()
-		vars := make([]*Var, 10)
-		for i := range vars {
-			vars[i] = st.NewVarRange("v", 0, 14)
-		}
-		pairwiseDifferent(st, vars...)
-		obj := st.NewVarRange("obj", 0, 14)
-		MaxOf(st, obj, vars...)
-		return st, vars, obj
-	}
-	st, vars, obj := build()
+	st, vars, obj := allDifferentMax(10, 14)
 	res, err := Minimize(st, vars, obj, Options{MaxNodes: 100}, nil)
 	if err != nil {
 		t.Fatalf("Minimize: %v", err)
@@ -328,7 +392,7 @@ func TestMaxNodesSequential(t *testing.T) {
 	if res.Reason != StopNodeLimit || res.Nodes > 101 {
 		t.Fatalf("want node-limit stop near 100 nodes, got reason %v after %d nodes", res.Reason, res.Nodes)
 	}
-	st2, vars2, _ := build()
+	st2, vars2, _ := allDifferentMax(10, 14)
 	sres, err := Solve(st2, vars2, Options{MaxNodes: 100}, func(*Store) bool { return true })
 	if err != nil {
 		t.Fatalf("Solve: %v", err)

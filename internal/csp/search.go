@@ -49,11 +49,11 @@ func SmallestDomain(vars []*Var) *Var {
 func AscendingValues(v *Var, buf []int) []int { return v.Domain().AppendValues(buf) }
 
 // PreferValues wraps a ValueOrderer so each variable tries a preferred
-// value (keyed by variable id, so the preference survives store
-// cloning) before the inner order. Variables without a preference, or
-// whose preferred value has left the domain, keep the inner order
-// untouched. When the preferences form a solution of the model, the
-// first dive of a depth-first search reproduces it without
+// value (keyed by variable id, so the preference holds on every
+// parallel worker's store) before the inner order. Variables without a
+// preference, or whose preferred value has left the domain, keep the
+// inner order untouched. When the preferences form a solution of the
+// model, the first dive of a depth-first search reproduces it without
 // backtracking — the mechanism behind warm-started branch-and-bound:
 // the heuristic placement becomes the search's first incumbent and
 // every later branch is taken with a real bound already in place.
@@ -92,7 +92,7 @@ type Options struct {
 	// convergence criterion for anytime optimisation. Solve ignores it.
 	StallNodes int64
 	// MaxNodes, when positive, aborts search after exploring this many
-	// branching nodes (counted across all workers) with Reason
+	// branching nodes (counted across all parallel workers) with Reason
 	// StopNodeLimit — a deterministic budget that, unlike Deadline,
 	// does not depend on machine speed.
 	MaxNodes int64
@@ -102,12 +102,6 @@ type Options struct {
 	// events (propagate, prune) are captured too. Nil keeps the search
 	// hot path free of any recording overhead.
 	Recorder obs.Recorder
-	// Workers, when greater than 1, makes Minimize split the first
-	// branching level into one subproblem per value and explore them
-	// on that many goroutines, each searching its own Store.Clone
-	// against a shared incumbent (see parallel.go). 0 or 1 searches
-	// the caller's store directly. Solve ignores it.
-	Workers int
 }
 
 // OptionError reports an invalid Options field value.
@@ -129,8 +123,6 @@ func (o Options) withDefaults() (Options, error) {
 		return o, &OptionError{Field: "StallNodes", Value: o.StallNodes}
 	case o.MaxNodes < 0:
 		return o, &OptionError{Field: "MaxNodes", Value: o.MaxNodes}
-	case o.Workers < 0:
-		return o, &OptionError{Field: "Workers", Value: int64(o.Workers)}
 	}
 	if o.ChooseVar == nil {
 		o.ChooseVar = SmallestDomain
@@ -269,13 +261,16 @@ type MinimizeResult struct {
 // bounded below the incumbent and search continues. onImproved (may be
 // nil) is called with the store at each improving solution so the caller
 // can snapshot the assignment. The store is restored on return.
-//
-// With Options.Workers > 1 the search runs on clones of st (see
-// parallel.go): onImproved is then serialised but called from worker
-// goroutines with the improving worker's store, so it must read the
-// solution through variable ids. Runs that exhaust the space return the
-// same objective and the same final solution for every worker count.
+// MinimizeParallel runs the same search on several goroutines.
 func Minimize(st *Store, vars []*Var, obj *Var, opts Options, onImproved func(*Store, int)) (MinimizeResult, error) {
+	return minimize(st, vars, obj, opts, onImproved, func(r *run, vars []*Var) error {
+		return r.minimizer(st, vars, obj, r.opts.Recorder).root()
+	})
+}
+
+// minimize runs search, the sequential or the parallel recursion, as
+// one Minimize call over vars (obj included) and reports its result.
+func minimize(st *Store, vars []*Var, obj *Var, opts Options, onImproved func(*Store, int), search func(r *run, vars []*Var) error) (MinimizeResult, error) {
 	var res MinimizeResult
 	r, err := newRun(st, opts)
 	if err != nil {
@@ -289,11 +284,7 @@ func Minimize(st *Store, vars []*Var, obj *Var, opts Options, onImproved func(*S
 	if !containsVar(vars, obj) {
 		searchVars = append(append([]*Var{}, vars...), obj)
 	}
-	if r.opts.Workers > 1 {
-		err = r.parallel(searchVars, obj)
-	} else {
-		err = r.minimizer(st, searchVars, obj, r.opts.Recorder).root()
-	}
+	err = search(r, searchVars)
 	res.Found, res.Best, res.BestObjectiveTrace = r.found.Load(), r.best, r.trace
 	res.Nodes, res.Backtracks, res.Propagations = r.counters()
 	res.Reason, res.Optimal = r.outcome(err)
@@ -322,7 +313,7 @@ type run struct {
 	opts     Options
 	st       *Store // the caller's store
 	prevRec  obs.Recorder
-	propBase int64 // st's propagation count on entry; worker clones fold into st
+	propBase int64 // st's propagation count on entry; parallel workers fold into st
 	start    time.Time
 
 	stopped    atomic.Bool
@@ -420,7 +411,8 @@ func (r *run) offer(w *worker, obj, depth int) {
 }
 
 // worker runs the depth-first recursion on one store: the caller's
-// store in a sequential search, its own clone in a parallel one.
+// store in a sequential search, its own build of the model in a
+// parallel one.
 type worker struct {
 	r           *run
 	st          *Store

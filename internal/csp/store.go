@@ -32,10 +32,11 @@ type Var struct {
 // Name returns the variable name.
 func (v *Var) Name() string { return v.name }
 
-// ID returns the variable's index in its store's creation order. Store
-// cloning preserves ids, so st.Vars()[v.ID()] addresses the counterpart
-// of v in any clone of v's store — the lookup solution callbacks use to
-// read assignments when search runs on cloned stores.
+// ID returns the variable's index in its store's creation order. Every
+// build of the same model creates its variables in the same order, so
+// st.Vars()[v.ID()] addresses the counterpart of v in another build's
+// store — the lookup solution callbacks use to read assignments when
+// search runs on parallel workers' stores.
 func (v *Var) ID() int { return v.id }
 
 // Domain returns the current domain for read-only inspection. The
@@ -117,8 +118,8 @@ type Store struct {
 	failed  bool
 	nPropag int64 // statistics: propagator executions
 
-	// folded holds the per-propagator runs of finished clones, by
-	// name (see fold).
+	// folded holds the per-propagator runs of finished parallel
+	// workers, by name (see fold).
 	folded map[string]int64
 
 	// free holds the domains Pop discarded, by word count, for
@@ -155,7 +156,7 @@ func (st *Store) EnableTiming(on bool) { st.timing = on }
 
 // PropagationTime returns the accumulated propagation wall-clock time
 // (zero unless EnableTiming was switched on). A parallel Minimize adds
-// each worker clone's time, so it can exceed the search's wall clock.
+// each worker's search time, so it can exceed the search's wall clock.
 func (st *Store) PropagationTime() time.Duration { return st.propagDur }
 
 // NewVar creates a variable with the given initial domain. The domain is
@@ -228,9 +229,19 @@ func (st *Store) propName(idx int) string {
 	return e.name
 }
 
+// PropagatorNames returns the name of every registered propagator, in
+// posting order. Two builds of one model return the same list.
+func (st *Store) PropagatorNames() []string {
+	names := make([]string, len(st.props))
+	for i := range st.props {
+		names[i] = st.propName(i)
+	}
+	return names
+}
+
 // PropagatorStats returns per-propagator execution counts aggregated by
 // name, most-run first (ties broken alphabetically). Like Stats, it
-// includes the runs of a parallel Minimize's worker clones.
+// includes the search runs of a parallel Minimize's workers.
 func (st *Store) PropagatorStats() []PropagatorStat {
 	byName := map[string]int64{}
 	//solverlint:allow nondeterminism aggregation order is irrelevant; the result is fully sorted below before returning
@@ -254,20 +265,29 @@ func (st *Store) PropagatorStats() []PropagatorStat {
 	return out
 }
 
-// fold adds the statistics of cl, a finished clone of st, to st's own:
-// the propagation count, the propagation time and the per-propagator
-// runs. Runs fold by name, not by index: a clone may carry propagators
-// st does not, such as a parallel worker's branch-and-bound cut.
-func (st *Store) fold(cl *Store) {
-	st.nPropag += cl.nPropag
-	st.propagDur += cl.propagDur
+// fold adds the statistics of ws, a finished parallel worker's store,
+// to st's own: the propagation count, the propagation time and the
+// per-propagator runs. Runs fold by name, not by index: ws carries the
+// worker's branch-and-bound cut, which st does not.
+func (st *Store) fold(ws *Store) {
+	st.nPropag += ws.nPropag
+	st.propagDur += ws.propagDur
 	if st.folded == nil {
 		st.folded = map[string]int64{}
 	}
-	for i := range cl.props {
-		if r := cl.props[i].runs; r > 0 {
-			st.folded[cl.propName(i)] += r
+	for i := range ws.props {
+		if r := ws.props[i].runs; r > 0 {
+			st.folded[ws.propName(i)] += r
 		}
+	}
+}
+
+// resetStats zeroes the statistics fold reads, so that a worker's store
+// folds only what it did from its root fixpoint on.
+func (st *Store) resetStats() {
+	st.nPropag, st.propagDur = 0, 0
+	for i := range st.props {
+		st.props[i].runs = 0
 	}
 }
 
@@ -279,21 +299,6 @@ type namedProp struct {
 
 // Name implements Named.
 func (p namedProp) Name() string { return p.name }
-
-// CloneFor implements Clonable by cloning the wrapped propagator and
-// re-attaching the name; it returns nil (not clonable) when the wrapped
-// propagator is not Clonable.
-func (p namedProp) CloneFor(ctx *CloneCtx) Propagator {
-	c, ok := p.Propagator.(Clonable)
-	if !ok {
-		return nil
-	}
-	inner := c.CloneFor(ctx)
-	if inner == nil {
-		return nil
-	}
-	return namedProp{inner, p.name}
-}
 
 // WithName gives p an explicit name for metrics and trace attribution,
 // overriding the Go type-name fallback.

@@ -307,48 +307,6 @@ func TestStorePoolReuseKeepsRestoredDomains(t *testing.T) {
 	}
 }
 
-// TestClonePoolIndependent checks that a clone starts with its own
-// empty free list: trailing on the clone never takes a domain from its
-// source's list, nor gives one back to it.
-func TestClonePoolIndependent(t *testing.T) {
-	st := NewStore()
-	x := st.NewVarRange("x", 0, 199)
-	st.Push()
-	if err := st.SetMax(x, 150); err != nil {
-		t.Fatal(err)
-	}
-	st.Pop()
-	src := st.free[len(x.Domain().words)]
-	if len(src) != 1 {
-		t.Fatalf("source free list holds %d domains, want 1", len(src))
-	}
-
-	cl, err := st.Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cl.free) != 0 {
-		t.Fatal("clone shares its source's free list")
-	}
-	cx := cl.Vars()[x.ID()]
-	for i := 0; i < 2; i++ {
-		cl.Push()
-		if err := cl.SetMin(cx, 100+i); err != nil {
-			t.Fatal(err)
-		}
-		if cx.Domain() == src[0] {
-			t.Fatal("clone trailed into its source's free domain")
-		}
-		cl.Pop()
-	}
-	if got := st.free[len(x.Domain().words)]; len(got) != 1 || got[0] != src[0] {
-		t.Fatal("trailing on the clone changed its source's free list")
-	}
-	if x.Size() != 200 || cx.Size() != 200 {
-		t.Fatalf("domains not restored: x=%v clone x=%v", x, cx)
-	}
-}
-
 // TestStoreRemoveMasks checks the batch removal: masks that start
 // below the domain's base, straddle a word boundary, run past its last
 // word or miss the universe altogether remove exactly the live values

@@ -268,3 +268,68 @@ func TestAddObjectMatchesValidScan(t *testing.T) {
 		}
 	}
 }
+
+// smallModel models a small placement problem touching every geost
+// propagator: top links, per-object non-overlap and compulsory-part
+// pruning, and the capacity height bound.
+func smallModel() (*csp.Store, *Kernel, *csp.Var, error) {
+	st := csp.NewStore()
+	k := New(st, 4, 4)
+	shapes := [][]ShapeGeom{
+		{rectGeom(2, 2, 4, 4), rectGeom(1, 4, 4, 4)},
+		{rectGeom(2, 1, 4, 4)},
+		{rectGeom(1, 2, 4, 4), rectGeom(2, 1, 4, 4)},
+	}
+	for i, s := range shapes {
+		if _, err := k.AddObject(string(rune('a'+i)), s); err != nil {
+			return nil, nil, nil, err
+		}
+	}
+	k.PostNonOverlap()
+	k.PostCompulsoryNonOverlap()
+	height := k.PostHeightObjective(uniformCapPrefix(4, 4))
+	return st, k, height, nil
+}
+
+// TestKernelParallelMinimize runs the full geost model through
+// MinimizeParallel at 2, 4 and 8 workers, each worker building its own
+// kernel, and checks each exhaustive run returns the objective and
+// placement of the sequential Minimize run.
+func TestKernelParallelMinimize(t *testing.T) {
+	build := func() (*csp.Store, error) {
+		st, _, _, err := smallModel()
+		return st, err
+	}
+	solve := func(workers int) (csp.MinimizeResult, []int) {
+		st, k, height, err := smallModel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sol []int
+		res, err := csp.MinimizeParallel(st, k.PlaceVars(), height, csp.Options{}, func(s *csp.Store, _ int) {
+			sol = sol[:0]
+			for _, o := range k.Objects() {
+				sol = append(sol, s.Vars()[o.Place.ID()].Value())
+			}
+		}, build, workers)
+		if err != nil {
+			t.Fatalf("workers %d: MinimizeParallel: %v", workers, err)
+		}
+		if !res.Found || !res.Optimal {
+			t.Fatalf("workers %d: not solved to optimality: %+v", workers, res)
+		}
+		return res, sol
+	}
+	seq, seqSol := solve(1)
+	for _, workers := range []int{2, 4, 8} {
+		par, parSol := solve(workers)
+		if par.Best != seq.Best {
+			t.Fatalf("workers %d: best %d, sequential best %d", workers, par.Best, seq.Best)
+		}
+		for i := range seqSol {
+			if parSol[i] != seqSol[i] {
+				t.Fatalf("workers %d: placement %v, sequential placement %v", workers, parSol, seqSol)
+			}
+		}
+	}
+}

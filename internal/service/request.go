@@ -250,8 +250,9 @@ func (o *OptionsSpec) toRequestOptions(cfg Config) (core.RequestOptions, error) 
 	if out.StallNodes == 0 {
 		out.StallNodes = defaultStallNodes
 	}
-	// Each search worker is a goroutine holding a full store clone, so
-	// a request may ask for at most as many as the daemon has CPUs. 1
+	// Each search worker is a goroutine holding its own build of the
+	// model, so a request may ask for at most as many as the daemon has
+	// CPUs. 1
 	// worker is the sequential search that 0 also selects; folding it
 	// keeps the two requests on one cache entry.
 	if out.Workers > runtime.GOMAXPROCS(0) {
