@@ -110,6 +110,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzPresolveEquivalence -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run xxx -fuzz FuzzValidAnchors -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run xxx -fuzz FuzzNonOverlapFixpoint -fuzztime $(FUZZTIME) ./internal/geost
+	$(GO) test -run xxx -fuzz FuzzHeightObjective -fuzztime $(FUZZTIME) ./internal/geost
 	$(GO) test -run xxx -fuzz FuzzPruneOthers -fuzztime $(FUZZTIME) ./internal/geost
 	$(GO) test -run xxx -fuzz FuzzValueOrder -fuzztime $(FUZZTIME) ./internal/geost
 

@@ -24,30 +24,57 @@ import (
 )
 
 func main() {
-	var (
-		exp      = flag.String("exp", "table1", "experiment: table1, fig1, fig3, fig4, fig5, altcount, heterogeneity, masked, strategy, baselines, online, schedule, relocate, all")
-		runs     = flag.Int("runs", 50, "number of seeded runs for table experiments")
-		seed     = flag.Int64("seed", 1, "base seed")
-		stall    = flag.Int64("stall", 2000, "optimiser convergence: nodes without improvement")
-		workers  = flag.Int("workers", 1, "parallel search goroutines per solve (>1 enables parallel branch-and-bound)")
-		timeout  = flag.Duration("timeout", 30*time.Second, "per-solve safety cap")
-		presolve = flag.String("presolve", "on", "presolve pipeline: on, off (A/B escape hatch)")
-		modules  = flag.Int("modules", 0, "modules per run (0 = paper default of 30)")
-		quiet    = flag.Bool("quiet", false, "suppress per-run progress lines")
-		benchOut = flag.String("bench-out", "BENCH_table1.json", "per-testcase JSON for the table1 experiment (empty disables)")
-		obsCfg   obs.Config
-	)
-	flag.StringVar(&obsCfg.TracePath, "trace", "", "write the solver JSONL event trace to this file (- for stdout)")
-	flag.StringVar(&obsCfg.MetricsPath, "metrics", "", "dump metrics at exit: - for a summary table, a path for Prometheus text format")
-	flag.StringVar(&obsCfg.CPUProfile, "cpuprofile", "", "write a CPU profile to this file")
-	flag.StringVar(&obsCfg.MemProfile, "memprofile", "", "write a heap profile to this file at exit")
-	flag.StringVar(&obsCfg.PprofAddr, "pprof-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	flag.Parse()
-
-	pre, err := core.ParsePresolve(*presolve)
+	exp, cfg, obsCfg, err := parseFlags(os.Args[1:])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiment:", err)
 		os.Exit(1)
+	}
+	session, err := obs.Start(obsCfg)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiment:", err)
+		os.Exit(1)
+	}
+	cfg.Recorder = session.Recorder
+	cfg.Metrics = session.Registry
+
+	runErr := run(os.Stdout, exp, cfg)
+	if cerr := session.Close(); runErr == nil {
+		runErr = cerr
+	}
+	if runErr != nil {
+		fmt.Fprintln(os.Stderr, "experiment:", runErr)
+		os.Exit(1)
+	}
+}
+
+// parseFlags reads the command line: the experiment, its run
+// configuration and the observability settings. A malformed flag exits
+// with the usage text.
+func parseFlags(args []string) (string, experiments.RunConfig, obs.Config, error) {
+	fs := flag.NewFlagSet("experiment", flag.ExitOnError)
+	var (
+		exp      = fs.String("exp", "table1", "experiment: table1, fig1, fig3, fig4, fig5, altcount, heterogeneity, masked, strategy, baselines, online, schedule, relocate, all")
+		runs     = fs.Int("runs", 50, "number of seeded runs for table experiments")
+		seed     = fs.Int64("seed", 1, "base seed")
+		stall    = fs.Int64("stall", 2000, "optimiser convergence: nodes without improvement")
+		workers  = fs.Int("workers", 1, "parallel search goroutines per solve (>1 enables parallel branch-and-bound)")
+		timeout  = fs.Duration("timeout", 30*time.Second, "per-solve safety cap")
+		presolve = fs.String("presolve", "on", "presolve pipeline: on, off (A/B escape hatch)")
+		modules  = fs.Int("modules", 0, "modules per run (0 = paper default of 30)")
+		quiet    = fs.Bool("quiet", false, "suppress per-run progress lines")
+		benchOut = fs.String("bench-out", "", "write the table1 experiment's per-testcase JSON to this file")
+		obsCfg   obs.Config
+	)
+	fs.StringVar(&obsCfg.TracePath, "trace", "", "write the solver JSONL event trace to this file (- for stdout)")
+	fs.StringVar(&obsCfg.MetricsPath, "metrics", "", "dump metrics at exit: - for a summary table, a path for Prometheus text format")
+	fs.StringVar(&obsCfg.CPUProfile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&obsCfg.MemProfile, "memprofile", "", "write a heap profile to this file at exit")
+	fs.StringVar(&obsCfg.PprofAddr, "pprof-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
+	fs.Parse(args)
+
+	pre, err := core.ParsePresolve(*presolve)
+	if err != nil {
+		return "", experiments.RunConfig{}, obsCfg, err
 	}
 	cfg := experiments.RunConfig{
 		Runs:       *runs,
@@ -62,22 +89,7 @@ func main() {
 	if !*quiet {
 		cfg.Progress = os.Stderr
 	}
-	session, err := obs.Start(obsCfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiment:", err)
-		os.Exit(1)
-	}
-	cfg.Recorder = session.Recorder
-	cfg.Metrics = session.Registry
-
-	runErr := run(os.Stdout, *exp, cfg)
-	if cerr := session.Close(); runErr == nil {
-		runErr = cerr
-	}
-	if runErr != nil {
-		fmt.Fprintln(os.Stderr, "experiment:", runErr)
-		os.Exit(1)
-	}
+	return *exp, cfg, obsCfg, nil
 }
 
 func run(w io.Writer, exp string, cfg experiments.RunConfig) error {

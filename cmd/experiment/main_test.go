@@ -87,6 +87,36 @@ func TestRunTable1BenchJSON(t *testing.T) {
 	}
 }
 
+// TestTable1WritesNoFileByDefault runs table1 from an empty directory
+// with no -bench-out flag and checks it writes nothing there: only an
+// explicit -bench-out writes the per-testcase JSON.
+func TestTable1WritesNoFileByDefault(t *testing.T) {
+	exp, cfg, _, err := parseFlags([]string{"-exp", "table1", "-runs", "1", "-modules", "5", "-stall", "200", "-quiet"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(wd)
+	var sb strings.Builder
+	if err := run(&sb, exp, cfg); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 0 || strings.Contains(sb.String(), "wrote") {
+		t.Fatalf("a table1 run without -bench-out wrote %v:\n%s", entries, sb.String())
+	}
+}
+
 func TestRunUnknown(t *testing.T) {
 	var sb strings.Builder
 	if err := run(&sb, "bogus", testCfg()); err == nil {

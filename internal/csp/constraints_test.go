@@ -150,7 +150,7 @@ func TestMaxOf(t *testing.T) {
 	a := st.NewVarRange("a", 2, 7)
 	b := st.NewVarRange("b", 0, 4)
 	m := st.NewVarRange("m", 0, 100)
-	MaxOf(st, m, a, b)
+	maxOf(st, m, a, b)
 	if err := st.Propagate(); err != nil {
 		t.Fatal(err)
 	}
@@ -180,17 +180,6 @@ func TestMaxOf(t *testing.T) {
 	}
 }
 
-func TestMaxOfPanicsOnEmpty(t *testing.T) {
-	st := NewStore()
-	m := st.NewVarRange("m", 0, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	MaxOf(st, m)
-}
-
 func TestFuncProp(t *testing.T) {
 	st := NewStore()
 	x := st.NewVarRange("x", 0, 9)
@@ -201,4 +190,43 @@ func TestFuncProp(t *testing.T) {
 	if x.Min() != 4 {
 		t.Fatal("FuncProp did not run")
 	}
+}
+
+// maxOf posts m = max(vars) (bounds consistency), the objective of the
+// engine tests' branch-and-bound models.
+func maxOf(st *Store, m *Var, vars ...*Var) {
+	st.Post(&maxProp{vars: vars, m: m}, append([]*Var{m}, vars...)...)
+}
+
+type maxProp struct {
+	vars []*Var
+	m    *Var
+}
+
+func (p *maxProp) Propagate(st *Store) error {
+	lo, hi := p.vars[0].Min(), p.vars[0].Max()
+	for _, v := range p.vars[1:] {
+		lo, hi = max(lo, v.Min()), max(hi, v.Max())
+	}
+	if err := st.SetMin(p.m, lo); err != nil {
+		return err
+	}
+	if err := st.SetMax(p.m, hi); err != nil {
+		return err
+	}
+	// Every var is <= m; if only one can reach m's minimum, push it up.
+	var reach *Var
+	n := 0
+	for _, v := range p.vars {
+		if err := st.SetMax(v, p.m.Max()); err != nil {
+			return err
+		}
+		if v.Max() >= p.m.Min() {
+			reach, n = v, n+1
+		}
+	}
+	if n == 1 {
+		return st.SetMin(reach, p.m.Min())
+	}
+	return nil
 }

@@ -6,11 +6,12 @@
 // It is the solving substrate under the geost geometric kernel and the
 // module placer, playing the role the SICStus/choco-hosted solver of
 // Beldiceanu et al. plays in the paper. It ships only the propagators
-// the placement model posts (LessEq/LessEqOffset, MaxOf, FuncProp);
-// geost adds its own through the Propagator interface. The engine is
-// tested independently of placement on classic models (n-queens,
-// Langford pairs, magic series, Golomb rulers) built from a test-only
-// not-equal propagator and FuncProps.
+// the placement model posts (LessEq/LessEqOffset, FuncProp); geost adds
+// its own through the Propagator interface, the occupied-height
+// objective among them. The engine is tested independently of placement
+// on classic models (n-queens, Langford pairs, magic series, Golomb
+// rulers) built from test-only not-equal and max-of propagators and
+// FuncProps.
 package csp
 
 import (

@@ -35,7 +35,8 @@ func ExampleMinimize() {
 	x := st.NewVarRange("x", 0, 9)
 	y := st.NewVarRange("y", 0, 9)
 	obj := st.NewVarRange("obj", 0, 9)
-	csp.MaxOf(st, obj, x, y)
+	csp.LessEq(st, x, obj)        // obj >= x
+	csp.LessEq(st, y, obj)        // obj >= y
 	csp.LessEqOffset(st, x, y, 3) // x + 3 <= y
 
 	res, err := csp.Minimize(st, []*csp.Var{x, y}, obj, csp.Options{}, nil)

@@ -151,7 +151,7 @@ func TestMinimizeBestObjectiveTrace(t *testing.T) {
 	x := st.NewVarRange("x", 0, 9)
 	y := st.NewVarRange("y", 0, 9)
 	obj := st.NewVarRange("obj", 0, 9)
-	MaxOf(st, obj, x, y)
+	maxOf(st, obj, x, y)
 	LessEqOffset(st, x, y, 2)
 	log := &eventLog{}
 	res, err := Minimize(st, []*Var{x, y}, obj, Options{Recorder: log, OrderValues: descendingValues}, nil)

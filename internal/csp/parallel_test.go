@@ -38,7 +38,7 @@ func randomInstance(seed int64, n int) (*Store, []*Var, *Var) {
 		}
 	}
 	obj := st.NewVarRange("obj", 0, 4+2*n+4)
-	MaxOf(st, obj, vars...)
+	maxOf(st, obj, vars...)
 	return st, vars, obj
 }
 
@@ -265,7 +265,7 @@ func allDifferentMax(n, top int) (*Store, []*Var, *Var) {
 	}
 	pairwiseDifferent(st, vars...)
 	obj := st.NewVarRange("obj", 0, top)
-	MaxOf(st, obj, vars...)
+	maxOf(st, obj, vars...)
 	return st, vars, obj
 }
 

@@ -139,7 +139,7 @@ func TestMinimizeSimple(t *testing.T) {
 	x := st.NewVarRange("x", 0, 9)
 	y := st.NewVarRange("y", 0, 9)
 	obj := st.NewVarRange("obj", 0, 9)
-	MaxOf(st, obj, x, y)
+	maxOf(st, obj, x, y)
 	LessEqOffset(st, x, y, 2)
 	var seen []int
 	res, err := Minimize(st, []*Var{x, y}, obj, Options{}, func(s *Store, v int) {
@@ -208,7 +208,7 @@ func TestMinimizeRestoresStore(t *testing.T) {
 	st := NewStore()
 	x := st.NewVarRange("x", 0, 9)
 	obj := st.NewVarRange("obj", 0, 9)
-	MaxOf(st, obj, x)
+	maxOf(st, obj, x)
 	if _, err := Minimize(st, []*Var{x}, obj, Options{}, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -233,8 +233,8 @@ func checkFixpoint(t *testing.T, seed int64, ops []byte) {
 	compare(-1, "root")
 	for step, op := range ops {
 		vars := got.Vars()
-		// Placement variables sit at even indices (place, top per object).
-		vi := 2 * r.Intn(len(vars)/2)
+		// Every variable is an object's placement variable.
+		vi := r.Intn(len(vars))
 		v, rv := vars[vi], ref.Vars()[vi]
 		switch op % 3 {
 		case 0:

@@ -63,13 +63,11 @@ func (g *ShapeGeom) validate(spaceW, spaceH int) error {
 }
 
 // Object is a placeable entity: a set of shape alternatives plus the
-// placement variable. Top is an auxiliary variable equal to the object's
-// topmost occupied row + 1 (its contribution to occupied height).
+// placement variable.
 type Object struct {
 	Name   string
 	Shapes []ShapeGeom
 	Place  *csp.Var
-	Top    *csp.Var
 
 	k  *Kernel
 	id int
@@ -94,8 +92,10 @@ type Kernel struct {
 	// regions.
 	scratch, comp *grid.Bitmap
 
-	// kill collects the values pruneOthers removes from one object, kept
-	// between runs for its capacity.
+	// kill collects the masks one propagator run removes from one object
+	// (pruneOthers, cutTops); each resets it before use, and propagators
+	// run one at a time, so they share it. Kept between runs for its
+	// capacity.
 	kill []csp.Mask64
 }
 
@@ -172,30 +172,6 @@ func (o *Object) ShapePresent(sid int) bool {
 	return o.Place.Domain().AnyInRange(lo, hi)
 }
 
-// MinDemand returns, per kind, the minimum demand over the shapes still
-// present in the placement domain.
-func (o *Object) MinDemand() fabric.Histogram {
-	var out fabric.Histogram
-	first := true
-	for sid := range o.Shapes {
-		if !o.ShapePresent(sid) {
-			continue
-		}
-		h := o.Shapes[sid].Hist
-		if first {
-			out = h
-			first = false
-			continue
-		}
-		for k := range out {
-			if h[k] < out[k] {
-				out[k] = h[k]
-			}
-		}
-	}
-	return out
-}
-
 // AddObject registers an object with the given shape alternatives. The
 // placement domain is the union over shapes of their valid anchors; an
 // object with no feasible placement at all is rejected here rather than
@@ -211,26 +187,22 @@ func (k *Kernel) AddObject(name string, shapes []ShapeGeom) (*Object, error) {
 	// on, so each row of the valid-anchor bitmap lands in the domain's
 	// words a word at a time.
 	words := make([]uint64, (len(shapes)*k.h*k.w+63)/64)
-	minTop, maxTop := k.h+1, 0
+	feasible := false
 	for sid := range shapes {
 		g := &shapes[sid]
 		if err := g.validate(k.w, k.h); err != nil {
 			return nil, fmt.Errorf("geost: object %s shape %d: %w", name, sid, err)
 		}
 		for y := 0; y <= k.h-g.H; y++ {
-			row := false
 			for x := 0; x <= k.w-g.W; x += 64 {
 				if v := g.Valid.Row64(x, y) & lowBits(k.w-g.W+1-x); v != 0 {
 					orBits(words, k.encode(sid, x, y), v)
-					row = true
+					feasible = true
 				}
-			}
-			if row {
-				minTop, maxTop = min(minTop, y+g.H), max(maxTop, y+g.H)
 			}
 		}
 	}
-	if maxTop == 0 {
+	if !feasible {
 		return nil, fmt.Errorf("geost: object %s has no feasible placement", name)
 	}
 	o := &Object{
@@ -241,8 +213,6 @@ func (k *Kernel) AddObject(name string, shapes []ShapeGeom) (*Object, error) {
 	}
 	o.buildRows()
 	o.Place = k.st.NewVar("place("+name+")", csp.NewDomainWords(0, words))
-	o.Top = k.st.NewVarRange("top("+name+")", minTop, maxTop)
-	k.st.Post(&topLink{o: o}, o.Place, o.Top)
 	k.objects = append(k.objects, o)
 	return o, nil
 }

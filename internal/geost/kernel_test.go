@@ -55,8 +55,12 @@ func TestAddObjectDomainSize(t *testing.T) {
 	if o.CandidateCount() != 6 {
 		t.Fatalf("candidates = %d, want 6", o.CandidateCount())
 	}
-	if o.Top.Min() != 2 || o.Top.Max() != 3 {
-		t.Fatalf("top = [%d,%d], want [2,3]", o.Top.Min(), o.Top.Max())
+	height := k.PostHeightObjective(uniformCapPrefix(4, 3))
+	if err := st.Propagate(); err != nil {
+		t.Fatal(err)
+	}
+	if height.Min() != 2 || height.Max() != 3 {
+		t.Fatalf("height = [%d,%d], want [2,3]", height.Min(), height.Max())
 	}
 }
 
@@ -187,6 +191,10 @@ func TestPlacementAccessors(t *testing.T) {
 	}
 }
 
+// TestMinDemand checks the capacity bound counts each object's
+// smallest demand over its live shapes: with one tile per row, the
+// height covers the 1×1 shape's single tile, then, once only the 2×2
+// shape is left, its four.
 func TestMinDemand(t *testing.T) {
 	st := csp.NewStore()
 	k := New(st, 6, 6)
@@ -196,9 +204,16 @@ func TestMinDemand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := o.MinDemand()
-	if d[fabric.CLB] != 1 {
-		t.Fatalf("MinDemand CLB = %d, want 1 (smallest shape)", d[fabric.CLB])
+	capPrefix := make([]fabric.Histogram, 7)
+	for h := range capPrefix {
+		capPrefix[h][fabric.CLB] = h
+	}
+	height := k.PostHeightObjective(capPrefix)
+	if err := st.Propagate(); err != nil {
+		t.Fatal(err)
+	}
+	if height.Min() != 1 {
+		t.Fatalf("height.min = %d, want 1 (smallest shape)", height.Min())
 	}
 	// Remove all shape-0 placements: min demand becomes the big shape's.
 	if err := st.FilterDomain(o.Place, func(v int) bool {
@@ -207,9 +222,11 @@ func TestMinDemand(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	d = o.MinDemand()
-	if d[fabric.CLB] != 4 {
-		t.Fatalf("MinDemand CLB = %d, want 4", d[fabric.CLB])
+	if err := st.Propagate(); err != nil {
+		t.Fatal(err)
+	}
+	if height.Min() != 4 {
+		t.Fatalf("height.min = %d, want 4", height.Min())
 	}
 }
 
@@ -218,7 +235,8 @@ func TestMinDemand(t *testing.T) {
 // Valid.Get scan, on random spaces narrower and wider than a word and
 // random shapes, some wider than 64 columns, some with their first rows
 // (or all rows) of anchors empty and some with stray valid bits past
-// the last anchor that fits. Top's bounds must match the scan's too.
+// the last anchor that fits. The height objective's bounds must match
+// the scan's top hull too.
 func TestAddObjectMatchesValidScan(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for round := 0; round < 400; round++ {
@@ -263,15 +281,19 @@ func TestAddObjectMatchesValidScan(t *testing.T) {
 		if got := o.Place.Domain().AppendValues(nil); !slices.Equal(got, want) {
 			t.Fatalf("round %d (%dx%d): domain %v, Valid.Get scan %v", round, w, h, got, want)
 		}
-		if o.Top.Min() != minTop || o.Top.Max() != maxTop {
-			t.Fatalf("round %d: top [%d, %d], want [%d, %d]", round, o.Top.Min(), o.Top.Max(), minTop, maxTop)
+		height := k.PostHeightObjective(uniformCapPrefix(w, h))
+		if err := k.st.Propagate(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if height.Min() != minTop || height.Max() != maxTop {
+			t.Fatalf("round %d: height [%d, %d], want [%d, %d]", round, height.Min(), height.Max(), minTop, maxTop)
 		}
 	}
 }
 
 // smallModel models a small placement problem touching every geost
-// propagator: top links, per-object non-overlap and compulsory-part
-// pruning, and the capacity height bound.
+// propagator: per-object non-overlap and compulsory-part pruning, and
+// the height objective.
 func smallModel() (*csp.Store, *Kernel, *csp.Var, error) {
 	st := csp.NewStore()
 	k := New(st, 4, 4)

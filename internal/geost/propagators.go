@@ -8,46 +8,6 @@ import (
 	"repro/internal/grid"
 )
 
-// topLink channels between an object's placement variable and its Top
-// variable: Top = y + height(shape). Bounds of Top are maintained from
-// the placement domain, and placements incompatible with Top's bounds
-// are pruned (this is how a branch-and-bound cap on total height reaches
-// into placement domains).
-type topLink struct {
-	o *Object
-}
-
-// Name implements csp.Named.
-func (p *topLink) Name() string { return "geost.top-link" }
-
-func (p *topLink) Propagate(st *csp.Store) error {
-	o := p.o
-	// Within one shape's block of placement values, values ascend with
-	// y, so the block's first and last values hold its lowest and
-	// highest top.
-	lo, hi := o.k.h+1, -1
-	for sid := range o.Shapes {
-		first, last, ok := o.Place.Domain().RangeBounds(o.k.encode(sid, 0, 0), o.k.encode(sid+1, 0, 0)-1)
-		if ok {
-			lo, hi = min(lo, o.TopOf(first)), max(hi, o.TopOf(last))
-		}
-	}
-	if err := st.SetMin(o.Top, lo); err != nil {
-		return err
-	}
-	if err := st.SetMax(o.Top, hi); err != nil {
-		return err
-	}
-	tLo, tHi := o.Top.Min(), o.Top.Max()
-	if tLo > lo || tHi < hi {
-		return st.FilterDomain(o.Place, func(val int) bool {
-			t := o.TopOf(val)
-			return t >= tLo && t <= tHi
-		})
-	}
-	return nil
-}
-
 // nonOverlap enforces that one object shares no tile with any other
 // object, by forward checking: once the object is assigned, every other
 // object's candidate placements that collide with it are pruned —
@@ -195,26 +155,37 @@ func (o *Object) scanWindow(dom *csp.Domain, box grid.Rect, visit func(sid, x, y
 	}
 }
 
-// heightBound implements capacity-based bound reasoning for the
-// occupied-height objective: every tile of every object lies strictly
-// below the height variable, so for each resource kind the capacity of
-// the space's first h rows must cover the objects' total minimum
-// demand. The propagator raises the height variable's lower bound to the
-// smallest h whose capacity suffices — and thereby fails fast when a
-// branch-and-bound cap is unachievable.
+// heightBound is the occupied-height objective: the height variable
+// equals the largest top (y + shape height) over the objects'
+// placements, and the space's first height rows must hold the objects'
+// total minimum demand of every resource kind. Each run makes one pass
+// over every object's shape blocks (see topHull) and then
+//   - bounds height by the largest lowest top and the largest highest
+//     top;
+//   - raises height to the fewest rows whose capacity covers the demand,
+//     which fails fast when a branch-and-bound cap is unachievable;
+//   - cuts every object's placements whose top exceeds height's
+//     maximum, which is how that cap reaches into placement domains;
+//   - when exactly one object can still reach height's minimum, cuts
+//     that object's placements below it.
+//
+// A cut removes whole anchor rows of a shape block and wakes the
+// propagator again, so the store carries it to its fixpoint.
 type heightBound struct {
 	k      *Kernel
 	height *csp.Var
 	// capPrefix[h][kind] = tiles of that kind in rows < h.
 	capPrefix []fabric.Histogram
+	// hi holds each object's highest top during a run.
+	hi []int
 }
 
-// PostHeightObjective creates the occupied-height variable: height =
-// max over objects of Top, plus capacity-based lower-bound reasoning
-// against capPrefix (capPrefix[h] must hold per-kind tile counts of the
-// space's first h rows; len(capPrefix) == spaceH+1). It panics on a
-// capPrefix of the wrong length or a kernel without objects — both are
-// modelling bugs.
+// PostHeightObjective creates the occupied-height variable, height =
+// the largest top over the objects, and posts heightBound on it and
+// every placement variable. capPrefix[h] must hold the per-kind tile
+// counts of the space's first h rows (len(capPrefix) == spaceH+1). It
+// panics on a capPrefix of the wrong length or a kernel without
+// objects — both are modelling bugs.
 func (k *Kernel) PostHeightObjective(capPrefix []fabric.Histogram) *csp.Var {
 	if len(capPrefix) != k.h+1 {
 		panic("geost: capPrefix must have spaceH+1 entries")
@@ -223,12 +194,7 @@ func (k *Kernel) PostHeightObjective(capPrefix []fabric.Histogram) *csp.Var {
 		panic("geost: PostHeightObjective with no objects")
 	}
 	height := k.st.NewVarRange("height", 0, k.h)
-	tops := make([]*csp.Var, len(k.objects))
-	for i, o := range k.objects {
-		tops[i] = o.Top
-	}
-	csp.MaxOf(k.st, height, tops...)
-	hb := &heightBound{k: k, height: height, capPrefix: capPrefix}
+	hb := &heightBound{k: k, height: height, capPrefix: capPrefix, hi: make([]int, len(k.objects))}
 	watched := append([]*csp.Var{height}, k.PlaceVars()...)
 	k.st.Post(hb, watched...)
 	return height
@@ -238,20 +204,94 @@ func (k *Kernel) PostHeightObjective(capPrefix []fabric.Histogram) *csp.Var {
 func (p *heightBound) Name() string { return "geost.height-bound" }
 
 func (p *heightBound) Propagate(st *csp.Store) error {
+	k := p.k
 	var demand fabric.Histogram
-	for _, o := range p.k.objects {
-		d := o.MinDemand()
-		for k := range demand {
-			demand[k] += d[k]
+	lo, hi := 0, 0
+	for i, o := range k.objects {
+		olo, ohi, d := o.topHull()
+		lo, hi, p.hi[i] = max(lo, olo), max(hi, ohi), ohi
+		for r := range demand {
+			demand[r] += d[r]
 		}
 	}
-	h := p.height.Min()
-	for h <= p.k.h && !sufficient(p.capPrefix[h], demand) {
+	h := max(p.height.Min(), lo)
+	for h <= k.h && !sufficient(p.capPrefix[h], demand) {
 		h++
 	}
 	// If even the full space cannot cover the demand, SetMin empties the
 	// height domain and reports inconsistency.
-	return st.SetMin(p.height, h)
+	if err := st.SetMin(p.height, h); err != nil {
+		return err
+	}
+	if err := st.SetMax(p.height, hi); err != nil {
+		return err
+	}
+	hMin, hMax := p.height.Min(), p.height.Max()
+	var reach *Object
+	n := 0
+	for i, o := range k.objects {
+		if p.hi[i] > hMax {
+			if err := o.cutTops(st, hMax+1, k.h); err != nil {
+				return err
+			}
+		}
+		if p.hi[i] >= hMin {
+			reach, n = o, n+1
+		}
+	}
+	if n == 1 {
+		return reach.cutTops(st, 0, hMin-1)
+	}
+	return nil
+}
+
+// topHull returns the lowest and the highest top over o's placements
+// and, per kind, the smallest demand over its live shapes. Within one
+// shape's block of placement values, values ascend with y, so the
+// block's first and last values hold its lowest and highest top; the
+// domain's bounds are those of the first and last live shapes' blocks,
+// and with one live shape nothing needs scanning.
+func (o *Object) topHull() (lo, hi int, demand fabric.Histogram) {
+	dom := o.Place.Domain()
+	smin, _, _ := o.Decode(dom.Min())
+	smax, _, _ := o.Decode(dom.Max())
+	lo = o.k.h + 1
+	for sid := smin; sid <= smax; sid++ {
+		first, last, ok := dom.Min(), dom.Max(), true
+		if smin < smax {
+			first, last, ok = dom.RangeBounds(o.k.encode(sid, 0, 0), o.k.encode(sid+1, 0, 0)-1)
+		}
+		if !ok {
+			continue
+		}
+		d := o.Shapes[sid].Hist
+		if hi > 0 { // not the first live shape
+			for r := range d {
+				d[r] = min(d[r], demand[r])
+			}
+		}
+		demand = d
+		lo, hi = min(lo, o.TopOf(first)), max(hi, o.TopOf(last))
+	}
+	return lo, hi, demand
+}
+
+// cutTops removes o's placements whose top lies in [lo, hi]: in each
+// shape's block, the anchor rows from lo-H to hi-H, clipped to the
+// domain's bounds.
+func (o *Object) cutTops(st *csp.Store, lo, hi int) error {
+	k := o.k
+	dom := o.Place.Domain()
+	k.kill = k.kill[:0]
+	for sid := range o.Shapes {
+		h := o.Shapes[sid].H
+		from := max(dom.Min(), k.encode(sid, 0, max(0, lo-h)))
+		to := min(dom.Max(), k.encode(sid, 0, min(k.h-h, hi-h)+1)-1)
+		for v := from; v <= to; v += 64 {
+			k.kill = append(k.kill, csp.Mask64{Lo: v, Bits: lowBits(to - v + 1)})
+		}
+	}
+	return st.RemoveMasks(o.Place, k.kill)
 }
 
 func sufficient(capacity, demand fabric.Histogram) bool {

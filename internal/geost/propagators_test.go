@@ -9,29 +9,30 @@ import (
 	"repro/internal/grid"
 )
 
-func TestTopLinkBounds(t *testing.T) {
+func TestHeightBoundsTopHull(t *testing.T) {
 	st := csp.NewStore()
 	k := New(st, 4, 6)
 	o, err := k.AddObject("a", []ShapeGeom{rectGeom(1, 2, 4, 6), rectGeom(1, 4, 4, 6)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	height := k.PostHeightObjective(uniformCapPrefix(4, 6))
 	if err := st.Propagate(); err != nil {
 		t.Fatal(err)
 	}
-	// Shape heights 2 and 4: top ranges over [2, 6].
-	if o.Top.Min() != 2 || o.Top.Max() != 6 {
-		t.Fatalf("top = [%d,%d], want [2,6]", o.Top.Min(), o.Top.Max())
+	// Shape heights 2 and 4: the top ranges over [2, 6].
+	if height.Min() != 2 || height.Max() != 6 {
+		t.Fatalf("height = [%d,%d], want [2,6]", height.Min(), height.Max())
 	}
-	// Cap top at 3: only the 2-high shape at y<=1 survives.
-	if err := st.SetMax(o.Top, 3); err != nil {
+	// Cap the height at 3: only the 2-high shape at y<=1 survives.
+	if err := st.SetMax(height, 3); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Propagate(); err != nil {
 		t.Fatal(err)
 	}
 	if o.ShapePresent(1) {
-		t.Fatal("4-high shape should be pruned by top<=3")
+		t.Fatal("4-high shape should be pruned by height<=3")
 	}
 	o.Place.Domain().ForEach(func(val int) bool {
 		if o.TopOf(val) > 3 {
@@ -41,13 +42,14 @@ func TestTopLinkBounds(t *testing.T) {
 	})
 }
 
-func TestTopLinkRaisesMin(t *testing.T) {
+func TestHeightRaisesToLowestTop(t *testing.T) {
 	st := csp.NewStore()
 	k := New(st, 2, 8)
 	o, err := k.AddObject("a", []ShapeGeom{rectGeom(1, 3, 2, 8)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	height := k.PostHeightObjective(uniformCapPrefix(2, 8))
 	// Force y >= 4 by removing low placements.
 	if err := st.FilterDomain(o.Place, func(v int) bool {
 		_, _, y := o.Decode(v)
@@ -58,8 +60,8 @@ func TestTopLinkRaisesMin(t *testing.T) {
 	if err := st.Propagate(); err != nil {
 		t.Fatal(err)
 	}
-	if o.Top.Min() != 7 {
-		t.Fatalf("top.min = %d, want 7", o.Top.Min())
+	if height.Min() != 7 {
+		t.Fatalf("height.min = %d, want 7", height.Min())
 	}
 }
 
@@ -312,8 +314,8 @@ func TestPostHeightObjectivePanics(t *testing.T) {
 }
 
 // TestTrailingAllocationFree pins the trailing free list: once warmed,
-// a search step — Push, assign one object, propagate non-overlap,
-// top-link and the height bound to fixpoint, Pop — allocates nothing,
+// a search step — Push, assign one object, propagate non-overlap and
+// the height objective to fixpoint, Pop — allocates nothing,
 // although it trails every object's multi-word placement domain.
 func TestTrailingAllocationFree(t *testing.T) {
 	const w, h = 70, 30

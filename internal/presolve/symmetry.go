@@ -9,11 +9,11 @@ import (
 // objects. Two objects are interchangeable when their shape lists
 // match sid for sid (equal tile sets) and their current placement
 // domains are equal as value sets — then every constraint of the model
-// (non-overlap, top links, the height objective) is invariant under
-// swapping the two objects, and any solution permuting a group's
-// placements can be rewritten, by sorting the group's values
-// ascending, into one satisfying place_1 < place_2 < ... (equal values
-// are impossible: identical shapes at the same anchor overlap). The
+// (non-overlap, the height objective) is invariant under swapping the
+// two objects, and any solution permuting a group's placements can be
+// rewritten, by sorting the group's values ascending, into one
+// satisfying place_1 < place_2 < ... (equal values are impossible:
+// identical shapes at the same anchor overlap). The
 // chain therefore keeps at least one optimal representative per
 // permutation class while the search skips the other k!-1 relabelings.
 //
