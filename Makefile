@@ -102,6 +102,8 @@ bench:
 
 # Native Go fuzzing beyond the committed corpus. Each target gets
 # FUZZTIME of mutation; new crashers land in testdata/fuzz/.
+# FuzzDecodeRequest's seeds include a 192 KB request body, whose
+# minimisation would otherwise stall the run for a minute per find.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzDomain -fuzztime $(FUZZTIME) ./internal/csp
 	$(GO) test -run xxx -fuzz FuzzPlacementValid -fuzztime $(FUZZTIME) ./internal/core
@@ -113,11 +115,13 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzHeightObjective -fuzztime $(FUZZTIME) ./internal/geost
 	$(GO) test -run xxx -fuzz FuzzPruneOthers -fuzztime $(FUZZTIME) ./internal/geost
 	$(GO) test -run xxx -fuzz FuzzValueOrder -fuzztime $(FUZZTIME) ./internal/geost
+	$(GO) test -run xxx -fuzz FuzzDecodeRequest -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/service
 
 # The serving benchmark pair behind EXPERIMENTS.md: a cached Table-I
-# placement versus the same request re-solved from scratch.
+# placement versus the same request re-solved from scratch, and the
+# request decode alone.
 bench-service:
-	$(GO) test -run xxx -bench BenchmarkServiceCacheHit -benchtime 2s ./internal/service
+	$(GO) test -run xxx -bench 'BenchmarkServiceCacheHit|BenchmarkDecodeRequest' -benchtime 2s ./internal/service
 	$(GO) test -run xxx -bench BenchmarkServiceColdSolve -benchtime 2x ./internal/service
 
 # The solver benchmark-regression gate: re-solve the pinned scenario

@@ -127,7 +127,14 @@ func (r *Request) Key() (Digest, Order, error) {
 	if err != nil {
 		return Digest{}, Order{}, err
 	}
-	return sha256.Sum256(r.appendEncoding(make([]byte, 0, 256), o)), o, nil
+	n := 256 // the frame's fixed part and options, mostly
+	for _, m := range r.Modules {
+		n += len(m.Name()) + 2*binary.MaxVarintLen64
+		for _, s := range m.Shapes() {
+			n += len(s.Key()) + binary.MaxVarintLen64
+		}
+	}
+	return sha256.Sum256(r.appendEncoding(make([]byte, 0, n), o)), o, nil
 }
 
 // encVersion tags the encoding layout; bump it whenever the frame

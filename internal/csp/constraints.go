@@ -23,10 +23,3 @@ func (p *lessEqOffset) Propagate(st *Store) error {
 	}
 	return st.SetMin(p.y, p.x.Min()+p.c)
 }
-
-// FuncProp wraps a plain function as a Propagator, for ad-hoc
-// constraints.
-type FuncProp func(st *Store) error
-
-// Propagate implements Propagator.
-func (f FuncProp) Propagate(st *Store) error { return f(st) }

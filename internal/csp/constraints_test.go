@@ -2,6 +2,13 @@ package csp
 
 import "testing"
 
+// FuncProp wraps a plain function as a Propagator, for ad-hoc
+// constraints in tests.
+type FuncProp func(st *Store) error
+
+// Propagate implements Propagator.
+func (f FuncProp) Propagate(st *Store) error { return f(st) }
+
 // notEqualOffset enforces x != y + c. No production model posts it;
 // it is the model material of the engine tests (n-queens, Langford,
 // Golomb, the random instances and the parallel suite), whose solution

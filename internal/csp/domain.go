@@ -5,8 +5,8 @@
 //
 // It is the solving substrate under the geost geometric kernel and the
 // module placer, playing the role the SICStus/choco-hosted solver of
-// Beldiceanu et al. plays in the paper. It ships only the propagators
-// the placement model posts (LessEq/LessEqOffset, FuncProp); geost adds
+// Beldiceanu et al. plays in the paper. It ships only the propagator
+// the placement model posts (LessEq/LessEqOffset); geost adds
 // its own through the Propagator interface, the occupied-height
 // objective among them. The engine is tested independently of placement
 // on classic models (n-queens, Langford pairs, magic series, Golomb

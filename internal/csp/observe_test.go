@@ -228,6 +228,19 @@ func TestStorePropagationTiming(t *testing.T) {
 	}
 }
 
+// namedProp decorates a propagator with an explicit metrics name.
+type namedProp struct {
+	Propagator
+	name string
+}
+
+// Name implements Named.
+func (p namedProp) Name() string { return p.name }
+
+// WithName gives p an explicit name for metrics and trace attribution,
+// overriding the Go type-name fallback.
+func WithName(p Propagator, name string) Propagator { return namedProp{p, name} }
+
 func TestWithName(t *testing.T) {
 	st := NewStore()
 	x := st.NewVarRange("x", 0, 5)

@@ -239,8 +239,8 @@ func (r *run) parallel(vars []*Var, obj *Var, build func() (*Store, error), n in
 }
 
 // spawn builds worker id's store and brings it to where its search
-// starts: the root fixpoint, statistics counted from there on, the
-// worker's recorder installed and the branch-and-bound cut posted. A
+// starts: the root fixpoint, statistics counted from there on and the
+// worker's recorder installed. A
 // build whose variable count or propagator names (names, the caller's)
 // differ is another model, and an error.
 func (r *run) spawn(build func() (*Store, error), vars []*Var, obj *Var, names []string, id int) (*worker, error) {
@@ -266,13 +266,7 @@ func (r *run) spawn(build func() (*Store, error), vars []*Var, obj *Var, names [
 	for j, x := range vars {
 		wvars[j] = ws.vars[x.id]
 	}
-	w := r.minimizer(ws, wvars, ws.vars[obj.id], rec)
-	// Drain the initial scheduling of the cut so every subtree starts
-	// from a clean fixpoint.
-	if err := ws.Propagate(); err != nil {
-		return nil, fmt.Errorf("csp: worker %d root propagation: %w", id, err)
-	}
-	return w, nil
+	return r.minimizer(ws, wvars, ws.vars[obj.id], rec), nil
 }
 
 // abandon stops the run for a worker that could not start, waking the

@@ -200,7 +200,7 @@ func Solve(st *Store, vars []*Var, opts Options, onSolution func(*Store) bool) (
 		return res, err
 	}
 	defer r.end()
-	w := &worker{r: r, st: st, vars: vars, vals: make([][]int, len(vars)), rec: r.opts.Recorder, boundHandle: -1}
+	w := &worker{r: r, st: st, vars: vars, vals: make([][]int, len(vars)), rec: r.opts.Recorder}
 	w.leaf = func(depth int) bool {
 		res.Solutions++
 		if w.rec != nil {
@@ -414,13 +414,13 @@ func (r *run) offer(w *worker, obj, depth int) {
 // store in a sequential search, its own build of the model in a
 // parallel one.
 type worker struct {
-	r           *run
-	st          *Store
-	vars        []*Var
-	rec         obs.Recorder         // Options.Recorder, tagged with the worker id when parallel
-	boundHandle int                  // branch-and-bound cut, rescheduled on every branch; -1 in Solve
-	leaf        func(depth int) bool // called at each solution; true stops the run
-	vals        [][]int              // OrderValues buffers, one per depth below len(vars)
+	r    *run
+	st   *Store
+	vars []*Var
+	rec  obs.Recorder         // Options.Recorder, tagged with the worker id when parallel
+	obj  *Var                 // objective the branch-and-bound cut caps; nil in Solve
+	leaf func(depth int) bool // called at each solution; true stops the run
+	vals [][]int              // OrderValues buffers, one per depth below len(vars)
 
 	// Branch-and-bound state of the current run (see parallel.go):
 	// solutions must beat both the bound it started from and its own
@@ -432,12 +432,10 @@ type worker struct {
 }
 
 // minimizer returns a worker searching st for improvements of obj: it
-// posts the branch-and-bound cut on st and offers every improving
-// solution to the run's incumbent.
+// cuts every node with the branch-and-bound cap (see cut) and offers
+// every improving solution to the run's incumbent.
 func (r *run) minimizer(st *Store, vars []*Var, obj *Var, rec obs.Recorder) *worker {
-	w := &worker{r: r, st: st, vars: vars, vals: make([][]int, len(vars)), rec: rec, start: math.MaxInt, runBest: math.MaxInt}
-	cut := FuncProp(func(s *Store) error { return s.SetMax(obj, min(w.start, w.runBest)-1) })
-	w.boundHandle = st.Post(WithName(cut, "bnb.bound"), obj)
+	w := &worker{r: r, st: st, vars: vars, obj: obj, vals: make([][]int, len(vars)), rec: rec, start: math.MaxInt, runBest: math.MaxInt}
 	w.leaf = func(depth int) bool {
 		if val := obj.Value(); val < min(w.start, w.runBest) {
 			w.runBest = val
@@ -453,7 +451,11 @@ func (r *run) minimizer(st *Store, vars []*Var, obj *Var, rec obs.Recorder) *wor
 // Minimize: infeasible, vacuously optimal); any other propagation error
 // is returned.
 func (w *worker) root() error {
-	if err := w.st.Propagate(); err != nil {
+	err := w.cut()
+	if err == nil {
+		err = w.st.Propagate()
+	}
+	if err != nil {
 		if err == ErrInconsistent {
 			return nil
 		}
@@ -512,6 +514,18 @@ func (w *worker) dfs(depth int) bool {
 	return false
 }
 
+// cut caps a minimizer's objective below the better of the bound its
+// run started from and its own best. The cap moves only when an
+// incumbent improves, so it is applied once per node, as the node is
+// opened, rather than by a propagator that every change of the
+// objective would wake.
+func (w *worker) cut() error {
+	if w.obj == nil {
+		return nil
+	}
+	return w.st.SetMax(w.obj, min(w.start, w.runBest)-1)
+}
+
 // branch tries v = val below the current node and searches the subtree.
 func (w *worker) branch(v *Var, val, depth int) bool {
 	st := w.st
@@ -519,10 +533,10 @@ func (w *worker) branch(v *Var, val, depth int) bool {
 		w.rec.Record(obs.Event{Kind: obs.KindBranch, Var: v.name, Value: val, Depth: depth})
 	}
 	st.Push()
-	if w.boundHandle >= 0 {
-		st.Schedule(w.boundHandle) // an improvement may have tightened the cut
+	err := w.cut()
+	if err == nil {
+		err = st.Assign(v, val)
 	}
-	err := st.Assign(v, val)
 	if err == nil {
 		err = st.Propagate()
 	}

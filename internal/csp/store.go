@@ -182,9 +182,7 @@ func (st *Store) Vars() []*Var { return st.vars }
 
 // Post registers a propagator and schedules it for an initial run. The
 // watched variables wake the propagator whenever their domain changes.
-// The returned handle can be passed to Schedule to force a re-run when
-// solver state outside the domains (such as a branch-and-bound bound)
-// changes.
+// The returned handle is the propagator's index in the store.
 func (st *Store) Post(p Propagator, watched ...*Var) int {
 	idx := len(st.props)
 	st.props = append(st.props, propEntry{p: p})
@@ -195,9 +193,6 @@ func (st *Store) Post(p Propagator, watched ...*Var) int {
 	st.enqueue(idx)
 	return idx
 }
-
-// Schedule re-enqueues the propagator with the given handle.
-func (st *Store) Schedule(handle int) { st.enqueue(handle) }
 
 func (st *Store) enqueue(idx int) {
 	if !st.queued[idx] {
@@ -290,19 +285,6 @@ func (st *Store) resetStats() {
 		st.props[i].runs = 0
 	}
 }
-
-// namedProp decorates a propagator with an explicit metrics name.
-type namedProp struct {
-	Propagator
-	name string
-}
-
-// Name implements Named.
-func (p namedProp) Name() string { return p.name }
-
-// WithName gives p an explicit name for metrics and trace attribution,
-// overriding the Go type-name fallback.
-func WithName(p Propagator, name string) Propagator { return namedProp{p, name} }
 
 // runningName names the propagator currently executing ("" outside
 // propagation — e.g. a prune caused by a search branching decision).

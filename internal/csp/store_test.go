@@ -191,8 +191,8 @@ func TestStoreScheduleHandle(t *testing.T) {
 	if err := st.Propagate(); err != nil {
 		t.Fatal(err)
 	}
-	st.Schedule(h)
-	st.Schedule(h) // dedup: only one queued run
+	st.enqueue(h)
+	st.enqueue(h) // dedup: only one queued run
 	if err := st.Propagate(); err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ const benchRequest = `{
 // benchExplicitRequest spells benchRequest's batch as explicit tile
 // lists. Its hits still pay for the JSON decode of every tile, the
 // shape builds and the canonical digest.
-func benchExplicitRequest(b *testing.B) string {
+func benchExplicitRequest(b testing.TB) string {
 	mods := workload.MustGenerate(workload.Config{}, rand.New(rand.NewSource(1)))
 	req := PlaceRequest{Fabric: "virtex4-like-72x60", Options: OptionsSpec{StallNodes: 800, TimeoutMs: 30000}}
 	for _, m := range mods {
@@ -76,6 +76,27 @@ func BenchmarkServiceCacheHit(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				benchPlace(b, h, tc.body, "hit")
+			}
+		})
+	}
+}
+
+// BenchmarkDecodeRequest measures the request decode alone, once per
+// request form: the pass over the body and the expansion to a
+// canon.Request (shape builds for explicit, workload.Generate for
+// generate), without digest, cache or response.
+func BenchmarkDecodeRequest(b *testing.B) {
+	for _, tc := range []struct{ name, body string }{
+		{"generate", benchRequest},
+		{"explicit", benchExplicitRequest(b)},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			body := []byte(tc.body)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := DecodeRequest(bytes.NewReader(body), Config{}); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

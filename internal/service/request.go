@@ -1,7 +1,6 @@
 package service
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -106,7 +105,7 @@ const maxRequestBytes = 8 << 20
 // (cfg's zero fields take the documented Config defaults). All
 // failures are client errors (HTTP 400).
 func DecodeRequest(body io.Reader, cfg Config) (*canon.Request, error) {
-	d, err := decode(body, cfg.withDefaults())
+	d, err := decode(body, -1, cfg.withDefaults())
 	if err != nil {
 		return nil, err
 	}
@@ -118,44 +117,52 @@ func DecodeRequest(body io.Reader, cfg Config) (*canon.Request, error) {
 // applied before any digest is taken, so an omitted option and its
 // explicit default share a cache entry.
 type decoded struct {
-	wire PlaceRequest
+	wire PlaceRequest // everything but Modules, which the pass puts in mods
+	mods []wireModule
 	req  canon.Request // everything but Modules
 }
 
-// decode parses and validates a wire request. cfg must already carry
-// its defaults.
-func decode(body io.Reader, cfg Config) (*decoded, error) {
-	dec := json.NewDecoder(io.LimitReader(body, maxRequestBytes))
-	dec.DisallowUnknownFields()
+// decode parses and validates a wire request of size bytes (-1 when
+// unknown). cfg must already carry its defaults.
+func decode(body io.Reader, size int64, cfg Config) (*decoded, error) {
 	d := &decoded{}
-	if err := dec.Decode(&d.wire); err != nil {
-		return nil, fmt.Errorf("invalid JSON: %w", err)
-	}
-	wire := &d.wire
-	if wire.Fabric == "" {
-		return nil, fmt.Errorf("missing fabric")
-	}
-	if err := fabric.CheckName(wire.Fabric); err != nil {
+	if err := parse(body, size, d); err != nil {
 		return nil, err
 	}
+	if err := d.validate(len(d.mods) > 0, cfg); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// validate checks the parsed wire request, whose module list is
+// non-empty when hasModules, and fills d.req.
+func (d *decoded) validate(hasModules bool, cfg Config) error {
+	wire := &d.wire
+	if wire.Fabric == "" {
+		return fmt.Errorf("missing fabric")
+	}
+	if err := fabric.CheckName(wire.Fabric); err != nil {
+		return err
+	}
 	switch {
-	case wire.Generate != nil && len(wire.Modules) > 0:
-		return nil, fmt.Errorf("modules and generate are mutually exclusive")
-	case wire.Generate == nil && len(wire.Modules) == 0:
-		return nil, fmt.Errorf("request needs modules or generate")
+	case wire.Generate != nil && hasModules:
+		return fmt.Errorf("modules and generate are mutually exclusive")
+	case wire.Generate == nil && !hasModules:
+		return fmt.Errorf("request needs modules or generate")
 	}
 	opts, err := wire.Options.toRequestOptions(cfg)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	d.req = canon.Request{Fabric: wire.Fabric, Options: opts}
 	if wire.Region != nil {
 		if wire.Region.W <= 0 || wire.Region.H <= 0 {
-			return nil, fmt.Errorf("region %dx%d must have positive size", wire.Region.W, wire.Region.H)
+			return fmt.Errorf("region %dx%d must have positive size", wire.Region.W, wire.Region.H)
 		}
 		d.req.Region = grid.RectXYWH(wire.Region.X, wire.Region.Y, wire.Region.W, wire.Region.H)
 	}
-	return d, nil
+	return nil
 }
 
 // specKey returns the digest of a generate request's spec, which keys
@@ -183,9 +190,9 @@ func (d *decoded) expand() (*canon.Request, error) {
 		req.Modules = mods
 		return &req, nil
 	}
-	req.Modules = make([]*module.Module, len(d.wire.Modules))
-	for i, ms := range d.wire.Modules {
-		m, err := ms.toModule()
+	req.Modules = make([]*module.Module, len(d.mods))
+	for i := range d.mods {
+		m, err := d.mods[i].build()
 		if err != nil {
 			return nil, err
 		}
@@ -204,26 +211,6 @@ func (g *GenerateSpec) config() workload.Config {
 		Alternatives: g.Alternatives,
 		NoRotation:   g.NoRotation,
 	}
-}
-
-func (ms *ModuleSpec) toModule() (*module.Module, error) {
-	shapes := make([]*module.Shape, len(ms.Shapes))
-	for i, ss := range ms.Shapes {
-		tiles := make([]module.Tile, len(ss.Tiles))
-		for j, ts := range ss.Tiles {
-			kind, err := fabric.ParseKind(ts.Kind)
-			if err != nil {
-				return nil, fmt.Errorf("module %q shape %d: %w", ms.Name, i, err)
-			}
-			tiles[j] = module.Tile{At: grid.Pt(ts.X, ts.Y), Kind: kind}
-		}
-		s, err := module.NewShape(tiles)
-		if err != nil {
-			return nil, fmt.Errorf("module %q shape %d: %w", ms.Name, i, err)
-		}
-		shapes[i] = s
-	}
-	return module.NewModule(ms.Name, shapes...)
 }
 
 func (o *OptionsSpec) toRequestOptions(cfg Config) (core.RequestOptions, error) {

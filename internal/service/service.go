@@ -355,7 +355,7 @@ type keyed struct {
 // for the deferred access-log/SLO bookkeeping.
 func (s *Server) servePlace(w http.ResponseWriter, r *http.Request, tr *obs.Trace, out *placeOutcome) {
 	canonSp := tr.StartSpan("canonicalize")
-	d, err := decode(r.Body, s.cfg)
+	d, err := decode(r.Body, r.ContentLength, s.cfg)
 	if err != nil {
 		s.end(canonSp)
 		s.failPlace(w, out, http.StatusBadRequest, err)

@@ -2,9 +2,7 @@ package service
 
 import (
 	"container/list"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -320,11 +318,9 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request, tr 
 	if s.checkSessionFault(w, out, faultinject.SiteSession) {
 		return
 	}
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
 	var wire SessionCreateRequest
-	if err := dec.Decode(&wire); err != nil {
-		s.failPlace(w, out, http.StatusBadRequest, fmt.Errorf("invalid JSON: %w", err))
+	if err := parse(r.Body, r.ContentLength, &wire); err != nil {
+		s.failPlace(w, out, http.StatusBadRequest, err)
 		return
 	}
 	if wire.Fabric == "" {
@@ -390,22 +386,20 @@ func (s *Server) handleSessionPlace(w http.ResponseWriter, r *http.Request, tr *
 	if sess == nil {
 		return
 	}
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	var wire SessionPlaceRequest
-	if err := dec.Decode(&wire); err != nil {
-		s.failPlace(w, out, http.StatusBadRequest, fmt.Errorf("invalid JSON: %w", err))
+	var wire sessionPlaceWire
+	if err := parse(r.Body, r.ContentLength, &wire); err != nil {
+		s.failPlace(w, out, http.StatusBadRequest, err)
 		return
 	}
-	if wire.Task < 0 {
-		s.failPlace(w, out, http.StatusBadRequest, fmt.Errorf("negative task id %d", wire.Task))
+	if wire.task < 0 {
+		s.failPlace(w, out, http.StatusBadRequest, fmt.Errorf("negative task id %d", wire.task))
 		return
 	}
-	if wire.Module == nil {
+	if wire.module == nil {
 		s.failPlace(w, out, http.StatusBadRequest, fmt.Errorf("place request needs a module"))
 		return
 	}
-	mod, err := wire.Module.toModule()
+	mod, err := wire.module.build()
 	if err != nil {
 		s.failPlace(w, out, http.StatusBadRequest, err)
 		return
@@ -413,9 +407,9 @@ func (s *Server) handleSessionPlace(w http.ResponseWriter, r *http.Request, tr *
 
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	id := online.TaskID(wire.Task)
+	id := online.TaskID(wire.task)
 	if _, resident := sess.state.Resident(id); resident {
-		s.failPlace(w, out, http.StatusConflict, fmt.Errorf("task %d already resident in session", wire.Task))
+		s.failPlace(w, out, http.StatusConflict, fmt.Errorf("task %d already resident in session", wire.task))
 		return
 	}
 
@@ -472,7 +466,7 @@ func (s *Server) handleSessionPlace(w http.ResponseWriter, r *http.Request, tr *
 	}
 	resp := SessionPlaceResponse{
 		Session:    sess.id,
-		Task:       wire.Task,
+		Task:       wire.task,
 		Placed:     result.Placed,
 		Replanned:  result.Replanned,
 		Moves:      moveSpecs(result.Moves),
