@@ -93,9 +93,9 @@ perfbench:
 	$(GO) -C perfbench vet ./...
 	$(GO) -C perfbench test ./...
 
-# The observability acceptance benchmarks: recording disabled must show
-# the baseline allocation profile; the span benchmark prices one traced
-# request.
+# The observability acceptance benchmarks: the search, which counts its
+# effort in plain fields, must keep the baseline allocation profile; the
+# span benchmark prices one traced request.
 bench:
 	$(GO) test -run xxx -bench BenchmarkSearch -benchmem ./internal/csp
 	$(GO) test -run xxx -bench 'BenchmarkSpan' -benchmem ./internal/obs

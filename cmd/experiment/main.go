@@ -34,7 +34,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "experiment:", err)
 		os.Exit(1)
 	}
-	cfg.Recorder = session.Recorder
 	cfg.Metrics = session.Registry
 
 	runErr := run(os.Stdout, exp, cfg)
@@ -65,7 +64,6 @@ func parseFlags(args []string) (string, experiments.RunConfig, obs.Config, error
 		benchOut = fs.String("bench-out", "", "write the table1 experiment's per-testcase JSON to this file")
 		obsCfg   obs.Config
 	)
-	fs.StringVar(&obsCfg.TracePath, "trace", "", "write the solver JSONL event trace to this file (- for stdout)")
 	fs.StringVar(&obsCfg.MetricsPath, "metrics", "", "dump metrics at exit: - for a summary table, a path for Prometheus text format")
 	fs.StringVar(&obsCfg.CPUProfile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&obsCfg.MemProfile, "memprofile", "", "write a heap profile to this file at exit")

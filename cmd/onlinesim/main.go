@@ -55,7 +55,6 @@ func main() {
 	flag.IntVar(&o.bramMax, "brammax", 3, "maximum BRAM demand per task")
 	flag.StringVar(&o.manager, "manager", "", "run only this manager (default: all)")
 	flag.IntVar(&o.workers, "workers", 1, "parallel search goroutines for CP replanning (>1 enables parallel branch-and-bound)")
-	flag.StringVar(&o.obs.TracePath, "trace", "", "write the solver JSONL event trace to this file (- for stdout)")
 	flag.StringVar(&o.obs.MetricsPath, "metrics", "", "dump metrics at exit: - for a summary table, a path for Prometheus text format")
 	flag.StringVar(&o.obs.CPUProfile, "cpuprofile", "", "write a CPU profile to this file")
 	flag.StringVar(&o.obs.MemProfile, "memprofile", "", "write a heap profile to this file at exit")
@@ -134,7 +133,7 @@ func run(o cliOpts) (err error) {
 		arms = append(arms, arm{
 			name:   replanArm,
 			mgr:    &online.FirstFit{UseAlternatives: true},
-			replan: &core.Options{Workers: o.workers, Recorder: session.Recorder, Metrics: session.Registry},
+			replan: &core.Options{Workers: o.workers, Metrics: session.Registry},
 		})
 	}
 	ran := false

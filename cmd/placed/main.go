@@ -37,8 +37,8 @@
 // Every request is traced: the response carries an X-Trace-Id header,
 // one JSON access-log line per request goes to -access-log (stdout by
 // default), /debug/traces dumps the recent and slowest request
-// traces, and -trace streams the span/solver event JSONL that
-// cmd/tracecat renders into per-trace waterfalls.
+// traces, and -trace streams the span JSONL that cmd/tracecat renders
+// into per-trace waterfalls.
 package main
 
 import (
@@ -83,7 +83,7 @@ func main() {
 	flag.IntVar(&o.maxInFlight, "max-inflight", 64, "admission queue capacity before 429")
 	flag.DurationVar(&o.defaultTimeout, "default-timeout", 10*time.Second, "per-solve budget when the request sets none")
 	flag.DurationVar(&o.maxTimeout, "max-timeout", time.Minute, "cap on the per-solve budget a request may ask for")
-	flag.StringVar(&o.tracePath, "trace", "", "stream span and solver events as JSONL to this path (- for stdout, feed to tracecat)")
+	flag.StringVar(&o.tracePath, "trace", "", "stream span events as JSONL to this path (- for stdout, feed to tracecat)")
 	flag.StringVar(&o.accessLog, "access-log", "-", "write one JSON line per request to this path (- for stdout, empty to disable)")
 	flag.DurationVar(&o.sloLatency, "slo-latency", 500*time.Millisecond, "request-latency objective for /v1/stats SLO accounting")
 	flag.BoolVar(&o.degrade, "degrade", true, "serve approximate baseline placements when the exact solve times out or is shed")
@@ -110,7 +110,7 @@ func run(o cliOpts) (err error) {
 	}()
 	// The service traces every request; this tracer only adds the span
 	// JSONL stream, which flows when -trace opened a sink.
-	tracer := obs.NewTracer(obs.TracerConfig{Recorder: session.Recorder})
+	tracer := obs.NewTracer(obs.TracerConfig{Sink: session.Trace})
 
 	var accessLog io.Writer
 	switch o.accessLog {

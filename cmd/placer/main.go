@@ -8,13 +8,12 @@
 //
 //	placer -region region.spec -modules modules.spec -svg floorplan.svg
 //
-// Observability: -trace writes the solver's JSONL event stream,
-// -metrics dumps phase timings and per-propagator counters (summary
-// table on "-", Prometheus text format on a file path), and
-// -cpuprofile/-memprofile/-pprof-addr expose the standard Go profiling
-// hooks:
+// Observability: -metrics dumps phase timings and the search's effort
+// counters (summary table on "-", Prometheus text format on a file
+// path), and -cpuprofile/-memprofile/-pprof-addr expose the standard Go
+// profiling hooks:
 //
-//	placer -region region.spec -modules modules.spec -trace trace.jsonl -metrics -
+//	placer -region region.spec -modules modules.spec -metrics -
 package main
 
 import (
@@ -74,7 +73,6 @@ func main() {
 
 // addObsFlags registers the shared observability flag set.
 func addObsFlags(cfg *obs.Config) {
-	flag.StringVar(&cfg.TracePath, "trace", "", "write the solver JSONL event trace to this file (- for stdout)")
 	flag.StringVar(&cfg.MetricsPath, "metrics", "", "dump metrics at exit: - for a summary table, a path for Prometheus text format")
 	flag.StringVar(&cfg.CPUProfile, "cpuprofile", "", "write a CPU profile to this file")
 	flag.StringVar(&cfg.MemProfile, "memprofile", "", "write a heap profile to this file at exit")
@@ -122,7 +120,6 @@ func run(o cliOpts) (err error) {
 		FirstSolutionOnly: o.first,
 		Strategy:          strat,
 		Presolve:          presolve,
-		Recorder:          session.Recorder,
 		Metrics:           session.Registry,
 	})
 	if err != nil {

@@ -1,7 +1,7 @@
 // Command solverlint runs the project's custom static-analysis suite
 // (see internal/analysis/solverlint) over the repository:
-// nondeterminism, obsgate, optvalidate, nakedpanic, lockscope,
-// ctxflow, goroleak, atomicsafe, and syncmisuse. Each
+// nondeterminism, optvalidate, nakedpanic, lockscope, ctxflow,
+// goroleak, atomicsafe, and syncmisuse. Each
 // analyzer applies only to the packages whose invariants it enforces —
 // e.g. nondeterminism covers the search/propagation packages but not
 // the workload generators, which are deliberately random.
@@ -52,12 +52,6 @@ var scopes = map[string][]string{
 	// deterministic too: a session replayed from the same arrival
 	// stream must produce the same placements.
 	"nondeterminism": {"internal/csp", "internal/geost", "internal/core", "internal/presolve", "internal/canon", "internal/obs", "internal/faultinject", "internal/online"},
-	// The zero-alloc-when-disabled contract covers the solver hot
-	// paths instrumented in PR 1 and the request-tracing span model:
-	// span emission must stay nil-guarded so a tracerless daemon pays
-	// nothing. The fault injector makes the same promise: a daemon
-	// without -faults must not pay for the injection sites.
-	"obsgate": {"internal/csp", "internal/geost", "internal/core", "internal/presolve", "internal/obs", "internal/faultinject", "internal/online"},
 	// Options/OptionError validation lives in the csp kernel and at
 	// the core request boundary (RequestOptions.Validate).
 	"optvalidate": {"internal/csp", "internal/core"},

@@ -18,14 +18,10 @@ func TestInScope(t *testing.T) {
 		{"nondeterminism", "repro/internal/obs", true},
 		{"nondeterminism", "repro/internal/rtsim", false},
 		{"nondeterminism", "repro/internal/experiments", false},
-		{"obsgate", "repro/internal/csp", true},
-		{"obsgate", "repro/internal/obs", true},
-		{"obsgate", "repro/internal/service", false},
 		{"optvalidate", "repro/internal/csp", true},
 		{"optvalidate", "repro/internal/core", true},
 		{"optvalidate", "repro/internal/service", false},
 		{"nondeterminism", "repro/internal/presolve", true},
-		{"obsgate", "repro/internal/presolve", true},
 		{"lockscope", "repro/internal/presolve", true},
 		{"ctxflow", "repro/internal/presolve", true},
 		{"goroleak", "repro/internal/presolve", true},
@@ -79,7 +75,7 @@ func TestScopesCoverAllAnalyzers(t *testing.T) {
 
 func analyzersUnderTest() []string {
 	return []string{
-		"nondeterminism", "obsgate", "optvalidate", "nakedpanic",
+		"nondeterminism", "optvalidate", "nakedpanic",
 		"lockscope", "ctxflow", "goroleak", "atomicsafe", "syncmisuse",
 	}
 }

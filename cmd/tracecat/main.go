@@ -1,6 +1,6 @@
 // Command tracecat renders the span JSONL stream written by placed
-// -trace (or any obs.JSONL sink carrying kind=span events) into
-// human-readable per-trace waterfalls plus aggregate span statistics.
+// -trace (an obs.JSONL sink of kind=span lines) into human-readable
+// per-trace waterfalls plus aggregate span statistics.
 //
 //	placed -trace spans.jsonl &
 //	curl -s -X POST localhost:8080/v1/place -d @req.json
@@ -94,8 +94,8 @@ func (t *trace) dur() float64 {
 }
 
 // run parses every reader and renders the report: up to n waterfalls,
-// then the aggregate table. Malformed and non-span lines are skipped —
-// the stream interleaves solver events with spans by design.
+// then the aggregate table. Malformed and non-span lines are skipped,
+// so a stream with other kinds of line mixed in still renders.
 func run(w io.Writer, n int, readers ...io.Reader) error {
 	byID := make(map[string]*trace)
 	var order []string // first-seen order, the JSONL's own chronology

@@ -13,6 +13,7 @@ import (
 // cmd/ that no non-test file calls but other packages' tests need.
 // Keys are "<package path>.<func>" or "<package path>.<Recv>.<method>".
 var exportAllowlist = map[string]string{
+	"repro/internal/csp.Store.Prunes":      "differential oracle: the geost pruneOthers test checks it against its reference prune for prune",
 	"repro/internal/online.ApplyMoves":     "replay oracle: the defrag and integration tests replay every move schedule through it",
 	"repro/internal/workload.MustGenerate": "fixture: the instance generator of the golden, Table-I, canon, core and service tests",
 }

@@ -7,9 +7,6 @@
 //     bit-identical to sequential runs for any worker count; a single
 //     stray wall-clock read or map-order dependence silently breaks
 //     that.
-//   - obsgate: obs.Recorder.Record calls in hot paths must be guarded
-//     by a nil check so the zero-alloc-when-disabled contract of the
-//     observability layer holds.
 //   - optvalidate: every numeric csp.Options field must be covered by
 //     the typed OptionError validation in withDefaults.
 //   - nakedpanic: panic in library packages only inside functions whose
@@ -203,13 +200,12 @@ func sortDiagnostics(diags []Diagnostic) {
 	})
 }
 
-// Analyzers returns the full suite in stable order: the four solver
+// Analyzers returns the full suite in stable order: the three solver
 // invariants followed by the five concurrency/context-safety
 // analyzers of the serving path (the "concsafe" half of the suite).
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		Nondeterminism,
-		ObsGate,
 		OptValidate,
 		NakedPanic,
 		LockScope,

@@ -6,7 +6,6 @@ import (
 )
 
 func TestNondeterminism(t *testing.T) { RunFixture(t, Nondeterminism, "nondeterminism") }
-func TestObsGate(t *testing.T)        { RunFixture(t, ObsGate, "obsgate") }
 func TestOptValidate(t *testing.T)    { RunFixture(t, OptValidate, "optvalidate") }
 func TestNakedPanic(t *testing.T)     { RunFixture(t, NakedPanic, "nakedpanic") }
 func TestLockScope(t *testing.T)      { RunFixture(t, LockScope, "lockscope") }
@@ -16,10 +15,10 @@ func TestAtomicSafe(t *testing.T)     { RunFixture(t, AtomicSafe, "atomicsafe") 
 func TestSyncMisuse(t *testing.T)     { RunFixture(t, SyncMisuse, "syncmisuse") }
 
 // TestAnalyzersRegistered pins the suite composition: the driver and
-// the docs both enumerate these nine names.
+// the docs both enumerate these eight names.
 func TestAnalyzersRegistered(t *testing.T) {
 	want := []string{
-		"nondeterminism", "obsgate", "optvalidate", "nakedpanic",
+		"nondeterminism", "optvalidate", "nakedpanic",
 		"lockscope", "ctxflow", "goroleak", "atomicsafe", "syncmisuse",
 	}
 	got := Analyzers()
@@ -97,7 +96,7 @@ func TestAllowCommentWrongAnalyzer(t *testing.T) {
 package p
 
 func f() {
-	//solverlint:allow obsgate pragma for a different analyzer
+	//solverlint:allow optvalidate pragma for a different analyzer
 	panic("not suppressed")
 }
 `})

@@ -7,9 +7,8 @@ import (
 
 // RequestOptions is the request-level subset of Options: the solver
 // parameters a remote caller may set on one placement request. It
-// deliberately excludes the process-local hooks (Recorder, Metrics)
-// that cannot travel over a wire and must be attached by the serving
-// side. The zero value selects the solver defaults.
+// deliberately excludes the process-local Metrics hook, which cannot
+// travel over a wire and must be attached by the serving side. The zero value selects the solver defaults.
 //
 // RequestOptions is plain data with a deterministic meaning, which is
 // what makes placement requests canonicalizable: two requests with

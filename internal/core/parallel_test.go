@@ -144,7 +144,7 @@ func TestParallelBuildDeterministic(t *testing.T) {
 	}
 	var builds [2]*model
 	for i := range builds {
-		m, err := p.build(mods, nil, nil)
+		m, err := p.build(mods, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

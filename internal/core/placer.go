@@ -114,16 +114,17 @@ type Options struct {
 	// presolve: its lex constraints and warm bound shape the *optimal*
 	// search and could exclude the placement a plain dive finds first.
 	Presolve PresolveMode
-	// Recorder, when non-nil, receives the structured solver event
-	// stream (phase markers, branches, backtracks, prunes, incumbents).
-	// Nil keeps the solve free of any recording overhead.
-	Recorder obs.Recorder
 	// Metrics, when non-nil, receives phase timings (model build,
 	// search, propagation, optimality proof) and the search's own
-	// effort counters (backtracks, propagations, incumbents, best
+	// effort counters (branches, backtracks, propagations, prunes and
+	// pruned values, solutions, maximum depth, incumbents, best
 	// objective, runs per propagator), and enables per-fixpoint
 	// propagation timing on the store.
 	Metrics *obs.Registry
+	// Recorder is ignored, as is obs.NewStats, which returns its only
+	// value. Both stay only until the benchmark harness stops assigning
+	// opts.Recorder = obs.NewStats(reg) (ROADMAP item 1, Step B).
+	Recorder struct{}
 }
 
 // Placer places modules onto one partial region. It holds no mutable
@@ -149,7 +150,7 @@ func (p *Placer) Place(mods []*module.Module) (*Result, error) {
 	}
 
 	reg := p.opts.Metrics
-	m, err := p.build(mods, p.opts.Recorder, reg)
+	m, err := p.build(mods, reg)
 	if err != nil {
 		return nil, err
 	}
@@ -168,7 +169,6 @@ func (p *Placer) Place(mods []*module.Module) (*Result, error) {
 		ChooseVar:   p.chooser(mods, objects),
 		OrderValues: csp.PreferValues(p.valueOrderer(objects), m.warm),
 		StallNodes:  p.opts.StallNodes,
-		Recorder:    p.opts.Recorder,
 	}
 	if p.opts.Timeout > 0 {
 		opts.Deadline = start.Add(p.opts.Timeout)
@@ -190,14 +190,13 @@ func (p *Placer) Place(mods []*module.Module) (*Result, error) {
 		}
 	}
 
-	if p.opts.Recorder != nil {
-		p.opts.Recorder.Record(obs.Event{Kind: obs.KindPhase, Phase: "search"})
-	}
 	var runsBase map[string]int64
 	if reg != nil {
 		runsBase = runsByName(st)
 	}
 	searchT := reg.Timer("phase_search")
+	var effort csp.Effort
+	solutions := 0
 	if p.opts.FirstSolutionOnly {
 		onSolution := func(s *csp.Store) bool {
 			best := s.Vars()[height.ID()].Min() // all tops assigned: max top = height min
@@ -208,19 +207,17 @@ func (p *Placer) Place(mods []*module.Module) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		res.Nodes = sres.Nodes
-		res.Backtracks = sres.Backtracks
-		res.Propagations = sres.Propagations
+		effort, solutions = sres.Effort, sres.Solutions
 		res.Reason = sres.Reason
 		res.Optimal = false
 	} else {
 		var mres csp.MinimizeResult
 		if p.opts.Workers > 1 {
-			// Each worker builds the model again, with no recorder and
-			// no metrics: the phases, presolve counters and events of
-			// the build above are not counted twice.
+			// Each worker builds the model again, with no metrics: the
+			// phases and presolve counters of the build above are not
+			// counted twice.
 			rebuild := func() (*csp.Store, error) {
-				wm, err := p.build(mods, nil, nil)
+				wm, err := p.build(mods, nil)
 				if err != nil {
 					return nil, err
 				}
@@ -233,17 +230,16 @@ func (p *Placer) Place(mods []*module.Module) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		res.Nodes = mres.Nodes
-		res.Backtracks = mres.Backtracks
-		res.Propagations = mres.Propagations
+		effort = mres.Effort
 		res.Reason = mres.Reason
 		res.Optimal = mres.Found && mres.Optimal
 		res.Stalled = mres.Stalled
 		res.ObjectiveTrace = mres.BestObjectiveTrace
 	}
 	searchDur := searchT.Stop()
+	res.Nodes, res.Backtracks, res.Propagations = effort.Nodes, effort.Backtracks, effort.Propagations
 	if reg != nil {
-		exportCounters(reg, res, st, runsBase)
+		exportCounters(reg, effort, solutions, res.ObjectiveTrace, st, runsBase)
 		reg.ObserveDuration("phase_propagation", st.PropagationTime())
 		// The optimality proof is the tail of the search after the last
 		// improving solution.
@@ -281,12 +277,9 @@ type model struct {
 // clip. Every call with the same modules makes the same model — the
 // same variables with the same ids and domains, the same propagators in
 // the same order — which is what lets each parallel worker search its
-// own build. rec and reg, when non-nil, receive the phase markers,
-// phase timings and presolve counters; workers pass nil for both.
-func (p *Placer) build(mods []*module.Module, rec obs.Recorder, reg *obs.Registry) (*model, error) {
-	if rec != nil {
-		rec.Record(obs.Event{Kind: obs.KindPhase, Phase: "model_build"})
-	}
+// own build. reg, when non-nil, receives the phase timings and
+// presolve counters; workers pass nil.
+func (p *Placer) build(mods []*module.Module, reg *obs.Registry) (*model, error) {
 	buildT := reg.Timer("phase_model_build")
 
 	st := csp.NewStore()
@@ -321,9 +314,6 @@ func (p *Placer) build(mods []*module.Module, rec obs.Recorder, reg *obs.Registr
 		return m, nil
 	}
 
-	if rec != nil {
-		rec.Record(obs.Event{Kind: obs.KindPhase, Phase: "presolve"})
-	}
 	presolveT := reg.Timer("phase_presolve")
 	pstats, perr := presolve.Apply(st, k, height)
 	presolveT.Stop()
@@ -376,16 +366,21 @@ func runsByName(st *csp.Store) map[string]int64 {
 }
 
 // exportCounters adds the search's own effort counts to reg: the
-// totals of res, its incumbents and best objective, and each
-// propagator's runs since the search started (runsBase). Like
-// res.Propagations, the runs leave out the propagation of presolve and
-// the warm clip before the search.
-func exportCounters(reg *obs.Registry, res *Result, st *csp.Store, runsBase map[string]int64) {
-	reg.Counter("solver_backtracks_total").Add(res.Backtracks)
-	reg.Counter("solver_propagations_total").Add(res.Propagations)
-	reg.Counter("solver_incumbents_total").Add(int64(len(res.ObjectiveTrace)))
-	if n := len(res.ObjectiveTrace); n > 0 {
-		reg.Gauge("solver_best_objective").Set(float64(res.ObjectiveTrace[n-1].Objective))
+// totals of e, the solutions Solve delivered, the incumbents of trace
+// and the best objective, and each propagator's runs since the search
+// started (runsBase). Like e.Propagations, the runs leave out the
+// propagation of presolve and the warm clip before the search.
+func exportCounters(reg *obs.Registry, e csp.Effort, solutions int, trace []csp.ObjectivePoint, st *csp.Store, runsBase map[string]int64) {
+	reg.Counter("solver_branches_total").Add(e.Branches)
+	reg.Counter("solver_backtracks_total").Add(e.Backtracks)
+	reg.Counter("solver_propagations_total").Add(e.Propagations)
+	reg.Counter("solver_prunes_total").Add(e.Prunes)
+	reg.Counter("solver_pruned_values_total").Add(e.PrunedValues)
+	reg.Counter("solver_solutions_total").Add(int64(solutions))
+	reg.Gauge("solver_max_depth").SetMax(float64(e.MaxDepth))
+	reg.Counter("solver_incumbents_total").Add(int64(len(trace)))
+	if n := len(trace); n > 0 {
+		reg.Gauge("solver_best_objective").Set(float64(trace[n-1].Objective))
 	}
 	for _, s := range st.PropagatorStats() {
 		if d := s.Runs - runsBase[s.Name]; d > 0 {

@@ -50,9 +50,7 @@ func (st *Store) Remove(v *Var, val int) error {
 	}
 	st.ensureOwned(v)
 	if v.dom.Remove(val) {
-		if st.rec != nil {
-			st.notePrune(v, v.dom.Size()+1)
-		}
+		st.countPrune(v, v.dom.Size()+1)
 		return st.changed(v)
 	}
 	return nil

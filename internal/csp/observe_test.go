@@ -4,26 +4,7 @@ import (
 	"slices"
 	"testing"
 	"time"
-
-	"repro/internal/obs"
 )
-
-// eventLog is a test Recorder capturing every event.
-type eventLog struct {
-	events []obs.Event
-}
-
-func (l *eventLog) Record(e obs.Event) { l.events = append(l.events, e) }
-
-func (l *eventLog) count(k obs.EventKind) int {
-	n := 0
-	for _, e := range l.events {
-		if e.Kind == k {
-			n++
-		}
-	}
-	return n
-}
 
 // descendingValues tries domain values largest-first, so a minimising
 // search meets a poor incumbent first.
@@ -31,43 +12,6 @@ func descendingValues(v *Var, buf []int) []int {
 	vals := AscendingValues(v, buf)
 	slices.Reverse(vals)
 	return vals
-}
-
-func TestSolveEmitsEvents(t *testing.T) {
-	log := &eventLog{}
-	st := NewStore()
-	q := postQueens(st, 6)
-	res, err := Solve(st, q, Options{Recorder: log}, func(*Store) bool { return true })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := log.count(obs.KindSolution); got != res.Solutions {
-		t.Errorf("solution events = %d, want %d", got, res.Solutions)
-	}
-	if got := int64(log.count(obs.KindBacktrack)); got != res.Backtracks {
-		t.Errorf("backtrack events = %d, want %d", got, res.Backtracks)
-	}
-	if got := int64(log.count(obs.KindPropagate)); got != res.Propagations {
-		t.Errorf("propagate events = %d, want %d", got, res.Propagations)
-	}
-	if log.count(obs.KindBranch) == 0 || log.count(obs.KindPrune) == 0 {
-		t.Error("expected branch and prune events")
-	}
-	// Prune events from queens propagation must be attributed.
-	attributed := false
-	for _, e := range log.events {
-		if e.Kind == obs.KindPrune && e.Prop == "csp.not-equal" {
-			attributed = true
-			break
-		}
-	}
-	if !attributed {
-		t.Error("no prune event attributed to csp.not-equal")
-	}
-	// The recorder is uninstalled after the search.
-	if st.Recorder() != nil {
-		t.Error("recorder left installed on store")
-	}
 }
 
 func TestSolveCountsWithoutRecorder(t *testing.T) {
@@ -78,7 +22,7 @@ func TestSolveCountsWithoutRecorder(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Backtracks == 0 || res.Propagations == 0 {
-		t.Fatalf("counters must be populated without a recorder: %+v", res)
+		t.Fatalf("counters not populated: %+v", res)
 	}
 	if res.Reason != StopExhausted {
 		t.Fatalf("reason = %v, want exhausted", res.Reason)
@@ -153,8 +97,7 @@ func TestMinimizeBestObjectiveTrace(t *testing.T) {
 	obj := st.NewVarRange("obj", 0, 9)
 	maxOf(st, obj, x, y)
 	LessEqOffset(st, x, y, 2)
-	log := &eventLog{}
-	res, err := Minimize(st, []*Var{x, y}, obj, Options{Recorder: log, OrderValues: descendingValues}, nil)
+	res, err := Minimize(st, []*Var{x, y}, obj, Options{OrderValues: descendingValues}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,16 +117,6 @@ func TestMinimizeBestObjectiveTrace(t *testing.T) {
 	if last.Objective != res.Best {
 		t.Fatalf("final trace point %d != best %d", last.Objective, res.Best)
 	}
-	// Incumbent events mirror the trace.
-	if got := log.count(obs.KindIncumbent); got != len(trace) {
-		t.Errorf("incumbent events = %d, trace length = %d", got, len(trace))
-	}
-	for _, e := range log.events {
-		if e.Kind == obs.KindIncumbent && e.Objective == last.Objective {
-			return
-		}
-	}
-	t.Error("final incumbent missing from event stream")
 }
 
 func TestStorePropagatorStats(t *testing.T) {
@@ -203,8 +136,8 @@ func TestStorePropagatorStats(t *testing.T) {
 		}
 		total += s.Runs
 	}
-	if total != st.nPropag {
-		t.Fatalf("per-propagator runs %d != total %d", total, st.nPropag)
+	if total != st.stats.propagations {
+		t.Fatalf("per-propagator runs %d != total %d", total, st.stats.propagations)
 	}
 	for i := 1; i < len(stats); i++ {
 		if stats[i].Runs > stats[i-1].Runs {

@@ -6,8 +6,6 @@ import (
 	"math"
 	"slices"
 	"sync"
-
-	"repro/internal/obs"
 )
 
 // This file implements MinimizeParallel. The root is propagated on
@@ -53,19 +51,6 @@ import (
 // workers on different stores, so they must be pure functions of the
 // variables handed to them. Heuristics that capture *Var pointers from
 // one particular store are not safe here.
-
-// workerRecorder stamps every event with the worker's 1-based id before
-// forwarding, so merged traces from parallel runs stay attributable.
-type workerRecorder struct {
-	inner  obs.Recorder
-	worker int
-}
-
-// Record implements obs.Recorder.
-func (w workerRecorder) Record(e obs.Event) {
-	e.Worker = w.worker
-	w.inner.Record(e)
-}
 
 // Subtree states.
 const (
@@ -165,9 +150,9 @@ func (sp *split) reopen(k int) {
 // improving worker's store, so it must read the solution through
 // variable ids. Runs that exhaust the space return the same objective
 // and the same final solution as Minimize. The statistics of st, its
-// propagation count, time and per-propagator runs, rise by what the
-// workers did from their root fixpoint on; their builds are not
-// counted. With workers ≤ 1 it is Minimize on st, and build is not
+// effort counters, propagation time and per-propagator runs, rise by
+// what the workers did from their root fixpoint on; their builds are
+// not counted. With workers ≤ 1 it is Minimize on st, and build is not
 // called.
 func MinimizeParallel(st *Store, vars []*Var, obj *Var, opts Options, onImproved func(*Store, int), build func() (*Store, error), workers int) (MinimizeResult, error) {
 	if workers < 0 {
@@ -194,7 +179,7 @@ func (r *run) parallel(vars []*Var, obj *Var, build func() (*Store, error), n in
 	v := r.opts.ChooseVar(vars)
 	if v == nil {
 		// Assigned at the root: the root is the only solution.
-		r.minimizer(st, vars, obj, r.opts.Recorder).dfs(0)
+		r.minimizer(st, vars, obj).dfs(0)
 		return nil
 	}
 	// The root's own value list, read by every worker.
@@ -239,8 +224,7 @@ func (r *run) parallel(vars []*Var, obj *Var, build func() (*Store, error), n in
 }
 
 // spawn builds worker id's store and brings it to where its search
-// starts: the root fixpoint, statistics counted from there on and the
-// worker's recorder installed. A
+// starts: the root fixpoint, with statistics counted from there on. A
 // build whose variable count or propagator names (names, the caller's)
 // differ is another model, and an error.
 func (r *run) spawn(build func() (*Store, error), vars []*Var, obj *Var, names []string, id int) (*worker, error) {
@@ -257,16 +241,11 @@ func (r *run) spawn(build func() (*Store, error), vars []*Var, obj *Var, names [
 	}
 	ws.resetStats()
 	ws.timing = r.st.timing
-	var rec obs.Recorder
-	if r.opts.Recorder != nil {
-		rec = workerRecorder{inner: r.opts.Recorder, worker: id}
-		ws.SetRecorder(rec)
-	}
 	wvars := make([]*Var, len(vars))
 	for j, x := range vars {
 		wvars[j] = ws.vars[x.id]
 	}
-	return r.minimizer(ws, wvars, ws.vars[obj.id], rec), nil
+	return r.minimizer(ws, wvars, ws.vars[obj.id]), nil
 }
 
 // abandon stops the run for a worker that could not start, waking the

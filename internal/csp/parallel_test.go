@@ -4,12 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/obs"
 )
 
 // randomInstance builds a seeded random minimisation instance: n
@@ -112,50 +109,6 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// eventCollector is a mutex-protected recorder for assertions on the
-// merged event stream of a parallel run.
-type eventCollector struct {
-	mu     sync.Mutex
-	events []obs.Event
-}
-
-func (c *eventCollector) Record(e obs.Event) {
-	c.mu.Lock()
-	c.events = append(c.events, e)
-	c.mu.Unlock()
-}
-
-// TestParallelWorkerEvents checks every branch/backtrack/incumbent
-// event from worker goroutines carries a worker attribution.
-func TestParallelWorkerEvents(t *testing.T) {
-	model := func() (*Store, []*Var, *Var) { return randomInstance(3, 5) }
-	st, vars, obj := model()
-	var col eventCollector
-	res, err := MinimizeParallel(st, vars, obj, Options{Recorder: &col}, nil, rebuild(model), 4)
-	if err != nil {
-		t.Fatalf("Minimize: %v", err)
-	}
-	if !res.Optimal {
-		t.Fatalf("run not exhaustive: %v", res.Reason)
-	}
-	branches, tagged := 0, 0
-	for _, e := range col.events {
-		switch e.Kind {
-		case obs.KindBranch, obs.KindBacktrack, obs.KindIncumbent:
-			branches++
-			if e.Worker >= 1 {
-				tagged++
-			}
-		}
-	}
-	if branches == 0 {
-		t.Fatal("no search events recorded")
-	}
-	if tagged == 0 {
-		t.Fatal("no event carries a worker attribution")
-	}
-}
-
 // sleepProp is a propagator that only burns time. The runs it makes on
 // a store that times propagation, the caller's store and a worker's
 // from its root fixpoint on, are added to runs and what they slept to
@@ -175,8 +128,8 @@ func (p sleepProp) Propagate(st *Store) error {
 
 // TestParallelFold checks that a parallel Minimize folds its workers'
 // statistics into the caller's store, counting only what each worker
-// did after its root fixpoint: the store's propagation count rises by
-// exactly the run's Propagations, its per-propagator runs include the
+// did after its root fixpoint: the store's effort counters rise by
+// exactly the run's, its per-propagator runs include the
 // sleep propagator's runs exactly as counted on timed stores (a
 // worker's build runs it untimed), and its propagation time covers the
 // time those runs slept.
@@ -189,13 +142,20 @@ func TestParallelFold(t *testing.T) {
 	}
 	st, vars, obj := model()
 	st.EnableTiming(true)
-	before := st.nPropag
+	before := st.stats
 	res, err := MinimizeParallel(st, vars, obj, Options{}, nil, rebuild(model), 2)
 	if err != nil {
 		t.Fatalf("Minimize: %v", err)
 	}
-	if got := st.nPropag - before; got != res.Propagations {
-		t.Fatalf("store propagations rose by %d, run reports %d", got, res.Propagations)
+	s := st.stats
+	rose := Effort{Nodes: res.Nodes, Branches: s.branches - before.branches, Backtracks: res.Backtracks,
+		Propagations: s.propagations - before.propagations, Prunes: s.prunes - before.prunes,
+		PrunedValues: s.pruned - before.pruned, MaxDepth: s.maxDepth}
+	if rose != res.Effort {
+		t.Fatalf("store counters rose by %+v, run reports %+v", rose, res.Effort)
+	}
+	if res.Branches <= res.Backtracks || res.Prunes == 0 || res.MaxDepth == 0 {
+		t.Fatalf("workers' branches and prunes not folded: %+v", res.Effort)
 	}
 	byName := map[string]int64{}
 	var total int64
@@ -203,8 +163,8 @@ func TestParallelFold(t *testing.T) {
 		byName[s.Name] = s.Runs
 		total += s.Runs
 	}
-	if total != st.nPropag {
-		t.Fatalf("per-propagator runs sum to %d, store counts %d", total, st.nPropag)
+	if total != st.stats.propagations {
+		t.Fatalf("per-propagator runs sum to %d, store counts %d", total, st.stats.propagations)
 	}
 	if byName["test.sleep"] != runs.Load() || runs.Load() < 10 {
 		t.Fatalf("sleep propagator folded %d runs, %d ran on timed stores (want ≥ 10 and equal)", byName["test.sleep"], runs.Load())

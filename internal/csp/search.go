@@ -6,8 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/obs"
 )
 
 // VarChooser selects the next unassigned variable to branch on, or nil
@@ -96,12 +94,6 @@ type Options struct {
 	// StopNodeLimit — a deterministic budget that, unlike Deadline,
 	// does not depend on machine speed.
 	MaxNodes int64
-	// Recorder, when non-nil, receives the structured search event
-	// stream (branch, backtrack, solution, incumbent) and is installed
-	// on the store for the duration of the search so propagation-level
-	// events (propagate, prune) are captured too. Nil keeps the search
-	// hot path free of any recording overhead.
-	Recorder obs.Recorder
 }
 
 // OptionError reports an invalid Options field value.
@@ -180,13 +172,29 @@ type SearchResult struct {
 	Complete bool
 	// Reason says why the run ended (exhausted, timeout or cut).
 	Reason StopReason
+	Effort
+}
+
+// Effort is the work of one search run, counted by the search itself:
+// on the searched store, and for a parallel run on each worker's store
+// from its root fixpoint on.
+type Effort struct {
 	// Nodes counts branching nodes explored.
 	Nodes int64
+	// Branches counts branch attempts: the values tried at those nodes.
+	Branches int64
 	// Backtracks counts dead ends: branch attempts whose propagation
 	// failed.
 	Backtracks int64
 	// Propagations counts propagator executions during the run.
 	Propagations int64
+	// Prunes counts domain reductions during the run, and PrunedValues
+	// the values they removed.
+	Prunes       int64
+	PrunedValues int64
+	// MaxDepth is the depth of the deepest branch attempt (0 at the
+	// root).
+	MaxDepth int
 }
 
 // Solve runs depth-first search over vars, invoking onSolution with the
@@ -199,13 +207,9 @@ func Solve(st *Store, vars []*Var, opts Options, onSolution func(*Store) bool) (
 	if err != nil {
 		return res, err
 	}
-	defer r.end()
-	w := &worker{r: r, st: st, vars: vars, vals: make([][]int, len(vars)), rec: r.opts.Recorder}
-	w.leaf = func(depth int) bool {
+	w := &worker{r: r, st: st, vars: vars, vals: make([][]int, len(vars))}
+	w.leaf = func() bool {
 		res.Solutions++
-		if w.rec != nil {
-			w.rec.Record(obs.Event{Kind: obs.KindSolution, Depth: depth})
-		}
 		if !onSolution(st) {
 			r.stop(StopCut)
 			return true
@@ -213,7 +217,7 @@ func Solve(st *Store, vars []*Var, opts Options, onSolution func(*Store) bool) (
 		return false
 	}
 	err = w.root()
-	res.Nodes, res.Backtracks, res.Propagations = r.counters()
+	res.Effort = r.effort()
 	res.Reason, res.Complete = r.outcome(err)
 	return res, err
 }
@@ -244,13 +248,7 @@ type MinimizeResult struct {
 	// optimality proof (or infeasibility proof), StopStalled the
 	// StallNodes criterion, StopTimeout the deadline.
 	Reason StopReason
-	// Nodes counts branching nodes explored.
-	Nodes int64
-	// Backtracks counts dead ends: branch attempts whose propagation
-	// failed.
-	Backtracks int64
-	// Propagations counts propagator executions during the run.
-	Propagations int64
+	Effort
 	// BestObjectiveTrace records every improving solution in order —
 	// the incumbent-over-time series.
 	BestObjectiveTrace []ObjectivePoint
@@ -264,7 +262,7 @@ type MinimizeResult struct {
 // MinimizeParallel runs the same search on several goroutines.
 func Minimize(st *Store, vars []*Var, obj *Var, opts Options, onImproved func(*Store, int)) (MinimizeResult, error) {
 	return minimize(st, vars, obj, opts, onImproved, func(r *run, vars []*Var) error {
-		return r.minimizer(st, vars, obj, r.opts.Recorder).root()
+		return r.minimizer(st, vars, obj).root()
 	})
 }
 
@@ -276,7 +274,6 @@ func minimize(st *Store, vars []*Var, obj *Var, opts Options, onImproved func(*S
 	if err != nil {
 		return res, err
 	}
-	defer r.end()
 	//solverlint:allow nondeterminism run-start timestamp only feeds ObjectivePoint.Elapsed (anytime trace), never a search decision
 	r.start = time.Now()
 	r.onImproved = onImproved
@@ -286,7 +283,7 @@ func minimize(st *Store, vars []*Var, obj *Var, opts Options, onImproved func(*S
 	}
 	err = search(r, searchVars)
 	res.Found, res.Best, res.BestObjectiveTrace = r.found.Load(), r.best, r.trace
-	res.Nodes, res.Backtracks, res.Propagations = r.counters()
+	res.Effort = r.effort()
 	res.Reason, res.Optimal = r.outcome(err)
 	res.Stalled = res.Reason == StopStalled
 	return res, err
@@ -310,11 +307,10 @@ func deadlineHit(opts *Options) bool {
 // worker searching for it: the stop flag, the global counters and, when
 // minimising, the incumbent.
 type run struct {
-	opts     Options
-	st       *Store // the caller's store
-	prevRec  obs.Recorder
-	propBase int64 // st's propagation count on entry; parallel workers fold into st
-	start    time.Time
+	opts  Options
+	st    *Store // the caller's store
+	base  stats  // st's statistics on entry; parallel workers fold into st
+	start time.Time
 
 	stopped    atomic.Bool
 	reason     atomic.Int32 // first StopReason to fire; -1 = none
@@ -332,25 +328,16 @@ type run struct {
 	onImproved func(*Store, int)
 }
 
-// newRun validates opts and installs its recorder on st until end.
+// newRun validates opts and starts counting the run's effort on st.
 func newRun(st *Store, opts Options) (*run, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	r := &run{opts: opts, st: st, prevRec: st.Recorder(), propBase: st.nPropag}
+	st.stats.maxDepth = 0 // the deepest branch is this run's
+	r := &run{opts: opts, st: st, base: st.stats}
 	r.reason.Store(-1)
-	if opts.Recorder != nil {
-		st.SetRecorder(opts.Recorder)
-	}
 	return r, nil
-}
-
-// end restores the recorder st had before the run.
-func (r *run) end() {
-	if r.opts.Recorder != nil {
-		r.st.SetRecorder(r.prevRec)
-	}
 }
 
 // stop requests a global stop, recording why if it is the first cause.
@@ -359,9 +346,18 @@ func (r *run) stop(why StopReason) {
 	r.stopped.Store(true)
 }
 
-// counters returns the run's nodes, backtracks and propagations.
-func (r *run) counters() (nodes, backtracks, propagations int64) {
-	return r.nodes.Load(), r.backtracks.Load(), r.st.nPropag - r.propBase
+// effort returns what the run did so far.
+func (r *run) effort() Effort {
+	s, b := r.st.stats, r.base
+	return Effort{
+		Nodes:        r.nodes.Load(),
+		Branches:     s.branches - b.branches,
+		Backtracks:   r.backtracks.Load(),
+		Propagations: s.propagations - b.propagations,
+		Prunes:       s.prunes - b.prunes,
+		PrunedValues: s.pruned - b.pruned,
+		MaxDepth:     s.maxDepth,
+	}
 }
 
 // outcome reports why the run ended and whether it exhausted the space;
@@ -378,7 +374,7 @@ func (r *run) outcome(err error) (StopReason, bool) {
 // the incumbent when strictly better, or equal and from the same or an
 // earlier first-level subtree: the order sequential search would prefer
 // it in (see parallel.go).
-func (r *run) offer(w *worker, obj, depth int) {
+func (r *run) offer(w *worker, obj int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.split != nil {
@@ -399,9 +395,6 @@ func (r *run) offer(w *worker, obj, depth int) {
 			//solverlint:allow nondeterminism Elapsed annotates the anytime trace for reporting; no search decision reads it
 			Elapsed: time.Since(r.start),
 		})
-		if w.rec != nil {
-			w.rec.Record(obs.Event{Kind: obs.KindIncumbent, Objective: obj, Nodes: n, Depth: depth})
-		}
 	}
 	// Ties re-snapshot too: the earlier subtree's solution, or the later
 	// run of the same subtree, becomes the reported one.
@@ -417,10 +410,9 @@ type worker struct {
 	r    *run
 	st   *Store
 	vars []*Var
-	rec  obs.Recorder         // Options.Recorder, tagged with the worker id when parallel
-	obj  *Var                 // objective the branch-and-bound cut caps; nil in Solve
-	leaf func(depth int) bool // called at each solution; true stops the run
-	vals [][]int              // OrderValues buffers, one per depth below len(vars)
+	obj  *Var        // objective the branch-and-bound cut caps; nil in Solve
+	leaf func() bool // called at each solution; true stops the run
+	vals [][]int     // OrderValues buffers, one per depth below len(vars)
 
 	// Branch-and-bound state of the current run (see parallel.go):
 	// solutions must beat both the bound it started from and its own
@@ -434,12 +426,12 @@ type worker struct {
 // minimizer returns a worker searching st for improvements of obj: it
 // cuts every node with the branch-and-bound cap (see cut) and offers
 // every improving solution to the run's incumbent.
-func (r *run) minimizer(st *Store, vars []*Var, obj *Var, rec obs.Recorder) *worker {
-	w := &worker{r: r, st: st, vars: vars, obj: obj, vals: make([][]int, len(vars)), rec: rec, start: math.MaxInt, runBest: math.MaxInt}
-	w.leaf = func(depth int) bool {
+func (r *run) minimizer(st *Store, vars []*Var, obj *Var) *worker {
+	w := &worker{r: r, st: st, vars: vars, obj: obj, vals: make([][]int, len(vars)), start: math.MaxInt, runBest: math.MaxInt}
+	w.leaf = func() bool {
 		if val := obj.Value(); val < min(w.start, w.runBest) {
 			w.runBest = val
-			r.offer(w, val, depth)
+			r.offer(w, val)
 		}
 		return false
 	}
@@ -501,7 +493,7 @@ func (w *worker) dfs(depth int) bool {
 	}
 	v := w.r.opts.ChooseVar(w.vars)
 	if v == nil {
-		return w.leaf(depth)
+		return w.leaf()
 	}
 	w.r.nodes.Add(1)
 	vals := w.r.opts.OrderValues(v, w.vals[depth][:0])
@@ -529,9 +521,8 @@ func (w *worker) cut() error {
 // branch tries v = val below the current node and searches the subtree.
 func (w *worker) branch(v *Var, val, depth int) bool {
 	st := w.st
-	if w.rec != nil {
-		w.rec.Record(obs.Event{Kind: obs.KindBranch, Var: v.name, Value: val, Depth: depth})
-	}
+	st.stats.branches++
+	st.stats.maxDepth = max(st.stats.maxDepth, depth)
 	st.Push()
 	err := w.cut()
 	if err == nil {
@@ -545,9 +536,6 @@ func (w *worker) branch(v *Var, val, depth int) bool {
 		stop = w.dfs(depth + 1)
 	} else {
 		w.r.backtracks.Add(1)
-		if w.rec != nil {
-			w.rec.Record(obs.Event{Kind: obs.KindBacktrack, Depth: depth})
-		}
 	}
 	st.Pop()
 	return stop

@@ -6,8 +6,6 @@ import (
 	"math"
 	"sort"
 	"time"
-
-	"repro/internal/obs"
 )
 
 // ErrInconsistent is returned by propagation when some variable's domain
@@ -78,7 +76,7 @@ type Propagator interface {
 }
 
 // Named is an optional Propagator extension: a stable human-readable
-// name used to attribute propagation metrics and trace events. Unnamed
+// name used to attribute propagation metrics. Unnamed
 // propagators fall back to their Go type name.
 type Named interface {
 	Name() string
@@ -109,14 +107,14 @@ type Store struct {
 	vars  []*Var
 	props []propEntry
 
-	queue   []int // propagator indices, pending from qhead on
-	qhead   int   // next queue entry to run; 0 once the queue drains
-	queued  []bool
-	trail   []trailEntry
-	marks   []int // trail lengths at Push points
-	level   int
-	failed  bool
-	nPropag int64 // statistics: propagator executions
+	queue  []int // propagator indices, pending from qhead on
+	qhead  int   // next queue entry to run; 0 once the queue drains
+	queued []bool
+	trail  []trailEntry
+	marks  []int // trail lengths at Push points
+	level  int
+	failed bool
+	stats  stats
 
 	// folded holds the per-propagator runs of finished parallel
 	// workers, by name (see fold).
@@ -129,25 +127,39 @@ type Store struct {
 	// calls).
 	free [][]*Domain
 
-	// Observability. rec is nil on the uninstrumented path; running is
-	// the index of the propagator currently executing, for prune
-	// attribution (-1 outside propagation).
-	rec       obs.Recorder
-	running   int
 	timing    bool
 	propagDur time.Duration
 }
 
+// stats are a store's always-on effort counters: plain fields, since
+// only the goroutine searching the store writes them. A parallel run
+// adds up its workers' with fold.
+type stats struct {
+	propagations int64 // propagator executions
+	prunes       int64 // domain reductions
+	pruned       int64 // values those reductions removed
+	branches     int64 // branch attempts of searches on the store
+	maxDepth     int   // depth of the deepest branch attempt of the current run
+}
+
+// add folds o, a parallel worker's statistics, into s.
+func (s *stats) add(o stats) {
+	s.propagations += o.propagations
+	s.prunes += o.prunes
+	s.pruned += o.pruned
+	s.branches += o.branches
+	s.maxDepth = max(s.maxDepth, o.maxDepth)
+}
+
 // NewStore returns an empty store.
-func NewStore() *Store { return &Store{running: -1} }
+func NewStore() *Store { return &Store{} }
 
-// SetRecorder installs rec as the event sink for propagate/prune events
-// (nil disables recording). Search installs Options.Recorder here for
-// the duration of a run.
-func (st *Store) SetRecorder(rec obs.Recorder) { st.rec = rec }
-
-// Recorder returns the currently installed event sink (nil when none).
-func (st *Store) Recorder() obs.Recorder { return st.rec }
+// Prunes returns the domain reductions made on the store so far and the
+// values they removed. Every SetMin, SetMax, Assign, FilterDomain or
+// RemoveMasks call that changes a domain is one reduction.
+func (st *Store) Prunes() (reductions, values int64) {
+	return st.stats.prunes, st.stats.pruned
+}
 
 // EnableTiming makes Propagate accumulate wall-clock time spent in
 // propagation, readable via PropagationTime. Off by default: timing
@@ -265,7 +277,7 @@ func (st *Store) PropagatorStats() []PropagatorStat {
 // per-propagator runs. Runs fold by name, not by index: ws carries the
 // worker's branch-and-bound cut, which st does not.
 func (st *Store) fold(ws *Store) {
-	st.nPropag += ws.nPropag
+	st.stats.add(ws.stats)
 	st.propagDur += ws.propagDur
 	if st.folded == nil {
 		st.folded = map[string]int64{}
@@ -280,32 +292,17 @@ func (st *Store) fold(ws *Store) {
 // resetStats zeroes the statistics fold reads, so that a worker's store
 // folds only what it did from its root fixpoint on.
 func (st *Store) resetStats() {
-	st.nPropag, st.propagDur = 0, 0
+	st.stats, st.propagDur = stats{}, 0
 	for i := range st.props {
 		st.props[i].runs = 0
 	}
 }
 
-// runningName names the propagator currently executing ("" outside
-// propagation — e.g. a prune caused by a search branching decision).
-func (st *Store) runningName() string {
-	if st.running < 0 {
-		return ""
-	}
-	return st.propName(st.running)
-}
-
-// notePrune emits a prune event for v; before is v's domain size
-// captured ahead of the mutation. Call only when st.rec != nil was
-// already checked to keep the disabled path free of any work.
-func (st *Store) notePrune(v *Var, before int) {
-	//solverlint:allow obsgate the nil check is the caller's documented precondition (see doc comment); re-checking here would double the guard on every prune
-	st.rec.Record(obs.Event{
-		Kind:    obs.KindPrune,
-		Var:     v.name,
-		Removed: before - v.dom.Size(),
-		Prop:    st.runningName(),
-	})
+// countPrune counts a reduction of v's domain; before is its size
+// ahead of the mutation.
+func (st *Store) countPrune(v *Var, before int) {
+	st.stats.prunes++
+	st.stats.pruned += int64(before - v.dom.Size())
 }
 
 // ensureOwned makes v's domain writable at the current level, trailing
@@ -358,15 +355,10 @@ func (st *Store) SetMin(v *Var, lo int) error {
 	if v.dom.Empty() || lo <= v.dom.Min() {
 		return nil
 	}
-	before := 0
-	if st.rec != nil {
-		before = v.dom.Size()
-	}
+	before := v.dom.Size()
 	st.ensureOwned(v)
 	if v.dom.RemoveBelow(lo) {
-		if st.rec != nil {
-			st.notePrune(v, before)
-		}
+		st.countPrune(v, before)
 		return st.changed(v)
 	}
 	return nil
@@ -377,15 +369,10 @@ func (st *Store) SetMax(v *Var, hi int) error {
 	if v.dom.Empty() || hi >= v.dom.Max() {
 		return nil
 	}
-	before := 0
-	if st.rec != nil {
-		before = v.dom.Size()
-	}
+	before := v.dom.Size()
 	st.ensureOwned(v)
 	if v.dom.RemoveAbove(hi) {
-		if st.rec != nil {
-			st.notePrune(v, before)
-		}
+		st.countPrune(v, before)
 		return st.changed(v)
 	}
 	return nil
@@ -400,15 +387,10 @@ func (st *Store) Assign(v *Var, val int) error {
 	if v.dom.Size() == 1 {
 		return nil
 	}
-	before := 0
-	if st.rec != nil {
-		before = v.dom.Size()
-	}
+	before := v.dom.Size()
 	st.ensureOwned(v)
 	if v.dom.KeepOnly(val) {
-		if st.rec != nil {
-			st.notePrune(v, before)
-		}
+		st.countPrune(v, before)
 		return st.changed(v)
 	}
 	return nil
@@ -427,21 +409,16 @@ func (st *Store) FilterDomain(v *Var, keep func(int) bool) error {
 	if !found {
 		return nil
 	}
-	before := 0
-	if st.rec != nil {
-		before = v.dom.Size()
-	}
+	before := v.dom.Size()
 	st.ensureOwned(v)
 	v.dom.FilterIn(first, math.MaxInt, func(val int) bool { return val != first && keep(val) })
-	if st.rec != nil {
-		st.notePrune(v, before)
-	}
+	st.countPrune(v, before)
 	return st.changed(v)
 }
 
 // RemoveMasks deletes from v every value the masks mark, as one change
-// however many masks there are: one trailed copy, one prune event and
-// one wake-up of v's watchers. Marked values that v lacks are ignored,
+// however many masks there are: one trailed copy, one counted prune
+// and one wake-up of v's watchers. Marked values that v lacks are ignored,
 // and when it lacks them all nothing is trailed.
 func (st *Store) RemoveMasks(v *Var, masks []Mask64) error {
 	i := 0
@@ -451,15 +428,10 @@ func (st *Store) RemoveMasks(v *Var, masks []Mask64) error {
 	if i == len(masks) {
 		return nil
 	}
-	before := 0
-	if st.rec != nil {
-		before = v.dom.Size()
-	}
+	before := v.dom.Size()
 	st.ensureOwned(v)
 	v.dom.removeMasks(masks[i:])
-	if st.rec != nil {
-		st.notePrune(v, before)
-	}
+	st.countPrune(v, before)
 	return st.changed(v)
 }
 
@@ -487,14 +459,9 @@ func (st *Store) propagate() error {
 		idx := st.queue[st.qhead]
 		st.qhead++
 		st.queued[idx] = false
-		st.nPropag++
+		st.stats.propagations++
 		st.props[idx].runs++
-		if st.rec != nil {
-			st.rec.Record(obs.Event{Kind: obs.KindPropagate, Prop: st.propName(idx)})
-		}
-		st.running = idx
 		err := st.props[idx].p.Propagate(st)
-		st.running = -1
 		if err != nil {
 			st.failed = true
 			st.clearQueue()

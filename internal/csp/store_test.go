@@ -3,8 +3,6 @@ package csp
 import (
 	"errors"
 	"testing"
-
-	"repro/internal/obs"
 )
 
 func TestStoreVarBasics(t *testing.T) {
@@ -199,7 +197,7 @@ func TestStoreScheduleHandle(t *testing.T) {
 	if p.runs != 2 {
 		t.Fatalf("runs = %d, want 2", p.runs)
 	}
-	if st.nPropag < 2 {
+	if st.stats.propagations < 2 {
 		t.Fatal("Stats not counting")
 	}
 }
@@ -231,11 +229,9 @@ func TestStoreFilterDomainSharing(t *testing.T) {
 // TestStoreFilterDomainCallsKeepOnce checks that FilterDomain offers
 // keep every value exactly once: the filter starts at the value the
 // probe rejected instead of re-testing those below it. The result and
-// the prune event's Removed count are unchanged.
+// the counted prune are unchanged.
 func TestStoreFilterDomainCallsKeepOnce(t *testing.T) {
 	st := NewStore()
-	log := &eventLog{}
-	st.SetRecorder(log)
 	x := st.NewVarRange("x", 0, 199)
 	calls := map[int]int{}
 	keep := func(v int) bool {
@@ -263,8 +259,8 @@ func TestStoreFilterDomainCallsKeepOnce(t *testing.T) {
 			removed++
 		}
 	}
-	if log.count(obs.KindPrune) != 1 || log.events[0].Removed != removed {
-		t.Fatalf("prune events %+v, want one removing %d", log.events, removed)
+	if n, vals := st.Prunes(); n != 1 || vals != int64(removed) {
+		t.Fatalf("counted %d prunes removing %d values, want one removing %d", n, vals, removed)
 	}
 }
 
@@ -310,20 +306,18 @@ func TestStorePoolReuseKeepsRestoredDomains(t *testing.T) {
 // TestStoreRemoveMasks checks the batch removal: masks that start
 // below the domain's base, straddle a word boundary, run past its last
 // word or miss the universe altogether remove exactly the live values
-// they mark, as one trailed change with one prune event, and Pop
+// they mark, as one trailed change with one counted prune, and Pop
 // restores the domain.
 func TestStoreRemoveMasks(t *testing.T) {
 	st := NewStore()
-	log := &eventLog{}
-	st.SetRecorder(log)
 	x := st.NewVarRange("x", 100, 291) // base 100, three full words
 
 	st.Push()
 	if err := st.RemoveMasks(x, []Mask64{{Lo: 0, Bits: 1<<40 - 1}, {Lo: 300, Bits: ^uint64(0)}}); err != nil {
 		t.Fatal(err)
 	}
-	if len(st.trail) != 0 || len(log.events) != 0 {
-		t.Fatalf("masks of absent values trailed %d domains and recorded %v", len(st.trail), log.events)
+	if n, _ := st.Prunes(); len(st.trail) != 0 || n != 0 {
+		t.Fatalf("masks of absent values trailed %d domains and counted %d prunes", len(st.trail), n)
 	}
 
 	masks := []Mask64{
@@ -358,8 +352,8 @@ func TestStoreRemoveMasks(t *testing.T) {
 	if len(st.trail) != 1 {
 		t.Fatalf("one call trailed %d domains, want 1", len(st.trail))
 	}
-	if log.count(obs.KindPrune) != 1 || log.events[0].Removed != 192-want {
-		t.Fatalf("prune events %+v, want one removing %d", log.events, 192-want)
+	if n, vals := st.Prunes(); n != 1 || vals != int64(192-want) {
+		t.Fatalf("counted %d prunes removing %d values, want one removing %d", n, vals, 192-want)
 	}
 
 	if err := st.RemoveMasks(x, []Mask64{{Lo: 100, Bits: ^uint64(0)}, {Lo: 164, Bits: ^uint64(0)}, {Lo: 228, Bits: ^uint64(0)}}); !errors.Is(err, ErrInconsistent) {

@@ -62,10 +62,8 @@ type RunConfig struct {
 	Presolve core.PresolveMode
 	// Progress, when non-nil, receives one line per completed run.
 	Progress io.Writer
-	// Recorder, when non-nil, receives the solver event stream of every
-	// solve in the protocol.
-	Recorder obs.Recorder
-	// Metrics, when non-nil, aggregates phase timings across all solves.
+	// Metrics, when non-nil, aggregates phase timings and the solver's
+	// effort counters across all solves.
 	Metrics *obs.Registry
 	// BenchPath, when non-empty, is where cmd/experiment writes the
 	// per-testcase JSON of the table1 experiment (BENCH_table1.json).
@@ -166,7 +164,6 @@ func RunTableI(cfg RunConfig) (*TableIResult, error) {
 		StallNodes: cfg.StallNodes,
 		Workers:    cfg.Workers,
 		Presolve:   cfg.Presolve,
-		Recorder:   cfg.Recorder,
 		Metrics:    cfg.Metrics,
 	})
 	for run := 0; run < cfg.Runs; run++ {

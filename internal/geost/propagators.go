@@ -55,7 +55,7 @@ func (p *nonOverlap) Propagate(st *csp.Store) error {
 // the placements whose bounding box meets box (see scanWindow), 64 to a
 // domain word. The prune pass collects the hits as masks and removes
 // them with one Store.RemoveMasks per object, so the solver still counts
-// one prune event per pruned object.
+// one prune per pruned object.
 func (k *Kernel) pruneOthers(st *csp.Store, self *Object, occ *grid.Bitmap, box grid.Rect) error {
 	for _, other := range k.objects {
 		if other != self && !other.anyFree(occ, box) {

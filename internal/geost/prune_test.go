@@ -8,7 +8,6 @@ import (
 	"repro/internal/csp"
 	"repro/internal/fabric"
 	"repro/internal/grid"
-	"repro/internal/obs"
 )
 
 // refPruneOthers is the single-pass pruneOthers the kernel had before it
@@ -122,16 +121,6 @@ func pruneKernels(r *rand.Rand) (got, ref *Kernel) {
 	return got, ref
 }
 
-// pruneLog records the prune events of a store as (variable, removed)
-// pairs.
-type pruneLog []obs.Event
-
-func (l *pruneLog) Record(e obs.Event) {
-	if e.Kind == obs.KindPrune {
-		*l = append(*l, obs.Event{Var: e.Var, Removed: e.Removed})
-	}
-}
-
 func domains(k *Kernel) [][]int {
 	out := make([][]int, len(k.objects))
 	for i, o := range k.objects {
@@ -148,10 +137,10 @@ func domains(k *Kernel) [][]int {
 // same states; where they succeed they must leave identical domains,
 // and where they fail pruneOthers must have changed none. The kernel
 // takes several calls, and a failed call is popped, so later calls
-// start from the state the earlier ones pruned. Both must also record
-// the same prune events, one per pruned object, so the solver's prune
-// count keeps its meaning. It returns the number of failing calls and
-// of pruned domains.
+// start from the state the earlier ones pruned. Both must also count
+// the same prunes, one per pruned object, removing the same values, so
+// the solver's prune counters keep their meaning. It returns the number
+// of failing calls and of pruned domains.
 func checkPruneOthers(t *testing.T, seed int64) (fails, prunes int) {
 	r := rand.New(rand.NewSource(seed))
 	got, ref := pruneKernels(r)
@@ -180,9 +169,8 @@ func checkPruneOthers(t *testing.T, seed int64) (fails, prunes int) {
 			box = occ.Extent()
 		}
 		before := domains(got)
-		var logG, logR pruneLog
-		got.st.SetRecorder(&logG)
-		ref.st.SetRecorder(&logR)
+		nG, valsG := got.st.Prunes()
+		nR, valsR := ref.st.Prunes()
 		got.st.Push()
 		ref.st.Push()
 		errG := got.pruneOthers(got.st, self, occ, box)
@@ -190,10 +178,12 @@ func checkPruneOthers(t *testing.T, seed int64) (fails, prunes int) {
 		if (errG == nil) != (errR == nil) {
 			t.Fatalf("seed %d call %d: pruneOthers %v, reference %v", seed, call, errG, errR)
 		}
+		nG, valsG = prunesSince(got.st, nG, valsG)
+		nR, valsR = prunesSince(ref.st, nR, valsR)
 		if errG != nil {
 			fails++
-			if len(logG) != 0 {
-				t.Fatalf("seed %d call %d: failing pruneOthers recorded prunes %v", seed, call, logG)
+			if nG != 0 {
+				t.Fatalf("seed %d call %d: failing pruneOthers counted %d prunes", seed, call, nG)
 			}
 			for j, d := range domains(got) {
 				if !slices.Equal(d, before[j]) {
@@ -207,21 +197,36 @@ func checkPruneOthers(t *testing.T, seed int64) (fails, prunes int) {
 			ref.st.Pop()
 			continue
 		}
-		if !slices.Equal(logG, logR) {
-			t.Fatalf("seed %d call %d: pruneOthers recorded %v, reference %v", seed, call, logG, logR)
+		if nG != nR || valsG != valsR {
+			t.Fatalf("seed %d call %d: pruneOthers counted %d prunes removing %d values, reference %d removing %d",
+				seed, call, nG, valsG, nR, valsR)
 		}
 		rd := domains(ref)
+		pruned, removed := int64(0), int64(0)
 		for j, d := range domains(got) {
 			if len(d) < len(before[j]) {
 				prunes++
+				pruned++
+				removed += int64(len(before[j]) - len(d))
 			}
 			if !slices.Equal(d, rd[j]) {
 				t.Fatalf("seed %d call %d: %s: pruneOthers left %v, reference %v",
 					seed, call, got.objects[j].Name, d, rd[j])
 			}
 		}
+		if nG != pruned || valsG != removed {
+			t.Fatalf("seed %d call %d: pruneOthers counted %d prunes removing %d values, but pruned %d domains by %d values",
+				seed, call, nG, valsG, pruned, removed)
+		}
 	}
 	return fails, prunes
+}
+
+// prunesSince returns the prunes counted on st since it counted n,
+// removing vals values.
+func prunesSince(st *csp.Store, n, vals int64) (int64, int64) {
+	n2, vals2 := st.Prunes()
+	return n2 - n, vals2 - vals
 }
 
 // TestPruneOthersMatchesReference runs checkPruneOthers on seeds 1 to

@@ -32,9 +32,10 @@ func (t Tile) String() string { return fmt.Sprintf("%v:%s", t.At, t.Kind) }
 // starts at (0, 0) and its tiles are in canonical order. Shapes are
 // immutable after construction.
 //
-// The paper groups a shape's tiles into per-kind tilesets; Shape exposes
-// the same view through TilesOfKind, but stores a flat normalised list,
-// which is what the placer and the geost kernel consume.
+// The paper groups a shape's tiles into per-kind tilesets; Shape stores
+// a flat normalised list instead, which is what the placer and the geost
+// kernel consume, each tile carrying its kind, and Histogram gives the
+// per-kind tile counts.
 type Shape struct {
 	tiles  []Tile
 	points []grid.Point // tile coordinates, parallel to tiles

@@ -1,132 +1,19 @@
-// Package obs is the solver observability layer: a structured event
-// stream for search traces, a concurrency-safe metric registry
-// (counters, gauges, histograms, phase timers), and sinks that render
-// either as a JSONL trace, a Prometheus-style text exposition, or a
-// human-readable summary table.
+// Package obs is the observability layer: a concurrency-safe metric
+// registry (counters, gauges, histograms, phase timers), request-scoped
+// tracing spans, and sinks that render the registry as a Prometheus-style
+// text exposition or a human-readable summary table and the spans as a
+// JSONL stream.
 //
-// The package is deliberately dependency-free (stdlib only) and designed
-// around a zero-cost-when-disabled contract: every emission site in the
-// solver guards on a nil Recorder / nil Registry, so the uninstrumented
-// hot path performs no allocations and no time syscalls. Event is a
-// plain value struct — emitting one costs a struct copy and a virtual
-// call, nothing more.
+// The package is deliberately dependency-free (stdlib only). The solver
+// counts its own effort in plain fields and exports the totals into a
+// Registry after each solve; a nil Registry is a valid, inert one, so
+// uninstrumented callers pay nothing.
 package obs
 
-import "time"
-
-// EventKind enumerates the structured solver events.
-type EventKind uint8
-
-// Solver event kinds, in rough order of search lifecycle.
-const (
-	// KindPhase marks entry into a named solver phase (model build,
-	// search, proof, ...).
-	KindPhase EventKind = iota
-	// KindBranch is one branching decision: variable Var tried at Value
-	// at search depth Depth.
-	KindBranch
-	// KindBacktrack is a dead end: the branch at Depth failed
-	// propagation and was undone.
-	KindBacktrack
-	// KindPropagate is one propagator execution (Prop names it).
-	KindPropagate
-	// KindPrune is a domain reduction: Removed values left Var's domain,
-	// attributed to propagator Prop ("" when pruned by branching).
-	KindPrune
-	// KindSolution is a complete assignment accepted by enumeration.
-	KindSolution
-	// KindIncumbent is an improving solution during branch-and-bound:
-	// Objective is the new best value, Nodes the nodes explored so far.
-	KindIncumbent
-	// KindSpan is one completed tracing span (see Trace/Span): a named
-	// interval of a request-scoped trace, with parent link and typed
-	// attributes flattened into Attrs.
-	KindSpan
-)
-
-// String names the kind as it appears in the JSONL trace.
-func (k EventKind) String() string {
-	switch k {
-	case KindPhase:
-		return "phase"
-	case KindBranch:
-		return "branch"
-	case KindBacktrack:
-		return "backtrack"
-	case KindPropagate:
-		return "propagate"
-	case KindPrune:
-		return "prune"
-	case KindSolution:
-		return "solution"
-	case KindIncumbent:
-		return "incumbent"
-	case KindSpan:
-		return "span"
-	}
-	return "unknown"
-}
-
-// Event is one structured solver event. Fields are populated per kind
-// (see EventKind); unused fields stay zero and are omitted from traces.
-// Events carry no timestamp — sinks that need wall-clock offsets stamp
-// them on receipt, keeping the emission site free of time syscalls.
-type Event struct {
-	Kind      EventKind
-	Phase     string // KindPhase: phase name
-	Var       string // KindBranch/KindPrune: variable name
-	Value     int    // KindBranch: value tried
-	Depth     int    // KindBranch/KindBacktrack: search depth
-	Prop      string // KindPropagate/KindPrune: propagator name
-	Removed   int    // KindPrune: values removed from Var's domain
-	Objective int    // KindIncumbent/KindSolution: objective value
-	Nodes     int64  // KindIncumbent: nodes explored when found
-	Worker    int    // parallel search: 1-based worker id (0 = sequential)
-
-	// Span fields (KindSpan only). Unlike solver events, spans carry
-	// their own timing: a span's start offset and duration are its
-	// payload, stamped by the span lifecycle, not sink bookkeeping.
-	Trace  string        // KindSpan: 128-bit trace id, hex
-	Span   string        // KindSpan: span name
-	SpanID int           // KindSpan: span id within the trace (root = 1)
-	Parent int           // KindSpan: parent span id (0 = none)
-	Offset time.Duration // KindSpan: span start offset from trace start
-	Dur    time.Duration // KindSpan: span duration
-	Attrs  string        // KindSpan: space-separated "key=value" pairs
-}
-
-// Recorder receives solver events. Implementations must be safe for use
-// from a single solver goroutine; sinks shared across goroutines (JSONL,
-// Stats) synchronise internally.
-type Recorder interface {
-	Record(Event)
-}
-
-// Multi fans every event out to several recorders (e.g. a JSONL trace
-// plus a Stats aggregator).
-type Multi []Recorder
-
-// Record implements Recorder.
-func (m Multi) Record(e Event) {
-	for _, r := range m {
-		r.Record(e)
-	}
-}
-
-// Combine returns a single Recorder over the non-nil arguments: nil when
-// all are nil, the sole recorder when one remains, a Multi otherwise.
-func Combine(recs ...Recorder) Recorder {
-	var live Multi
-	for _, r := range recs {
-		if r != nil {
-			live = append(live, r)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	}
-	return live
-}
+// NewStats is ignored: it returns an empty value for the equally
+// ignored core.Options.Recorder field, and nothing reads either. The
+// solver exports its effort counters to core.Options.Metrics itself.
+// Both declarations stay only until the benchmark harness stops
+// assigning opts.Recorder = obs.NewStats(reg) (ROADMAP item 1, Step B);
+// that change deletes them with it.
+func NewStats(*Registry) struct{} { return struct{}{} }

@@ -65,7 +65,6 @@ func TestTimerRecordsSeconds(t *testing.T) {
 // `go test -race` covers the concurrent metric paths.
 func TestRegistryConcurrency(t *testing.T) {
 	r := NewRegistry()
-	stats := NewStats(r)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -75,8 +74,9 @@ func TestRegistryConcurrency(t *testing.T) {
 				r.Counter("shared_total").Inc()
 				r.Gauge("shared_gauge").Set(float64(i))
 				r.Histogram("shared_hist", 1, 10, 100).Observe(float64(i % 150))
-				stats.Record(Event{Kind: KindPrune, Removed: 2})
-				stats.Record(Event{Kind: KindBranch, Depth: i % 40})
+				r.Counter("solver_pruned_values_total").Add(2)
+				r.Counter("solver_branches_total").Inc()
+				r.Gauge("solver_max_depth").SetMax(float64(i % 40))
 			}
 		}(g)
 	}

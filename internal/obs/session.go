@@ -10,10 +10,10 @@ import (
 )
 
 // Config is the command-line observability surface shared by the cmd/
-// tools: where to write the JSONL trace and the metrics dump, and the
+// tools: where to write the span trace and the metrics dump, and the
 // standard Go profiling hooks.
 type Config struct {
-	// TracePath receives the JSONL event stream ("" disables, "-" means
+	// TracePath receives the JSONL span stream ("" disables, "-" means
 	// stdout).
 	TracePath string
 	// MetricsPath receives the metrics at Close: the human-readable
@@ -28,18 +28,15 @@ type Config struct {
 	PprofAddr string
 }
 
-// Session is the live observability state of one command run. Recorder
+// Session is the live observability state of one command run. Trace
 // and Registry are nil when the corresponding output is disabled, so
-// they can be passed straight into solver options (whose emission sites
-// are nil-guarded).
+// they can be passed straight into a TracerConfig and solver options.
 type Session struct {
-	// Recorder receives solver events (nil when tracing and metrics are
-	// both off).
-	Recorder Recorder
+	// Trace receives spans (nil when -trace is off).
+	Trace *JSONL
 	// Registry aggregates metrics (nil when -metrics is off).
 	Registry *Registry
 
-	jsonl     *JSONL
 	traceFile *os.File
 	metrics   string
 	cpuFile   *os.File
@@ -51,12 +48,8 @@ type Session struct {
 // flush traces and write profiles.
 func Start(cfg Config) (*Session, error) {
 	s := &Session{metrics: cfg.MetricsPath, memPath: cfg.MemProfile}
-	// Only live sinks reach Combine: a nil *JSONL or *Stats in a
-	// Recorder interface would not compare equal to nil.
-	var trace, stats Recorder
 	if cfg.MetricsPath != "" {
 		s.Registry = NewRegistry()
-		stats = NewStats(s.Registry)
 	}
 	if cfg.TracePath != "" {
 		w := os.Stdout
@@ -68,10 +61,8 @@ func Start(cfg Config) (*Session, error) {
 			s.traceFile = f
 			w = f
 		}
-		s.jsonl = NewJSONL(w)
-		trace = s.jsonl
+		s.Trace = NewJSONL(w)
 	}
-	s.Recorder = Combine(trace, stats)
 
 	if cfg.CPUProfile != "" {
 		f, err := os.Create(cfg.CPUProfile)
@@ -108,8 +99,8 @@ func (s *Session) Close() error {
 			firstErr = err
 		}
 	}
-	if s.jsonl != nil {
-		keep(s.jsonl.Flush())
+	if s.Trace != nil {
+		keep(s.Trace.Flush())
 	}
 	if s.traceFile != nil {
 		keep(s.traceFile.Close())

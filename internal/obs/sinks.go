@@ -12,10 +12,10 @@ import (
 	"time"
 )
 
-// JSONL is a Recorder that writes one JSON object per event, stamped
-// with the wall-clock offset (milliseconds) since the sink was created.
-// It buffers internally; call Flush before reading the output. Safe for
-// concurrent Record calls.
+// JSONL is the span sink: it writes one JSON object per completed
+// span, stamped with the wall-clock offset (milliseconds) since the
+// sink was created. It buffers internally; call Flush before reading
+// the output. Safe for concurrent use.
 type JSONL struct {
 	mu    sync.Mutex
 	bw    *bufio.Writer
@@ -23,62 +23,35 @@ type JSONL struct {
 	start time.Time
 }
 
-// jsonEvent is the trace wire format. Numeric zero fields that carry no
-// information for the kind are elided via omitempty.
-type jsonEvent struct {
-	TMs       float64 `json:"t_ms"`
-	Kind      string  `json:"kind"`
-	Phase     string  `json:"phase,omitempty"`
-	Var       string  `json:"var,omitempty"`
-	Value     int     `json:"value,omitempty"`
-	Depth     int     `json:"depth,omitempty"`
-	Prop      string  `json:"prop,omitempty"`
-	Removed   int     `json:"removed,omitempty"`
-	Objective int     `json:"objective,omitempty"`
-	Nodes     int64   `json:"nodes,omitempty"`
-	Worker    int     `json:"worker,omitempty"`
-	Trace     string  `json:"trace,omitempty"`
-	Span      string  `json:"span,omitempty"`
-	SpanID    int     `json:"span_id,omitempty"`
-	Parent    int     `json:"parent,omitempty"`
-	StartMs   float64 `json:"start_ms,omitempty"`
-	DurMs     float64 `json:"dur_ms,omitempty"`
-	Attrs     string  `json:"attrs,omitempty"`
+// spanLine is the trace wire format of one span (cmd/tracecat reads
+// it). Zero fields that carry no information are elided via omitempty.
+type spanLine struct {
+	TMs     float64 `json:"t_ms"`
+	Kind    string  `json:"kind"`
+	Trace   string  `json:"trace,omitempty"`
+	Span    string  `json:"span,omitempty"`
+	SpanID  int     `json:"span_id,omitempty"`
+	Parent  int     `json:"parent,omitempty"`
+	StartMs float64 `json:"start_ms,omitempty"`
+	DurMs   float64 `json:"dur_ms,omitempty"`
+	Attrs   string  `json:"attrs,omitempty"`
 }
 
 // NewJSONL returns a JSONL sink over w.
 func NewJSONL(w io.Writer) *JSONL {
 	bw := bufio.NewWriterSize(w, 1<<16)
-	//solverlint:allow nondeterminism the stream epoch stamps event lines for humans; the solver never reads it back
+	//solverlint:allow nondeterminism the stream epoch stamps span lines for humans; the solver never reads it back
 	return &JSONL{bw: bw, enc: json.NewEncoder(bw), start: time.Now()}
 }
 
-// Record implements Recorder.
-func (j *JSONL) Record(e Event) {
-	je := jsonEvent{
-		//solverlint:allow nondeterminism event timestamps are output-only telemetry; no search decision reads them
-		TMs:       float64(time.Since(j.start).Microseconds()) / 1000,
-		Kind:      e.Kind.String(),
-		Phase:     e.Phase,
-		Var:       e.Var,
-		Value:     e.Value,
-		Depth:     e.Depth,
-		Prop:      e.Prop,
-		Removed:   e.Removed,
-		Objective: e.Objective,
-		Nodes:     e.Nodes,
-		Worker:    e.Worker,
-		Trace:     e.Trace,
-		Span:      e.Span,
-		SpanID:    e.SpanID,
-		Parent:    e.Parent,
-		StartMs:   float64(e.Offset.Microseconds()) / 1000,
-		DurMs:     float64(e.Dur.Microseconds()) / 1000,
-		Attrs:     e.Attrs,
-	}
+// writeSpan writes the line of one completed span.
+func (j *JSONL) writeSpan(l spanLine) {
+	//solverlint:allow nondeterminism line timestamps are output-only telemetry; no search decision reads them
+	l.TMs = float64(time.Since(j.start).Microseconds()) / 1000
+	l.Kind = "span"
 	j.mu.Lock()
 	// Encoding errors surface at Flush; a trace must never abort a solve.
-	_ = j.enc.Encode(je)
+	_ = j.enc.Encode(l)
 	j.mu.Unlock()
 }
 
@@ -87,45 +60,6 @@ func (j *JSONL) Flush() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.bw.Flush()
-}
-
-// Stats is a Recorder that aggregates the quantities that exist only
-// as events into a Registry: branches, prunes and pruned values,
-// solutions, and the maximum search depth. The search's own counts
-// (backtracks, propagations, incumbents, runs per propagator) are
-// exported by the placer from the solver itself (core.Options.Metrics).
-// Safe for concurrent Record calls.
-type Stats struct {
-	branches  *Counter
-	prunes    *Counter
-	pruned    *Counter
-	solutions *Counter
-	maxDepth  *Gauge
-}
-
-// NewStats returns a Stats aggregator feeding reg.
-func NewStats(reg *Registry) *Stats {
-	return &Stats{
-		branches:  reg.Counter("solver_branches_total"),
-		prunes:    reg.Counter("solver_prunes_total"),
-		pruned:    reg.Counter("solver_pruned_values_total"),
-		solutions: reg.Counter("solver_solutions_total"),
-		maxDepth:  reg.Gauge("solver_max_depth"),
-	}
-}
-
-// Record implements Recorder.
-func (s *Stats) Record(e Event) {
-	switch e.Kind {
-	case KindBranch:
-		s.branches.Inc()
-		s.maxDepth.SetMax(float64(e.Depth))
-	case KindPrune:
-		s.prunes.Inc()
-		s.pruned.Add(int64(e.Removed))
-	case KindSolution:
-		s.solutions.Inc()
-	}
 }
 
 // family splits a possibly-labelled metric name into its family.

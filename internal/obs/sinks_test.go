@@ -9,76 +9,30 @@ import (
 	"testing"
 )
 
+// TestJSONLTrace pins the span wire format cmd/tracecat reads: the
+// field names and order, and the elision of a root span's zero parent
+// and start offset.
 func TestJSONLTrace(t *testing.T) {
 	var sb strings.Builder
 	j := NewJSONL(&sb)
-	j.Record(Event{Kind: KindBranch, Var: "x", Value: 3, Depth: 2})
-	j.Record(Event{Kind: KindIncumbent, Objective: 7, Nodes: 41})
-	j.Record(Event{Kind: KindPrune, Var: "y", Removed: 5, Prop: "alldiff"})
+	id := strings.Repeat("ab", 16)
+	j.writeSpan(spanLine{Trace: id, Span: "solve", SpanID: 2, Parent: 1, StartMs: 0.5, DurMs: 1.25, Attrs: "nodes=3"})
+	j.writeSpan(spanLine{Trace: id, Span: "request", SpanID: 1, DurMs: 2})
 	if err := j.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("got %d lines, want 3", len(lines))
+	want := []string{
+		`"kind":"span","trace":"` + id + `","span":"solve","span_id":2,"parent":1,"start_ms":0.5,"dur_ms":1.25,"attrs":"nodes=3"}`,
+		`"kind":"span","trace":"` + id + `","span":"request","span_id":1,"dur_ms":2}`,
 	}
-	var ev map[string]any
-	if err := json.Unmarshal([]byte(lines[0]), &ev); err != nil {
-		t.Fatal(err)
+	if len(lines) != len(want) {
+		t.Fatalf("got %d lines, want %d: %q", len(lines), len(want), sb.String())
 	}
-	if ev["kind"] != "branch" || ev["var"] != "x" || ev["value"] != float64(3) {
-		t.Fatalf("branch event = %v", ev)
-	}
-	if _, ok := ev["t_ms"]; !ok {
-		t.Fatal("missing t_ms stamp")
-	}
-	if _, ok := ev["objective"]; ok {
-		t.Fatal("zero objective must be omitted from a branch event")
-	}
-	if err := json.Unmarshal([]byte(lines[1]), &ev); err != nil {
-		t.Fatal(err)
-	}
-	if ev["kind"] != "incumbent" || ev["objective"] != float64(7) || ev["nodes"] != float64(41) {
-		t.Fatalf("incumbent event = %v", ev)
-	}
-}
-
-func TestStatsAggregation(t *testing.T) {
-	r := NewRegistry()
-	s := NewStats(r)
-	s.Record(Event{Kind: KindBranch, Depth: 3})
-	s.Record(Event{Kind: KindBranch, Depth: 9})
-	s.Record(Event{Kind: KindBranch, Depth: 4})
-	s.Record(Event{Kind: KindBacktrack, Depth: 9})
-	s.Record(Event{Kind: KindPropagate, Prop: "geost.non-overlap"})
-	s.Record(Event{Kind: KindPrune, Var: "v", Removed: 12, Prop: "geost.non-overlap"})
-	s.Record(Event{Kind: KindSolution})
-	s.Record(Event{Kind: KindIncumbent, Objective: 13, Nodes: 150})
-
-	if got := r.Counter("solver_branches_total").Value(); got != 3 {
-		t.Errorf("branches = %d", got)
-	}
-	if got := r.Counter("solver_prunes_total").Value(); got != 1 {
-		t.Errorf("prunes = %d", got)
-	}
-	if got := r.Counter("solver_pruned_values_total").Value(); got != 12 {
-		t.Errorf("pruned values = %d", got)
-	}
-	if got := r.Counter("solver_solutions_total").Value(); got != 1 {
-		t.Errorf("solutions = %d", got)
-	}
-	if got := r.Gauge("solver_max_depth").Value(); got != 9 {
-		t.Errorf("max depth = %v", got)
-	}
-	// The search's own counts are the placer's to export; Stats leaves
-	// them alone.
-	var sb strings.Builder
-	if err := r.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"solver_backtracks_total", "solver_propagations_total", "solver_propagator_runs_total", "solver_incumbents_total", "solver_best_objective"} {
-		if strings.Contains(sb.String(), name) {
-			t.Errorf("Stats exported %s:\n%s", name, sb.String())
+	for i, line := range lines {
+		stamp, rest, ok := strings.Cut(line, ",")
+		if !ok || !strings.HasPrefix(stamp, `{"t_ms":`) || rest != want[i] {
+			t.Errorf("line %d = %s, want {\"t_ms\":…,%s", i, line, want[i])
 		}
 	}
 }
@@ -141,11 +95,12 @@ func TestSessionRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Recorder == nil || s.Registry == nil {
-		t.Fatal("session must expose recorder and registry")
+	if s.Trace == nil || s.Registry == nil {
+		t.Fatal("session must expose the span sink and the registry")
 	}
-	s.Recorder.Record(Event{Kind: KindBranch, Var: "x", Value: 1, Depth: 4})
-	s.Recorder.Record(Event{Kind: KindIncumbent, Objective: 4})
+	trace := NewTracer(TracerConfig{Sink: s.Trace}).New("request")
+	trace.StartSpan("solve").End()
+	trace.Finish()
 	s.Registry.Counter("custom_total").Inc()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -163,40 +118,33 @@ func TestSessionRoundTrip(t *testing.T) {
 		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
 			t.Fatalf("line %d: %v", n, err)
 		}
+		if ev["kind"] != "span" || ev["trace"] != trace.ID().String() {
+			t.Fatalf("line %d is no span of the trace: %v", n, ev)
+		}
 		n++
 	}
 	if n != 2 {
-		t.Fatalf("trace has %d events, want 2", n)
+		t.Fatalf("trace has %d spans, want 2", n)
 	}
 	prom, err := os.ReadFile(cfg.MetricsPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"custom_total 1", "solver_branches_total 1", "solver_max_depth 4"} {
-		if !strings.Contains(string(prom), want) {
-			t.Errorf("metrics missing %q:\n%s", want, prom)
-		}
+	if !strings.Contains(string(prom), "custom_total 1") {
+		t.Errorf("metrics missing custom_total 1:\n%s", prom)
 	}
 	if fi, err := os.Stat(cfg.MemProfile); err != nil || fi.Size() == 0 {
 		t.Errorf("heap profile not written: %v", err)
 	}
-}
 
-func TestCombine(t *testing.T) {
-	if Combine(nil, nil) != nil {
-		t.Fatal("Combine of nils must be nil")
+	off, err := Start(Config{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	r := NewRegistry()
-	s := NewStats(r)
-	if got := Combine(nil, s); got != Recorder(s) {
-		t.Fatal("Combine with one live recorder must return it directly")
+	if off.Trace != nil || off.Registry != nil {
+		t.Fatal("a session with every output off must expose neither sink")
 	}
-	m := Combine(s, NewJSONL(&strings.Builder{}))
-	if _, ok := m.(Multi); !ok {
-		t.Fatalf("Combine of two = %T, want Multi", m)
-	}
-	m.Record(Event{Kind: KindSolution})
-	if r.Counter("solver_solutions_total").Value() != 1 {
-		t.Fatal("Multi did not fan out")
+	if err := off.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -13,8 +13,8 @@ import (
 // This file is the request-scoped tracing layer: a Trace is one
 // request's tree of timed Spans, minted by a Tracer that retains
 // bounded rings of the most recent and the slowest finished traces (in
-// the spirit of golang.org/x/net/trace) and forwards every completed
-// span to the existing Recorder/sink machinery as a KindSpan event.
+// the spirit of golang.org/x/net/trace) and writes every completed
+// span to its JSONL sink, when it has one.
 // Tracing has no disabled mode: whoever traces holds a live Tracer,
 // and every Trace and Span it mints is live too.
 
@@ -98,7 +98,7 @@ func (a Attr) Value() string {
 	return a.s
 }
 
-// encodeAttrs flattens attrs into the Event.Attrs wire form:
+// encodeAttrs flattens attrs into the attrs field of a span line:
 // space-separated key=value pairs in attachment order.
 func encodeAttrs(attrs []Attr) string {
 	if len(attrs) == 0 {
@@ -118,9 +118,9 @@ func encodeAttrs(attrs []Attr) string {
 
 // TracerConfig sizes a Tracer. Zero fields take the stated defaults.
 type TracerConfig struct {
-	// Recorder receives one KindSpan event per completed span (nil
-	// keeps spans in the rings only).
-	Recorder Recorder
+	// Sink receives one line per completed span (nil keeps spans in
+	// the rings only).
+	Sink *JSONL
 	// Recent is the capacity of the most-recent-traces ring
 	// (default 64).
 	Recent int
@@ -131,7 +131,7 @@ type TracerConfig struct {
 // Tracer mints request-scoped traces and retains bounded rings of the
 // most recent and the slowest finished ones.
 type Tracer struct {
-	rec Recorder
+	sink *JSONL
 
 	mu      sync.Mutex
 	recent  []TraceSummary // ring, position recentN%cap
@@ -149,7 +149,7 @@ func NewTracer(cfg TracerConfig) *Tracer {
 		cfg.Slowest = 16
 	}
 	return &Tracer{
-		rec:     cfg.Recorder,
+		sink:    cfg.Sink,
 		recent:  make([]TraceSummary, 0, cfg.Recent),
 		slowCap: cfg.Slowest,
 	}
@@ -253,8 +253,8 @@ func (t *Trace) newSpan(name string, parent int) *Span {
 // recent and slowest rings, returning the summary it filed. Spans
 // still running — detached work owned by this request, e.g. a
 // singleflight leader's solve outliving its HTTP request — appear in
-// the filed summary marked unended; their KindSpan event is still
-// emitted when they eventually end. Only the first Finish files; later
+// the filed summary marked unended; their span line is still
+// written when they eventually end. Only the first Finish files; later
 // calls return a fresh summary without filing it.
 func (t *Trace) Finish() TraceSummary {
 	t.root.End()
@@ -346,9 +346,9 @@ func (s *Span) SetAttrs(attrs ...Attr) {
 	s.trace.mu.Unlock()
 }
 
-// End closes the span, emits its KindSpan event to the tracer's
-// recorder, and returns its duration. End is idempotent: a second call
-// returns the recorded duration without re-emitting.
+// End closes the span, writes its line to the tracer's sink, and
+// returns its duration. End is idempotent: a second call returns the
+// recorded duration without writing again.
 func (s *Span) End() time.Duration {
 	t := s.trace
 	t.mu.Lock()
@@ -363,16 +363,15 @@ func (s *Span) End() time.Duration {
 	d := s.dur
 	attrs := encodeAttrs(s.attrs)
 	t.mu.Unlock()
-	if rec := t.tracer.rec; rec != nil {
-		rec.Record(Event{
-			Kind:   KindSpan,
-			Trace:  t.id.String(),
-			Span:   s.name,
-			SpanID: s.id,
-			Parent: s.parent,
-			Offset: s.start.Sub(t.start),
-			Dur:    d,
-			Attrs:  attrs,
+	if sink := t.tracer.sink; sink != nil {
+		sink.writeSpan(spanLine{
+			Trace:   t.id.String(),
+			Span:    s.name,
+			SpanID:  s.id,
+			Parent:  s.parent,
+			StartMs: durMs(s.start.Sub(t.start)),
+			DurMs:   durMs(d),
+			Attrs:   attrs,
 		})
 	}
 	return d

@@ -45,10 +45,10 @@ func TestAttrRendering(t *testing.T) {
 }
 
 // TestSpanLifecycle checks parent links, attribute capture, ring
-// filing, and the KindSpan events reaching the recorder sink.
+// filing, and the span lines reaching the sink.
 func TestSpanLifecycle(t *testing.T) {
-	var rec eventCollector
-	tr := NewTracer(TracerConfig{Recorder: &rec})
+	rec := newSpanLog()
+	tr := NewTracer(TracerConfig{Sink: rec.sink})
 	trace := tr.New("request")
 	if trace == nil || trace.ID().IsZero() {
 		t.Fatal("tracer minted no trace")
@@ -85,26 +85,53 @@ func TestSpanLifecycle(t *testing.T) {
 		t.Fatalf("solve span summary: %+v", byName["solve"])
 	}
 
-	if len(rec.events) != 3 {
-		t.Fatalf("recorder saw %d events, want 3 spans", len(rec.events))
+	lines := rec.lines(t)
+	if len(lines) != 3 {
+		t.Fatalf("sink saw %d lines, want 3 spans", len(lines))
 	}
-	for _, e := range rec.events {
-		if e.Kind != KindSpan || e.Trace != trace.ID().String() {
-			t.Fatalf("unexpected event: %+v", e)
+	for _, l := range lines {
+		if l.Kind != "span" || l.Trace != trace.ID().String() {
+			t.Fatalf("unexpected line: %+v", l)
 		}
 	}
-	if rec.events[0].Span != "cache_lookup" || rec.events[0].Attrs != "hit=false" {
-		t.Fatalf("first span event: %+v", rec.events[0])
+	if lines[0].Span != "cache_lookup" || lines[0].Attrs != "hit=false" {
+		t.Fatalf("first span line: %+v", lines[0])
 	}
 }
 
-type eventCollector struct{ events []Event }
+// spanLog is a span sink over a buffer whose lines tests read back.
+type spanLog struct {
+	buf  bytes.Buffer
+	sink *JSONL
+}
 
-func (c *eventCollector) Record(e Event) { c.events = append(c.events, e) }
+func newSpanLog() *spanLog {
+	l := &spanLog{}
+	l.sink = NewJSONL(&l.buf)
+	return l
+}
+
+// lines flushes the sink and decodes every line written so far.
+func (l *spanLog) lines(t *testing.T) []spanLine {
+	t.Helper()
+	if err := l.sink.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var out []spanLine
+	dec := json.NewDecoder(bytes.NewReader(l.buf.Bytes()))
+	for dec.More() {
+		var s spanLine
+		if err := dec.Decode(&s); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, s)
+	}
+	return out
+}
 
 func TestSpanEndIdempotent(t *testing.T) {
-	var rec eventCollector
-	tr := NewTracer(TracerConfig{Recorder: &rec})
+	rec := newSpanLog()
+	tr := NewTracer(TracerConfig{Sink: rec.sink})
 	trace := tr.New("r")
 	sp := trace.StartSpan("s")
 	d1 := sp.End()
@@ -114,14 +141,8 @@ func TestSpanEndIdempotent(t *testing.T) {
 	}
 	trace.Finish()
 	trace.Finish()
-	spans := 0
-	for _, e := range rec.events {
-		if e.Kind == KindSpan {
-			spans++
-		}
-	}
-	if spans != 2 { // "s" once, root once
-		t.Fatalf("recorder saw %d span events, want 2 (End and Finish are idempotent)", spans)
+	if spans := len(rec.lines(t)); spans != 2 { // "s" once, root once
+		t.Fatalf("sink saw %d span lines, want 2 (End and Finish are idempotent)", spans)
 	}
 	if got := tr.Snapshot(); len(got.Recent) != 1 {
 		t.Fatalf("double Finish filed %d traces, want 1", len(got.Recent))
@@ -130,10 +151,10 @@ func TestSpanEndIdempotent(t *testing.T) {
 
 // TestLateSpanAfterFinish models a singleflight leader's detached
 // solve ending after the owning request finished: the filed summary
-// marks it unended, the KindSpan event still reaches the sink.
+// marks it unended, the span line still reaches the sink.
 func TestLateSpanAfterFinish(t *testing.T) {
-	var rec eventCollector
-	tr := NewTracer(TracerConfig{Recorder: &rec})
+	rec := newSpanLog()
+	tr := NewTracer(TracerConfig{Sink: rec.sink})
 	trace := tr.New("request")
 	solve := trace.StartSpan("solve")
 	trace.Finish()
@@ -145,9 +166,9 @@ func TestLateSpanAfterFinish(t *testing.T) {
 		}
 	}
 	solve.End()
-	last := rec.events[len(rec.events)-1]
-	if last.Kind != KindSpan || last.Span != "solve" {
-		t.Fatalf("late End emitted no span event: %+v", last)
+	lines := rec.lines(t)
+	if last := lines[len(lines)-1]; last.Kind != "span" || last.Span != "solve" {
+		t.Fatalf("late End wrote no span line: %+v", last)
 	}
 }
 
@@ -180,7 +201,7 @@ func TestTracerRings(t *testing.T) {
 func TestSpanEventJSONL(t *testing.T) {
 	var buf bytes.Buffer
 	sink := NewJSONL(&buf)
-	tr := NewTracer(TracerConfig{Recorder: sink})
+	tr := NewTracer(TracerConfig{Sink: sink})
 	trace := tr.New("request")
 	sp := trace.StartSpan("solve")
 	sp.SetAttrs(Int("nodes", 3))

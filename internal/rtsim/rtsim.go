@@ -209,8 +209,9 @@ func planPersistent(region *fabric.Region, ph Phase, resident map[string]placedM
 	}
 
 	if len(entering) == 0 {
-		plan.Result = resultFromPlacements(region, kept)
-		return plan, nil
+		var err error
+		plan.Result, err = resultFromPlacements(region, kept)
+		return plan, err
 	}
 
 	// Mask the survivors' tiles as static on a cloned device and place
@@ -230,14 +231,14 @@ func planPersistent(region *fabric.Region, ph Phase, resident map[string]placedM
 	if !res.Found {
 		return plan, fmt.Errorf("no feasible placement for entering modules")
 	}
-	plan.Result = resultFromPlacements(region, append(kept, res.Placements...))
-	return plan, nil
+	plan.Result, err = resultFromPlacements(region, append(kept, res.Placements...))
+	return plan, err
 }
 
 // resultFromPlacements packages placements (already known valid on
 // region) as a core.Result with recomputed metrics, and re-validates
 // them defensively.
-func resultFromPlacements(region *fabric.Region, ps []core.Placement) *core.Result {
+func resultFromPlacements(region *fabric.Region, ps []core.Placement) (*core.Result, error) {
 	res := &core.Result{Found: true, Placements: ps}
 	for _, p := range ps {
 		if top := p.Top(); top > res.Height {
@@ -245,5 +246,8 @@ func resultFromPlacements(region *fabric.Region, ps []core.Placement) *core.Resu
 		}
 	}
 	res.Utilization = metrics.Utilization(region, res.Occupancy(region))
-	return res
+	if err := res.Validate(region); err != nil {
+		return nil, fmt.Errorf("rtsim: merged placement: %w", err)
+	}
+	return res, nil
 }

@@ -11,8 +11,10 @@ import (
 
 	"repro/internal/canon"
 	"repro/internal/core"
+	"repro/internal/fabric"
 	"repro/internal/faultinject"
 	"repro/internal/grid"
+	"repro/internal/metrics"
 	"repro/internal/module"
 )
 
@@ -237,9 +239,9 @@ func TestInjectedSolverErrorIs500(t *testing.T) {
 func TestInjectedPartialResultNotCached(t *testing.T) {
 	s := newTestServer(t, Config{Faults: mustInjector(t, "solver:partial:1")})
 	var solves int
-	s.solve = func(*canon.Request) (*core.Result, error) {
+	s.solve = func(req *canon.Request, region *fabric.Region) (*core.Result, error) {
 		solves++
-		return stubResult(1), nil
+		return stubResult(region, req, 1)
 	}
 	h := s.Handler()
 	rr := post(t, h, genBody(1, 1))
@@ -268,11 +270,11 @@ func TestCacheFaultForcesMiss(t *testing.T) {
 	s := newTestServer(t, Config{Faults: mustInjector(t, "cache:error:1")})
 	var solves int
 	var mu sync.Mutex
-	s.solve = func(*canon.Request) (*core.Result, error) {
+	s.solve = func(req *canon.Request, region *fabric.Region) (*core.Result, error) {
 		mu.Lock()
 		solves++
 		mu.Unlock()
-		return stubResult(3), nil
+		return stubResult(region, req, 3)
 	}
 	h := s.Handler()
 	body := genBody(1, 2)
@@ -299,7 +301,9 @@ func TestCacheFaultForcesMiss(t *testing.T) {
 func TestCacheFaultCountsNoHit(t *testing.T) {
 	var log syncBuffer
 	s := newTestServer(t, Config{AccessLog: &log, Faults: mustInjector(t, "cache:error:1")})
-	s.solve = func(*canon.Request) (*core.Result, error) { return stubResult(3), nil }
+	s.solve = func(req *canon.Request, region *fabric.Region) (*core.Result, error) {
+		return stubResult(region, req, 3)
+	}
 	h := s.Handler()
 	body := genBody(1, 2)
 	for i := 0; i < 2; i++ {
@@ -338,13 +342,13 @@ func TestSingleflightFaultBypassesDedup(t *testing.T) {
 	solves := 0
 	entered := make(chan struct{}, 4)
 	release := make(chan struct{})
-	s.solve = func(*canon.Request) (*core.Result, error) {
+	s.solve = func(req *canon.Request, region *fabric.Region) (*core.Result, error) {
 		mu.Lock()
 		solves++
 		mu.Unlock()
 		entered <- struct{}{}
 		<-release
-		return stubResult(2), nil
+		return stubResult(region, req, 2)
 	}
 	h := s.Handler()
 	body := genBody(1, 2)
@@ -375,8 +379,8 @@ func TestSingleflightFaultBypassesDedup(t *testing.T) {
 // is observable end to end without failing the request.
 func TestInjectedLatencySlowsRequest(t *testing.T) {
 	s := newTestServer(t, Config{Faults: mustInjector(t, "cache:latency:1:30ms")})
-	s.solve = func(*canon.Request) (*core.Result, error) {
-		return stubResult(1), nil
+	s.solve = func(req *canon.Request, region *fabric.Region) (*core.Result, error) {
+		return stubResult(region, req, 1)
 	}
 	h := s.Handler()
 	start := time.Now()
@@ -391,12 +395,17 @@ func TestInjectedLatencySlowsRequest(t *testing.T) {
 
 // TestExactResponseBytesPinned pins the exact-path wire format to the
 // pre-degradation encoding: with injection disabled and an exact
-// solve, the body carries no quality field and exactly the seed field
-// set, so cached bodies stay byte-identical across this change.
+// solve (one tile, placed validly, since every exact result passes
+// Result.Validate), the body carries no quality field and exactly the
+// seed field set, so cached bodies stay byte-identical across this
+// change.
 func TestExactResponseBytesPinned(t *testing.T) {
 	s := newTestServer(t, Config{})
-	s.solve = func(*canon.Request) (*core.Result, error) {
-		return &core.Result{Found: true, Height: 4, Utilization: 0.5, Optimal: true}, nil
+	s.solve = func(req *canon.Request, region *fabric.Region) (*core.Result, error) {
+		res := &core.Result{Found: true, Height: 1, Optimal: true}
+		res.Placements = []core.Placement{{Module: req.Modules[0], At: grid.Pt(0, 0)}}
+		res.Utilization = metrics.Utilization(region, res.Occupancy(region))
+		return res, nil
 	}
 	h := s.Handler()
 	body := `{"fabric":"spartan-like-24x16","modules":[{"name":"a","shapes":[{"tiles":[{"x":0,"y":0,"kind":"CLB"}]}]}]}`
@@ -412,7 +421,7 @@ func TestExactResponseBytesPinned(t *testing.T) {
 	if rr.Code != http.StatusOK {
 		t.Fatalf("status %d body %s", rr.Code, rr.Body)
 	}
-	want := fmt.Sprintf(`{"digest":"%s","fabric":"spartan-like-24x16","found":true,"height":4,"utilization":0.5,"optimal":true,"stalled":false,"reason":"exhausted","nodes":0,"backtracks":0,"solveMs":0}`+"\n", digest)
+	want := fmt.Sprintf(`{"digest":"%s","fabric":"spartan-like-24x16","found":true,"height":1,"utilization":0.041666666666666664,"optimal":true,"stalled":false,"reason":"exhausted","nodes":0,"backtracks":0,"solveMs":0,"placements":[{"module":"a","shape":0,"x":0,"y":0,"w":1,"h":1}]}`+"\n", digest)
 	if got := rr.Body.String(); got != want {
 		t.Fatalf("exact response body drifted from the seed encoding:\n got %s\nwant %s", got, want)
 	}

@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/grid"
+	"repro/internal/metrics"
 	"repro/internal/module"
 	"repro/internal/obs"
 	"repro/internal/workload"
@@ -174,10 +175,10 @@ func TestPermutedDedupWaitersIndexOwnShapes(t *testing.T) {
 	entered := make(chan struct{})
 	var once sync.Once
 	solve := s.solve
-	s.solve = func(req *canon.Request) (*core.Result, error) {
+	s.solve = func(req *canon.Request, region *fabric.Region) (*core.Result, error) {
 		once.Do(func() { close(entered) })
 		<-release
-		return solve(req)
+		return solve(req, region)
 	}
 	h := s.Handler()
 	bodies := []string{permExplicitBody(t, 0), permGenerateBody()}
@@ -215,8 +216,8 @@ func TestPermutedDedupWaitersIndexOwnShapes(t *testing.T) {
 func TestGenerateAliasesExplicitEntry(t *testing.T) {
 	tracer := obs.NewTracer(obs.TracerConfig{})
 	s := newTestServer(t, Config{Tracer: tracer})
-	s.solve = func(req *canon.Request) (*core.Result, error) {
-		return stubSolve(req), nil
+	s.solve = func(req *canon.Request, region *fabric.Region) (*core.Result, error) {
+		return stubSolve(region, req), nil
 	}
 	h := s.Handler()
 	gen := func(seed int64) string {
@@ -273,7 +274,7 @@ func TestGenerateAliasesExplicitEntry(t *testing.T) {
 
 // stubSolve places every module's last shape in a column of its own,
 // so each shape index and box is checkable without a real solve.
-func stubSolve(req *canon.Request) *core.Result {
+func stubSolve(region *fabric.Region, req *canon.Request) *core.Result {
 	res := &core.Result{Found: true}
 	x := 0
 	for _, m := range req.Modules {
@@ -282,6 +283,7 @@ func stubSolve(req *canon.Request) *core.Result {
 		x += m.Shape(j).W()
 		res.Height = max(res.Height, m.Shape(j).H())
 	}
+	res.Utilization = metrics.Utilization(region, res.Occupancy(region))
 	return res
 }
 

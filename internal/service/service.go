@@ -41,6 +41,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"slices"
@@ -161,9 +162,10 @@ type Server struct {
 	accessLog *accessLogger
 	slo       *sloTracker
 
-	// solve computes one canonical instance; tests substitute stubs to
-	// probe the concurrency machinery without real solver runs.
-	solve func(*canon.Request) (*core.Result, error)
+	// solve computes one canonical instance on its region; tests
+	// substitute stubs to probe the concurrency machinery without real
+	// solver runs.
+	solve func(*canon.Request, *fabric.Region) (*core.Result, error)
 	// fallback computes the approximate placement served when the
 	// exact solve degraded; tests substitute stubs.
 	fallback func(*canon.Request) (*core.Result, error)
@@ -572,7 +574,16 @@ func (s *Server) solveExact(tr *obs.Trace, k *keyed, skipStore *bool) (*placed, 
 	defer s.solveGate.Release()
 	solveSp := tr.StartSpan("solve")
 	s.solves.Inc()
-	res, err := s.injectedSolve(k.creq, skipStore)
+	res, region, err := s.injectedSolve(k.creq, skipStore)
+	if err == nil {
+		if verr := res.Validate(region); verr != nil {
+			// A solver bug is a machinery failure (500) that is never
+			// cached: neither an invalid 200 nor the request's fault.
+			err = fmt.Errorf("solver returned an invalid placement: %w", verr)
+			s.end(solveSp, obs.String("error", err.Error()))
+			return nil, err
+		}
+	}
 	if err != nil {
 		s.end(solveSp, obs.String("error", err.Error()))
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, faultinject.ErrInjected) {
@@ -600,32 +611,34 @@ func (s *Server) solveExact(tr *obs.Trace, k *keyed, skipStore *bool) (*placed, 
 // real (or stubbed) solve. An injected timeout surfaces as the
 // deadline miss the HTTP layer degrades on; an injected error as a
 // machinery failure; an injected partial as a stalled, placement-free
-// result that must not poison the cache (hence *skipStore).
-func (s *Server) injectedSolve(creq *canon.Request, skipStore *bool) (*core.Result, error) {
+// result that must not poison the cache (hence *skipStore). It returns
+// the region it solved on, nil for an injected partial.
+func (s *Server) injectedSolve(creq *canon.Request, skipStore *bool) (*core.Result, *fabric.Region, error) {
 	fault := s.faults.Check(faultinject.SiteSolver)
 	if fault.Delay > 0 {
 		time.Sleep(fault.Delay)
 	}
 	switch {
 	case fault.Timeout:
-		return nil, context.DeadlineExceeded
+		return nil, nil, context.DeadlineExceeded
 	case fault.Err != nil:
-		return nil, fault.Err
+		return nil, nil, fault.Err
 	case fault.Partial:
 		*skipStore = true
-		return &core.Result{Stalled: true, Reason: csp.StopStalled}, nil
+		return &core.Result{Stalled: true, Reason: csp.StopStalled}, nil, nil
 	}
-	return s.solve(creq)
-}
-
-// solvePlacement is the production solver: materialise the fabric,
-// window the region, place the canonical module set. The placer adds
-// its phase timings and search counters to the daemon's registry.
-func (s *Server) solvePlacement(creq *canon.Request) (*core.Result, error) {
 	region, err := regionFor(creq)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	res, err := s.solve(creq, region)
+	return res, region, err
+}
+
+// solvePlacement is the production solver: place the canonical module
+// set on its region. The placer adds its phase timings and search
+// counters to the daemon's registry.
+func (s *Server) solvePlacement(creq *canon.Request, region *fabric.Region) (*core.Result, error) {
 	opts := creq.Options.Options()
 	opts.Metrics = s.cfg.Registry
 	return core.New(region, opts).Place(creq.Modules)

@@ -14,8 +14,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/baseline"
 	"repro/internal/canon"
 	"repro/internal/core"
+	"repro/internal/fabric"
 )
 
 // genBody builds a small generated-workload request on the homogeneous
@@ -186,9 +188,16 @@ func TestPlaceWorkersClamped(t *testing.T) {
 	}
 }
 
-// stubResult builds an identifiable fake solve outcome.
-func stubResult(height int) *core.Result {
-	return &core.Result{Found: true, Height: height, Utilization: 0.5, Optimal: true}
+// stubResult places req on region with the bottom-left heuristic, a
+// valid placement made without a search, and marks it with mark nodes
+// so tests can tell which solve produced a response.
+func stubResult(region *fabric.Region, req *canon.Request, mark int) (*core.Result, error) {
+	res, err := baseline.Place(region, req.Modules, baseline.BottomLeftDecreasing, baseline.Options{UseAlternatives: true})
+	if err != nil {
+		return nil, err
+	}
+	res.Nodes = int64(mark)
+	return res, nil
 }
 
 // TestSingleflightOneSolve issues the same request from many goroutines
@@ -198,10 +207,10 @@ func TestSingleflightOneSolve(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 4, MaxInFlight: 64})
 	var solves atomic.Int64
 	release := make(chan struct{})
-	s.solve = func(*canon.Request) (*core.Result, error) {
+	s.solve = func(req *canon.Request, region *fabric.Region) (*core.Result, error) {
 		solves.Add(1)
 		<-release
-		return stubResult(7), nil
+		return stubResult(region, req, 7)
 	}
 	h := s.Handler()
 	body := genBody(1, 2)
@@ -248,13 +257,13 @@ func TestDistinctRequestsDoNotBlock(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 2, MaxInFlight: 8})
 	slowEntered := make(chan struct{})
 	slowRelease := make(chan struct{})
-	s.solve = func(req *canon.Request) (*core.Result, error) {
+	s.solve = func(req *canon.Request, region *fabric.Region) (*core.Result, error) {
 		if req.Modules[0].Name() == "slow" {
 			close(slowEntered)
 			<-slowRelease
-			return stubResult(1), nil
+			return stubResult(region, req, 1)
 		}
-		return stubResult(2), nil
+		return stubResult(region, req, 2)
 	}
 	h := s.Handler()
 	mk := func(name string) string {
@@ -289,9 +298,9 @@ func TestDistinctRequestsDoNotBlock(t *testing.T) {
 // wires. Run under -race in CI.
 func TestEvictionChurnServesCorrectPlacements(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 4, MaxInFlight: 256, CacheEntries: 2})
-	s.solve = func(req *canon.Request) (*core.Result, error) {
-		// Height identifies the instance: module count is the marker.
-		return stubResult(len(req.Modules)), nil
+	s.solve = func(req *canon.Request, region *fabric.Region) (*core.Result, error) {
+		// Nodes identify the instance: module count is the marker.
+		return stubResult(region, req, len(req.Modules))
 	}
 	h := s.Handler()
 
@@ -315,8 +324,8 @@ func TestEvictionChurnServesCorrectPlacements(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if resp.Height != want {
-					t.Errorf("wrong-keyed response: height %d for instance %d", resp.Height, want)
+				if resp.Nodes != int64(want) {
+					t.Errorf("wrong-keyed response: nodes %d for instance %d", resp.Nodes, want)
 					return
 				}
 				if resp.Digest != rr.Header().Get("X-Placement-Digest") {
@@ -339,10 +348,10 @@ func TestAdmissionBackpressure(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	s.solve = func(*canon.Request) (*core.Result, error) {
+	s.solve = func(req *canon.Request, region *fabric.Region) (*core.Result, error) {
 		once.Do(func() { close(entered) })
 		<-release
-		return stubResult(1), nil
+		return stubResult(region, req, 1)
 	}
 	defer close(release)
 	h := s.Handler()
@@ -378,10 +387,10 @@ func TestQueuedRequestDeadline(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	s.solve = func(*canon.Request) (*core.Result, error) {
+	s.solve = func(req *canon.Request, region *fabric.Region) (*core.Result, error) {
 		once.Do(func() { close(entered) })
 		<-release
-		return stubResult(1), nil
+		return stubResult(region, req, 1)
 	}
 	defer close(release)
 	h := s.Handler()
@@ -405,9 +414,9 @@ func TestQueuedRequestDeadline(t *testing.T) {
 // and outlives that budget still answers 200 and fills the cache.
 func TestStartedSolveIsNeverThrownAway(t *testing.T) {
 	s := newTestServer(t, Config{QueueGrace: 10 * time.Millisecond})
-	s.solve = func(*canon.Request) (*core.Result, error) {
+	s.solve = func(req *canon.Request, region *fabric.Region) (*core.Result, error) {
 		time.Sleep(100 * time.Millisecond)
-		return stubResult(1), nil
+		return stubResult(region, req, 1)
 	}
 	body := `{"fabric":"spartan-like-24x16","generate":{"seed":1,"numModules":1,"clbMin":4,"clbMax":6,"noBram":true},"options":{"timeoutMs":10}}`
 	if rr := post(t, s.Handler(), body); rr.Code != http.StatusOK {
@@ -421,7 +430,7 @@ func TestStartedSolveIsNeverThrownAway(t *testing.T) {
 func TestSolveErrorsAreNotCached(t *testing.T) {
 	s := newTestServer(t, Config{})
 	var solves atomic.Int64
-	s.solve = func(*canon.Request) (*core.Result, error) {
+	s.solve = func(req *canon.Request, region *fabric.Region) (*core.Result, error) {
 		solves.Add(1)
 		return nil, fmt.Errorf("module m00: no feasible position")
 	}
@@ -440,10 +449,43 @@ func TestSolveErrorsAreNotCached(t *testing.T) {
 	}
 }
 
+// TestInvalidSolveIsNotServed stubs a solver whose second placement
+// repeats the first, on the same tiles: the overlap fails
+// Result.Validate, so the request answers 500, nothing is cached, and
+// a repeat solves again.
+func TestInvalidSolveIsNotServed(t *testing.T) {
+	s := newTestServer(t, Config{})
+	var solves atomic.Int64
+	s.solve = func(req *canon.Request, region *fabric.Region) (*core.Result, error) {
+		solves.Add(1)
+		res, err := stubResult(region, req, 0)
+		if err != nil {
+			return nil, err
+		}
+		res.Placements[1].At = res.Placements[0].At
+		res.Placements[1].ShapeIndex = res.Placements[0].ShapeIndex
+		res.Placements[1].Module = res.Placements[0].Module
+		return res, nil
+	}
+	h := s.Handler()
+	for i := 0; i < 2; i++ {
+		rr := post(t, h, genBody(1, 2))
+		if rr.Code != http.StatusInternalServerError || !strings.Contains(rr.Body.String(), "invalid placement") {
+			t.Fatalf("attempt %d: status %d body %s, want 500 for an invalid placement", i, rr.Code, rr.Body)
+		}
+	}
+	if got := solves.Load(); got != 2 {
+		t.Fatalf("solves = %d, want 2 (invalid placements must not be cached)", got)
+	}
+	if n := s.cache.Len(); n != 0 {
+		t.Fatalf("cache holds %d entries after invalid solves, want 0", n)
+	}
+}
+
 func TestInfeasibleInstanceIsCached(t *testing.T) {
 	s := newTestServer(t, Config{})
 	var solves atomic.Int64
-	s.solve = func(*canon.Request) (*core.Result, error) {
+	s.solve = func(req *canon.Request, region *fabric.Region) (*core.Result, error) {
 		solves.Add(1)
 		return &core.Result{Found: false}, nil
 	}

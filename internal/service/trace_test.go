@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/canon"
 	"repro/internal/core"
+	"repro/internal/fabric"
 	"repro/internal/obs"
 )
 
@@ -166,12 +167,12 @@ func TestQueueWaitSpanUnderSaturation(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	s.solve = func(req *canon.Request) (*core.Result, error) {
+	s.solve = func(req *canon.Request, region *fabric.Region) (*core.Result, error) {
 		once.Do(func() { close(entered) })
 		if len(req.Modules) == 1 { // the blocker: genBody(1, 1)
 			<-release
 		}
-		return stubResult(len(req.Modules)), nil
+		return stubResult(region, req, len(req.Modules))
 	}
 	h := s.Handler()
 
@@ -213,8 +214,8 @@ func TestQueueWaitSpanUnderSaturation(t *testing.T) {
 func TestConcurrentTracedRequestsNoSpanLeakage(t *testing.T) {
 	tracer := obs.NewTracer(obs.TracerConfig{Recent: 256})
 	s := newTestServer(t, Config{Workers: 4, MaxInFlight: 256, Tracer: tracer})
-	s.solve = func(req *canon.Request) (*core.Result, error) {
-		return stubResult(len(req.Modules)), nil
+	s.solve = func(req *canon.Request, region *fabric.Region) (*core.Result, error) {
+		return stubResult(region, req, len(req.Modules))
 	}
 	h := s.Handler()
 
@@ -279,10 +280,10 @@ func TestClientCancelReturns499(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, MaxInFlight: 4, Tracer: tracer})
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	s.solve = func(*canon.Request) (*core.Result, error) {
+	s.solve = func(req *canon.Request, region *fabric.Region) (*core.Result, error) {
 		close(entered)
 		<-release
-		return stubResult(1), nil
+		return stubResult(region, req, 1)
 	}
 	h := s.Handler()
 	body := genBody(1, 1)
