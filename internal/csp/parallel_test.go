@@ -174,6 +174,41 @@ func TestParallelFold(t *testing.T) {
 	}
 }
 
+// TestParallelWorkerEvents checks that a four-worker run's search
+// events are its workers': each improvement is reported on the store of
+// the worker that found it, never on the caller's, and the branches the
+// workers made reach the run's effort.
+func TestParallelWorkerEvents(t *testing.T) {
+	model := func() (*Store, []*Var, *Var) { return randomInstance(3, 5) }
+	st, vars, obj := model()
+	improved, onCaller := 0, 0
+	workerStores := map[*Store]bool{}
+	onImproved := func(s *Store, _ int) {
+		improved++
+		if s == st {
+			onCaller++
+		} else {
+			workerStores[s] = true
+		}
+	}
+	res, err := MinimizeParallel(st, vars, obj, Options{}, onImproved, rebuild(model), 4)
+	if err != nil {
+		t.Fatalf("Minimize: %v", err)
+	}
+	if !res.Optimal {
+		t.Fatalf("run not exhaustive: %v", res.Reason)
+	}
+	if res.Branches == 0 || res.Nodes <= 1 {
+		t.Fatalf("no search effort recorded: %+v", res.Effort)
+	}
+	if improved == 0 || improved != len(res.BestObjectiveTrace) {
+		t.Fatalf("onImproved called %d times, run traces %d improvements", improved, len(res.BestObjectiveTrace))
+	}
+	if onCaller != 0 || len(workerStores) == 0 {
+		t.Fatalf("%d improvements reported on the caller's store, %d worker stores seen", onCaller, len(workerStores))
+	}
+}
+
 // TestParallelStallNodes checks StallNodes measures progress of the
 // global incumbent: with a generous stall budget and a tiny space the
 // run completes; with a tiny budget on a large space it stops stalled.
