@@ -39,14 +39,15 @@ endef
 # search determinism suites and the non-overlap differential suites,
 # the stateful-session suites and the
 # serving path's concurrency suites (singleflight, admission gate,
-# cache flights, permuted-order dedup waiters and spec aliases)
+# cache flights, permuted-order dedup waiters, spec aliases and decoded
+# shapes outliving the pooled reader)
 # repeated -count=3 (scheduling-order bugs rarely show on a single
 # run).
 race:
 	$(GO) test -race ./...
 	$(call race-repeat,Parallel|Prune|Fixpoint,./internal/csp ./internal/geost ./internal/core)
 	$(call race-repeat,MaximalEmptyRects|Session,./internal/online)
-	$(call race-repeat,Session|Singleflight|Admission|Queued|Eviction|Cancel|QueueWait|Gate|Join|Permuted|Aliases,./internal/service)
+	$(call race-repeat,Session|Singleflight|Admission|Queued|Eviction|Cancel|QueueWait|Gate|Join|Permuted|Aliases|Outlive,./internal/service)
 
 vet:
 	$(GO) vet ./...
@@ -108,6 +109,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzDomain -fuzztime $(FUZZTIME) ./internal/csp
 	$(GO) test -run xxx -fuzz FuzzPlacementValid -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run xxx -fuzz FuzzCanonDigest -fuzztime $(FUZZTIME) ./internal/canon
+	$(GO) test -run xxx -fuzz FuzzDigestMatchesStringKeys -fuzztime $(FUZZTIME) ./internal/canon
 	$(GO) test -run xxx -fuzz FuzzBaselineValid -fuzztime $(FUZZTIME) ./internal/baseline
 	$(GO) test -run xxx -fuzz FuzzPresolveEquivalence -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run xxx -fuzz FuzzValidAnchors -fuzztime $(FUZZTIME) ./internal/core

@@ -2,6 +2,7 @@ package baseline
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -206,7 +207,7 @@ func TestUseAlternativesImproves(t *testing.T) {
 		hTiles = append(hTiles, module.Tile{At: grid.Pt(i, 0), Kind: fabric.CLB})
 	}
 	mk := func(name string) *module.Module {
-		m, err := module.NewModule(name, module.MustShape(vTiles), module.MustShape(hTiles))
+		m, err := module.NewModule(name, module.MustShape(slices.Clone(vTiles)), module.MustShape(slices.Clone(hTiles)))
 		if err != nil {
 			t.Fatal(err)
 		}

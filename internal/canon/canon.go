@@ -18,10 +18,12 @@
 package canon
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"slices"
 	"strings"
 
@@ -61,44 +63,83 @@ type Order struct {
 	Shapes  [][]int
 }
 
-// order validates the request and sorts it into canonical order.
-func (r *Request) order() (Order, error) {
-	if r.Fabric == "" {
-		return Order{}, fmt.Errorf("canon: empty fabric name")
-	}
-	if len(r.Modules) == 0 {
-		return Order{}, fmt.Errorf("canon: no modules in request")
-	}
-	if err := r.Options.Validate(); err != nil {
-		return Order{}, fmt.Errorf("canon: %w", err)
-	}
-	seen := make(map[string]bool, len(r.Modules))
-	for i, m := range r.Modules {
-		if m == nil {
-			return Order{}, fmt.Errorf("canon: nil module at index %d", i)
-		}
-		if seen[m.Name()] {
-			return Order{}, fmt.Errorf("canon: duplicate module name %q", m.Name())
-		}
-		seen[m.Name()] = true
-	}
-	o := Order{Modules: sortedIndexes(r.Modules, (*module.Module).Name)}
-	o.Shapes = make([][]int, len(o.Modules))
-	for c, i := range o.Modules {
-		o.Shapes[c] = sortedIndexes(r.Modules[i].Shapes(), (*module.Shape).Key)
-	}
-	return o, nil
+// shapeKeys holds every shape key of a request, rendered once into one
+// buffer by module.Shape.AppendKey: shape j of request module i has key
+// buf[end[k]:end[k+1]] with k = first[i]+j.
+type shapeKeys struct {
+	buf        []byte
+	end, first []int
 }
 
-// sortedIndexes returns the indexes of xs in ascending key order.
-// Keys are unique: module names are checked, and a module drops
+func (ks *shapeKeys) key(i, j int) []byte {
+	k := ks.first[i] + j
+	return ks.buf[ks.end[k]:ks.end[k+1]]
+}
+
+// order validates the request, renders its shape keys and sorts it into
+// canonical order.
+func (r *Request) order() (Order, *shapeKeys, error) {
+	if r.Fabric == "" {
+		return Order{}, nil, fmt.Errorf("canon: empty fabric name")
+	}
+	if len(r.Modules) == 0 {
+		return Order{}, nil, fmt.Errorf("canon: no modules in request")
+	}
+	if err := r.Options.Validate(); err != nil {
+		return Order{}, nil, fmt.Errorf("canon: %w", err)
+	}
+	seen := make(map[string]bool, len(r.Modules))
+	ks := &shapeKeys{first: make([]int, len(r.Modules))}
+	shapes, tiles := 0, 0
+	for i, m := range r.Modules {
+		if m == nil {
+			return Order{}, nil, fmt.Errorf("canon: nil module at index %d", i)
+		}
+		if seen[m.Name()] {
+			return Order{}, nil, fmt.Errorf("canon: duplicate module name %q", m.Name())
+		}
+		seen[m.Name()] = true
+		ks.first[i] = shapes
+		shapes += m.NumShapes()
+		for _, s := range m.Shapes() {
+			tiles += s.Size()
+		}
+	}
+	// A tile's key takes at most 8 bytes while its coordinates stay
+	// below 100; a longer one grows the buffer.
+	ks.buf, ks.end = make([]byte, 0, 8*tiles), make([]int, 1, shapes+1)
+	for _, m := range r.Modules {
+		for _, s := range m.Shapes() {
+			ks.buf = s.AppendKey(ks.buf)
+			ks.end = append(ks.end, len(ks.buf))
+		}
+	}
+	// The shape orders share one array, module by module.
+	m := len(r.Modules)
+	idx := make([]int, m+shapes)
+	o := Order{Modules: sortIndexes(idx[:m:m], func(a, b int) int {
+		return strings.Compare(r.Modules[a].Name(), r.Modules[b].Name())
+	})}
+	o.Shapes = make([][]int, m)
+	idx = idx[m:]
+	for c, i := range o.Modules {
+		n := r.Modules[i].NumShapes()
+		o.Shapes[c] = sortIndexes(idx[:n:n], func(a, b int) int {
+			return bytes.Compare(ks.key(i, a), ks.key(i, b))
+		})
+		idx = idx[n:]
+	}
+	return o, ks, nil
+}
+
+// sortIndexes fills idx with 0..len(idx)-1 sorted by cmp and returns
+// it. Keys are unique: module names are checked, and a module drops
 // duplicate shapes.
-func sortedIndexes[T any](xs []T, key func(T) string) []int {
-	idx := make([]int, len(xs))
+func sortIndexes(idx []int, cmp func(a, b int) int) []int {
 	for i := range idx {
 		idx[i] = i
 	}
-	slices.SortFunc(idx, func(a, b int) int { return strings.Compare(key(xs[a]), key(xs[b])) })
+	slices.SortFunc(idx, cmp)
 	return idx
 }
 
@@ -123,18 +164,15 @@ func (r *Request) Digest() (Digest, error) {
 // Key canonicalizes the request once and returns its digest and the
 // Order that leads from the canonical form back to the request.
 func (r *Request) Key() (Digest, Order, error) {
-	o, err := r.order()
+	o, ks, err := r.order()
 	if err != nil {
 		return Digest{}, Order{}, err
 	}
-	n := 256 // the frame's fixed part and options, mostly
-	for _, m := range r.Modules {
-		n += len(m.Name()) + 2*binary.MaxVarintLen64
-		for _, s := range m.Shapes() {
-			n += len(s.Key()) + binary.MaxVarintLen64
-		}
-	}
-	return sha256.Sum256(r.appendEncoding(make([]byte, 0, n), o)), o, nil
+	h := sha256.New()
+	r.writeEncoding(h, o, ks)
+	var d Digest
+	copy(d[:], h.Sum(nil))
+	return d, o, nil
 }
 
 // encVersion tags the encoding layout; bump it whenever the frame
@@ -142,25 +180,38 @@ func (r *Request) Key() (Digest, Order, error) {
 // Version 2 added RequestOptions.Presolve to the options tail.
 const encVersion = 2
 
-// appendEncoding writes the canonical frame of r, visiting its modules
-// and shapes in the canonical order o. Every variable-length field is
-// length-prefixed, making the overall encoding injective.
-func (r *Request) appendEncoding(b []byte, o Order) []byte {
+// flushAt is the size at which writeEncoding hands its buffer to the
+// writer.
+const flushAt = 4096
+
+// writeEncoding writes the canonical frame of r to w, visiting its
+// modules and shapes in the canonical order o with the keys ks. Every
+// variable-length field is length-prefixed, making the overall encoding
+// injective. The frame streams through a buffer of about flushAt bytes,
+// so a large request's frame is never held whole. w is a hash or a
+// bytes.Buffer, whose Write never fails.
+func (r *Request) writeEncoding(w io.Writer, o Order, ks *shapeKeys) {
+	b := make([]byte, 0, flushAt+256)
 	b = append(b, encVersion)
 	b = appendString(b, r.Fabric)
 	b = appendRect(b, r.Region)
 	b = binary.AppendUvarint(b, uint64(len(o.Modules)))
 	for c, i := range o.Modules {
-		m := r.Modules[i]
-		b = appendString(b, m.Name())
+		b = appendString(b, r.Modules[i].Name())
 		b = binary.AppendUvarint(b, uint64(len(o.Shapes[c])))
 		for _, j := range o.Shapes[c] {
-			b = appendString(b, m.Shape(j).Key())
+			key := ks.key(i, j)
+			b = binary.AppendUvarint(b, uint64(len(key)))
+			if len(b)+len(key) > flushAt {
+				w.Write(b)
+				b = b[:0]
+			}
+			b = append(b, key...)
 		}
 	}
 	opts := r.Options
 	opts.BusRows = sortedUniqueInts(opts.BusRows)
-	return appendOptions(b, opts)
+	w.Write(appendOptions(b, opts))
 }
 
 // appendOptions writes the solver options, the tail of both frames.

@@ -1,6 +1,7 @@
 package canon
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -217,7 +218,7 @@ func TestCanonicalOrdering(t *testing.T) {
 // rejects what order rejects. The tests use it as the oracle of the
 // canonical instance that Key's Order describes.
 func (r *Request) Canonical() (*Request, error) {
-	o, err := r.order()
+	o, _, err := r.order()
 	if err != nil {
 		return nil, err
 	}
@@ -241,11 +242,13 @@ func (r *Request) Canonical() (*Request, error) {
 // form of the request. Two requests are canonically equal iff their
 // CanonicalBytes are equal; Digest hashes exactly these bytes.
 func (r *Request) CanonicalBytes() ([]byte, error) {
-	o, err := r.order()
+	o, ks, err := r.order()
 	if err != nil {
 		return nil, err
 	}
-	return r.appendEncoding(make([]byte, 0, 256), o), nil
+	var b bytes.Buffer
+	r.writeEncoding(&b, o, ks)
+	return b.Bytes(), nil
 }
 
 // Equal reports whether a and b are canonically equal. It returns false

@@ -58,8 +58,11 @@ func effortOf(t *testing.T, got map[string]string) [5]int64 {
 // the Result's; the per-propagator runs must add up to the
 // propagations; and the effort counters must be mutually consistent:
 // no more backtracks than branches, at least one value per prune, one
-// solution exactly when a first-solution run found one, and a maximum
-// depth within the search variables (the modules and the height).
+// solution exactly when a first-solution run found one, one solution
+// leaf per incumbent of a sequential optimising run and at least that
+// many on parallel workers (a worker may reach a leaf another worker's
+// incumbent has beaten), and a maximum depth within the search
+// variables (the modules and the height).
 func TestExportMatchesReplay(t *testing.T) {
 	region := experiments.TableIRegion()
 	for _, n := range []int{6, 12, 30} {
@@ -125,11 +128,12 @@ func compareExport(t *testing.T, region *fabric.Region, mods []*module.Module, o
 	}
 	e := effortOf(t, got)
 	branches, prunes, pruned, solutions, depth := e[0], e[1], e[2], e[3], e[4]
-	wantSolutions := int64(0)
+	wantSolutions := int64(len(res.ObjectiveTrace))
 	if opts.FirstSolutionOnly && res.Found {
 		wantSolutions = 1
 	}
-	if branches < res.Backtracks || pruned < prunes || solutions != wantSolutions || depth > int64(len(mods)) {
+	exact := opts.FirstSolutionOnly || opts.Workers <= 1
+	if branches < res.Backtracks || pruned < prunes || solutions < wantSolutions || exact && solutions != wantSolutions || depth > int64(len(mods)) {
 		t.Errorf("inconsistent effort: branches %d, backtracks %d, prunes %d, pruned values %d, solutions %d (want %d), max depth %d for %d modules",
 			branches, res.Backtracks, prunes, pruned, solutions, wantSolutions, depth, len(mods))
 	}
@@ -140,27 +144,30 @@ func compareExport(t *testing.T, region *fabric.Region, mods []*module.Module, o
 // the solver's former event-stream aggregator counted on the same
 // solves; the search's own counters were checked equal to them on every
 // case, sequential and on two workers, before the event stream was
-// removed.
+// removed. The one exception is solver_solutions_total of optimising
+// runs: the aggregator counted only Solve's leaves, so it read 0 there,
+// and the search now counts Minimize's solution leaves too, one per
+// incumbent on these sequential runs.
 var pinnedEffort = map[string][5]int64{
-	"n6/seed1/presolve-on/first-false":   {115, 130, 809, 0, 5},
+	"n6/seed1/presolve-on/first-false":   {115, 130, 809, 1, 5},
 	"n6/seed1/presolve-on/first-true":    {6, 24, 11560, 1, 5},
-	"n6/seed1/presolve-off/first-false":  {10292, 10315, 548419, 0, 5},
+	"n6/seed1/presolve-off/first-false":  {10292, 10315, 548419, 2, 5},
 	"n6/seed1/presolve-off/first-true":   {6, 24, 11560, 1, 5},
-	"n6/seed2/presolve-on/first-false":   {1802, 2334, 44984, 0, 5},
+	"n6/seed2/presolve-on/first-false":   {1802, 2334, 44984, 1, 5},
 	"n6/seed2/presolve-on/first-true":    {6, 25, 3919, 1, 5},
-	"n6/seed2/presolve-off/first-false":  {3762, 6577, 977787, 0, 5},
+	"n6/seed2/presolve-off/first-false":  {3762, 6577, 977787, 3, 5},
 	"n6/seed2/presolve-off/first-true":   {6, 25, 3919, 1, 5},
-	"n12/seed1/presolve-on/first-false":  {2367, 3579, 118099, 0, 11},
+	"n12/seed1/presolve-on/first-false":  {2367, 3579, 118099, 1, 11},
 	"n12/seed1/presolve-on/first-true":   {12, 82, 21704, 1, 11},
-	"n12/seed1/presolve-off/first-false": {17021, 21458, 2800141, 0, 11},
+	"n12/seed1/presolve-off/first-false": {17021, 21458, 2800141, 3, 11},
 	"n12/seed1/presolve-off/first-true":  {12, 82, 21704, 1, 11},
-	"n12/seed2/presolve-on/first-false":  {1787, 3871, 52896, 0, 11},
+	"n12/seed2/presolve-on/first-false":  {1787, 3871, 52896, 2, 11},
 	"n12/seed2/presolve-on/first-true":   {12, 82, 7743, 1, 11},
-	"n12/seed2/presolve-off/first-false": {6017, 10754, 1266066, 0, 11},
+	"n12/seed2/presolve-off/first-false": {6017, 10754, 1266066, 2, 11},
 	"n12/seed2/presolve-off/first-true":  {12, 82, 7743, 1, 11},
-	"n30/seed1/presolve-on/first-false":  {3392, 4758, 117949, 0, 29},
+	"n30/seed1/presolve-on/first-false":  {3392, 4758, 117949, 1, 29},
 	"n30/seed1/presolve-on/first-true":   {30, 428, 45196, 1, 29},
-	"n30/seed1/presolve-off/first-false": {13785, 19333, 3795148, 0, 29},
+	"n30/seed1/presolve-off/first-false": {13785, 19333, 3795148, 1, 29},
 	"n30/seed1/presolve-off/first-true":  {30, 428, 45196, 1, 29},
 }
 

@@ -196,7 +196,6 @@ func (p *Placer) Place(mods []*module.Module) (*Result, error) {
 	}
 	searchT := reg.Timer("phase_search")
 	var effort csp.Effort
-	solutions := 0
 	if p.opts.FirstSolutionOnly {
 		onSolution := func(s *csp.Store) bool {
 			best := s.Vars()[height.ID()].Min() // all tops assigned: max top = height min
@@ -207,7 +206,7 @@ func (p *Placer) Place(mods []*module.Module) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		effort, solutions = sres.Effort, sres.Solutions
+		effort = sres.Effort
 		res.Reason = sres.Reason
 		res.Optimal = false
 	} else {
@@ -239,7 +238,7 @@ func (p *Placer) Place(mods []*module.Module) (*Result, error) {
 	searchDur := searchT.Stop()
 	res.Nodes, res.Backtracks, res.Propagations = effort.Nodes, effort.Backtracks, effort.Propagations
 	if reg != nil {
-		exportCounters(reg, effort, solutions, res.ObjectiveTrace, st, runsBase)
+		exportCounters(reg, effort, res.ObjectiveTrace, st, runsBase)
 		reg.ObserveDuration("phase_propagation", st.PropagationTime())
 		// The optimality proof is the tail of the search after the last
 		// improving solution.
@@ -366,17 +365,17 @@ func runsByName(st *csp.Store) map[string]int64 {
 }
 
 // exportCounters adds the search's own effort counts to reg: the
-// totals of e, the solutions Solve delivered, the incumbents of trace
+// totals of e, solution leaves included, the incumbents of trace
 // and the best objective, and each propagator's runs since the search
 // started (runsBase). Like e.Propagations, the runs leave out the
 // propagation of presolve and the warm clip before the search.
-func exportCounters(reg *obs.Registry, e csp.Effort, solutions int, trace []csp.ObjectivePoint, st *csp.Store, runsBase map[string]int64) {
+func exportCounters(reg *obs.Registry, e csp.Effort, trace []csp.ObjectivePoint, st *csp.Store, runsBase map[string]int64) {
 	reg.Counter("solver_branches_total").Add(e.Branches)
 	reg.Counter("solver_backtracks_total").Add(e.Backtracks)
 	reg.Counter("solver_propagations_total").Add(e.Propagations)
 	reg.Counter("solver_prunes_total").Add(e.Prunes)
 	reg.Counter("solver_pruned_values_total").Add(e.PrunedValues)
-	reg.Counter("solver_solutions_total").Add(int64(solutions))
+	reg.Counter("solver_solutions_total").Add(int64(e.Solutions))
 	reg.Gauge("solver_max_depth").SetMax(float64(e.MaxDepth))
 	reg.Counter("solver_incumbents_total").Add(int64(len(trace)))
 	if n := len(trace); n > 0 {

@@ -150,7 +150,7 @@ func TestParallelFold(t *testing.T) {
 	s := st.stats
 	rose := Effort{Nodes: res.Nodes, Branches: s.branches - before.branches, Backtracks: res.Backtracks,
 		Propagations: s.propagations - before.propagations, Prunes: s.prunes - before.prunes,
-		PrunedValues: s.pruned - before.pruned, MaxDepth: s.maxDepth}
+		PrunedValues: s.pruned - before.pruned, Solutions: s.solutions - before.solutions, MaxDepth: s.maxDepth}
 	if rose != res.Effort {
 		t.Fatalf("store counters rose by %+v, run reports %+v", rose, res.Effort)
 	}

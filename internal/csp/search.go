@@ -163,10 +163,9 @@ func (r StopReason) String() string {
 	return "unknown"
 }
 
-// SearchResult summarises a Solve run.
+// SearchResult summarises a Solve run. Its Solutions (from Effort) is
+// the number of solutions delivered.
 type SearchResult struct {
-	// Solutions is the number of solutions delivered.
-	Solutions int
 	// Complete is true when the search space was exhausted (false when
 	// the deadline fired or enumeration was cut short).
 	Complete bool
@@ -192,6 +191,10 @@ type Effort struct {
 	// the values they removed.
 	Prunes       int64
 	PrunedValues int64
+	// Solutions counts the solution leaves the run reached: in Solve the
+	// solutions delivered, in Minimize every solution the
+	// branch-and-bound cap let through, improving the incumbent or not.
+	Solutions int
 	// MaxDepth is the depth of the deepest branch attempt (0 at the
 	// root).
 	MaxDepth int
@@ -209,7 +212,6 @@ func Solve(st *Store, vars []*Var, opts Options, onSolution func(*Store) bool) (
 	}
 	w := &worker{r: r, st: st, vars: vars, vals: make([][]int, len(vars))}
 	w.leaf = func() bool {
-		res.Solutions++
 		if !onSolution(st) {
 			r.stop(StopCut)
 			return true
@@ -356,6 +358,7 @@ func (r *run) effort() Effort {
 		Propagations: s.propagations - b.propagations,
 		Prunes:       s.prunes - b.prunes,
 		PrunedValues: s.pruned - b.pruned,
+		Solutions:    s.solutions - b.solutions,
 		MaxDepth:     s.maxDepth,
 	}
 }
@@ -493,6 +496,7 @@ func (w *worker) dfs(depth int) bool {
 	}
 	v := w.r.opts.ChooseVar(w.vars)
 	if v == nil {
+		w.st.stats.solutions++
 		return w.leaf()
 	}
 	w.r.nodes.Add(1)

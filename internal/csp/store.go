@@ -139,6 +139,7 @@ type stats struct {
 	prunes       int64 // domain reductions
 	pruned       int64 // values those reductions removed
 	branches     int64 // branch attempts of searches on the store
+	solutions    int   // solution leaves searches on the store reached
 	maxDepth     int   // depth of the deepest branch attempt of the current run
 }
 
@@ -148,6 +149,7 @@ func (s *stats) add(o stats) {
 	s.prunes += o.prunes
 	s.pruned += o.pruned
 	s.branches += o.branches
+	s.solutions += o.solutions
 	s.maxDepth = max(s.maxDepth, o.maxDepth)
 }
 

@@ -16,6 +16,26 @@ import (
 // object *pair*, each woken by either side's domain. The per-object
 // propagators must reach exactly the fixpoint this model reaches.
 
+// translate returns ps shifted by d.
+func translate(ps []grid.Point, d grid.Point) []grid.Point {
+	out := make([]grid.Point, len(ps))
+	for i, p := range ps {
+		out[i] = p.Add(d)
+	}
+	return out
+}
+
+// normalise returns ps shifted so their bounding box starts at (0, 0),
+// and the box.
+func normalise(ps []grid.Point) ([]grid.Point, grid.Rect) {
+	lo, hi := ps[0], ps[0]
+	for _, p := range ps {
+		lo = grid.Pt(min(lo.X, p.X), min(lo.Y, p.Y))
+		hi = grid.Pt(max(hi.X, p.X), max(hi.Y, p.Y))
+	}
+	return translate(ps, grid.Pt(-lo.X, -lo.Y)), grid.Rect{MaxX: hi.X - lo.X + 1, MaxY: hi.Y - lo.Y + 1}
+}
+
 // nonOverlapPair forward-checks two objects against each other.
 type nonOverlapPair struct {
 	k    *Kernel
@@ -38,7 +58,7 @@ func (p *nonOverlapPair) dir(st *csp.Store, fixed, other *Object) error {
 	at := grid.Pt(x, y)
 	box := grid.RectXYWH(x, y, g.W, g.H)
 	scratch := p.k.scratch
-	pts := grid.Translate(g.Points, at)
+	pts := translate(g.Points, at)
 	scratch.SetPoints(pts, true)
 	defer scratch.SetPoints(pts, false)
 	return st.FilterDomain(other.Place, func(val int) bool {
@@ -94,7 +114,7 @@ func refCompulsoryRegion(o *Object) *grid.Bitmap {
 	o.Place.Domain().ForEach(func(val int) bool {
 		sid, x, y := o.Decode(val)
 		cur := grid.NewBitmap(o.k.w, o.k.h)
-		cur.SetPoints(grid.Translate(o.Shapes[sid].Points, grid.Pt(x, y)), true)
+		cur.SetPoints(translate(o.Shapes[sid].Points, grid.Pt(x, y)), true)
 		if acc == nil {
 			acc = cur
 		} else {
@@ -139,8 +159,7 @@ func randomShape(r *rand.Rand, w, h int) ShapeGeom {
 	if len(pts) == 0 {
 		pts = append(pts, grid.Pt(0, 0))
 	}
-	box := grid.BoundsOf(pts)
-	pts = grid.Translate(pts, grid.Pt(-box.MinX, -box.MinY))
+	pts, box := normalise(pts)
 	valid := grid.NewBitmap(w, h)
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {

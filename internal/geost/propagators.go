@@ -29,15 +29,29 @@ func (p *nonOverlap) Propagate(st *csp.Store) error {
 	}
 	sid, x, y := o.Placement()
 	g := &o.Shapes[sid]
-	at := grid.Pt(x, y)
 
 	// Paint the fixed object into the kernel scratch bitmap and unpaint
 	// it before returning, so the scratch stays clean for the next run.
 	scratch := o.k.scratch
-	scratch.SetPointsAt(g.Points, at, true)
+	o.paint(scratch, sid, x, y, true)
 	err := o.k.pruneOthers(st, o, scratch, grid.RectXYWH(x, y, g.W, g.H))
-	scratch.SetPointsAt(g.Points, at, false)
+	o.paint(scratch, sid, x, y, false)
 	return err
+}
+
+// paint sets, or with on false clears, the tiles of placement (sid, x,
+// y) of o in occ, a row word at a time from o.rows.
+func (o *Object) paint(occ *grid.Bitmap, sid, x, y int, on bool) {
+	rows := o.rows[sid*o.rowStride:]
+	for r := 0; r < o.Shapes[sid].H; r++ {
+		for c := 0; c < o.rowWords; c++ {
+			if on {
+				occ.OrRow64(x+64*c, y+r, rows[r*o.rowWords+c])
+			} else {
+				occ.ClearRow64(x+64*c, y+r, rows[r*o.rowWords+c])
+			}
+		}
+	}
 }
 
 // pruneOthers removes, from every object but self, the placements whose

@@ -54,8 +54,7 @@ func pruneShape(r *rand.Rand, w, h int) ShapeGeom {
 	if len(pts) == 0 {
 		pts = append(pts, grid.Pt(0, 0))
 	}
-	box := grid.BoundsOf(pts)
-	pts = grid.Translate(pts, grid.Pt(-box.MinX, -box.MinY))
+	pts, box := normalise(pts)
 	// Some shapes have no valid anchor before a random cut in row-major
 	// order, so the domain starts inside a word and windows near the
 	// bottom-left begin below its first word.

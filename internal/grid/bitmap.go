@@ -137,8 +137,31 @@ func (b *Bitmap) Row64(x, y int) uint64 {
 // Row64: bit i of v sets the bit at (x+i, y). Bits that fall outside
 // the bitmap are dropped.
 func (b *Bitmap) OrRow64(x, y int, v uint64) {
+	if row, i, lo, hi := b.rowSpan(x, y, v); row != nil {
+		row[i] |= lo
+		if hi != 0 {
+			row[i+1] |= hi
+		}
+	}
+}
+
+// ClearRow64 clears the bits of row y that v marks: bit i of v clears
+// the bit at (x+i, y). Bits that fall outside the bitmap are ignored.
+func (b *Bitmap) ClearRow64(x, y int, v uint64) {
+	if row, i, lo, hi := b.rowSpan(x, y, v); row != nil {
+		row[i] &^= lo
+		if hi != 0 {
+			row[i+1] &^= hi
+		}
+	}
+}
+
+// rowSpan clips v, 64 bits of row y from column x, to the bitmap and
+// splits it over the row's words: lo lands in row[i] and hi in
+// row[i+1]. The row is nil when nothing lands.
+func (b *Bitmap) rowSpan(x, y int, v uint64) (row []uint64, i int, lo, hi uint64) {
 	if y < 0 || y >= b.h || x >= b.w || x <= -64 {
-		return
+		return nil, 0, 0, 0
 	}
 	if x < 0 {
 		v, x = v>>uint(-x), 0
@@ -146,12 +169,12 @@ func (b *Bitmap) OrRow64(x, y int, v uint64) {
 	if n := b.w - x; n < 64 {
 		v &= 1<<uint(n) - 1
 	}
-	row := b.words[y*b.wpr : (y+1)*b.wpr]
+	row = b.words[y*b.wpr : (y+1)*b.wpr]
 	i, s := x>>6, uint(x&63)
-	row[i] |= v << s
 	if s != 0 && i+1 < len(row) {
-		row[i+1] |= v >> (64 - s)
+		hi = v >> (64 - s)
 	}
+	return row, i, v << s, hi
 }
 
 // AnyAt reports whether any of the points ps, translated by at, hits a

@@ -167,6 +167,39 @@ func TestBitmapOrRow64MatchesSet(t *testing.T) {
 	}
 }
 
+// TestBitmapClearRow64MatchesSet checks ClearRow64 against one clearing
+// Set per bit, on bitmaps with random bits in every row, at the offsets
+// TestBitmapOrRow64MatchesSet uses: it clears exactly the bits Set
+// would, ignores the bits outside the bitmap, and leaves the rest of the
+// bitmap as it was.
+func TestBitmapClearRow64MatchesSet(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for _, w := range []int{1, 63, 64, 65, 72, 130} {
+		for y := -1; y <= 3; y++ {
+			for x := -66; x <= w+1; x++ {
+				got, want := NewBitmap(w, 3), NewBitmap(w, 3)
+				for row := 0; row < 3; row++ {
+					for i := 0; i < w; i++ {
+						on := r.Intn(2) == 0
+						got.Set(i, row, on)
+						want.Set(i, row, on)
+					}
+				}
+				v := r.Uint64()
+				got.ClearRow64(x, y, v)
+				for i := 0; i < 64; i++ {
+					if v>>uint(i)&1 == 1 {
+						want.Set(x+i, y, false)
+					}
+				}
+				if got.String() != want.String() || got.Count() != want.Count() {
+					t.Fatalf("w=%d: ClearRow64(%d, %d, %#x) =\n%v\nwant\n%v", w, x, y, v, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestBitmapBooleanOps(t *testing.T) {
 	a := NewBitmap(10, 2)
 	b := NewBitmap(10, 2)
@@ -189,7 +222,9 @@ func TestBitmapSetPointsAt(t *testing.T) {
 	b := NewBitmap(70, 4)
 	b.SetPointsAt(shape, Pt(63, 1), true)
 	want := NewBitmap(70, 4)
-	want.SetPoints(Translate(shape, Pt(63, 1)), true)
+	for _, p := range shape {
+		want.Set(p.X+63, p.Y+1, true)
+	}
 	if b.String() != want.String() {
 		t.Fatalf("SetPointsAt painted\n%s\nwant\n%s", b, want)
 	}
@@ -215,15 +250,14 @@ func TestBitmapExtent(t *testing.T) {
 	for _, p := range []Point{{64, 1}, {3, 3}, {127, 2}} {
 		b.Set(p.X, p.Y, true)
 		// Reference: the bounds of the set bits, read cell by cell.
-		var set []Point
+		want := Rect{MinX: b.W(), MinY: b.H()}
 		for y := 0; y < b.H(); y++ {
 			for x := 0; x < b.W(); x++ {
 				if b.Get(x, y) {
-					set = append(set, Pt(x, y))
+					want = Rect{MinX: min(want.MinX, x), MinY: min(want.MinY, y), MaxX: max(want.MaxX, x+1), MaxY: max(want.MaxY, y+1)}
 				}
 			}
 		}
-		want := BoundsOf(set)
 		if got := b.Extent(); got != want {
 			t.Fatalf("after %v: extent %v, want %v", p, got, want)
 		}

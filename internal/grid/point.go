@@ -24,15 +24,6 @@ func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
 // Sub returns the translation of p by -q.
 func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 
-// Translate returns a new slice holding ps shifted by d.
-func Translate(ps []Point, d Point) []Point {
-	out := make([]Point, len(ps))
-	for i, p := range ps {
-		out[i] = p.Add(d)
-	}
-	return out
-}
-
 // Less orders points lexicographically by (Y, X). It provides the
 // canonical ordering used when normalising tile sets.
 func (p Point) Less(q Point) bool {
@@ -44,27 +35,3 @@ func (p Point) Less(q Point) bool {
 
 // String returns "(x,y)".
 func (p Point) String() string { return fmt.Sprintf("(%d,%d)", p.X, p.Y) }
-
-// BoundsOf returns the tight bounding rectangle of ps. It returns the
-// empty rectangle for an empty slice.
-func BoundsOf(ps []Point) Rect {
-	if len(ps) == 0 {
-		return Rect{}
-	}
-	r := Rect{MinX: ps[0].X, MinY: ps[0].Y, MaxX: ps[0].X + 1, MaxY: ps[0].Y + 1}
-	for _, p := range ps[1:] {
-		if p.X < r.MinX {
-			r.MinX = p.X
-		}
-		if p.Y < r.MinY {
-			r.MinY = p.Y
-		}
-		if p.X+1 > r.MaxX {
-			r.MaxX = p.X + 1
-		}
-		if p.Y+1 > r.MaxY {
-			r.MaxY = p.Y + 1
-		}
-	}
-	return r
-}

@@ -41,45 +41,3 @@ func TestSortPointsCanonicalOrder(t *testing.T) {
 		}
 	}
 }
-
-func TestBoundsOf(t *testing.T) {
-	if got := BoundsOf(nil); !got.Empty() {
-		t.Errorf("BoundsOf(nil) = %v, want empty", got)
-	}
-	ps := []Point{{1, 2}, {4, 0}, {3, 5}}
-	got := BoundsOf(ps)
-	want := Rect{MinX: 1, MinY: 0, MaxX: 5, MaxY: 6}
-	if got != want {
-		t.Errorf("BoundsOf = %v, want %v", got, want)
-	}
-	for _, p := range ps {
-		if !got.Contains(tile(p)) {
-			t.Errorf("point %v not in its own bounds %v", p, got)
-		}
-	}
-}
-
-func TestBoundsOfContainsAll(t *testing.T) {
-	f := func(raw []struct{ X, Y int8 }) bool {
-		ps := make([]Point, len(ps2pts(raw)))
-		copy(ps, ps2pts(raw))
-		b := BoundsOf(ps)
-		for _, p := range ps {
-			if !b.Contains(tile(p)) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func ps2pts(raw []struct{ X, Y int8 }) []Point {
-	ps := make([]Point, len(raw))
-	for i, r := range raw {
-		ps[i] = Pt(int(r.X), int(r.Y))
-	}
-	return ps
-}

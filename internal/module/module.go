@@ -24,7 +24,7 @@ func NewModule(name string, shapes ...*Shape) (*Module, error) {
 	if name == "" {
 		return nil, fmt.Errorf("module: empty module name")
 	}
-	m := &Module{name: name}
+	m := &Module{name: name, shapes: make([]*Shape, 0, len(shapes))}
 	for _, s := range shapes {
 		if s == nil {
 			return nil, fmt.Errorf("module %s: nil shape", name)

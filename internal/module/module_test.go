@@ -1,6 +1,7 @@
 package module
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -39,7 +40,7 @@ func TestNewModuleValidation(t *testing.T) {
 
 func TestModuleDeduplicatesShapes(t *testing.T) {
 	a, b := twoShapes()
-	aCopy := MustShape(a.Tiles())
+	aCopy := MustShape(slices.Clone(a.Tiles()))
 	m, err := NewModule("m", a, aCopy, b, b)
 	if err != nil {
 		t.Fatal(err)

@@ -35,56 +35,50 @@ func (t Tile) String() string { return fmt.Sprintf("%v:%s", t.At, t.Kind) }
 // The paper groups a shape's tiles into per-kind tilesets; Shape stores
 // a flat normalised list instead, which is what the placer and the geost
 // kernel consume, each tile carrying its kind, and Histogram gives the
-// per-kind tile counts.
+// per-kind tile counts. Points and keys are derived from the list.
 type Shape struct {
 	tiles  []Tile
-	points []grid.Point // tile coordinates, parallel to tiles
 	bounds grid.Rect
 	hist   fabric.Histogram
-	key    string
 }
 
-// NewShape builds a normalised shape from tiles. It rejects empty tile
-// sets, duplicate coordinates and tiles whose kind cannot host module
-// logic (module tiles land on CLB/BRAM/DSP only).
+// NewShape builds a normalised shape from tiles, which it takes over: it
+// normalises the list in place and keeps it, whatever it returns. It
+// rejects empty tile sets, duplicate coordinates and tiles whose kind
+// cannot host module logic (module tiles land on CLB/BRAM/DSP only).
 func NewShape(tiles []Tile) (*Shape, error) {
 	if len(tiles) == 0 {
 		return nil, fmt.Errorf("module: shape must contain at least one tile")
 	}
-	ts := make([]Tile, len(tiles))
-	copy(ts, tiles)
-	minX, minY := ts[0].At.X, ts[0].At.Y
-	for _, t := range ts {
+	s := &Shape{tiles: tiles}
+	off := tiles[0].At
+	for _, t := range tiles {
 		if !t.Kind.Placeable() {
 			return nil, fmt.Errorf("module: tile %v has unplaceable kind %s", t.At, t.Kind)
 		}
-		minX, minY = min(minX, t.At.X), min(minY, t.At.Y)
-	}
-	s := &Shape{tiles: ts}
-	for i := range s.tiles {
-		s.tiles[i].At = s.tiles[i].At.Sub(grid.Pt(minX, minY))
-		s.hist.Add(s.tiles[i].Kind)
+		off = grid.Pt(min(off.X, t.At.X), min(off.Y, t.At.Y))
+		s.hist.Add(t.Kind)
 	}
 	// Tiles from a shape's own Tiles (a client echoing a module back)
 	// arrive in canonical order already; checking costs less than
-	// sorting.
-	for i := 1; i < len(s.tiles); i++ {
-		if compareTiles(s.tiles[i-1], s.tiles[i]) > 0 {
-			slices.SortFunc(s.tiles, compareTiles)
+	// sorting, and leaves such a list unwritten.
+	for i := 1; i < len(tiles); i++ {
+		if compareTiles(tiles[i-1], tiles[i]) > 0 {
+			slices.SortFunc(tiles, compareTiles)
 			break
 		}
 	}
 	// Sorting makes tiles at one coordinate adjacent.
-	pts := make([]grid.Point, len(s.tiles))
-	for i, t := range s.tiles {
-		if i > 0 && t.At == pts[i-1] {
-			return nil, fmt.Errorf("module: duplicate tile at %v", t.At.Add(grid.Pt(minX, minY)))
+	for i := range tiles {
+		p := tiles[i].At
+		if i > 0 && p == tiles[i-1].At.Add(off) {
+			return nil, fmt.Errorf("module: duplicate tile at %v", p)
 		}
-		pts[i] = t.At
+		if p = p.Sub(off); off != (grid.Point{}) {
+			tiles[i].At = p
+		}
+		s.bounds.MaxX, s.bounds.MaxY = max(s.bounds.MaxX, p.X+1), max(s.bounds.MaxY, p.Y+1)
 	}
-	s.points = pts
-	s.bounds = grid.BoundsOf(pts)
-	s.key = shapeKey(s.tiles)
 	return s, nil
 }
 
@@ -99,10 +93,10 @@ func compareTiles(a, b Tile) int {
 	return cmp.Compare(a.Kind, b.Kind)
 }
 
-// shapeKey renders sorted tiles as "x,y,kind;" per tile.
-func shapeKey(tiles []Tile) string {
-	b := make([]byte, 0, 8*len(tiles))
-	for _, t := range tiles {
+// AppendKey appends the shape's canonical key, "x,y,kind;" per tile in
+// canonical order, to b.
+func (s *Shape) AppendKey(b []byte) []byte {
+	for _, t := range s.tiles {
 		b = strconv.AppendInt(b, int64(t.At.X), 10)
 		b = append(b, ',')
 		b = strconv.AppendInt(b, int64(t.At.Y), 10)
@@ -110,7 +104,7 @@ func shapeKey(tiles []Tile) string {
 		b = strconv.AppendInt(b, int64(t.Kind), 10)
 		b = append(b, ';')
 	}
-	return string(b)
+	return b
 }
 
 // MustShape is NewShape panicking on error, for statically known shapes.
@@ -127,12 +121,18 @@ func (s *Shape) Tiles() []Tile { return s.tiles }
 
 // Points returns the tile coordinates (without kinds) in canonical
 // order. The slice is freshly allocated on every call.
-func (s *Shape) Points() []grid.Point { return append([]grid.Point(nil), s.points...) }
+func (s *Shape) Points() []grid.Point { return s.PointsAt(grid.Point{}) }
 
 // PointsAt returns the absolute tile coordinates of the shape anchored
 // at at, in canonical order. The slice is freshly allocated on every
 // call.
-func (s *Shape) PointsAt(at grid.Point) []grid.Point { return grid.Translate(s.points, at) }
+func (s *Shape) PointsAt(at grid.Point) []grid.Point {
+	ps := make([]grid.Point, len(s.tiles))
+	for i, t := range s.tiles {
+		ps[i] = t.At.Add(at)
+	}
+	return ps
+}
 
 // Size returns the number of tiles.
 func (s *Shape) Size() int { return len(s.tiles) }
@@ -146,12 +146,13 @@ func (s *Shape) H() int { return s.bounds.H() }
 // Histogram returns per-kind tile counts.
 func (s *Shape) Histogram() fabric.Histogram { return s.hist }
 
-// Key returns a canonical fingerprint: two shapes are geometrically
-// identical (same tiles, same kinds) iff their keys are equal.
-func (s *Shape) Key() string { return s.key }
+// Key returns a canonical fingerprint, rendered by AppendKey on every
+// call: two shapes are geometrically identical (same tiles, same kinds)
+// iff their keys are equal.
+func (s *Shape) Key() string { return string(s.AppendKey(make([]byte, 0, 8*len(s.tiles)))) }
 
 // Equal reports whether s and o have identical normalised tiles.
-func (s *Shape) Equal(o *Shape) bool { return o != nil && s.key == o.key }
+func (s *Shape) Equal(o *Shape) bool { return o != nil && slices.Equal(s.tiles, o.tiles) }
 
 // Transform returns the shape mapped under t and renormalised. The
 // resource kind of each tile is preserved.
@@ -160,8 +161,7 @@ func (s *Shape) Transform(t grid.Transform) *Shape {
 	for i, tl := range s.tiles {
 		tiles[i] = Tile{At: t.Apply(tl.At), Kind: tl.Kind}
 	}
-	out := MustShape(tiles)
-	return out
+	return MustShape(tiles)
 }
 
 // String renders the shape as a small resource map, top row first, with

@@ -17,6 +17,9 @@ type base struct {
 	table    *core.AnchorTable
 	anchors  map[string]*grid.Bitmap
 	resident map[TaskID][]grid.Point // absolute tiles per placed task
+
+	key  []byte         // anchorsFor's key buffer
+	scan []*grid.Bitmap // anchorsOf's result, reused scan to scan
 }
 
 func (b *base) reset(region *fabric.Region) {
@@ -27,20 +30,33 @@ func (b *base) reset(region *fabric.Region) {
 	b.resident = map[TaskID][]grid.Point{}
 }
 
+// anchorsFor returns the cached anchor bitmap of s. It renders the
+// shape's key on every call, so a scan looks each shape up once.
 func (b *base) anchorsFor(s *module.Shape) *grid.Bitmap {
-	if a, ok := b.anchors[s.Key()]; ok {
+	b.key = s.AppendKey(b.key[:0])
+	if a, ok := b.anchors[string(b.key)]; ok {
 		return a
 	}
 	a := b.table.Anchors(s)
-	b.anchors[s.Key()] = a
+	b.anchors[string(b.key)] = a
 	return a
 }
 
-// freeAt reports whether shape s can go at (x, y): the cached anchor
-// bitmap prefilters M_a ∧ M_b, and core.Fits decides against the
-// manager's occupancy.
-func (b *base) freeAt(s *module.Shape, x, y int) bool {
-	return b.anchorsFor(s).Get(x, y) && core.Fits(b.region, b.occ, s, grid.Pt(x, y))
+// anchorsOf returns the anchor bitmaps of m's first n shapes, valid
+// until the next call.
+func (b *base) anchorsOf(m *module.Module, n int) []*grid.Bitmap {
+	b.scan = b.scan[:0]
+	for si := 0; si < n; si++ {
+		b.scan = append(b.scan, b.anchorsFor(m.Shape(si)))
+	}
+	return b.scan
+}
+
+// freeAt reports whether shape s, whose anchor bitmap is a, can go at
+// (x, y): the cached anchor bitmap prefilters M_a ∧ M_b, and core.Fits
+// decides against the manager's occupancy.
+func (b *base) freeAt(a *grid.Bitmap, s *module.Shape, x, y int) bool {
+	return a.Get(x, y) && core.Fits(b.region, b.occ, s, grid.Pt(x, y))
 }
 
 func (b *base) commit(id TaskID, m *module.Module, si, x, y int) {
@@ -68,7 +84,7 @@ func (b *base) Preplace(id TaskID, m *module.Module, p Placement) bool {
 	if p.Shape < 0 || p.Shape >= m.NumShapes() {
 		return false
 	}
-	if !b.freeAt(m.Shape(p.Shape), p.At.X, p.At.Y) {
+	if s := m.Shape(p.Shape); !b.freeAt(b.anchorsFor(s), s, p.At.X, p.At.Y) {
 		return false
 	}
 	b.commit(id, m, p.Shape, p.At.X, p.At.Y)
@@ -105,12 +121,11 @@ func (m *FirstFit) Reset(region *fabric.Region) { m.reset(region) }
 
 // TryPlace implements Manager.
 func (m *FirstFit) TryPlace(t Task) (Placement, bool) {
-	n := shapeRange(t.Module, m.UseAlternatives)
+	anchors := m.anchorsOf(t.Module, shapeRange(t.Module, m.UseAlternatives))
 	for y := 0; y < m.region.H(); y++ {
 		for x := 0; x < m.region.W(); x++ {
-			for si := 0; si < n; si++ {
-				s := t.Module.Shape(si)
-				if m.freeAt(s, x, y) {
+			for si, a := range anchors {
+				if m.freeAt(a, t.Module.Shape(si), x, y) {
 					m.commit(t.ID, t.Module, si, x, y)
 					return Placement{Shape: si, At: grid.Pt(x, y)}, true
 				}
@@ -143,12 +158,12 @@ func (m *BestFitMER) Reset(region *fabric.Region) { m.reset(region) }
 // TryPlace implements Manager.
 func (m *BestFitMER) TryPlace(t Task) (Placement, bool) {
 	mers := MaximalEmptyRects(m.region, m.occ)
-	n := shapeRange(t.Module, m.UseAlternatives)
+	anchors := m.anchorsOf(t.Module, shapeRange(t.Module, m.UseAlternatives))
 	bestWaste := 1 << 60
 	var best Placement
 	found := false
 	for _, r := range mers {
-		for si := 0; si < n; si++ {
+		for si, a := range anchors {
 			s := t.Module.Shape(si)
 			if s.W() > r.W() || s.H() > r.H() {
 				continue
@@ -160,7 +175,7 @@ func (m *BestFitMER) TryPlace(t Task) (Placement, bool) {
 			// Heterogeneity: the rectangle is geometrically free but the
 			// shape's resource pattern may only align at some anchors
 			// inside it — scan bottom-left within the rectangle.
-			if x, y, ok := m.anchorInRect(s, r); ok {
+			if x, y, ok := anchorInRect(a, s, r); ok {
 				bestWaste = waste
 				best = Placement{Shape: si, At: grid.Pt(x, y)}
 				found = true
@@ -174,8 +189,9 @@ func (m *BestFitMER) TryPlace(t Task) (Placement, bool) {
 	return best, true
 }
 
-func (m *BestFitMER) anchorInRect(s *module.Shape, r grid.Rect) (int, int, bool) {
-	va := m.anchorsFor(s)
+// anchorInRect returns the bottom-left anchor of va, the anchor bitmap
+// of s, at which s lies inside r.
+func anchorInRect(va *grid.Bitmap, s *module.Shape, r grid.Rect) (int, int, bool) {
 	for y := r.MinY; y+s.H() <= r.MaxY; y++ {
 		for x := r.MinX; x+s.W() <= r.MaxX; x++ {
 			// Tiles inside a maximal empty rect are unoccupied by
@@ -211,12 +227,11 @@ func (m *OccupiedSpace) Reset(region *fabric.Region) { m.reset(region) }
 
 // TryPlace implements Manager.
 func (m *OccupiedSpace) TryPlace(t Task) (Placement, bool) {
-	n := shapeRange(t.Module, m.UseAlternatives)
+	anchors := m.anchorsOf(t.Module, shapeRange(t.Module, m.UseAlternatives))
 	for y := 0; y < m.region.H(); y++ {
 		for x := 0; x < m.region.W(); x++ {
-			for si := 0; si < n; si++ {
-				s := t.Module.Shape(si)
-				if m.freeAt(s, x, y) && m.touches(s, x, y) {
+			for si, a := range anchors {
+				if s := t.Module.Shape(si); m.freeAt(a, s, x, y) && m.touches(s, x, y) {
 					m.commit(t.ID, t.Module, si, x, y)
 					return Placement{Shape: si, At: grid.Pt(x, y)}, true
 				}
@@ -229,8 +244,8 @@ func (m *OccupiedSpace) TryPlace(t Task) (Placement, bool) {
 // touches reports whether the shape at (x, y) abuts the region border or
 // an occupied tile — the "managed" positions of occupied-space policies.
 func (m *OccupiedSpace) touches(s *module.Shape, x, y int) bool {
-	for _, p := range s.Points() {
-		ax, ay := p.X+x, p.Y+y
+	for _, t := range s.Tiles() {
+		ax, ay := t.At.X+x, t.At.Y+y
 		if ax == 0 || ay == 0 || ax == m.region.W()-1 || ay == m.region.H()-1 {
 			return true
 		}
@@ -275,6 +290,7 @@ func (m *Slot1D) TryPlace(t Task) (Placement, bool) {
 	n := shapeRange(t.Module, m.UseAlternatives)
 	for si := 0; si < n; si++ {
 		s := t.Module.Shape(si)
+		a := m.anchorsFor(s)
 		need := (s.W() + m.SlotWidth - 1) / m.SlotWidth
 		for first := 0; first+need <= len(m.slotBusy); first++ {
 			if !m.slotsFree(first, need) {
@@ -286,7 +302,7 @@ func (m *Slot1D) TryPlace(t Task) (Placement, bool) {
 			hi := (first+need)*m.SlotWidth - s.W()
 			for y := 0; y+s.H() <= m.region.H(); y++ {
 				for x := lo; x <= hi; x++ {
-					if m.freeAt(s, x, y) {
+					if m.freeAt(a, s, x, y) {
 						m.commit(t.ID, t.Module, si, x, y)
 						for i := first; i < first+need; i++ {
 							m.slotBusy[i] = true

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -37,7 +38,7 @@ func benchExplicitRequest(b testing.TB) string {
 	return string(body)
 }
 
-func benchServer(b *testing.B) (*Server, http.Handler) {
+func benchServer(b testing.TB) (*Server, http.Handler) {
 	b.Helper()
 	s := New(Config{Workers: 1, MaxInFlight: 4})
 	b.Cleanup(s.Close)
@@ -47,7 +48,7 @@ func benchServer(b *testing.B) (*Server, http.Handler) {
 // benchPlace serves body once and checks the X-Cache outcome. The body
 // is read in place, so a benchmark measures the server, not a copy of
 // its request.
-func benchPlace(b *testing.B, h http.Handler, body []byte, wantCache string) {
+func benchPlace(b testing.TB, h http.Handler, body []byte, wantCache string) {
 	b.Helper()
 	rec := httptest.NewRecorder()
 	req := httptest.NewRequest("POST", "/v1/place", bytes.NewReader(body))
@@ -82,6 +83,28 @@ func BenchmarkServiceCacheHit(b *testing.B) {
 				benchPlace(b, h, body, "hit")
 			}
 		})
+	}
+}
+
+// explicitHitAllocs bounds the allocations of one explicit hit on
+// benchRequest's batch of about 120 shapes. It holds only while a shape
+// costs no more than the decoder's tile list and the Shape itself; on
+// go1.24 an explicit hit makes about 480.
+const explicitHitAllocs = 524
+
+// TestExplicitHitAllocs pins explicitHitAllocs. It takes the least of
+// three averages, so that what other goroutines of the test binary
+// allocate meanwhile cannot fail it.
+func TestExplicitHitAllocs(t *testing.T) {
+	_, h := benchServer(t)
+	benchPlace(t, h, []byte(benchRequest), "miss")
+	body := []byte(benchExplicitRequest(t))
+	got := math.Inf(1)
+	for range 3 {
+		got = min(got, testing.AllocsPerRun(5, func() { benchPlace(t, h, body, "hit") }))
+	}
+	if got > explicitHitAllocs {
+		t.Fatalf("an explicit hit allocates %.0f times, want at most %d", got, explicitHitAllocs)
 	}
 }
 

@@ -320,3 +320,75 @@ func TestDecodeRepeatedListsLinear(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodedShapesOutlivePooledReader: shapes own the tile lists the
+// decoder makes, so nothing a pass returns may alias the reader it
+// returns to the pool. It decodes body A, then other bodies through the
+// same pool on two goroutines, compact and spaced out (the general
+// path), while it reads A's shapes, and checks that A's tiles and
+// digest are unchanged.
+func TestDecodedShapesOutlivePooledReader(t *testing.T) {
+	body := func(seed int64, spaced bool) []byte {
+		mods := workload.MustGenerate(workload.Config{NumModules: 8}, rand.New(rand.NewSource(seed)))
+		req := PlaceRequest{Fabric: "virtex4-like-72x60"}
+		for _, m := range mods {
+			req.Modules = append(req.Modules, ModuleSpecFor(m))
+		}
+		b, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spaced {
+			b = bytes.ReplaceAll(b, []byte(`":`), []byte(`" : `))
+		}
+		return b
+	}
+	a, err := DecodeRequest(bytes.NewReader(body(1, false)), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tiles [][]module.Tile
+	for _, m := range a.Modules {
+		for _, s := range m.Shapes() {
+			tiles = append(tiles, slices.Clone(s.Tiles()))
+		}
+	}
+	digest, err := a.Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func() {
+		t.Helper()
+		i := 0
+		for _, m := range a.Modules {
+			for _, s := range m.Shapes() {
+				if !slices.Equal(s.Tiles(), tiles[i]) {
+					t.Fatalf("module %s: a shape's tiles changed after later decodes", m.Name())
+				}
+				i++
+			}
+		}
+		if d, err := a.Digest(); err != nil || d != digest {
+			t.Fatalf("digest %s (err %v) after later decodes, was %s", d, err, digest)
+		}
+	}
+	done := make(chan error, 2)
+	for g := int64(0); g < 2; g++ {
+		go func() {
+			for seed := 2 + 3*g; seed < 5+3*g; seed++ {
+				if _, err := DecodeRequest(bytes.NewReader(body(seed, seed%2 == 0)), Config{}); err != nil {
+					done <- err
+					return
+				}
+			}
+			done <- nil
+		}()
+	}
+	check()
+	for range 2 {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	check()
+}
