@@ -118,12 +118,15 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzPruneOthers -fuzztime $(FUZZTIME) ./internal/geost
 	$(GO) test -run xxx -fuzz FuzzValueOrder -fuzztime $(FUZZTIME) ./internal/geost
 	$(GO) test -run xxx -fuzz FuzzDecodeRequest -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/service
+	$(GO) test -run xxx -fuzz FuzzFrontKey -fuzztime $(FUZZTIME) ./internal/service
 
 # The serving benchmark pair behind EXPERIMENTS.md: a cached Table-I
-# placement versus the same request re-solved from scratch, and the
-# request decode alone.
+# placement (a byte-identical repeat, and a spelling the front table
+# has not seen) versus the same request re-solved from scratch, and the
+# request decode alone. The allocation pins of both hit paths run
+# first.
 bench-service:
-	$(GO) test -run xxx -bench 'BenchmarkServiceCacheHit|BenchmarkDecodeRequest' -benchtime 2s ./internal/service
+	$(GO) test -run 'TestExplicitHitAllocs|TestRepeatHitAllocs' -bench 'BenchmarkServiceCacheHit|BenchmarkDecodeRequest' -benchtime 2s ./internal/service
 	$(GO) test -run xxx -bench BenchmarkServiceColdSolve -benchtime 2x ./internal/service
 
 # The solver benchmark-regression gate: re-solve the pinned scenario

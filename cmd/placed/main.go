@@ -157,6 +157,13 @@ func run(o cliOpts) (err error) {
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 
+	// Registered before serving, so a signal sent once the daemon
+	// answers is never lost, and stopped on return, so a later run in
+	// the same process gets its own signals.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
+
 	errCh := make(chan error, 1)
 	go func() {
 		fmt.Printf("placed: serving on http://%s (workers=%d cache=%d max-inflight=%d)\n",
@@ -164,8 +171,6 @@ func run(o cliOpts) (err error) {
 		errCh <- httpSrv.ListenAndServe()
 	}()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-errCh:
 		return err

@@ -30,7 +30,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/module"
-	"repro/internal/workload"
 )
 
 // Request is a transport-independent placement request: the instance a
@@ -214,7 +213,7 @@ func (r *Request) writeEncoding(w io.Writer, o Order, ks *shapeKeys) {
 	w.Write(appendOptions(b, opts))
 }
 
-// appendOptions writes the solver options, the tail of both frames.
+// appendOptions writes the solver options, the tail of the frame.
 func appendOptions(b []byte, o core.RequestOptions) []byte {
 	b = binary.AppendVarint(b, int64(o.Timeout))
 	b = append(b, byte(o.Strategy), byte(o.ValueOrder), boolByte(o.FirstSolutionOnly))
@@ -228,42 +227,22 @@ func appendOptions(b []byte, o core.RequestOptions) []byte {
 	return b
 }
 
-// Spec is a placement request whose modules are the seeded workload
-// generator's batch (workload.Generate with Generate and Seed) instead
-// of an explicit list. A spec fixes its modules and their order, so
-// its Digest can key a finished answer before the batch is expanded.
-type Spec struct {
-	Fabric   string
-	Region   grid.Rect
-	Generate workload.Config
-	Seed     int64
-	Options  core.RequestOptions
-}
+// bodyTag opens the frame BodyDigest hashes. Canonical frames open
+// with encVersion and the retired generate-spec frames opened with 'g',
+// so a body digest aliases neither.
+const bodyTag = 'b'
 
-// specTag opens the spec frame. Canonical frames open with encVersion,
-// so no spec digest aliases a canonical one.
-const specTag = 'g'
-
-// Digest returns the SHA-256 of the spec's frame: the fabric, region,
-// generator config after Defaults, seed, workload.GeneratorVersion and
-// the options with bus rows sorted and deduplicated, as in a request's
-// canonical encoding. Equal digests
-// mean equal batches on equal canonical instances.
-func (s *Spec) Digest() Digest {
-	g := s.Generate.Defaults()
-	b := make([]byte, 0, 128)
-	b = append(b, specTag, encVersion)
-	b = binary.AppendUvarint(b, workload.GeneratorVersion)
-	b = appendString(b, s.Fabric)
-	b = appendRect(b, s.Region)
-	for _, v := range []int{g.NumModules, g.CLBMin, g.CLBMax, g.BRAMMin, g.BRAMMax, g.DSPMax, g.Alternatives} {
-		b = binary.AppendVarint(b, int64(v))
-	}
-	b = append(b, boolByte(g.NoBRAM), boolByte(g.NoRotation))
-	b = binary.AppendVarint(b, s.Seed)
-	o := s.Options
-	o.BusRows = sortedUniqueInts(o.BusRows)
-	return sha256.Sum256(appendOptions(b, o))
+// BodyDigest returns the SHA-256 of a request body's exact bytes behind
+// bodyTag. It canonicalizes nothing: two spellings of one instance have
+// different body digests, so it can key an answer only for a reader
+// that decodes equal bytes the same way.
+func BodyDigest(body []byte) Digest {
+	h := sha256.New()
+	h.Write([]byte{bodyTag})
+	h.Write(body)
+	var d Digest
+	h.Sum(d[:0])
+	return d
 }
 
 func appendRect(b []byte, r grid.Rect) []byte {

@@ -85,51 +85,6 @@ func TestKeyOrderLeadsBackToRequest(t *testing.T) {
 	}
 }
 
-func TestSpecDigest(t *testing.T) {
-	base := Spec{
-		Fabric:   "spartan-like-24x16",
-		Generate: workload.Config{NumModules: 3, CLBMin: 4, CLBMax: 6, NoBRAM: true},
-		Seed:     1,
-		Options:  core.RequestOptions{StallNodes: 100, BusRows: []int{3, 1}},
-	}
-	d0 := base.Digest()
-	same := base
-	same.Generate.Alternatives = 4 // the default, spelled out
-	same.Options.BusRows = []int{1, 3, 3}
-	if same.Digest() != d0 {
-		t.Fatal("spelled-out defaults or bus-row order changed the spec digest")
-	}
-	for name, mut := range map[string]func(*Spec){
-		"fabric":     func(s *Spec) { s.Fabric = "virtex4-like-72x60" },
-		"region":     func(s *Spec) { s.Region = grid.RectXYWH(0, 0, 8, 8) },
-		"seed":       func(s *Spec) { s.Seed = 2 },
-		"numModules": func(s *Spec) { s.Generate.NumModules = 4 },
-		"clbMax":     func(s *Spec) { s.Generate.CLBMax = 7 },
-		"noBram":     func(s *Spec) { s.Generate.NoBRAM = false },
-		"dspMax":     func(s *Spec) { s.Generate.DSPMax = 1 },
-		"alts":       func(s *Spec) { s.Generate.Alternatives = 2 },
-		"noRotation": func(s *Spec) { s.Generate.NoRotation = true },
-		"stall":      func(s *Spec) { s.Options.StallNodes = 101 },
-		"busRows":    func(s *Spec) { s.Options.BusRows = []int{1} },
-	} {
-		s := base
-		mut(&s)
-		if s.Digest() == d0 {
-			t.Errorf("%s does not change the spec digest", name)
-		}
-	}
-	// Spec.Digest frames every workload.Config field by hand; a new
-	// field must be framed there before this count moves.
-	if n := reflect.TypeOf(workload.Config{}).NumField(); n != 9 {
-		t.Fatalf("workload.Config has %d fields; frame the new ones in Spec.Digest", n)
-	}
-	// A spec never shares a digest with the canonical form of its batch.
-	req := &Request{Fabric: base.Fabric, Modules: workload.MustGenerate(base.Generate, rand.New(rand.NewSource(base.Seed))), Options: base.Options}
-	if digestOf(t, req) == d0 {
-		t.Fatal("spec digest aliases the canonical digest")
-	}
-}
-
 // refKey is the digest as it was computed from stored string keys,
 // kept as the reference FuzzDigestMatchesStringKeys holds Key to: each
 // shape's Key() string, modules and shapes sorted with strings.Compare,

@@ -43,9 +43,11 @@ type Site uint8
 
 // Instrumented sites, in request-path order.
 const (
-	// SiteCache is the canonical-instance cache lookup: an injected
-	// error models an unavailable cache backend (the service degrades
-	// to a forced miss).
+	// SiteCache is the cache lookup: an injected error models an
+	// unavailable cache backend (the service degrades to a forced miss,
+	// bypassing the front table of answered bodies as well). It is
+	// checked once per /v1/place request whose body was read, before
+	// its first lookup, so a malformed body draws it too.
 	SiteCache Site = iota
 	// SiteSingleflight is the duplicate-request collapse point: an
 	// injected error models a broken dedup layer (each request solves

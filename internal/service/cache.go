@@ -23,41 +23,42 @@ type CacheStats struct {
 // solve has just landed. At most capacity outcomes are stored; the
 // least recently used is evicted first.
 //
-// A stored entry also keeps the finished bodies of the generate specs
-// it answered (at most maxSpecs, oldest dropped first), keyed by spec
-// digest: a spec fixes its batch's module and shape order, hence its
-// body, so a repeat is answered without expanding the batch. Spec
-// bodies go with their entry when it is evicted or refreshed. Safe for
-// concurrent use.
+// A stored entry also keeps the finished bodies of the requests it
+// answered (at most maxFronts, oldest dropped first), keyed by the
+// front key, the canon.BodyDigest of each request body: equal bytes
+// decode to the same instance in the same module and shape order,
+// hence the same body, so a repeat is answered before it is parsed.
+// Front bodies go with their entry when it is evicted or refreshed.
+// Safe for concurrent use.
 type lruCache struct {
 	mu        sync.Mutex
 	capacity  int
 	ll        *list.List // stored entries, front = most recently used
 	items     map[canon.Digest]*cacheEntry
-	specs     map[canon.Digest]specBody
+	fronts    map[canon.Digest]frontBody
 	misses    int64
 	evictions int64
 }
 
-// maxSpecs bounds the spec bodies one entry keeps. Distinct specs of
-// one instance are rare (tiny batches drawn alike from several seeds),
-// but a client could mint them without end.
-const maxSpecs = 4
+// maxFronts bounds the front bodies one entry keeps. A client sends
+// few spellings of one instance (module orders, one generate spec),
+// but it could mint them without end.
+const maxFronts = 4
 
 // cacheEntry is one digest's row. It is stored while elem is set and
 // in flight while f is set; it is briefly both when a solo solve (one
 // that bypassed the shared flight under a singleflight fault) lands
 // while the shared flight still runs.
 type cacheEntry struct {
-	key   canon.Digest
-	res   *placed
-	specs []canon.Digest // spec bodies answered from res, oldest first
-	elem  *list.Element  // position in ll while stored
-	f     *flight
+	key    canon.Digest
+	res    *placed
+	fronts []canon.Digest // front bodies answered from res, oldest first
+	elem   *list.Element  // position in ll while stored
+	f      *flight
 }
 
-// specBody is a finished body for one generate spec.
-type specBody struct {
+// frontBody is a finished body for one request body.
+type frontBody struct {
 	owner *cacheEntry
 	body  []byte
 }
@@ -81,45 +82,46 @@ func newLRU(capacity int) *lruCache {
 		capacity: capacity,
 		ll:       list.New(),
 		items:    make(map[canon.Digest]*cacheEntry, capacity),
-		specs:    make(map[canon.Digest]specBody),
+		fronts:   make(map[canon.Digest]frontBody),
 	}
 }
 
-// Spec returns the body stored for a generate spec and the digest of
+// Front returns the body stored under a front key and the digest of
 // its instance, marking the instance most recently used; nil when
 // there is none. It counts nothing: the server counts a served body as
 // a hit, and a request without one goes on to Join. Callers must not
 // mutate the body.
-func (c *lruCache) Spec(spec canon.Digest) ([]byte, canon.Digest) {
+func (c *lruCache) Front(front canon.Digest) ([]byte, canon.Digest) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	sb, ok := c.specs[spec]
+	fb, ok := c.fronts[front]
 	if !ok {
 		return nil, canon.Digest{}
 	}
-	c.ll.MoveToFront(sb.owner.elem)
-	return sb.body, sb.owner.key
+	c.ll.MoveToFront(fb.owner.elem)
+	return fb.body, fb.owner.key
 }
 
-// AddSpec records body as the answer to spec, encoded from res, the
-// outcome stored under key. It records nothing when res is no longer
-// key's stored outcome (the entry was evicted or refreshed meanwhile).
-func (c *lruCache) AddSpec(spec, key canon.Digest, res *placed, body []byte) {
+// AddFront records body as the answer to the request body keyed front,
+// encoded from res, the outcome stored under key. It records nothing
+// when res is no longer key's stored outcome (the entry was evicted or
+// refreshed meanwhile).
+func (c *lruCache) AddFront(front, key canon.Digest, res *placed, body []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e := c.items[key]
 	if e == nil || e.elem == nil || e.res != res {
 		return
 	}
-	if _, ok := c.specs[spec]; ok {
-		return // a spec names one instance, so it is already e's
+	if _, ok := c.fronts[front]; ok {
+		return // a body names one instance, so it is already e's
 	}
-	if len(e.specs) == maxSpecs {
-		delete(c.specs, e.specs[0])
-		e.specs = e.specs[1:]
+	if len(e.fronts) == maxFronts {
+		delete(c.fronts, e.fronts[0])
+		e.fronts = e.fronts[1:]
 	}
-	e.specs = append(e.specs, spec)
-	c.specs[spec] = specBody{owner: e, body: body}
+	e.fronts = append(e.fronts, front)
+	c.fronts[front] = frontBody{owner: e, body: body}
 }
 
 // Join looks key up. It returns the stored outcome if there is one
@@ -165,7 +167,7 @@ func (c *lruCache) Land(key canon.Digest, f *flight, res *placed, err error, sto
 
 // store puts res under key, evicting the least recently used entries
 // while the cache is full. Storing an existing key refreshes its
-// outcome and recency and drops the spec bodies encoded from the old
+// outcome and recency and drops the front bodies encoded from the old
 // outcome. c.mu must be held.
 func (c *lruCache) store(key canon.Digest, res *placed) {
 	e := c.items[key]
@@ -173,7 +175,7 @@ func (c *lruCache) store(key canon.Digest, res *placed) {
 		e = &cacheEntry{key: key}
 		c.items[key] = e
 	}
-	c.dropSpecs(e)
+	c.dropFronts(e)
 	e.res = res
 	if e.elem != nil {
 		c.ll.MoveToFront(e.elem)
@@ -186,22 +188,22 @@ func (c *lruCache) store(key canon.Digest, res *placed) {
 	e.elem = c.ll.PushFront(e)
 }
 
-// unstore drops e's outcome and spec bodies, and e itself unless a
+// unstore drops e's outcome and front bodies, and e itself unless a
 // flight still needs it. c.mu must be held.
 func (c *lruCache) unstore(e *cacheEntry) {
 	c.ll.Remove(e.elem)
-	c.dropSpecs(e)
+	c.dropFronts(e)
 	e.elem, e.res = nil, nil
 	if e.f == nil {
 		delete(c.items, e.key)
 	}
 }
 
-func (c *lruCache) dropSpecs(e *cacheEntry) {
-	for _, spec := range e.specs {
-		delete(c.specs, spec)
+func (c *lruCache) dropFronts(e *cacheEntry) {
+	for _, front := range e.fronts {
+		delete(c.fronts, front)
 	}
-	e.specs = nil
+	e.fronts = nil
 }
 
 // Stats snapshots the counters.

@@ -209,40 +209,40 @@ func TestPrivateFlightLandsBesideSharedFlight(t *testing.T) {
 	}
 }
 
-// TestSpecBodiesFollowTheirEntry: spec bodies hang off the stored
-// outcome they were encoded from. An entry keeps the newest maxSpecs
+// TestFrontBodiesFollowTheirEntry: front bodies hang off the stored
+// outcome they were encoded from. An entry keeps the newest maxFronts
 // of them, refuses one encoded from an outcome it no longer stores,
 // and drops them all when its outcome is refreshed or evicted.
-func TestSpecBodiesFollowTheirEntry(t *testing.T) {
+func TestFrontBodiesFollowTheirEntry(t *testing.T) {
 	c := newLRU(2)
 	res := stored("a")
 	c.Put(dig(1), res)
-	for i := 0; i <= maxSpecs; i++ {
-		c.AddSpec(dig(100+i), dig(1), res, []byte(fmt.Sprint(i)))
+	for i := 0; i <= maxFronts; i++ {
+		c.AddFront(dig(100+i), dig(1), res, []byte(fmt.Sprint(i)))
 	}
-	if body, _ := c.Spec(dig(100)); body != nil {
-		t.Fatal("oldest spec body kept past maxSpecs")
+	if body, _ := c.Front(dig(100)); body != nil {
+		t.Fatal("oldest front body kept past maxFronts")
 	}
-	if body, key := c.Spec(dig(100 + maxSpecs)); string(body) != fmt.Sprint(maxSpecs) || key != dig(1) {
-		t.Fatalf("newest spec body %q under %x, want %d under entry 1", body, key[:2], maxSpecs)
+	if body, key := c.Front(dig(100 + maxFronts)); string(body) != fmt.Sprint(maxFronts) || key != dig(1) {
+		t.Fatalf("newest front body %q under %x, want %d under entry 1", body, key[:2], maxFronts)
 	}
-	c.AddSpec(dig(200), dig(1), stored("stale"), []byte("x"))
-	if body, _ := c.Spec(dig(200)); body != nil {
-		t.Fatal("spec body encoded from an outcome the entry does not store was recorded")
+	c.AddFront(dig(200), dig(1), stored("stale"), []byte("x"))
+	if body, _ := c.Front(dig(200)); body != nil {
+		t.Fatal("front body encoded from an outcome the entry does not store was recorded")
 	}
 	c.Put(dig(1), stored("a2")) // refresh
-	if body, _ := c.Spec(dig(100 + maxSpecs)); body != nil {
-		t.Fatal("spec body outlived the refresh of its outcome")
+	if body, _ := c.Front(dig(100 + maxFronts)); body != nil {
+		t.Fatal("front body outlived the refresh of its outcome")
 	}
 	res = stored("b")
 	c.Put(dig(2), res)
-	c.AddSpec(dig(300), dig(2), res, []byte("b"))
+	c.AddFront(dig(300), dig(2), res, []byte("b"))
 	c.Put(dig(3), stored("c"))
 	c.Put(dig(4), stored("d")) // evicts entry 2
-	if body, _ := c.Spec(dig(300)); body != nil {
-		t.Fatal("spec body outlived the eviction of its entry")
+	if body, _ := c.Front(dig(300)); body != nil {
+		t.Fatal("front body outlived the eviction of its entry")
 	}
-	if len(c.specs) != 0 {
-		t.Fatalf("%d spec bodies left without an entry", len(c.specs))
+	if len(c.fronts) != 0 {
+		t.Fatalf("%d front bodies left without an entry", len(c.fronts))
 	}
 }

@@ -57,29 +57,26 @@ var (
 
 // reader is one pass over a request body.
 type reader struct {
-	b      []byte
-	i      int
-	shapes pool[wireShape]
-	tiles  pool[module.Tile]
+	b       []byte
+	i       int
+	readErr error
+	shapes  pool[wireShape]
+	tiles   pool[module.Tile]
 }
 
 // readers keeps a pass's body buffer and tile scratch for the next
 // pass; nothing a pass returns aliases them.
 var readers = sync.Pool{New: func() any { return new(reader) }}
 
-// parse reads body, at most maxRequestBytes of it, and decodes its
-// first JSON value into dst; bytes after that value are ignored. size
-// is the body's length when known (an http.Request's ContentLength),
-// -1 otherwise.
-func parse(body io.Reader, size int64, dst any) error {
+// read takes a reader from the pool and reads body into it, at most
+// maxRequestBytes of it. size is the body's length when known (an
+// http.Request's ContentLength), -1 otherwise. The caller must release
+// the reader.
+func read(body io.Reader, size int64) *reader {
 	if l, ok := body.(interface{ Len() int }); ok && size < 0 {
 		size = int64(l.Len())
 	}
 	r := readers.Get().(*reader)
-	defer func() {
-		r.b, r.i = r.b[:0], 0
-		readers.Put(r)
-	}()
 	// The buffer is sized from the declared length up to 1 MiB, which
 	// holds any Table-I-sized batch; a longer body grows it as it
 	// arrives, so a Content-Length that lies costs no more than that.
@@ -87,16 +84,36 @@ func parse(body io.Reader, size int64, dst any) error {
 	if size > 0 {
 		buf.Grow(int(min(size, 1<<20)) + bytes.MinRead)
 	}
-	_, readErr := buf.ReadFrom(io.LimitReader(body, maxRequestBytes))
+	_, r.readErr = buf.ReadFrom(io.LimitReader(body, maxRequestBytes))
 	r.b = buf.Bytes()
+	return r
+}
+
+// release returns r to the pool.
+func (r *reader) release() {
+	r.b, r.i, r.readErr = r.b[:0], 0, nil
+	readers.Put(r)
+}
+
+// decode decodes the first JSON value of the body r holds into dst;
+// bytes after that value are ignored.
+func (r *reader) decode(dst any) error {
 	err := r.value(dst)
-	if err != nil && readErr != nil {
-		err = readErr // the value was cut short by a failed read
+	if err != nil && r.readErr != nil {
+		err = r.readErr // the value was cut short by a failed read
 	}
 	if err != nil {
 		return fmt.Errorf("invalid JSON: %w", err)
 	}
 	return nil
+}
+
+// parse reads body and decodes its first JSON value into dst, as read
+// and decode do.
+func parse(body io.Reader, size int64, dst any) error {
+	r := read(body, size)
+	defer r.release()
+	return r.decode(dst)
 }
 
 // value decodes the next JSON value into what p points to.

@@ -105,7 +105,9 @@ const maxRequestBytes = 8 << 20
 // (cfg's zero fields take the documented Config defaults). All
 // failures are client errors (HTTP 400).
 func DecodeRequest(body io.Reader, cfg Config) (*canon.Request, error) {
-	d, err := decode(body, -1, cfg.withDefaults())
+	r := read(body, -1)
+	d, err := r.place(cfg.withDefaults())
+	r.release()
 	if err != nil {
 		return nil, err
 	}
@@ -114,19 +116,19 @@ func DecodeRequest(body io.Reader, cfg Config) (*canon.Request, error) {
 
 // decoded is a validated wire request with the daemon's option
 // defaults applied and its modules not yet expanded. The defaults are
-// applied before any digest is taken, so an omitted option and its
-// explicit default share a cache entry.
+// applied before the canonical digest is taken, so an omitted option
+// and its explicit default share a cache entry.
 type decoded struct {
 	wire PlaceRequest // everything but Modules, which the pass puts in mods
 	mods []wireModule
 	req  canon.Request // everything but Modules
 }
 
-// decode parses and validates a wire request of size bytes (-1 when
-// unknown). cfg must already carry its defaults.
-func decode(body io.Reader, size int64, cfg Config) (*decoded, error) {
+// place decodes and validates the place request r holds. cfg must
+// already carry its defaults.
+func (r *reader) place(cfg Config) (*decoded, error) {
 	d := &decoded{}
-	if err := parse(body, size, d); err != nil {
+	if err := r.decode(d); err != nil {
 		return nil, err
 	}
 	if err := d.validate(len(d.mods) > 0, cfg); err != nil {
@@ -163,19 +165,6 @@ func (d *decoded) validate(hasModules bool, cfg Config) error {
 		d.req.Region = grid.RectXYWH(wire.Region.X, wire.Region.Y, wire.Region.W, wire.Region.H)
 	}
 	return nil
-}
-
-// specKey returns the digest of a generate request's spec, which keys
-// the finished answer before the batch is expanded; nil for an
-// explicit module list.
-func (d *decoded) specKey() *canon.Digest {
-	g := d.wire.Generate
-	if g == nil {
-		return nil
-	}
-	sp := canon.Spec{Fabric: d.req.Fabric, Region: d.req.Region, Generate: g.config(), Seed: g.Seed, Options: d.req.Options}
-	key := sp.Digest()
-	return &key
 }
 
 // expand builds the request's modules: the seeded batch of a generate

@@ -344,49 +344,53 @@ func spanMs(ts obs.TraceSummary, names ...string) float64 {
 }
 
 // keyed is an expanded request with its canonical digest, the order
-// that leads from the canonical form back to the request and, for a
-// generate request, the digest of its spec.
+// that leads from the canonical form back to the request, and the
+// front key of the body it was decoded from.
 type keyed struct {
 	creq   *canon.Request
 	digest canon.Digest
 	order  canon.Order
-	spec   *canon.Digest
+	front  canon.Digest
 }
 
 // servePlace is the traced request body of handlePlace; it fills out
 // for the deferred access-log/SLO bookkeeping.
 func (s *Server) servePlace(w http.ResponseWriter, r *http.Request, tr *obs.Trace, out *placeOutcome) {
 	canonSp := tr.StartSpan("canonicalize")
-	d, err := decode(r.Body, r.ContentLength, s.cfg)
-	if err != nil {
-		s.end(canonSp)
-		s.failPlace(w, out, http.StatusBadRequest, err)
-		return
-	}
+	rd := read(r.Body, r.ContentLength)
+	// The front key covers exactly the bytes the decoder reads, and the
+	// decode depends on nothing else that changes while the daemon
+	// runs, so a body answered before is served again unparsed.
+	k := &keyed{front: canon.BodyDigest(rd.b)}
 
-	// Fault site "cache", drawn once per decoded request before its
-	// first lookup: an injected fault models an unavailable cache
-	// backend — after any injected latency, nothing stored counts as a
-	// hit. The request is answered as a miss but still goes through the
-	// table: it reuses a stored outcome instead of solving it again,
-	// and otherwise joins or leads the flight.
+	// Fault site "cache", drawn once per request whose body was read,
+	// before its first lookup: an injected fault models an unavailable
+	// cache backend — after any injected latency, nothing stored counts
+	// as a hit. The request is answered as a miss but still goes
+	// through the table: it reuses a stored outcome instead of solving
+	// it again, and otherwise joins or leads the flight.
 	cacheFault := s.faults.Check(faultinject.SiteCache)
 	if cacheFault.Delay > 0 {
 		time.Sleep(cacheFault.Delay)
 	}
 	cacheDown := cacheFault.Err != nil || cacheFault.Timeout
 
-	// A generate spec fixes its batch, module and shape order included,
-	// so a spec answered before is served its body unexpanded.
-	k := &keyed{spec: d.specKey()}
-	if k.spec != nil && !cacheDown {
-		if body, digest := s.cache.Spec(*k.spec); body != nil {
+	if !cacheDown {
+		if body, digest := s.cache.Front(k.front); body != nil {
+			rd.release()
 			s.end(canonSp, obs.Bool("expanded", false))
 			s.end(tr.StartSpan("cache_lookup"), obs.Bool("hit", true))
 			out.digest = digest.String()
 			s.serve(w, out, body, digest, "hit")
 			return
 		}
+	}
+	d, err := rd.place(s.cfg)
+	rd.release()
+	if err != nil {
+		s.end(canonSp)
+		s.failPlace(w, out, http.StatusBadRequest, err)
+		return
 	}
 	k.creq, err = d.expand()
 	if err == nil {
@@ -488,9 +492,9 @@ func (s *Server) servePlace(w http.ResponseWriter, r *http.Request, tr *obs.Trac
 }
 
 // answer serves res to k's requester, encoded in its own module and
-// shape order, as a hit, a miss or a deduplicated wait (cache). A
-// generate request's body is recorded under its spec, so its repeats
-// skip expansion.
+// shape order, as a hit, a miss or a deduplicated wait (cache). The
+// body is recorded under k's front key, so a byte-identical repeat is
+// answered before it is parsed.
 func (s *Server) answer(w http.ResponseWriter, out *placeOutcome, k *keyed, res *placed, cache string) {
 	body, err := res.encode(k)
 	if err != nil {
@@ -498,9 +502,7 @@ func (s *Server) answer(w http.ResponseWriter, out *placeOutcome, k *keyed, res 
 		s.failPlace(w, out, http.StatusInternalServerError, err)
 		return
 	}
-	if k.spec != nil {
-		s.cache.AddSpec(*k.spec, k.digest, res, body)
-	}
+	s.cache.AddFront(k.front, k.digest, res, body)
 	s.serve(w, out, body, k.digest, cache)
 }
 

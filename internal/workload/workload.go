@@ -14,9 +14,10 @@ import (
 
 // GeneratorVersion identifies the batches Generate draws: a (Config,
 // seed) pair yields the same modules, shapes and order for as long as
-// the version stands. Caches keyed by a generator spec instead of its
-// expanded modules include it, so bump it whenever Generate's output
-// changes for any spec (TestGeneratorVersionPinned fails until then).
+// the version stands. Anything that records a batch by its spec
+// instead of its expanded modules must include it, so bump it whenever
+// Generate's output changes for any spec (TestGeneratorVersionPinned
+// fails until then).
 const GeneratorVersion = 1
 
 // Config parameterises module-batch generation. The zero value is
